@@ -46,8 +46,9 @@ OPTIONS:
     --stats              With --remote: print the daemon's stats JSON and exit
     --jobs N             Worker-thread cap (default: all cores)
     --quick              Reduced iteration counts for smoke runs (dhry 50, cm 1)
-    --emu-tier TIER      Emulator tier for mix cells: interp (default), fast,
-                         or fast-lockstep (fast, cross-checked against the
+    --emu-tier TIER      Emulator tier for the instruction-mix and distance
+                         cells: fast (default), interp (the reference), or
+                         fast-lockstep (fast, cross-checked against the
                          interpreter every few thousand instructions).
                          Local runs only; a daemon configures its own session
     --out DIR            Where to write BENCH_<name>.json (default: .)
@@ -78,7 +79,8 @@ struct Options {
     no_write: bool,
     quiet: bool,
     profile: bool,
-    emu_tier: TierConfig,
+    /// `None` keeps the session default (the fast tier).
+    emu_tier: Option<TierConfig>,
 }
 
 fn parse_args() -> Result<Options, String> {
@@ -98,7 +100,7 @@ fn parse_args() -> Result<Options, String> {
         no_write: false,
         quiet: false,
         profile: false,
-        emu_tier: TierConfig::interp(),
+        emu_tier: None,
     };
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -143,7 +145,7 @@ fn parse_args() -> Result<Options, String> {
             "--quick" => opts.quick = true,
             "--emu-tier" => {
                 let value = value_for("--emu-tier")?;
-                opts.emu_tier = match value.as_str() {
+                opts.emu_tier = Some(match value.as_str() {
                     "interp" => TierConfig::interp(),
                     "fast" => TierConfig::fast(),
                     "fast-lockstep" => TierConfig::fast_lockstep(),
@@ -152,7 +154,7 @@ fn parse_args() -> Result<Options, String> {
                             "--emu-tier: `{other}` is not interp, fast, or fast-lockstep"
                         ))
                     }
-                };
+                });
             }
             "--out" | "-o" => opts.out = PathBuf::from(value_for("--out")?),
             "--no-write" => opts.no_write = true,
@@ -167,6 +169,12 @@ fn parse_args() -> Result<Options, String> {
     }
     if opts.stats && opts.remote.is_none() {
         return Err("--stats needs --remote ADDR (it queries a daemon)".to_string());
+    }
+    if opts.emu_tier.is_some() && opts.remote.is_some() {
+        return Err(
+            "--emu-tier applies to local runs only (a daemon configures its own session)"
+                .to_string(),
+        );
     }
     if !opts.all
         && !opts.list
@@ -293,13 +301,14 @@ fn emit_run(opts: &Options, run: &LabRun) {
 }
 
 fn run_local(opts: &Options, ids: &[ExperimentId], params: RunParams) -> ExitCode {
-    let session = match LabSession::builder()
+    let mut builder = LabSession::builder()
         .jobs(opts.jobs)
         .profile(opts.profile)
-        .out_dir((!opts.no_write).then(|| opts.out.clone()))
-        .emu_tier(opts.emu_tier)
-        .build()
-    {
+        .out_dir((!opts.no_write).then(|| opts.out.clone()));
+    if let Some(tier) = opts.emu_tier {
+        builder = builder.emu_tier(tier);
+    }
+    let session = match builder.build() {
         Ok(session) => session,
         Err(e) => {
             eprintln!("straight-lab: {e}");

@@ -393,9 +393,7 @@ fn exec_cell(spec: &CellSpec, params: &RunParams, shared: &SessionShared) -> Cel
             let image = image_for(caches, workload, *target, params)?;
             let mut emu = StraightEmu::new((*image).clone());
             emu.profile_distances = true;
-            // Distance profiling needs per-operand hooks, so this runs
-            // on the interpreter tier regardless of the session tier.
-            let result = emu.run(u64::MAX);
+            let result = emu.run_tiered(u64::MAX, shared.emu_tier);
             if result.exit_code().is_none() {
                 return Err(Arc::new(ExperimentError::Abnormal {
                     workload: workload.name().to_string(),
@@ -471,9 +469,8 @@ struct SessionShared {
     /// Chaos injection: a cell id (or `"any"`) whose execution
     /// deliberately panics, exercising the panic-isolation path.
     chaos_panic_cell: Option<String>,
-    /// Execution tier emulator-mix cells run on (sampled cells always
-    /// fast-forward on the fast tier; distance profiling always
-    /// interprets).
+    /// Execution tier emulator mix and distance cells run on (sampled
+    /// cells always fast-forward on the fast tier).
     emu_tier: TierConfig,
 }
 
@@ -647,11 +644,11 @@ impl LabSessionBuilder {
         self
     }
 
-    /// Execution tier for emulator-mix cells (default: the
-    /// interpreter, which the golden records were produced on). The
-    /// fast tier is bit-equivalent by construction and cross-checked
-    /// by the lockstep suite; `TierConfig::fast_lockstep()` validates
-    /// it on every run.
+    /// Execution tier for emulator mix and distance cells (default:
+    /// the fast tier). The fast tier is bit-equivalent to the
+    /// reference interpreter (`TierConfig::interp()`) by construction
+    /// and cross-checked by the lockstep suite;
+    /// `TierConfig::fast_lockstep()` validates it on every run.
     #[must_use]
     pub fn emu_tier(mut self, tier: TierConfig) -> LabSessionBuilder {
         self.emu_tier = tier;
@@ -736,7 +733,8 @@ pub struct LabSession {
 
 impl LabSession {
     /// Starts configuring a session. Defaults: [`default_jobs`]
-    /// workers, no profiling, no output directory.
+    /// workers, no profiling, no output directory, the fast emulator
+    /// tier.
     #[must_use]
     pub fn builder() -> LabSessionBuilder {
         LabSessionBuilder {
@@ -746,7 +744,7 @@ impl LabSession {
             git_rev: None,
             record_cache: None,
             chaos_panic_cell: None,
-            emu_tier: TierConfig::interp(),
+            emu_tier: TierConfig::fast(),
         }
     }
 

@@ -15,13 +15,13 @@
 //! Execution comes in two tiers (see `docs/EXECUTION_TIERS.md`):
 //!
 //! * the **interpreter** tier fetches and decodes every instruction —
-//!   it is the reference semantics, and the only tier that collects
-//!   the Figure 16 distance histogram;
+//!   it is the reference semantics;
 //! * the **fast** tier caches pre-translated basic blocks of lowered
 //!   micro-ops (with RMOV chains fused into one macro-op) and batches
-//!   statistics per block. It is validated against the interpreter in
-//!   lockstep mode ([`TierConfig::fast_lockstep`]), where any state
-//!   divergence surfaces as a typed
+//!   statistics per block, the Figure 16 distance histogram included.
+//!   It is validated against the interpreter in lockstep mode
+//!   ([`TierConfig::fast_lockstep`]), where any state divergence
+//!   surfaces as a typed
 //!   [`TrapKind::TierDivergence`](straight_isa::TrapKind) trap.
 //!
 //! Every abnormal stop is a typed [`Trap`] carrying the faulting PC
@@ -215,8 +215,10 @@ pub enum Tier {
     #[default]
     Interp,
     /// Pre-translated basic blocks with RMOV-chain fusion and batched
-    /// statistics. Falls back to the interpreter while distance
-    /// profiling is enabled (the histogram needs per-operand hooks).
+    /// statistics (distance profiling included). Single-steps on the
+    /// interpreter only where a trace cannot run unchecked: warm-up,
+    /// the end of the step budget, and reads past the sanitizer's
+    /// distance bound.
     Fast,
 }
 
@@ -233,7 +235,7 @@ pub struct TierConfig {
 }
 
 impl TierConfig {
-    /// The interpreter tier (the default).
+    /// The reference interpreter tier (`TierConfig::default()`).
     #[must_use]
     pub fn interp() -> TierConfig {
         TierConfig::default()

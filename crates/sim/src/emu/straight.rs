@@ -24,8 +24,11 @@
 //! continues into the jump target) — and executes them with unchecked
 //! ring reads (legal once `executed` exceeds the trace's maximum
 //! operand distance; younger traces fall back to the interpreter) and
-//! per-trace batched statistics. Code is immutable (fetch reads the
-//! image, not memory), so translated traces never need invalidation.
+//! per-trace batched statistics — the Figure 15 categories and, when
+//! profiling, the Figure 16 distance histogram. Traces that read past
+//! the sanitizer's distance bound single-step, so the interpreter
+//! raises the exact trap. Code is immutable (fetch reads the image,
+//! not memory), so translated traces never need invalidation.
 
 use straight_asm::{Image, MEM_SIZE, STACK_TOP};
 use straight_isa::{
@@ -125,6 +128,9 @@ struct Block {
     meta: Vec<(u32, EmuKind)>,
     /// Precomputed Figure 15 category counts for a full execution.
     kind_counts: [u64; EmuKind::COUNT],
+    /// Precomputed Figure 16 source-distance counts for a full
+    /// execution, nonzero distances only, ascending.
+    dist_counts: Vec<(u16, u64)>,
     /// Architectural instructions in the trace (chains expanded).
     len_insts: u32,
     /// Largest source distance any instruction uses; executing the
@@ -156,14 +162,13 @@ pub struct StraightEmu {
     /// Fast-tier block cache, indexed by code-segment slot. Sized
     /// lazily on the first fast-tier run.
     blocks: Vec<Option<Box<Block>>>,
-    /// Collect the per-operand distance histogram (Figure 16).
-    /// Forces the interpreter tier (the histogram needs per-operand
-    /// hooks).
+    /// Collect the per-operand distance histogram (Figure 16). The
+    /// fast tier adds precomputed per-trace counts in one batch.
     pub profile_distances: bool,
     /// Sanitizer: trap with [`TrapKind::DistanceAboveBound`] on any
     /// operand distance above this bound (the distance limit the
-    /// binary was compiled for). `None` disables the check. Forces
-    /// the interpreter tier.
+    /// binary was compiled for). `None` disables the check. The fast
+    /// tier single-steps any trace that reads past the bound.
     pub distance_bound: Option<u16>,
     /// Sanitizer: trap with [`TrapKind::SpMisuse`] when `SPADD` moves
     /// the stack pointer out of the stack region.
@@ -397,7 +402,7 @@ impl StraightEmu {
         let mut chain_dists: Vec<u16> = Vec::new();
         let mut meta: Vec<(u32, EmuKind)> = Vec::new();
         let mut kind_counts = [0u64; EmuKind::COUNT];
-        let mut max_dist: u16 = 0;
+        let mut dists: Vec<u16> = Vec::new();
         let mut ends_halt = false;
         let mut pc = start_pc;
         while meta.len() < BLOCK_CAP {
@@ -406,9 +411,9 @@ impl StraightEmu {
             let kind = EmuKind::of_straight(inst.kind());
             kind_counts[kind as usize] += 1;
             meta.push((pc, kind));
-            for s in inst.sources().into_iter().flatten() {
-                max_dist = max_dist.max(s.get());
-            }
+            dists.extend(
+                inst.sources().into_iter().flatten().filter(|s| !s.is_zero()).map(Dist::get),
+            );
             let mut next = pc.wrapping_add(4);
             let terminator = matches!(
                 inst,
@@ -523,6 +528,14 @@ impl StraightEmu {
                 break;
             }
         }
+        dists.sort_unstable();
+        let mut dist_counts: Vec<(u16, u64)> = Vec::new();
+        for d in dists {
+            match dist_counts.last_mut() {
+                Some((last, n)) if *last == d => *n += 1,
+                _ => dist_counts.push((d, 1)),
+            }
+        }
         Block {
             end_pc: pc,
             ops,
@@ -530,27 +543,31 @@ impl StraightEmu {
             len_insts: meta.len() as u32,
             meta,
             kind_counts,
-            max_dist,
+            max_dist: dist_counts.last().map_or(0, |&(d, _)| d),
+            dist_counts,
             ends_halt,
         }
     }
 
-    /// Flushes statistics for the first `done` architectural
-    /// instructions of a partially executed trace (cold path: traps
-    /// and early exits only).
-    fn flush_partial(&mut self, b: &Block, done: u64) {
-        for &(_, kind) in &b.meta[..done as usize] {
-            self.stats.bump_kind(kind);
-        }
-        self.stats.count_retired(done);
-    }
-
     /// Finalizes a mid-trace trap: syncs count/PC/stats to the
     /// completed prefix and produces the trap exit the interpreter
-    /// would have raised at the same instruction.
+    /// would have raised at the same instruction. The trapping
+    /// instruction is categorized as not retired but, when profiling,
+    /// its distances count: the interpreter profiles before executing.
     fn block_trap(&mut self, b: &Block, entry: u64, count: u64, kind: TrapKind) -> Option<EmuExit> {
         let done = count - entry;
-        self.flush_partial(b, done);
+        for &(_, category) in &b.meta[..done as usize] {
+            self.stats.bump_kind(category);
+        }
+        self.stats.count_retired(done);
+        if self.profile_distances {
+            for &(pc, _) in &b.meta[..=done as usize] {
+                // Translation decoded every word of the trace.
+                if let Some(Ok(inst)) = self.image.fetch(pc).map(decode) {
+                    self.profile(&inst);
+                }
+            }
+        }
         self.count = count;
         self.pc = b.meta[done as usize].0;
         Some(EmuExit::Trap(Trap::untimed(kind, self.pc, self.count)))
@@ -835,6 +852,11 @@ impl StraightEmu {
         self.pc = next_pc;
         self.stats.add_kind_counts(&b.kind_counts);
         self.stats.count_retired(count - entry);
+        if self.profile_distances {
+            for &(d, n) in &b.dist_counts {
+                self.stats.dist_hist[d as usize] += n;
+            }
+        }
         if b.ends_halt {
             return Some(EmuExit::Done { code: self.sys.exit_code.unwrap_or(0) });
         }
@@ -884,12 +906,15 @@ impl StraightEmu {
             // overshoot the step budget (preserving exact StepLimit
             // semantics), when distance reads are not yet provably in
             // range (warm-up: fewer instructions retired than the
-            // trace's deepest read), or when the trace is empty (the
-            // first word faults — let the interpreter trap).
+            // trace's deepest read), when a read exceeds the
+            // sanitizer's distance bound (the interpreter raises the
+            // exact trap), or when the trace is empty (the first word
+            // faults — let the interpreter trap).
             let budget = max_steps - self.stats.retired;
             if block.len_insts == 0
                 || u64::from(block.len_insts) > budget
                 || self.count < u64::from(block.max_dist)
+                || self.distance_bound.is_some_and(|bound| block.max_dist > bound)
             {
                 match self.step() {
                     Some(exit) => return exit,
@@ -938,15 +963,10 @@ impl ExecBackend for StraightEmu {
     }
 
     fn run_with(&mut self, max_steps: u64, tier: TierConfig) -> EmuExit {
-        let fast = matches!(tier.tier, Tier::Fast)
-            && !self.profile_distances
-            && self.distance_bound.is_none();
-        if !fast {
-            self.run_interp(max_steps)
-        } else if tier.lockstep {
-            self.run_lockstep(max_steps)
-        } else {
-            self.run_fast(max_steps)
+        match tier.tier {
+            Tier::Interp => self.run_interp(max_steps),
+            Tier::Fast if tier.lockstep => self.run_lockstep(max_steps),
+            Tier::Fast => self.run_fast(max_steps),
         }
     }
 
@@ -1201,6 +1221,83 @@ mod tests {
         let fast = StraightEmu::new(image_for(src)).run_tiered(1_000_000, TierConfig::fast());
         assert_eq!(interp.exit, fast.exit);
         assert_eq!(interp.stats, fast.stats);
+    }
+
+    /// Runs `src` with distance profiling (and an optional sanitizer
+    /// bound) on the interpreter and on both fast-tier modes, asserting
+    /// identical exits (trap kind, PC and index) and statistics
+    /// (histogram included); returns the interpreter's result.
+    fn profiled_tiers_agree(src: &str, bound: Option<u16>) -> EmuResult {
+        let run = |tier| {
+            let mut emu = StraightEmu::new(image_for(src));
+            emu.profile_distances = true;
+            emu.distance_bound = bound;
+            emu.run_tiered(1_000_000, tier)
+        };
+        let interp = run(TierConfig::interp());
+        for tier in [TierConfig::fast(), TierConfig::fast_lockstep()] {
+            let fast = run(tier);
+            assert_eq!(fast.exit, interp.exit, "{tier:?}");
+            assert_eq!(fast.stats, interp.stats, "{tier:?}");
+        }
+        interp
+    }
+
+    #[test]
+    fn fast_tier_profiles_a_mid_trace_trap_like_the_interpreter() {
+        // The trace entered at `ADD [1] [1]` traps at its wild load;
+        // the interpreter profiles the faulting load before it traps.
+        let r = profiled_tiers_agree(
+            ".text
+             func main:
+                ADDi [0] 1
+                ADD [1] [1]
+                ADD [1] [2]
+                LUI 64           ; 0x40_0000, one past memory
+                LD [1] 0
+                ADD [1] [3]
+                HALT",
+            None,
+        );
+        let trap = r.trap().expect("the load traps");
+        assert!(matches!(trap.kind, TrapKind::WildLoad { addr: 0x40_0000, .. }), "{trap:?}");
+        assert_eq!(r.stats.dist_hist[1], 4, "the faulting load's operand counts");
+        assert_eq!(r.stats.dist_hist[3], 0, "instructions past the trap do not");
+    }
+
+    #[test]
+    fn fast_tier_raises_the_distance_bound_trap_like_the_interpreter() {
+        let r = profiled_tiers_agree(
+            ".text
+             func main:
+                ADDi [0] 1
+                NOP
+                NOP
+                NOP
+                ADD [4] [1]
+                HALT",
+            Some(3),
+        );
+        let trap = r.trap().expect("the bound is exceeded");
+        assert_eq!(trap.kind, TrapKind::DistanceAboveBound { dist: 4, bound: 3 });
+    }
+
+    #[test]
+    fn fast_tier_profiles_loops_like_the_interpreter() {
+        let r = profiled_tiers_agree(
+            ".text
+             func main:
+                ADDi [0] 100
+                NOP
+             loop:
+                ADDi [2] -1
+                BNZ [1] loop
+                SYS 1 [2]
+                HALT",
+            Some(31),
+        );
+        assert_eq!(r.exit_code(), Some(0));
+        assert!(r.stats.dist_hist[2] >= 100, "{:?}", &r.stats.dist_hist[..4]);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! ```
 
 use straight_core::{build, Target};
-use straight_sim::emu::{ExecBackend, StraightEmu};
+use straight_sim::emu::{ExecBackend, StraightEmu, TierConfig};
 use straight_workloads::kernels;
 
 fn main() {
@@ -15,7 +15,7 @@ fn main() {
     let image = build(&src, Target::StraightRePlus { max_distance: 1023 }).expect("build");
     let mut emu = StraightEmu::new(image);
     emu.profile_distances = true;
-    let r = emu.run(u64::MAX);
+    let r = emu.run_tiered(u64::MAX, TierConfig::fast());
     println!("quicksort(256) on STRAIGHT: {} retired, stdout {}", r.stats.retired, r.stdout.trim());
     println!("max operand distance used: {}", r.stats.max_distance_used());
     for k in 0..=7 {

@@ -5,7 +5,8 @@
 //! stdout, and a byte-identical final architectural checkpoint — for
 //! both ISAs. Each program also exercises lockstep mode (which traps
 //! on any divergence) and a checkpoint round-trip at a random mid-run
-//! snapshot point, resumed on *both* tiers.
+//! snapshot point, resumed on *both* tiers. STRAIGHT programs are also
+//! run with Figure 16 distance profiling on every tier.
 //!
 //! Programs come from the in-repo deterministic PRNG
 //! (`straight_isa::rng`), so every run covers the same corpus and a
@@ -145,6 +146,40 @@ fn check_tiers<E: ExecBackend>(what: &str, seed: u64, mut fresh: impl FnMut() ->
     }
 }
 
+/// Runs one STRAIGHT program with distance profiling on the
+/// interpreter, fast and fast-lockstep tiers: statistics (the distance
+/// histogram included) and final checkpoints must be identical.
+fn check_profiled_tiers(what: &str, seed: u64, fresh: impl Fn() -> StraightEmu) {
+    let run = |tier| {
+        let mut emu = fresh();
+        emu.profile_distances = true;
+        let exit = emu.run_with(BUDGET, tier);
+        (exit, emu)
+    };
+    let (interp_exit, interp) = run(TierConfig::interp());
+    assert!(
+        interp.stats().dist_hist.iter().any(|&n| n > 0),
+        "{what} seed {seed}: profiling recorded no distances"
+    );
+    let interp_bytes = interp.checkpoint().to_bytes();
+    for (tier_name, tier) in
+        [("fast", TierConfig::fast()), ("fast-lockstep", TierConfig::fast_lockstep())]
+    {
+        let (exit, emu) = run(tier);
+        assert_eq!(exit, interp_exit, "{what} seed {seed}: profiled {tier_name} exit diverged");
+        assert_eq!(
+            emu.stats(),
+            interp.stats(),
+            "{what} seed {seed}: profiled {tier_name} stats diverged"
+        );
+        assert_eq!(
+            emu.checkpoint().to_bytes(),
+            interp_bytes,
+            "{what} seed {seed}: profiled {tier_name} checkpoint bytes diverged"
+        );
+    }
+}
+
 /// 100 random programs per ISA: the fast tier is observationally
 /// identical to the interpreter, and checkpoints round-trip.
 #[test]
@@ -156,11 +191,13 @@ fn tiers_agree_on_random_programs() {
 
         let st = build_straight(&module, &StraightOptions::default());
         check_tiers("straight", seed, || StraightEmu::new(st.clone()), &mut r);
+        check_profiled_tiers("straight", seed, || StraightEmu::new(st.clone()));
 
         // The tight distance limit exercises RMOV chains (the
         // compiler's distance-fixing pads) in the fast tier.
         let st31 = build_straight(&module, &StraightOptions::default().with_max_distance(31));
         check_tiers("straight d=31", seed, || StraightEmu::new(st31.clone()), &mut r);
+        check_profiled_tiers("straight d=31", seed, || StraightEmu::new(st31.clone()));
 
         let rv = build_riscv(&module);
         check_tiers("riscv", seed, || RiscvEmu::new(rv.clone()), &mut r);
