@@ -20,8 +20,10 @@
 //! never a daemon panic. See `docs/SERVING.md` for the full
 //! request/response catalog with examples.
 //!
-//! Ops: `ping`, `submit-experiment`, `submit-cell`, `status`, `fetch`,
-//! `cancel`, `stats`, `shutdown`.
+//! Ops: `ping`, `submit-experiment`, `submit-cell`, `status`, `wait`,
+//! `fetch`, `cancel`, `stats`, `shutdown`. `wait` blocks (at most
+//! [`MAX_WAIT`]) until the job is terminal, so clients learn of
+//! completion without polling.
 //!
 //! ## Lifecycle
 //!
@@ -60,6 +62,10 @@ pub const MAX_REQUEST_LINE: usize = 1 << 20;
 /// Responses carry whole `ExperimentResult`s, so the bound is
 /// generous.
 pub const MAX_RESPONSE_LINE: usize = 1 << 28;
+
+/// Upper bound on how long one `wait` request blocks; a longer
+/// `timeout_ms` is clamped to it.
+pub const MAX_WAIT: Duration = Duration::from_secs(1);
 
 /// How a daemon listens.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -141,7 +147,12 @@ struct JobEntry {
 /// State shared by the accept loop and every connection thread.
 struct DaemonState {
     session: LabSession,
-    jobs: Mutex<HashMap<u64, JobEntry>>,
+    /// Every job ever submitted. Handlers clone an entry out and
+    /// release the lock before blocking or building a response.
+    jobs: Mutex<HashMap<u64, Arc<JobEntry>>>,
+    /// Batches of jobs that may still be unfinished — what the queue
+    /// bound counts. Pruned of finished batches whenever it is read.
+    active: Mutex<Vec<Batch>>,
     next_job: AtomicU64,
     submitted: AtomicU64,
     queue_cap: usize,
@@ -178,13 +189,12 @@ fn is_timeout(e: &io::Error) -> bool {
 }
 
 impl DaemonState {
-    /// Jobs not yet finished — the measure the queue bound applies to.
-    fn active_jobs(&self) -> usize {
-        lock(&self.jobs).values().filter(|j| !j.batch.is_done()).count()
-    }
-
-    fn all_drained(&self) -> bool {
-        lock(&self.jobs).values().all(|j| j.batch.is_done())
+    /// The batches of jobs not yet finished, pruned of those that
+    /// finished since the last call.
+    fn active_jobs(&self) -> std::sync::MutexGuard<'_, Vec<Batch>> {
+        let mut active = lock(&self.active);
+        active.retain(|batch| !batch.is_done());
+        active
     }
 }
 
@@ -336,13 +346,8 @@ fn job_state(entry: &JobEntry) -> (&'static str, Option<String>) {
         if entry.batch.is_cancelled() {
             return ("cancelled", None);
         }
-        let first_err = entry
-            .batch
-            .outcomes()
-            .into_iter()
-            .find_map(|o| o.err().map(|e| e.to_string()));
-        return match first_err {
-            Some(msg) => ("failed", Some(msg)),
+        return match entry.batch.first_error() {
+            Some(e) => ("failed", Some(e.to_string())),
             None => ("done", None),
         };
     }
@@ -377,34 +382,28 @@ fn handle_request(state: &DaemonState, line: &[u8]) -> Json {
         "ping" => ok_response().field("op", "pong").build(),
         "submit-experiment" => submit_experiment(state, &request),
         "submit-cell" => submit_cell(state, &request),
-        "status" => with_job(state, &request, |_, job, entry| {
-            let (job_status, error) = job_state(entry);
-            let (done, total) = entry.batch.progress();
-            ok_response()
-                .field("job", &job)
-                .field("state", job_status)
-                .field("done_cells", &done)
-                .field("total_cells", &total)
-                .field("error", &error)
-                .build()
-        }),
+        "status" => with_job(state, &request, |_, job, entry| status_response(job, entry)),
+        "wait" => wait_for_job(state, &request),
         "fetch" => with_job(state, &request, fetch_job),
         "cancel" => with_job(state, &request, |_, job, entry| {
             entry.batch.cancel();
             ok_response().field("job", &job).field("state", "cancelled").build()
         }),
-        "stats" => ok_response()
-            .field("cache", &state.session.cache_stats())
-            .field("jobs_submitted", &state.submitted.load(Ordering::Relaxed))
-            .field("jobs_active", &(state.active_jobs() as u64))
-            .field("queue_cap", &(state.queue_cap as u64))
-            .field("workers", &(state.session.jobs() as u64))
-            .field("uptime_ms", &(state.started.elapsed().as_millis() as u64))
-            .field("worker_panics", &state.session.panic_count())
-            .field("queue_full_refusals", &state.queue_full_refusals.load(Ordering::Relaxed))
-            .field("idle_reaped", &state.idle_reaped.load(Ordering::Relaxed))
-            .field("store", &state.store.as_ref().map(|s| s.stats()))
-            .build(),
+        "stats" => {
+            let active = state.active_jobs().len() as u64;
+            ok_response()
+                .field("cache", &state.session.cache_stats())
+                .field("jobs_submitted", &state.submitted.load(Ordering::Relaxed))
+                .field("jobs_active", &active)
+                .field("queue_cap", &(state.queue_cap as u64))
+                .field("workers", &(state.session.jobs() as u64))
+                .field("uptime_ms", &(state.started.elapsed().as_millis() as u64))
+                .field("worker_panics", &state.session.panic_count())
+                .field("queue_full_refusals", &state.queue_full_refusals.load(Ordering::Relaxed))
+                .field("idle_reaped", &state.idle_reaped.load(Ordering::Relaxed))
+                .field("store", &state.store.as_ref().map(|s| s.stats()))
+                .build()
+        }
         "shutdown" => {
             state.shutdown.store(true, Ordering::SeqCst);
             ok_response().field("op", "shutdown").build()
@@ -413,7 +412,7 @@ fn handle_request(state: &DaemonState, line: &[u8]) -> Json {
             "unknown-op",
             format!(
                 "unknown op `{other}` (valid: ping, submit-experiment, submit-cell, status, \
-                 fetch, cancel, stats, shutdown)"
+                 wait, fetch, cancel, stats, shutdown)"
             ),
             None,
         ),
@@ -430,29 +429,32 @@ fn request_params(request: &Json) -> Result<RunParams, Json> {
     }
 }
 
-/// Guards a submission: refuses when draining or when the job queue
-/// is at its bound.
-fn admit(state: &DaemonState) -> Result<(), Json> {
-    if state.shutdown.load(Ordering::SeqCst) {
-        return Err(error_response("shutting-down", "daemon is draining; resubmit elsewhere", None));
-    }
-    if state.active_jobs() >= state.queue_cap {
-        state.queue_full_refusals.fetch_add(1, Ordering::Relaxed);
-        return Err(error_response(
-            "queue-full",
-            format!("job queue is at its bound ({}); retry later", state.queue_cap),
-            None,
-        ));
-    }
-    Ok(())
-}
-
+/// Admits and submits a job: refuses when draining or when the job
+/// queue is at its bound. Admission holds the active list's lock
+/// through the submit, so concurrent submissions cannot overshoot the
+/// bound and the drain in [`Daemon::run`] sees every admitted batch.
 fn register_job(state: &DaemonState, kind: JobKind, params: RunParams, cells: Vec<CellSpec>) -> Json {
     let total = cells.len();
-    let batch = state.session.submit(cells, params);
+    let batch = {
+        let mut active = state.active_jobs();
+        if state.shutdown.load(Ordering::SeqCst) {
+            return error_response("shutting-down", "daemon is draining; resubmit elsewhere", None);
+        }
+        if active.len() >= state.queue_cap {
+            state.queue_full_refusals.fetch_add(1, Ordering::Relaxed);
+            return error_response(
+                "queue-full",
+                format!("job queue is at its bound ({}); retry later", state.queue_cap),
+                None,
+            );
+        }
+        let batch = state.session.submit(cells, params);
+        active.push(batch.clone());
+        batch
+    };
     let job = state.next_job.fetch_add(1, Ordering::Relaxed);
     state.submitted.fetch_add(1, Ordering::Relaxed);
-    lock(&state.jobs).insert(job, JobEntry { kind, params, batch });
+    lock(&state.jobs).insert(job, Arc::new(JobEntry { kind, params, batch }));
     ok_response().field("job", &job).field("cells", &total).build()
 }
 
@@ -474,9 +476,6 @@ fn submit_experiment(state: &DaemonState, request: &Json) -> Json {
         Ok(p) => p,
         Err(resp) => return resp,
     };
-    if let Err(resp) = admit(state) {
-        return resp;
-    }
     register_job(state, JobKind::Experiment(id), params, id.spec().cells())
 }
 
@@ -514,9 +513,6 @@ fn submit_cell(state: &DaemonState, request: &Json) -> Json {
         Ok(p) => p,
         Err(resp) => return resp,
     };
-    if let Err(resp) = admit(state) {
-        return resp;
-    }
     register_job(state, JobKind::Cell, params, vec![cell])
 }
 
@@ -528,11 +524,44 @@ fn with_job(
     let Some(job) = request.get("job").and_then(Json::as_u64) else {
         return error_response("malformed", "missing integer field `job`", None);
     };
-    let jobs = lock(&state.jobs);
-    match jobs.get(&job) {
-        Some(entry) => f(state, job, entry),
+    // Clone the entry out so the global lock is not held while `f`
+    // blocks or builds its response.
+    let entry = lock(&state.jobs).get(&job).cloned();
+    match entry {
+        Some(entry) => f(state, job, &entry),
         None => error_response("unknown-job", format!("no job {job}"), None),
     }
+}
+
+/// Blocks until the job is terminal or the request's `timeout_ms`
+/// (default and ceiling [`MAX_WAIT`]) passes, then answers as `status`.
+fn wait_for_job(state: &DaemonState, request: &Json) -> Json {
+    let timeout = match request.get("timeout_ms") {
+        None | Some(Json::Null) => MAX_WAIT,
+        Some(ms) => match ms.as_u64() {
+            Some(ms) => Duration::from_millis(ms).min(MAX_WAIT),
+            None => {
+                return error_response("malformed", "`timeout_ms` must be a non-negative integer", None)
+            }
+        },
+    };
+    with_job(state, request, |_, job, entry| {
+        let _ = entry.batch.wait_timeout(timeout);
+        status_response(job, entry)
+    })
+}
+
+/// The `status` (and `wait`) answer for one job.
+fn status_response(job: u64, entry: &JobEntry) -> Json {
+    let (job_status, error) = job_state(entry);
+    let (done, total) = entry.batch.progress();
+    ok_response()
+        .field("job", &job)
+        .field("state", job_status)
+        .field("done_cells", &done)
+        .field("total_cells", &total)
+        .field("error", &error)
+        .build()
 }
 
 fn fetch_job(state: &DaemonState, job: u64, entry: &JobEntry) -> Json {
@@ -540,7 +569,7 @@ fn fetch_job(state: &DaemonState, job: u64, entry: &JobEntry) -> Json {
         let (done, total) = entry.batch.progress();
         return error_response(
             "not-done",
-            format!("job {job} has completed {done}/{total} cells; poll `status` first"),
+            format!("job {job} has completed {done}/{total} cells; `wait` for it first"),
             None,
         );
     }
@@ -682,6 +711,7 @@ impl Daemon {
             state: Arc::new(DaemonState {
                 session,
                 jobs: Mutex::new(HashMap::new()),
+                active: Mutex::new(Vec::new()),
                 next_job: AtomicU64::new(1),
                 submitted: AtomicU64::new(0),
                 queue_cap: config.queue_cap.max(1),
@@ -716,14 +746,18 @@ impl Daemon {
 
     /// Accepts and serves connections until a `shutdown` request
     /// arrives or `external_shutdown` (e.g. a SIGTERM flag) becomes
-    /// true, then drains: in-flight jobs run to completion before this
-    /// returns. Each connection is served on its own thread.
+    /// true, then drains: new submissions are refused and in-flight
+    /// jobs run to completion before this returns. Each connection is
+    /// served on its own thread.
     ///
     /// # Errors
     ///
     /// Fatal listener errors only; per-connection errors are contained
     /// to their connection.
     pub fn run(&self, external_shutdown: &AtomicBool) -> io::Result<()> {
+        // The listener is non-blocking and polled: `straightd`'s signal
+        // handlers restart interrupted syscalls, so a blocking `accept`
+        // would not notice `external_shutdown` until the next client.
         let poll = Duration::from_millis(25);
         loop {
             if self.state.shutdown.load(Ordering::SeqCst) || external_shutdown.load(Ordering::SeqCst)
@@ -745,8 +779,11 @@ impl Daemon {
             }
         }
         // Graceful drain: stop accepting, let submitted work finish.
-        while !self.state.all_drained() {
-            std::thread::sleep(poll);
+        // Once the flag is set, admission adds no batch to the list.
+        self.state.shutdown.store(true, Ordering::SeqCst);
+        let pending = self.state.active_jobs().clone();
+        for batch in pending {
+            let _ = batch.wait();
         }
         Ok(())
     }
@@ -1086,24 +1123,30 @@ impl Client {
         }
     }
 
-    /// Polls `status` until the job leaves the queue/run states.
-    /// Returns the terminal state string (`done`, `failed`, or
-    /// `cancelled`).
+    /// Blocks until the job leaves the queue/run states, through
+    /// `wait` requests that each block at most half the io timeout
+    /// (so a long job never reads as a wedged daemon). Returns the
+    /// terminal state string (`done`, `failed`, or `cancelled`).
     ///
     /// # Errors
     ///
     /// As [`Client::request`].
     pub fn wait_job(&mut self, job: u64) -> Result<String, ClientError> {
+        let io_timeout = self.config.io_timeout;
+        let block = if io_timeout.is_zero() { MAX_WAIT } else { (io_timeout / 2).min(MAX_WAIT) };
+        let request = obj()
+            .field("op", "wait")
+            .field("job", &job)
+            .field("timeout_ms", &(block.as_millis() as u64))
+            .build();
         loop {
-            let response =
-                self.request(&obj().field("op", "status").field("job", &job).build())?;
+            let response = self.request(&request)?;
             let state = response
                 .get("state")
                 .and_then(Json::as_str)
-                .ok_or_else(|| ClientError::Protocol("status lacks `state`".to_string()))?;
-            match state {
-                "queued" | "running" => std::thread::sleep(Duration::from_millis(20)),
-                terminal => return Ok(terminal.to_string()),
+                .ok_or_else(|| ClientError::Protocol("wait lacks `state`".to_string()))?;
+            if !matches!(state, "queued" | "running") {
+                return Ok(state.to_string());
             }
         }
     }

@@ -1,6 +1,6 @@
 //! Integration tests of the `straightd` wire protocol: framing
 //! robustness (partial reads, oversized lines, malformed JSON,
-//! mid-job disconnects), the submit/status/fetch lifecycle,
+//! mid-job disconnects), the submit/status/wait/fetch lifecycle,
 //! backpressure, cross-client deduplication, shutdown/cancel races,
 //! idle-connection reaping, and byte-identity of daemon records with
 //! in-process records.
@@ -101,7 +101,7 @@ fn malformed_requests_get_structured_errors_not_disconnects() {
     let response = raw_request(&mut stream, b"{\"op\": \"frobnicate\"}\n");
     assert_eq!(error_kind(&response), "unknown-op");
     let msg = response.get("error").and_then(|e| e.get("msg")).and_then(Json::as_str).unwrap();
-    assert!(msg.contains("submit-experiment"), "got: {msg}");
+    assert!(msg.contains("submit-experiment") && msg.contains("wait"), "got: {msg}");
 
     // The connection survived all of the above.
     let response = raw_request(&mut stream, b"{\"op\": \"ping\"}\n");
@@ -461,5 +461,128 @@ fn fetch_before_completion_is_a_not_done_error() {
         Err(other) => panic!("unexpected failure: {other}"),
     }
     client.wait_job(job).unwrap();
+    daemon.stop();
+}
+
+fn wait_request(job: u64, timeout_ms: u64) -> Vec<u8> {
+    format!("{{\"op\": \"wait\", \"job\": {job}, \"timeout_ms\": {timeout_ms}}}\n").into_bytes()
+}
+
+fn state_of(response: &Json) -> &str {
+    assert_eq!(response.get("ok").and_then(Json::as_bool), Some(true), "{}", response.render());
+    response.get("state").and_then(Json::as_str).unwrap()
+}
+
+#[test]
+fn wait_blocks_until_done_without_polling_status() {
+    let daemon = TestDaemon::start(1, 4);
+    let mut stream = TcpStream::connect(&daemon.addr).unwrap();
+    // An emulator cell: it builds and runs a workload, so it is
+    // usually still running when the first `wait` arrives.
+    let cell = ExperimentId::Fig15.spec().cells()[0].id();
+    let request = straight_json::obj()
+        .field("op", "submit-cell")
+        .field("cell", &cell)
+        .field("params", &tiny_params())
+        .build();
+    let submitted = raw_request(&mut stream, format!("{}\n", request.render()).as_bytes());
+    let job = submitted.get("job").and_then(Json::as_u64).unwrap();
+    // No status, and (the daemon clamps each wait to a second) only
+    // as many waits as the cell takes seconds: a wait that answered
+    // without blocking would take hundreds.
+    let mut waits = 0;
+    let response = loop {
+        waits += 1;
+        let response = raw_request(&mut stream, &wait_request(job, 60_000));
+        if !matches!(state_of(&response), "queued" | "running") {
+            break response;
+        }
+    };
+    assert!(waits <= 30, "{waits} waits for one quick cell");
+    assert_eq!(state_of(&response), "done");
+    assert_eq!(response.get("job").and_then(Json::as_u64), Some(job));
+    assert_eq!(response.get("done_cells").and_then(Json::as_u64), Some(1));
+    assert_eq!(response.get("total_cells").and_then(Json::as_u64), Some(1));
+    daemon.stop();
+}
+
+#[test]
+fn wait_honours_a_small_timeout_on_a_long_job() {
+    let daemon = TestDaemon::start(1, 4);
+    let mut client = Client::connect(&daemon.addr).unwrap();
+    let slow = RunParams { dhry_iters: 50, cm_iters: 1, ..RunParams::default() };
+    let job = client.submit_experiment(ExperimentId::Fig17, &slow).unwrap();
+    let mut stream = TcpStream::connect(&daemon.addr).unwrap();
+    let started = std::time::Instant::now();
+    let response = raw_request(&mut stream, &wait_request(job, 20));
+    let state = state_of(&response);
+    assert!(state == "queued" || state == "running", "got {state}");
+    assert!(started.elapsed() < Duration::from_secs(5), "wait overstayed its timeout");
+    client.request(&straight_json::obj().field("op", "cancel").field("job", &job).build()).unwrap();
+    client.wait_job(job).unwrap();
+    daemon.stop();
+}
+
+#[test]
+fn wait_errors_match_status_errors() {
+    let daemon = TestDaemon::start(1, 4);
+    let mut stream = TcpStream::connect(&daemon.addr).unwrap();
+    for op in ["status", "wait"] {
+        let response = raw_request(
+            &mut stream,
+            format!("{{\"op\": \"{op}\", \"job\": 12345}}\n").as_bytes(),
+        );
+        assert_eq!(error_kind(&response), "unknown-job", "{op}");
+        let response = raw_request(&mut stream, format!("{{\"op\": \"{op}\"}}\n").as_bytes());
+        assert_eq!(error_kind(&response), "malformed", "{op}");
+    }
+    let response =
+        raw_request(&mut stream, b"{\"op\": \"wait\", \"job\": 1, \"timeout_ms\": \"soon\"}\n");
+    assert_eq!(error_kind(&response), "malformed");
+    daemon.stop();
+}
+
+#[test]
+fn wait_returns_cancelled_for_a_cancelled_job() {
+    let daemon = TestDaemon::start(1, 4);
+    let mut client = Client::connect(&daemon.addr).unwrap();
+    let slow = RunParams { dhry_iters: 50, cm_iters: 1, ..RunParams::default() };
+    // The occupant holds the single worker, so the second job is
+    // still queued when it is cancelled and never executes a cell.
+    let occupant = client.submit_experiment(ExperimentId::Fig17, &slow).unwrap();
+    let job = client.submit_experiment(ExperimentId::Fig17, &slow).unwrap();
+    client.request(&straight_json::obj().field("op", "cancel").field("job", &job).build()).unwrap();
+    client.request(&straight_json::obj().field("op", "cancel").field("job", &occupant).build()).unwrap();
+    let mut stream = TcpStream::connect(&daemon.addr).unwrap();
+    let state = loop {
+        let response = raw_request(&mut stream, &wait_request(job, 1_000));
+        match state_of(&response) {
+            "queued" | "running" => continue,
+            terminal => break terminal.to_string(),
+        }
+    };
+    assert_eq!(state, "cancelled");
+    assert_eq!(client.wait_job(job).unwrap(), "cancelled");
+    client.wait_job(occupant).unwrap();
+    daemon.stop();
+}
+
+#[test]
+fn admission_tracks_only_unfinished_jobs() {
+    // A queue bound of 1 admits an unbounded sequence of jobs as long
+    // as each finishes before the next submit.
+    let daemon = TestDaemon::start(1, 1);
+    let mut client = Client::connect(&daemon.addr).unwrap();
+    let cell = ExperimentId::Table1.spec().cells()[0].id();
+    let request = straight_json::obj().field("op", "submit-cell").field("cell", &cell).build();
+    for _ in 0..50 {
+        let job = client.request(&request).unwrap().get("job").and_then(Json::as_u64).unwrap();
+        assert_eq!(client.wait_job(job).unwrap(), "done");
+    }
+    let stats = client.stats().unwrap();
+    let get = |key: &str| stats.get(key).and_then(Json::as_u64).expect(key);
+    assert_eq!(get("jobs_submitted"), 50);
+    assert_eq!(get("jobs_active"), 0);
+    assert_eq!(get("queue_full_refusals"), 0);
     daemon.stop();
 }

@@ -33,7 +33,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use straight_asm::Image;
 use straight_json::{fnv1a64, obj, FromJson, Json, ToJson};
@@ -549,6 +549,30 @@ impl Batch {
         self.outcomes()
     }
 
+    /// Blocks until every cell has completed or `timeout` passes,
+    /// whichever comes first; returns whether the batch is done.
+    #[must_use]
+    pub fn wait_timeout(&self, timeout: Duration) -> bool {
+        let total = self.shared.cells.len();
+        let done = lock(&self.shared.done);
+        let (done, _) = self
+            .shared
+            .done_cv
+            .wait_timeout_while(done, timeout, |done| *done < total)
+            .unwrap_or_else(PoisonError::into_inner);
+        *done == total
+    }
+
+    /// The error of the first failed cell among those completed so
+    /// far, in submission order, without cloning any record.
+    #[must_use]
+    pub fn first_error(&self) -> Option<Arc<ExperimentError>> {
+        self.shared.slots.iter().find_map(|slot| match &*lock(slot) {
+            Some(Err(e)) => Some(Arc::clone(e)),
+            _ => None,
+        })
+    }
+
     /// The cell specs this batch executes, in submission order.
     #[must_use]
     pub fn cells(&self) -> &[CellSpec] {
@@ -1058,6 +1082,7 @@ mod tests {
         let batch = session.submit(cells.clone(), RunParams::default());
         let outcomes = batch.wait();
         assert_eq!(outcomes.len(), 4);
+        assert!(matches!(batch.first_error().as_deref(), Some(ExperimentError::Panic { .. })));
         match &outcomes[0] {
             Err(e) => {
                 assert!(matches!(**e, ExperimentError::Panic { .. }), "got {e}");
@@ -1077,10 +1102,94 @@ mod tests {
         assert_eq!(session.panic_count(), 1, "only the injected panic fired");
     }
 
+    fn pipeline_cell() -> CellSpec {
+        ExperimentId::Fig17
+            .spec()
+            .cells()
+            .into_iter()
+            .find(|c| matches!(c.kind, CellKind::Pipeline { .. }))
+            .expect("fig17 has pipeline cells")
+    }
+
+    /// A record under another cell's identity, as a restarted daemon
+    /// would load it from disk.
+    fn sentinel_record(fingerprint: &str) -> CellRecord {
+        CellRecord {
+            id: "other/Cell/Identity".to_string(),
+            experiment: "other".to_string(),
+            group: "Cell".to_string(),
+            label: "Identity".to_string(),
+            workload: Some("Dhrystone".to_string()),
+            target: None,
+            machine: None,
+            config_fingerprint: fingerprint.to_string(),
+            param: None,
+            cycles: 424_242,
+            retired: 7,
+            ipc: 1.5,
+            stats: None,
+            kinds: None,
+            distances: None,
+            max_distance_used: None,
+            stdout_digest: Some("cafe".to_string()),
+            wall_ms: 99.0,
+            sim_wall_ms: Some(3.0),
+            ksim_cycles_per_sec: Some(141_414.0),
+        }
+    }
+
+    #[test]
+    fn wait_timeout_returns_at_once_when_done_and_expires_while_queued() {
+        let session = session();
+        let done = session.submit(ExperimentId::Table1.spec().cells(), RunParams::default());
+        let _ = done.wait();
+        let started = Instant::now();
+        assert!(done.wait_timeout(Duration::from_secs(60)));
+        assert!(started.elapsed() < Duration::from_secs(1), "a done batch must not block");
+
+        // A record cache whose lookup blocks until the gate opens keeps
+        // the single worker busy, with no simulation to time.
+        struct Gate {
+            open: Mutex<bool>,
+            opened: Condvar,
+            record: CellRecord,
+        }
+        impl RecordCache for Gate {
+            fn get(&self, _: &str) -> Option<CellRecord> {
+                let open = lock(&self.open);
+                drop(self.opened.wait_while(open, |open| !*open).unwrap_or_else(PoisonError::into_inner));
+                Some(self.record.clone())
+            }
+            fn put(&self, _: &str, _: &CellRecord) {}
+        }
+        let cell = pipeline_cell();
+        let params = RunParams { dhry_iters: 5, cm_iters: 1, ..RunParams::default() };
+        let gate = Arc::new(Gate {
+            open: Mutex::new(false),
+            opened: Condvar::new(),
+            record: sentinel_record(&cell.fingerprint(&params)),
+        });
+        let session = LabSession::builder()
+            .jobs(1)
+            .record_cache(Arc::clone(&gate) as Arc<dyn RecordCache>)
+            .build()
+            .unwrap();
+        let busy = session.submit(vec![cell], params);
+        let queued = session.submit(ExperimentId::Table1.spec().cells(), RunParams::default());
+        let started = Instant::now();
+        assert!(!queued.wait_timeout(Duration::from_millis(50)));
+        assert!(started.elapsed() >= Duration::from_millis(50));
+        assert!(!queued.started(), "the queued batch waits behind the busy worker");
+
+        *lock(&gate.open) = true;
+        gate.opened.notify_all();
+        assert!(queued.wait_timeout(Duration::from_secs(60)));
+        assert!(busy.is_done());
+        assert!(queued.first_error().is_none());
+    }
+
     #[test]
     fn record_cache_hits_skip_simulation_and_keep_cell_identity() {
-        use crate::experiment::CellKind;
-
         struct MemCache {
             map: Mutex<HashMap<String, CellRecord>>,
             puts: AtomicU64,
@@ -1095,40 +1204,11 @@ mod tests {
             }
         }
 
-        let cell = ExperimentId::Fig17
-            .spec()
-            .cells()
-            .into_iter()
-            .find(|c| matches!(c.kind, CellKind::Pipeline { .. }))
-            .expect("fig17 has pipeline cells");
+        let cell = pipeline_cell();
         let params = RunParams { dhry_iters: 5, cm_iters: 1, ..RunParams::default() };
         let fingerprint = cell.fingerprint(&params);
-        // A sentinel record under another cell's identity, as a
-        // restarted daemon would load it from disk.
-        let stored = CellRecord {
-            id: "other/Cell/Identity".to_string(),
-            experiment: "other".to_string(),
-            group: "Cell".to_string(),
-            label: "Identity".to_string(),
-            workload: Some("Dhrystone".to_string()),
-            target: None,
-            machine: None,
-            config_fingerprint: fingerprint.clone(),
-            param: None,
-            cycles: 424_242,
-            retired: 7,
-            ipc: 1.5,
-            stats: None,
-            kinds: None,
-            distances: None,
-            max_distance_used: None,
-            stdout_digest: Some("cafe".to_string()),
-            wall_ms: 99.0,
-            sim_wall_ms: Some(3.0),
-            ksim_cycles_per_sec: Some(141_414.0),
-        };
         let cache = Arc::new(MemCache {
-            map: Mutex::new(HashMap::from([(fingerprint, stored)])),
+            map: Mutex::new(HashMap::from([(fingerprint.clone(), sentinel_record(&fingerprint))])),
             puts: AtomicU64::new(0),
         });
         let session = LabSession::builder()

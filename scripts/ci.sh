@@ -160,8 +160,8 @@ target/release/straight-lab --normalize "$SMOKE_DIR/recovered/BENCH_fig11.json" 
 cmp "$SMOKE_DIR/local.norm" "$SMOKE_DIR/recovered.norm"
 
 # Restart once more: the rerun must be answered from the warm store
-# (store hits, zero run-cache lookups) and the stats op must carry the
-# durability counters.
+# (store hits, zero run-cache lookups), the stats op must carry the
+# durability counters, and no finished job may still count as active.
 kill -TERM "$STRAIGHTD_PID"
 wait "$STRAIGHTD_PID"
 target/release/straightd --listen "$SOCK" --jobs 2 --store "$STORE" &
@@ -183,6 +183,7 @@ assert store["hits"] > 0, "warm boot must serve the rerun from the store"
 assert not store["memory_only"], store
 assert stats["cache"]["run_lookups"] == 0, "store hits must skip simulation"
 assert stats["worker_panics"] == 0, stats
+assert stats["jobs_active"] == 0, "finished jobs must leave the active list"
 assert "queue_full_refusals" in stats and "idle_reaped" in stats, stats
 print("crash-recovery stats OK:", json.dumps(store))
 EOF
