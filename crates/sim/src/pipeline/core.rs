@@ -94,7 +94,6 @@ struct FrontEntry {
     pc: u32,
     raw: RawInst,
     predicted_next: u32,
-    pred_taken: bool,
     ras_cp: RasCheckpoint,
 }
 
@@ -593,7 +592,6 @@ impl Core {
         let seq = self.rob.seq[hs];
         let uop = self.rob.uop[hs];
         let actual_taken = self.rob.actual_taken[hs];
-        let pred_taken = self.rob.pred_taken[hs];
         self.rob.pop_front();
         if self.cfg.sanitizer {
             if let Some(kind) = self.sanitize_retire(&uop) {
@@ -605,7 +603,7 @@ impl Core {
         self.stats.events.rob_commits += 1;
         // Predictor training happens in order at retire.
         if uop.is_cond_branch() {
-            self.bp.update(uop.pc, actual_taken, pred_taken);
+            self.bp.update(uop.pc, actual_taken);
         }
         if uop.is_store() {
             if let Some(e) = self.lsq.stores.remove(seq) {
@@ -1150,7 +1148,6 @@ impl Core {
             }
             let slot = self.rob.push(seq, uid, uop);
             self.rob.predicted_next[slot] = front.predicted_next;
-            self.rob.pred_taken[slot] = front.pred_taken;
             self.rob.ras_cp[slot] = front.ras_cp;
             // Subscribe to the wakeup list of each not-yet-ready
             // source; an entry with none gets its ready bit set
@@ -1220,8 +1217,8 @@ impl Core {
             };
             let faulted = matches!(raw, RawInst::Fault(_));
             let ras_cp = self.ras.checkpoint();
-            let (predicted_next, pred_taken) = match info {
-                ControlInfo::None => (pc.wrapping_add(4), false),
+            let predicted_next = match info {
+                ControlInfo::None => pc.wrapping_add(4),
                 ControlInfo::CondBranch { target } => {
                     let mut taken = self.bp.predict(pc);
                     if self.force_flip_branch {
@@ -1229,20 +1226,20 @@ impl Core {
                         taken = !taken;
                         self.force_flip_branch = false;
                     }
-                    (if taken { target } else { pc.wrapping_add(4) }, taken)
+                    if taken { target } else { pc.wrapping_add(4) }
                 }
                 ControlInfo::DirectJump { target, is_call } => {
                     if is_call {
                         self.ras.push(pc.wrapping_add(4));
                     }
-                    (target, true)
+                    target
                 }
                 ControlInfo::IndirectJump { is_call, is_return } => {
                     let t = if is_return { self.ras.pop() } else { pc.wrapping_add(4) };
                     if is_call {
                         self.ras.push(pc.wrapping_add(4));
                     }
-                    (t, true)
+                    t
                 }
             };
             self.front_q.push_back(FrontEntry {
@@ -1250,7 +1247,6 @@ impl Core {
                 pc,
                 raw,
                 predicted_next,
-                pred_taken,
                 ras_cp,
             });
             self.stats.events.fetched += 1;

@@ -54,8 +54,6 @@ pub(crate) struct RobSlab {
     pub state: Box<[RState]>,
     /// Fetch-time predicted next PC.
     pub predicted_next: Box<[u32]>,
-    /// Fetch-time predicted direction (conditional branches).
-    pub pred_taken: Box<[bool]>,
     /// Resolved direction (valid once `state` is `Done`).
     pub actual_taken: Box<[bool]>,
     /// RAS checkpoint taken at prediction time.
@@ -83,7 +81,6 @@ impl RobSlab {
             uop: vec![placeholder; cap].into_boxed_slice(),
             state: vec![RState::Waiting; cap].into_boxed_slice(),
             predicted_next: vec![0u32; cap].into_boxed_slice(),
-            pred_taken: vec![false; cap].into_boxed_slice(),
             actual_taken: vec![false; cap].into_boxed_slice(),
             ras_cp: vec![RasCheckpoint::default(); cap].into_boxed_slice(),
             trap: vec![None; cap].into_boxed_slice(),

@@ -44,7 +44,7 @@ impl DirectionPredictor for Gshare {
         taken
     }
 
-    fn update(&mut self, pc: u32, taken: bool, _pred: bool) {
+    fn update(&mut self, pc: u32, taken: bool) {
         let idx = self.index(pc, self.history);
         let c = &mut self.table[idx];
         if taken {
@@ -68,8 +68,8 @@ mod tests {
     fn learns_a_bias() {
         let mut g = Gshare::new();
         for _ in 0..8 {
-            let p = g.predict(0x1000);
-            g.update(0x1000, true, p);
+            let _ = g.predict(0x1000);
+            g.update(0x1000, true);
         }
         assert!(g.predict(0x1000));
     }
@@ -84,7 +84,7 @@ mod tests {
             if i >= 1000 && p == toggle {
                 correct += 1;
             }
-            g.update(0x2000, toggle, p);
+            g.update(0x2000, toggle);
             if p != toggle {
                 // The pipeline squashes and repairs speculative
                 // history on every mispredict; model that here.
@@ -103,6 +103,6 @@ mod tests {
         let _ = g.predict(0x1008);
         g.recover();
         assert_eq!(g.spec_history, g.history);
-        g.update(0x1000, p0, p0);
+        g.update(0x1000, p0);
     }
 }

@@ -15,9 +15,8 @@ pub use tage::Tage;
 pub trait DirectionPredictor {
     /// Predicts taken/not-taken for the branch at `pc`.
     fn predict(&mut self, pc: u32) -> bool;
-    /// Trains with the resolved outcome. `pred` is what was predicted
-    /// at fetch so global-history-based predictors can repair state.
-    fn update(&mut self, pc: u32, taken: bool, pred: bool);
+    /// Trains with the resolved outcome, in program order at retire.
+    fn update(&mut self, pc: u32, taken: bool);
     /// Repairs speculative history after a squash.
     fn recover(&mut self);
 }

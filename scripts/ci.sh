@@ -42,17 +42,20 @@ for c in cells:
 print(f"throughput fields OK on {len(piped)} pipeline cells")
 EOF
 
-# Golden-record gate: a live --quick fig11 run (git rev pinned) must be
-# byte-identical, after --normalize, to the committed golden record.
-# Any accidental change to simulated behaviour fails here; intentional
-# changes must regenerate the record (tests/golden/README.md).
-STRAIGHT_GIT_REV=golden target/release/straight-lab --figure fig11 --quick \
+# Golden-record gate: live --quick fig11 (gshare) and fig14 (TAGE) runs
+# (git rev pinned) must be byte-identical, after --normalize, to the
+# committed golden records. Any accidental change to simulated behaviour
+# fails here; intentional changes must regenerate the records
+# (tests/golden/README.md).
+STRAIGHT_GIT_REV=golden target/release/straight-lab --figure fig11,fig14 --quick \
     --quiet --out "$SMOKE_DIR/golden-live"
-target/release/straight-lab --normalize tests/golden/BENCH_fig11_quick.json \
-    > "$SMOKE_DIR/golden.norm"
-target/release/straight-lab --normalize "$SMOKE_DIR/golden-live/BENCH_fig11.json" \
-    > "$SMOKE_DIR/golden-live.norm"
-cmp "$SMOKE_DIR/golden.norm" "$SMOKE_DIR/golden-live.norm"
+for fig in fig11 fig14; do
+    target/release/straight-lab --normalize "tests/golden/BENCH_${fig}_quick.json" \
+        > "$SMOKE_DIR/golden.norm"
+    target/release/straight-lab --normalize "$SMOKE_DIR/golden-live/BENCH_$fig.json" \
+        > "$SMOKE_DIR/golden-live.norm"
+    cmp "$SMOKE_DIR/golden.norm" "$SMOKE_DIR/golden-live.norm"
+done
 
 # Tier gate: the emulator-bound figures (fig15 instruction mix, fig16
 # operand distances) run on the default (fast, decoded-trace) tier and

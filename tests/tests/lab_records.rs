@@ -239,9 +239,15 @@ fn written_files_validate_and_re_render() {
 #[test]
 fn core_reset_replay_is_byte_identical() {
     let module = build_ir(&dhrystone(5));
-    let cells: [(straight_asm::Image, MachineConfig); 2] = [
-        (build_straight(&module, &StraightOptions::default()), MachineConfig::straight_4way()),
-        (build_riscv(&module), MachineConfig::ss_4way()),
+    let straight = build_straight(&module, &StraightOptions::default());
+    let riscv = build_riscv(&module);
+    // The TAGE machines also check that a reset clears the folded
+    // global history along with the tables.
+    let cells: [(straight_asm::Image, MachineConfig); 4] = [
+        (straight.clone(), MachineConfig::straight_4way()),
+        (riscv.clone(), MachineConfig::ss_4way()),
+        (straight, MachineConfig::straight_4way().with_tage()),
+        (riscv, MachineConfig::ss_4way().with_tage()),
     ];
     for (image, cfg) in cells {
         let name = cfg.name.clone();
