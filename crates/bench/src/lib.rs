@@ -11,17 +11,13 @@
 //!   power-model events, configuration fingerprint, git revision, wall
 //!   time), and re-renders the paper-shaped text reports from those
 //!   records. See `docs/REPRODUCING.md` for the figure-by-figure
-//!   guide.
-//! * **`fig11` … `fig17`, `sensitivity`, `table1`** — one-figure
-//!   conveniences kept for muscle memory; each is a thin delegate to
-//!   the same runner ([`run_figure`]), so there is exactly one
-//!   build/run/error path.
+//!   guide. One figure is `straight-lab --figure <id>`.
 //! * **`straightd`** — a persistent simulation daemon serving the same
 //!   lab session over a newline-delimited-JSON protocol (the [`serve`]
 //!   module); `straight-lab --remote <addr>` is its client, and cached
 //!   images/runs persist across requests. See `docs/SERVING.md`.
-//! * **Microbenchmarks** (`cargo bench -p straight-bench`, hand-rolled
-//!   harness) of the simulator and toolchain hot paths.
+//!
+//! Host-speed measurement lives in the separate `perfbench/` harness.
 //!
 //! Iteration counts default to values that complete in seconds on a
 //! laptop; set `STRAIGHT_DHRY_ITERS` / `STRAIGHT_CM_ITERS` to larger
@@ -34,10 +30,7 @@
 pub mod serve;
 pub mod store;
 
-use std::process::ExitCode;
-
-use straight_core::experiment::{ExperimentId, RunParams};
-use straight_core::lab::LabSession;
+use straight_core::experiment::RunParams;
 
 /// Dhrystone iteration count (`STRAIGHT_DHRY_ITERS`, default 200).
 #[must_use]
@@ -51,40 +44,9 @@ pub fn cm_iters() -> u32 {
     std::env::var("STRAIGHT_CM_ITERS").ok().and_then(|v| v.parse().ok()).unwrap_or(3)
 }
 
-/// Run parameters from the environment (the historical behavior of
-/// the per-figure binaries).
+/// Run parameters from the environment (`straight-lab` without
+/// `--quick`).
 #[must_use]
 pub fn params_from_env() -> RunParams {
     RunParams { dhry_iters: dhry_iters(), cm_iters: cm_iters(), ..RunParams::default() }
-}
-
-/// Runs a single named experiment through the lab runner and prints
-/// its text report — the shared implementation of every per-figure
-/// binary, and the one place their errors are reported.
-#[must_use]
-pub fn run_figure(name: &str) -> ExitCode {
-    let id = match name.parse::<ExperimentId>() {
-        Ok(id) => id,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let session = match LabSession::builder().build() {
-        Ok(session) => session,
-        Err(e) => {
-            eprintln!("{name} failed: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    match session.run_experiment(id, params_from_env()) {
-        Ok(run) => {
-            print!("{}", run.rendered);
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("{name} failed: {e}");
-            ExitCode::FAILURE
-        }
-    }
 }

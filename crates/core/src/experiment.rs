@@ -22,7 +22,7 @@ use std::str::FromStr;
 
 use straight_json::{fnv1a64, obj, read_field, FromJson, Json, JsonError, ToJson};
 use straight_power::figure17;
-use straight_sim::emu::{EmuExit, ExecBackend, RiscvEmu, StraightEmu, TierConfig};
+use straight_sim::emu::{Checkpoint, EmuExit, ExecBackend, RiscvEmu, StraightEmu, TierConfig};
 use straight_sim::pipeline::{Core, CoreError, MachineConfig, SimExit, SimResult, SimStats};
 use straight_workloads::{coremark, dhrystone};
 
@@ -364,10 +364,22 @@ pub(crate) struct SampledOutcome {
     pub stdout: String,
 }
 
-/// Checkpoint-sampled simulation: one fast-tier emulator pass measures
-/// the dynamic length `N` and the program output; a second pass drops
-/// [`SAMPLE_COUNT`] checkpoints at `k * (N / SAMPLE_COUNT)`; the
-/// cycle-accurate core resumes from each and simulates up to
+/// Instructions between the checkpoints the first pass of a sampled
+/// cell keeps, before the grid first fills.
+const CHECKPOINT_SPACING: u64 = 65_536;
+
+/// Most first-pass checkpoints kept at once. A full grid drops every
+/// other checkpoint and doubles its spacing.
+const MAX_CHECKPOINTS: usize = 64;
+
+/// Checkpoint-sampled simulation: a fast-tier emulator pass measures
+/// the dynamic length `N` and the program output, keeping checkpoints
+/// on a doubling grid as it goes; then the same emulator visits
+/// [`SAMPLE_COUNT`] sample points at `k * (N / SAMPLE_COUNT)`. It
+/// reaches each by running forward, after restoring the nearest kept
+/// checkpoint at or below the point when that checkpoint is ahead of
+/// the emulator or the emulator is already past the point. The
+/// cycle-accurate core resumes from each point and simulates up to
 /// [`SAMPLE_WINDOW`] retired instructions. Aggregate sample IPC
 /// extrapolates to whole-program cycles.
 pub(crate) fn run_sampled(
@@ -377,8 +389,10 @@ pub(crate) fn run_sampled(
     target: Target,
 ) -> Result<SampledOutcome, ExperimentError> {
     match target {
-        Target::Riscv => sample_on(workload, image, cfg, || RiscvEmu::new(image.clone())),
-        _ => sample_on(workload, image, cfg, || StraightEmu::new(image.clone())),
+        Target::Riscv => {
+            sample_on(workload, image, cfg, RiscvEmu::new(image.clone()), CHECKPOINT_SPACING)
+        }
+        _ => sample_on(workload, image, cfg, StraightEmu::new(image.clone()), CHECKPOINT_SPACING),
     }
 }
 
@@ -386,7 +400,8 @@ fn sample_on<E: ExecBackend>(
     workload: &str,
     image: &straight_asm::Image,
     cfg: MachineConfig,
-    mut fresh: impl FnMut() -> E,
+    mut emu: E,
+    first_spacing: u64,
 ) -> Result<SampledOutcome, ExperimentError> {
     let abnormal = |exit: String| ExperimentError::Abnormal {
         workload: workload.to_string(),
@@ -394,26 +409,52 @@ fn sample_on<E: ExecBackend>(
         exit,
     };
     // Pass 1: the whole program on the fast tier, for its dynamic
-    // length and functional output.
-    let mut full = fresh();
-    let exit = full.run_with(u64::MAX, TierConfig::fast());
-    if !matches!(exit, EmuExit::Done { .. }) {
-        return Err(abnormal(format!("emulator fast-forward: {exit:?}")));
+    // length and functional output. Checkpoint `i` of the grid sits at
+    // `i * spacing` instructions.
+    let mut spacing = first_spacing;
+    let mut grid: Vec<Checkpoint> = Vec::with_capacity(MAX_CHECKPOINTS);
+    loop {
+        match emu.run_with(grid.len() as u64 * spacing, TierConfig::fast()) {
+            EmuExit::StepLimit => {}
+            EmuExit::Done { .. } => break,
+            exit => return Err(abnormal(format!("emulator fast-forward: {exit:?}"))),
+        }
+        grid.push(emu.checkpoint());
+        if grid.len() == MAX_CHECKPOINTS {
+            let mut keep = false;
+            grid.retain(|_| {
+                keep = !keep;
+                keep
+            });
+            spacing *= 2;
+        }
     }
-    let total = full.executed();
-    let stdout = full.stdout().to_string();
+    let total = emu.executed();
+    let stdout = emu.stdout().to_string();
     let interval = (total / SAMPLE_COUNT).max(1);
     let window = interval.min(SAMPLE_WINDOW);
-    // Pass 2: checkpoint at each sample point and cycle-simulate a
-    // bounded interval from it.
-    let mut ff = fresh();
+    // Pass 2: reach each sample point from the nearest kept checkpoint
+    // (or from the emulator's current position, when that is closer),
+    // checkpoint there and cycle-simulate a bounded interval from it.
+    // Restoring and running forward lands on exactly the state a fresh
+    // emulator reaches, so the checkpoints match a from-scratch run.
     let mut sampled_retired = 0u64;
     let mut sampled_cycles = 0u64;
     for k in 0..SAMPLE_COUNT {
-        if ff.run_with(k * interval, TierConfig::fast()) != EmuExit::StepLimit {
+        let point = k * interval;
+        if point >= total {
             break; // The program ended before this sample point.
         }
-        let cp = ff.checkpoint();
+        if let Some(near) = grid.iter().rfind(|cp| cp.executed() <= point) {
+            if near.executed() > emu.executed() || emu.executed() > point {
+                emu.restore(near).map_err(|e| abnormal(format!("restore: {e}")))?;
+            }
+        }
+        if emu.run_with(point, TierConfig::fast()) != EmuExit::StepLimit || emu.executed() != point
+        {
+            return Err(abnormal(format!("emulator did not stop at sample point {point}")));
+        }
+        let cp = emu.checkpoint();
         let mut core = Core::resume_from(image.clone(), cfg.clone(), &cp).map_err(|source| {
             ExperimentError::Machine {
                 workload: workload.to_string(),
@@ -1365,6 +1406,143 @@ mod tests {
         let ss_full = &cells[0];
         let fig12_ss = &fig12[0];
         assert_eq!(ss_full.fingerprint(&p), fig12_ss.fingerprint(&p));
+    }
+
+    /// The two-pass sampler `sample_on` replaced, kept verbatim as its
+    /// reference model: pass 1 runs a fresh emulator to the end for
+    /// `N`, pass 2 runs a second fresh emulator from instruction 0 to
+    /// each sample point.
+    fn sample_two_pass<E: ExecBackend>(
+        workload: &str,
+        image: &straight_asm::Image,
+        cfg: MachineConfig,
+        mut fresh: impl FnMut() -> E,
+    ) -> Result<SampledOutcome, ExperimentError> {
+        let abnormal = |exit: String| ExperimentError::Abnormal {
+            workload: workload.to_string(),
+            machine: format!("{} (sampled)", cfg.name),
+            exit,
+        };
+        // Pass 1: the whole program on the fast tier, for its dynamic
+        // length and functional output.
+        let mut full = fresh();
+        let exit = full.run_with(u64::MAX, TierConfig::fast());
+        if !matches!(exit, EmuExit::Done { .. }) {
+            return Err(abnormal(format!("emulator fast-forward: {exit:?}")));
+        }
+        let total = full.executed();
+        let stdout = full.stdout().to_string();
+        let interval = (total / SAMPLE_COUNT).max(1);
+        let window = interval.min(SAMPLE_WINDOW);
+        // Pass 2: checkpoint at each sample point and cycle-simulate a
+        // bounded interval from it.
+        let mut ff = fresh();
+        let mut sampled_retired = 0u64;
+        let mut sampled_cycles = 0u64;
+        for k in 0..SAMPLE_COUNT {
+            if ff.run_with(k * interval, TierConfig::fast()) != EmuExit::StepLimit {
+                break; // The program ended before this sample point.
+            }
+            let cp = ff.checkpoint();
+            let mut core =
+                Core::resume_from(image.clone(), cfg.clone(), &cp).map_err(|source| {
+                    ExperimentError::Machine {
+                        workload: workload.to_string(),
+                        machine: cfg.name.clone(),
+                        source,
+                    }
+                })?;
+            // A resumed core starts with an empty pipeline and cold
+            // predictors/caches; the first half of the window warms the
+            // microarchitectural state and is excluded from the estimate
+            // (the retire/cycle budgets of `run_retired` are cumulative,
+            // so the second call measures the delta).
+            let warm = core.run_retired(window / 2, MAX_CYCLES);
+            if let SimExit::Trap(trap) = &warm.exit {
+                return Err(abnormal(format!("sample at {}: {trap:?}", cp.executed())));
+            }
+            let (warm_retired, warm_cycles) = (warm.stats.retired, warm.stats.cycles);
+            let sample = core.run_retired(window, MAX_CYCLES);
+            if let SimExit::Trap(trap) = &sample.exit {
+                return Err(abnormal(format!("sample at {}: {trap:?}", cp.executed())));
+            }
+            sampled_retired += sample.stats.retired - warm_retired;
+            sampled_cycles += sample.stats.cycles - warm_cycles;
+        }
+        if sampled_cycles == 0 || sampled_retired == 0 {
+            return Err(abnormal("no instructions were cycle-simulated".to_string()));
+        }
+        let ipc_est = sampled_retired as f64 / sampled_cycles as f64;
+        let cycles_est = (total as f64 / ipc_est).round() as u64;
+        Ok(SampledOutcome { cycles_est, ipc_est, retired: total, stdout })
+    }
+
+    /// Samples `src` on both ISAs (the `sampled` cells' machines) with
+    /// the one-pass sampler at `first_spacing` and with the two-pass
+    /// reference, asserts identical outcomes, and returns each ISA's
+    /// dynamic instruction count.
+    fn one_pass_matches_reference(what: &str, src: &str, first_spacing: u64) -> [u64; 2] {
+        fn check<E: ExecBackend>(
+            what: &str,
+            image: &straight_asm::Image,
+            cfg: MachineConfig,
+            fresh: impl Fn() -> E,
+            first_spacing: u64,
+        ) -> u64 {
+            let one = sample_on(what, image, cfg.clone(), fresh(), first_spacing).unwrap();
+            let reference = sample_two_pass(what, image, cfg, fresh).unwrap();
+            assert_eq!(one.cycles_est, reference.cycles_est, "{what}: cycles_est");
+            assert_eq!(one.ipc_est.to_bits(), reference.ipc_est.to_bits(), "{what}: ipc_est");
+            assert_eq!(one.retired, reference.retired, "{what}: retired");
+            assert_eq!(one.stdout, reference.stdout, "{what}: stdout");
+            one.retired
+        }
+        let rv = build_for(what, src, Target::Riscv).unwrap();
+        let st = build_for(what, src, re_plus(EVAL_MAX_DISTANCE)).unwrap();
+        [
+            check(what, &rv, machines::ss_2way(), || RiscvEmu::new(rv.clone()), first_spacing),
+            check(
+                what,
+                &st,
+                machines::straight_2way(),
+                || StraightEmu::new(st.clone()),
+                first_spacing,
+            ),
+        ]
+    }
+
+    #[test]
+    fn one_pass_sampler_matches_the_two_pass_reference_on_quick_workloads() {
+        for workload in [WorkloadKind::Dhrystone, WorkloadKind::Coremark] {
+            let src = workload.source(&RunParams::quick());
+            one_pass_matches_reference(workload.name(), &src, CHECKPOINT_SPACING);
+        }
+    }
+
+    #[test]
+    fn one_pass_sampler_matches_the_reference_when_the_grid_thins() {
+        // At a first spacing of 64 the 64-entry grid fills at 4096
+        // instructions and thins again at every doubling after that.
+        let src = WorkloadKind::Dhrystone.source(&RunParams::quick());
+        for total in one_pass_matches_reference("Dhrystone", &src, 64) {
+            assert!(total > 8 * 64 * MAX_CHECKPOINTS as u64, "{total} thins fewer than 4 times");
+        }
+    }
+
+    #[test]
+    fn one_pass_sampler_matches_the_reference_below_the_first_spacing() {
+        let src = "int main() {
+                       int s = 0;
+                       int i;
+                       for (i = 0; i < 40; i++) s = s + i * i;
+                       print_int(s);
+                       return s & 127;
+                   }";
+        for total in one_pass_matches_reference("tiny", src, CHECKPOINT_SPACING) {
+            assert!(total < CHECKPOINT_SPACING, "{total} is not below the first spacing");
+        }
+        // A one-instruction spacing thins the grid at every doubling.
+        one_pass_matches_reference("tiny", src, 1);
     }
 
     #[test]

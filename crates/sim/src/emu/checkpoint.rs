@@ -7,8 +7,9 @@
 //! whole 4 MiB address space — only the memory pages that differ from
 //! the pristine image. Both emulators track dirtied pages as they
 //! store (a `DirtyMap` page bitset), so snapshotting is proportional to the
-//! touched working set, and restoring is "reload the image, overlay
-//! the dirty pages".
+//! touched working set. Restoring into a live emulator is proportional
+//! to it too: only pages dirty in the emulator or in the checkpoint are
+//! rewritten, each from the checkpoint or else from the pristine image.
 //!
 //! Checkpoints have a canonical byte serialization
 //! ([`Checkpoint::to_bytes`]) used by the differential suite to assert
@@ -16,7 +17,7 @@
 //! the cycle-accurate core's `Core::resume_from` seeds its physical
 //! register file and RP/RMT state from one.
 
-use straight_asm::{ImageIsa, MEM_SIZE};
+use straight_asm::{Image, ImageIsa, MEM_SIZE};
 
 use super::sys::SysState;
 use super::EmuStats;
@@ -142,8 +143,8 @@ impl Checkpoint {
         self.pages.len()
     }
 
-    /// Overlays the dirty pages onto an image-loaded memory (the
-    /// restore path shared by the emulators and `Core::resume_from`).
+    /// Overlays the dirty pages onto a freshly image-loaded memory
+    /// (`Core::resume_from`).
     pub(crate) fn apply_pages(&self, mem: &mut [u8]) {
         for page in &self.pages {
             let base = page.index as usize * PAGE_SIZE;
@@ -152,12 +153,36 @@ impl Checkpoint {
     }
 
     /// Rebuilds the dirty map matching this checkpoint's pages.
-    pub(crate) fn dirty_map(&self) -> DirtyMap {
+    fn dirty_map(&self) -> DirtyMap {
         let mut map = DirtyMap::new();
         for page in &self.pages {
             map.set(page.index as usize);
         }
         map
+    }
+
+    /// Rewinds a live emulator's memory `mem` of `image`, whose
+    /// stored-to pages `dirty` marks, to this checkpoint's memory (the
+    /// restore path shared by both emulators). Only pages dirty on
+    /// either side are rewritten: to the checkpoint's bytes where it
+    /// carries the page, else to the pristine image bytes. Every other
+    /// page already holds the image on both sides.
+    pub(crate) fn restore_pages(&self, image: &Image, mem: &mut [u8], dirty: &mut DirtyMap) {
+        let target = self.dirty_map();
+        let mut saved = self.pages.iter().peekable();
+        for (word, (&live, &want)) in dirty.bits.iter().zip(&target.bits).enumerate() {
+            let mut bits = live | want;
+            while bits != 0 {
+                let page = word * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                let dst = &mut mem[page * PAGE_SIZE..(page + 1) * PAGE_SIZE];
+                match saved.next_if(|p| p.index as usize == page) {
+                    Some(p) => dst.copy_from_slice(&p.bytes),
+                    None => pristine_page(image, page, dst),
+                }
+            }
+        }
+        *dirty = target;
     }
 
     /// Canonical byte serialization: every field in a fixed
@@ -212,6 +237,24 @@ impl Checkpoint {
     }
 }
 
+/// Writes page `page` of `image` loaded into zeroed memory (what
+/// `Image::load_into` leaves there) into `dst`.
+fn pristine_page(image: &Image, page: usize, dst: &mut [u8]) {
+    let base = page * PAGE_SIZE;
+    let end = base + PAGE_SIZE;
+    dst.fill(0);
+    let code_base = image.code_base as usize;
+    for addr in base.max(code_base)..end.min(image.code_end() as usize) {
+        let off = addr - code_base;
+        dst[addr - base] = image.code[off / 4].to_le_bytes()[off % 4];
+    }
+    let data_base = image.data_base as usize;
+    let (lo, hi) = (base.max(data_base), end.min(data_base + image.data.len()));
+    if lo < hi {
+        dst[lo - base..hi - base].copy_from_slice(&image.data[lo - data_base..hi - data_base]);
+    }
+}
+
 /// Collects the dirty pages of `mem` in canonical (ascending) order.
 pub(crate) fn collect_pages(dirty: &DirtyMap, mem: &[u8]) -> Vec<DirtyPage> {
     (0..PAGE_COUNT)
@@ -241,6 +284,28 @@ mod tests {
         assert_eq!(pages[0].bytes[5000 - PAGE_SIZE], 0xab);
         assert_eq!(pages[1].index as usize, PAGE_COUNT - 1);
         assert_eq!(pages[1].bytes[PAGE_SIZE - 1], 0xcd);
+    }
+
+    #[test]
+    fn pristine_pages_match_a_loaded_image() {
+        // Code and data both straddle page boundaries, and a code word
+        // straddles one too.
+        let image = Image {
+            isa: ImageIsa::Riscv,
+            entry: 0x1000,
+            code_base: 0x1ffe,
+            code: (0..5000u32).map(|i| i.wrapping_mul(0x9e37_79b9)).collect(),
+            data_base: 0x7ffd,
+            data: (0..9000u32).map(|i| (i % 251) as u8 + 1).collect(),
+            symbols: Default::default(),
+        };
+        let mut mem = vec![0u8; MEM_SIZE as usize];
+        image.load_into(&mut mem);
+        let mut page_bytes = vec![0xffu8; PAGE_SIZE];
+        for page in 0..PAGE_COUNT {
+            pristine_page(&image, page, &mut page_bytes);
+            assert_eq!(page_bytes, mem[page * PAGE_SIZE..(page + 1) * PAGE_SIZE], "page {page}");
+        }
     }
 
     #[test]

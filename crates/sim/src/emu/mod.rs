@@ -9,8 +9,9 @@
 //! Both emulators implement the [`ExecBackend`] trait: stepping,
 //! tier-selected batch execution ([`ExecBackend::run_with`]),
 //! statistics, and architectural [`Checkpoint`]s (registers, RP state,
-//! and dirty memory pages) that a fresh emulator — or a cycle-accurate
-//! core, via `Core::resume_from` — can restore and continue from.
+//! and dirty memory pages). Any emulator of the same image, fresh or
+//! already past the snapshot, can restore one and continue from it,
+//! and so can a cycle-accurate core, via `Core::resume_from`.
 //!
 //! Execution comes in two tiers (see `docs/EXECUTION_TIERS.md`):
 //!
@@ -317,8 +318,10 @@ pub trait ExecBackend {
     fn checkpoint(&self) -> Checkpoint;
 
     /// Restores a snapshot taken by [`ExecBackend::checkpoint`] (on
-    /// this emulator or any emulator of the same image and ISA),
-    /// rewinding memory to the image and overlaying the dirty pages.
+    /// this emulator or any emulator of the same image and ISA), at an
+    /// earlier or a later point than the current one. Memory costs
+    /// O(dirty pages): only pages dirty here or in the checkpoint are
+    /// rewritten.
     ///
     /// # Errors
     ///

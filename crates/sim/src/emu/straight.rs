@@ -1009,10 +1009,7 @@ impl ExecBackend for StraightEmu {
         }
         self.sys = cp.sys.clone();
         self.stats = cp.stats.clone();
-        self.mem.fill(0);
-        self.image.load_into(&mut self.mem);
-        cp.apply_pages(&mut self.mem);
-        self.dirty = cp.dirty_map();
+        cp.restore_pages(&self.image, &mut self.mem, &mut self.dirty);
         Ok(())
     }
 }

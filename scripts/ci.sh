@@ -42,14 +42,14 @@ for c in cells:
 print(f"throughput fields OK on {len(piped)} pipeline cells")
 EOF
 
-# Golden-record gate: live --quick fig11 (gshare) and fig14 (TAGE) runs
-# (git rev pinned) must be byte-identical, after --normalize, to the
-# committed golden records. Any accidental change to simulated behaviour
+# Golden-record gate: live --quick fig11 (gshare), fig14 (TAGE) and
+# sampled (checkpoint-sampled estimates) runs (git rev pinned) must be
+# byte-identical, after --normalize, to the committed golden records. Any accidental change to simulated behaviour
 # fails here; intentional changes must regenerate the records
 # (tests/golden/README.md).
-STRAIGHT_GIT_REV=golden target/release/straight-lab --figure fig11,fig14 --quick \
+STRAIGHT_GIT_REV=golden target/release/straight-lab --figure fig11,fig14,sampled --quick \
     --quiet --out "$SMOKE_DIR/golden-live"
-for fig in fig11 fig14; do
+for fig in fig11 fig14 sampled; do
     target/release/straight-lab --normalize "tests/golden/BENCH_${fig}_quick.json" \
         > "$SMOKE_DIR/golden.norm"
     target/release/straight-lab --normalize "$SMOKE_DIR/golden-live/BENCH_$fig.json" \

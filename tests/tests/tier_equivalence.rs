@@ -4,9 +4,11 @@
 //! interpreter tier — same `EmuExit`, same retirement statistics, same
 //! stdout, and a byte-identical final architectural checkpoint — for
 //! both ISAs. Each program also exercises lockstep mode (which traps
-//! on any divergence) and a checkpoint round-trip at a random mid-run
-//! snapshot point, resumed on *both* tiers. STRAIGHT programs are also
-//! run with Figure 16 distance profiling on every tier.
+//! on any divergence), a checkpoint round-trip at a random mid-run
+//! snapshot point, resumed on *both* tiers, and a backward restore of
+//! that snapshot (and of the initial state) into an emulator that
+//! already ran to completion. STRAIGHT programs are also run with
+//! Figure 16 distance profiling on every tier.
 //!
 //! Programs come from the in-repo deterministic PRNG
 //! (`straight_isa::rng`), so every run covers the same corpus and a
@@ -57,8 +59,11 @@ fn program(r: &mut SplitMix64) -> String {
     } else {
         format!("if ((a ^ i) % 2) a = a - c; else b = {e2};")
     };
+    // The global `g` lives in the data segment: a restore that left a
+    // later run's value there would change the output.
     format!(
-        "int helper(int a, int b, int c) {{ return {e2}; }}
+        "int g = 11;
+         int helper(int a, int b, int c) {{ return {e2}; }}
          int main() {{
              int a = 5;
              int b = -9;
@@ -68,8 +73,9 @@ fn program(r: &mut SplitMix64) -> String {
                  a = {e1};
                  {branch}
                  c = c + helper(a, b, i);
+                 g = g + c;
              }}
-             print_int(a); print_int(b); print_int(c);
+             print_int(a); print_int(b); print_int(c); print_int(g);
              return (a ^ b ^ c) & 255;
          }}"
     )
@@ -77,7 +83,8 @@ fn program(r: &mut SplitMix64) -> String {
 
 /// Runs one program on both tiers of one backend and asserts complete
 /// observable equivalence, then round-trips a checkpoint taken at a
-/// random mid-run point and resumes it on each tier.
+/// random mid-run point, resumes it on each tier, and restores it
+/// backward into a finished emulator.
 fn check_tiers<E: ExecBackend>(what: &str, seed: u64, mut fresh: impl FnMut() -> E, r: &mut SplitMix64) {
     let mut interp = fresh();
     let interp_exit = interp.run_with(BUDGET, TierConfig::interp());
@@ -142,6 +149,32 @@ fn check_tiers<E: ExecBackend>(what: &str, seed: u64, mut fresh: impl FnMut() ->
                 interp_cp,
                 "{what} seed {seed}: {tier_name} resume final state diverged"
             );
+        }
+
+        // Backward restore: an emulator that ran to completion, and so
+        // dirtied pages the earlier snapshots lack, rewinds in place to
+        // the mid-run checkpoint and then to the initial state. Each
+        // rewind must be byte-identical, and each rerun must end
+        // exactly like the straight-through run.
+        let initial = fresh().checkpoint();
+        for (tier_name, tier) in
+            [("interp", TierConfig::interp()), ("fast", TierConfig::fast())]
+        {
+            let mut back = fresh();
+            let exit = back.run_with(BUDGET, tier);
+            assert_eq!(exit, interp_exit, "{what} seed {seed}: {tier_name} run diverged");
+            for (snap_name, snap) in [("mid-run", &cp), ("initial", &initial)] {
+                let what = format!("{what} seed {seed}: {tier_name} from {snap_name}");
+                back.restore(snap).unwrap_or_else(|e| panic!("{what}: restore failed: {e:?}"));
+                assert_eq!(
+                    back.checkpoint().to_bytes(),
+                    snap.to_bytes(),
+                    "{what}: backward restore not byte-identical"
+                );
+                assert_eq!(back.run_with(BUDGET, tier), interp_exit, "{what}: exit diverged");
+                assert_eq!(back.stats(), interp.stats(), "{what}: stats diverged");
+                assert_eq!(back.checkpoint(), interp_cp, "{what}: final state diverged");
+            }
         }
     }
 }
