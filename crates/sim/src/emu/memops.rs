@@ -1,11 +1,11 @@
-//! Width-specialized memory accessors for the fast execution tiers.
+//! Width-specialized memory accessors, shared by both ISAs and tiers.
 //!
-//! The interpreter tiers keep the one `load`/`store` pair that
-//! dispatches on [`MemWidth`] at run time; the fast tiers resolve the
-//! width when a block is translated and call these helpers, each of
-//! which performs exactly one alignment test and one bounds test.
-//! Semantics (alignment rule, trap values, little-endian byte order)
-//! are identical to the interpreter paths.
+//! The fast tiers resolve the width when a block is translated and
+//! call these helpers directly, each of which performs exactly one
+//! alignment test and one bounds test. The interpreters reach the same
+//! helpers through the one `load`/`store` pair of the shared emulator
+//! core, which dispatches on [`MemWidth`] at run time, so both tiers
+//! share one alignment rule, trap values, and little-endian byte order.
 
 use straight_isa::{MemWidth, TrapKind};
 

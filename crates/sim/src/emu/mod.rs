@@ -41,8 +41,17 @@ pub use straight::StraightEmu;
 
 use std::collections::BTreeMap;
 
-use straight_isa::{InstKind, Trap};
+use straight_asm::{Image, MEM_SIZE};
+use straight_isa::{InstKind, MemWidth, Trap, TrapKind};
 use straight_riscv::RvInst;
+
+use checkpoint::{ArchSnap, DirtyMap};
+use sys::SysState;
+
+/// Longest translated trace, in architectural instructions.
+const BLOCK_CAP: usize = 256;
+/// Retired instructions per lockstep comparison window.
+const LOCKSTEP_CHUNK: u64 = 4096;
 
 /// Why emulation stopped.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -287,10 +296,11 @@ impl EmuResult {
 }
 
 /// The common emulator API: stepping, tier-selected batch execution,
-/// statistics, and architectural checkpoint/restore. Implemented by
-/// [`StraightEmu`] and [`RiscvEmu`]; everything that drives an
-/// emulator (the lab's mix/distance cells, the benches, the pipeline's
-/// shadow oracle, the differential tests) goes through this trait.
+/// statistics, and architectural checkpoint/restore. Implemented once,
+/// by the generic driver in this module, for [`StraightEmu`] and
+/// [`RiscvEmu`]; everything that drives an emulator (the lab's
+/// mix/distance cells, the benches, the pipeline's shadow oracle, the
+/// differential tests) goes through this trait.
 pub trait ExecBackend {
     /// Executes one instruction on the interpreter tier. Returns
     /// `Some(exit)` when the program stops.
@@ -356,6 +366,313 @@ pub trait ExecBackend {
     }
 }
 
+/// The ISA-independent state of an emulator: image, memory, counters,
+/// console state, statistics, dirty pages, and the fast tier's trace
+/// cache. Each ISA's emulator embeds one next to its register state.
+#[derive(Debug, Clone)]
+pub(crate) struct EmuCore<B> {
+    image: Image,
+    mem: Vec<u8>,
+    /// Dynamic instructions executed.
+    count: u64,
+    pc: u32,
+    sys: SysState,
+    stats: EmuStats,
+    dirty: DirtyMap,
+    /// Fast-tier trace cache, indexed by code-segment slot. Sized
+    /// lazily on the first fast-tier run.
+    blocks: Vec<Option<Box<B>>>,
+}
+
+impl<B> EmuCore<B> {
+    /// Loads `image` into a fresh memory, with the PC at its entry.
+    fn new(image: Image, stats: EmuStats) -> EmuCore<B> {
+        let mut mem = vec![0u8; MEM_SIZE as usize];
+        image.load_into(&mut mem);
+        let pc = image.entry;
+        EmuCore {
+            image,
+            mem,
+            count: 0,
+            pc,
+            sys: SysState::default(),
+            stats,
+            dirty: DirtyMap::new(),
+            blocks: Vec::new(),
+        }
+    }
+
+    /// Interpreter load: dispatches on `width` at run time.
+    #[inline]
+    fn load(&self, width: MemWidth, addr: u32) -> Result<u32, TrapKind> {
+        match width {
+            MemWidth::B => memops::load_b(&self.mem, addr),
+            MemWidth::Bu => memops::load_bu(&self.mem, addr),
+            MemWidth::H => memops::load_h(&self.mem, addr),
+            MemWidth::Hu => memops::load_hu(&self.mem, addr),
+            MemWidth::W => memops::load_w(&self.mem, addr),
+        }
+    }
+
+    /// Interpreter store: dispatches on `width` at run time.
+    #[inline]
+    fn store(&mut self, width: MemWidth, addr: u32, val: u32) -> Result<(), TrapKind> {
+        match width {
+            MemWidth::B | MemWidth::Bu => memops::store_b(&mut self.mem, addr, val, width)?,
+            MemWidth::H | MemWidth::Hu => memops::store_h(&mut self.mem, addr, val, width)?,
+            MemWidth::W => memops::store_w(&mut self.mem, addr, val)?,
+        }
+        // Aligned accesses never straddle a page, so one mark suffices.
+        self.dirty.mark(addr as usize);
+        Ok(())
+    }
+
+    /// The exit after an instruction or trace retires: done when it
+    /// halted (`HALT`/`EBREAK`) or the exit service ran.
+    #[inline]
+    fn exit_after(&self, halted: bool) -> Option<EmuExit> {
+        if halted {
+            return Some(EmuExit::Done { code: self.sys.exit_code.unwrap_or(0) });
+        }
+        self.sys.exit_code.map(|code| EmuExit::Done { code })
+    }
+
+    /// Retires one interpreted instruction of category `kind`. The
+    /// interpreter calls this only for instructions that complete
+    /// without trapping, keeping the retired count equal to the trap
+    /// index.
+    #[inline]
+    fn retire_one(&mut self, kind: EmuKind, next_pc: u32, halted: bool) -> Option<EmuExit> {
+        self.stats.bump_kind(kind);
+        self.stats.count_retired(1);
+        self.count += 1;
+        self.pc = next_pc;
+        self.exit_after(halted)
+    }
+
+    /// Retires a whole trace of `n` instructions with one batched
+    /// statistics update.
+    #[inline]
+    fn retire_trace(
+        &mut self,
+        n: u64,
+        next_pc: u32,
+        kind_counts: &[u64; EmuKind::COUNT],
+        halted: bool,
+    ) -> Option<EmuExit> {
+        self.count += n;
+        self.pc = next_pc;
+        self.stats.add_kind_counts(kind_counts);
+        self.stats.count_retired(n);
+        self.exit_after(halted)
+    }
+
+    /// Finalizes a mid-trace trap at instruction `done` of a trace
+    /// entered at count `entry` (`meta` holds each instruction's PC
+    /// and category): syncs count, PC and statistics to the completed
+    /// prefix and returns the trap the interpreter would have raised.
+    fn trace_trap(
+        &mut self,
+        meta: &[(u32, EmuKind)],
+        entry: u64,
+        done: u64,
+        kind: TrapKind,
+    ) -> Option<EmuExit> {
+        for &(_, category) in &meta[..done as usize] {
+            self.stats.bump_kind(category);
+        }
+        self.stats.count_retired(done);
+        self.count = entry + done;
+        self.pc = meta[done as usize].0;
+        Some(self.trap(kind))
+    }
+
+    /// A trap at the current PC and instruction index.
+    fn trap(&self, kind: TrapKind) -> EmuExit {
+        EmuExit::Trap(Trap::untimed(kind, self.pc, self.count))
+    }
+}
+
+/// The per-ISA half of an emulator: its register state and its
+/// lowering (interpreter step, trace translation and execution).
+/// Everything else — the interpreter loop, the trace-cache driver with
+/// its budget fallback, lockstep validation, and [`ExecBackend`] with
+/// checkpoint/restore — is written once over this trait, and
+/// monomorphized per ISA. Being generic, the driver is instantiated in
+/// the crate that calls it, so implementations mark their hot methods
+/// `#[inline]`: that keeps `exec_block` and the interpreter step inlined
+/// into the trace loop instead of an out-of-line call per trace.
+pub(crate) trait EmuIsa: Clone {
+    /// A translated trace of the fast tier.
+    type Block;
+
+    /// The shared state.
+    fn core(&self) -> &EmuCore<Self::Block>;
+
+    /// The shared state, mutably.
+    fn core_mut(&mut self) -> &mut EmuCore<Self::Block>;
+
+    /// Executes one instruction on the interpreter. On `Err`, the PC
+    /// and count still point at the trapping instruction.
+    fn step_trapping(&mut self) -> Result<Option<EmuExit>, TrapKind>;
+
+    /// Translates the trace starting at `pc`. An empty trace (first
+    /// word unfetchable or undecodable) makes the driver fall back to
+    /// the interpreter, which raises the proper trap.
+    fn translate(&self, pc: u32) -> Self::Block;
+
+    /// Executes one trace that [`EmuIsa::unchecked_len`] accepted and
+    /// the step budget covers.
+    fn exec_block(&mut self, block: &Self::Block) -> Option<EmuExit>;
+
+    /// The trace's length in instructions when it may run unchecked
+    /// from the current state; `None` makes the driver single-step
+    /// instead (always for an empty trace).
+    fn unchecked_len(&self, block: &Self::Block) -> Option<u64>;
+
+    /// The ISA register state, for a checkpoint.
+    fn arch_snap(&self) -> ArchSnap;
+
+    /// Restores the ISA register state of a checkpoint, changing
+    /// nothing when it belongs to the other ISA.
+    fn restore_arch(&mut self, arch: &ArchSnap) -> Result<(), CheckpointError>;
+}
+
+fn run_interp<I: EmuIsa>(emu: &mut I, max_steps: u64) -> EmuExit {
+    loop {
+        if emu.core().stats.retired >= max_steps {
+            return EmuExit::StepLimit;
+        }
+        if let Some(exit) = emu.step() {
+            return exit;
+        }
+    }
+}
+
+fn run_fast<I: EmuIsa>(emu: &mut I, max_steps: u64) -> EmuExit {
+    let core = emu.core_mut();
+    if core.blocks.len() != core.image.code.len() {
+        core.blocks = (0..core.image.code.len()).map(|_| None).collect();
+    }
+    // Move the cache out of the emulator so a cached trace can stay
+    // borrowed across `exec_block(&mut emu, ..)` without a per-dispatch
+    // take/put-back of the slot.
+    let mut blocks = std::mem::take(&mut core.blocks);
+    let exit = run_fast_cached(emu, max_steps, &mut blocks);
+    emu.core_mut().blocks = blocks;
+    exit
+}
+
+fn run_fast_cached<I: EmuIsa>(
+    emu: &mut I,
+    max_steps: u64,
+    blocks: &mut [Option<Box<I::Block>>],
+) -> EmuExit {
+    loop {
+        let core = emu.core();
+        if core.stats.retired >= max_steps {
+            return EmuExit::StepLimit;
+        }
+        let budget = max_steps - core.stats.retired;
+        let pc = core.pc;
+        let image = &core.image;
+        // Outside the code segment the interpreter raises the fetch
+        // fault with the proper context.
+        if pc >= image.code_base && pc < image.code_end() && pc.is_multiple_of(4) {
+            let slot = ((pc - image.code_base) / 4) as usize;
+            let block = blocks[slot].get_or_insert_with(|| Box::new(emu.translate(pc)));
+            // Single-step when the trace cannot run unchecked or would
+            // overshoot the step budget (exact StepLimit semantics).
+            if emu.unchecked_len(block).is_some_and(|len| len <= budget) {
+                if let Some(exit) = emu.exec_block(block) {
+                    return exit;
+                }
+                continue;
+            }
+        }
+        if let Some(exit) = emu.step() {
+            return exit;
+        }
+    }
+}
+
+/// Fast tier cross-checked against a cloned interpreter twin in
+/// [`LOCKSTEP_CHUNK`]-instruction windows; any divergence in exit or
+/// full architectural checkpoint is a [`TrapKind::TierDivergence`]
+/// trap.
+fn run_lockstep<I: EmuIsa>(emu: &mut I, max_steps: u64) -> EmuExit {
+    let mut twin = emu.clone();
+    loop {
+        let target = emu.core().stats.retired.saturating_add(LOCKSTEP_CHUNK).min(max_steps);
+        let fast = run_fast(emu, target);
+        let interp = run_interp(&mut twin, target);
+        if fast != interp || emu.checkpoint() != twin.checkpoint() {
+            let core = emu.core();
+            return core.trap(TrapKind::TierDivergence { executed: core.count });
+        }
+        match fast {
+            EmuExit::StepLimit if target < max_steps => {}
+            exit => return exit,
+        }
+    }
+}
+
+impl<I: EmuIsa> ExecBackend for I {
+    fn step(&mut self) -> Option<EmuExit> {
+        match self.step_trapping() {
+            Ok(exit) => exit,
+            Err(kind) => Some(self.core().trap(kind)),
+        }
+    }
+
+    fn run_with(&mut self, max_steps: u64, tier: TierConfig) -> EmuExit {
+        match tier.tier {
+            Tier::Interp => run_interp(self, max_steps),
+            Tier::Fast if tier.lockstep => run_lockstep(self, max_steps),
+            Tier::Fast => run_fast(self, max_steps),
+        }
+    }
+
+    fn stats(&self) -> &EmuStats {
+        &self.core().stats
+    }
+
+    fn pc(&self) -> u32 {
+        self.core().pc
+    }
+
+    fn executed(&self) -> u64 {
+        self.core().count
+    }
+
+    fn stdout(&self) -> &str {
+        &self.core().sys.stdout
+    }
+
+    fn checkpoint(&self) -> Checkpoint {
+        let core = self.core();
+        Checkpoint {
+            pc: core.pc,
+            executed: core.count,
+            arch: self.arch_snap(),
+            sys: core.sys.clone(),
+            stats: core.stats.clone(),
+            pages: checkpoint::collect_pages(&core.dirty, &core.mem),
+        }
+    }
+
+    fn restore(&mut self, cp: &Checkpoint) -> Result<(), CheckpointError> {
+        self.restore_arch(&cp.arch)?;
+        let core = self.core_mut();
+        core.pc = cp.pc;
+        core.count = cp.executed;
+        core.sys = cp.sys.clone();
+        core.stats = cp.stats.clone();
+        cp.restore_pages(&core.image, &mut core.mem, &mut core.dirty);
+        Ok(())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -392,5 +709,126 @@ mod tests {
         b.count_retired(6);
 
         assert_eq!(a, b);
+    }
+
+    /// A STRAIGHT emulator behind the per-ISA trait whose fast tier
+    /// records where each trace ends and, optionally, corrupts the
+    /// stack pointer after a number of traces — a fast-tier bug that
+    /// leaves the exit and output alone, so only the lockstep
+    /// checkpoint comparison can see it.
+    #[derive(Debug, Clone)]
+    struct Faulty {
+        emu: StraightEmu,
+        corrupt_after: Option<usize>,
+        /// Executed count after each trace.
+        trace_ends: Vec<u64>,
+        corrupted_at: Option<u64>,
+    }
+
+    impl EmuIsa for Faulty {
+        type Block = <StraightEmu as EmuIsa>::Block;
+
+        fn core(&self) -> &EmuCore<Self::Block> {
+            self.emu.core()
+        }
+
+        fn core_mut(&mut self) -> &mut EmuCore<Self::Block> {
+            self.emu.core_mut()
+        }
+
+        fn step_trapping(&mut self) -> Result<Option<EmuExit>, TrapKind> {
+            self.emu.step_trapping()
+        }
+
+        fn translate(&self, pc: u32) -> Self::Block {
+            self.emu.translate(pc)
+        }
+
+        fn exec_block(&mut self, block: &Self::Block) -> Option<EmuExit> {
+            let exit = self.emu.exec_block(block);
+            self.trace_ends.push(self.emu.executed());
+            if self.corrupt_after == Some(self.trace_ends.len()) {
+                let mut arch = self.emu.arch_snap();
+                if let ArchSnap::Straight { sp, .. } = &mut arch {
+                    *sp ^= 4;
+                }
+                self.emu.restore_arch(&arch).unwrap();
+                self.corrupted_at = Some(self.emu.executed());
+            }
+            exit
+        }
+
+        fn unchecked_len(&self, block: &Self::Block) -> Option<u64> {
+            self.emu.unchecked_len(block)
+        }
+
+        fn arch_snap(&self) -> ArchSnap {
+            self.emu.arch_snap()
+        }
+
+        fn restore_arch(&mut self, arch: &ArchSnap) -> Result<(), CheckpointError> {
+            self.emu.restore_arch(arch)
+        }
+    }
+
+    /// A loop of two-instruction traces running 5000 iterations: a few
+    /// lockstep windows long, and never reading the stack pointer.
+    fn faulty(corrupt_after: Option<usize>) -> Faulty {
+        let prog = straight_asm::parse_straight_asm(
+            ".text
+             func main:
+                ADDi [0] 5000
+                NOP
+             loop:
+                ADDi [2] -1
+                BNZ [1] loop
+                SYS 1 [2]
+                HALT",
+        )
+        .unwrap();
+        let image = straight_asm::link_straight(&prog).unwrap();
+        let emu = StraightEmu::new(image);
+        Faulty { emu, corrupt_after, trace_ends: Vec::new(), corrupted_at: None }
+    }
+
+    #[test]
+    fn lockstep_reports_a_fast_tier_divergence_in_its_window() {
+        // Unchecked, the corruption is invisible in the exit.
+        let mut plain = faulty(Some(3000));
+        assert_eq!(plain.run_with(u64::MAX, TierConfig::fast()), EmuExit::Done { code: 0 });
+        assert!(plain.corrupted_at.is_some());
+
+        let mut checked = faulty(Some(3000));
+        let exit = checked.run_with(u64::MAX, TierConfig::fast_lockstep());
+        let corrupted_at = checked.corrupted_at.unwrap();
+        assert!(corrupted_at > LOCKSTEP_CHUNK, "not in the first window: {corrupted_at}");
+        let window_end = corrupted_at.div_ceil(LOCKSTEP_CHUNK) * LOCKSTEP_CHUNK;
+        let EmuExit::Trap(trap) = exit else { panic!("expected a divergence trap, got {exit:?}") };
+        assert_eq!(trap.kind, TrapKind::TierDivergence { executed: window_end });
+        assert_eq!(trap.index, window_end);
+    }
+
+    #[test]
+    fn fast_tier_stops_exactly_at_a_budget_inside_a_trace() {
+        let full = faulty(None).run_tiered(u64::MAX, TierConfig::interp());
+        let mut mid_trace = 0;
+        for max_steps in 100..140 {
+            let mut fast = faulty(None);
+            assert_eq!(fast.run_with(max_steps, TierConfig::fast()), EmuExit::StepLimit);
+            assert_eq!(fast.executed(), max_steps);
+            assert_eq!(fast.stats().retired, max_steps);
+            // The last trace run ending short of the budget means the
+            // next one would have crossed it, and was single-stepped.
+            if fast.trace_ends.last().is_some_and(|&end| end < max_steps) {
+                mid_trace += 1;
+            }
+            let mut interp = faulty(None);
+            assert_eq!(interp.run_with(max_steps, TierConfig::interp()), EmuExit::StepLimit);
+            assert_eq!(fast.checkpoint(), interp.checkpoint());
+            // Running on from the budget still matches a single run.
+            assert_eq!(fast.run_with(u64::MAX, TierConfig::fast()), full.exit);
+            assert_eq!(fast.stats(), &full.stats);
+        }
+        assert!(mid_trace > 0, "no budget fell inside a trace");
     }
 }

@@ -10,18 +10,13 @@
 //! and unconditional `JAL`s fused *through* (the trace continues into
 //! the static target) — with statistics batched per trace.
 
-use straight_asm::{Image, MEM_SIZE, STACK_TOP};
-use straight_isa::{AluOp, Trap, TrapKind};
+use straight_asm::{Image, STACK_TOP};
+use straight_isa::{AluOp, TrapKind};
 use straight_riscv::{decode, MemWidth, Reg, RvInst};
 
-use super::checkpoint::{self, ArchSnap, Checkpoint, CheckpointError, DirtyMap};
-use super::sys::SysState;
-use super::{memops, EmuExit, EmuKind, EmuStats, ExecBackend, Tier, TierConfig};
+use super::checkpoint::{ArchSnap, CheckpointError};
+use super::{memops, EmuCore, EmuExit, EmuIsa, EmuKind, EmuStats, BLOCK_CAP};
 
-/// Longest translated trace, in instructions.
-const BLOCK_CAP: usize = 256;
-/// Retired instructions per lockstep comparison window.
-const LOCKSTEP_CHUNK: u64 = 4096;
 /// Architectural registers are `x0..x31`; slot 32 is the fast tier's
 /// write sink for `x0`-target instructions (never read, excluded from
 /// checkpoints), letting lowered ops write unconditionally. The file
@@ -92,7 +87,7 @@ enum FastOp {
 /// code-end, or [`BLOCK_CAP`]. Unconditional `JAL` does not end a
 /// trace — its target is static, so translation continues there.
 #[derive(Debug, Clone)]
-struct Block {
+pub(crate) struct Block {
     /// PC after the last instruction when no terminator redirects
     /// (follows fused jumps, so not simply `start_pc + 4 * len`).
     end_pc: u32,
@@ -110,19 +105,10 @@ struct Block {
 /// RV32IM functional emulator.
 #[derive(Debug, Clone)]
 pub struct RiscvEmu {
-    image: Image,
-    mem: Vec<u8>,
+    core: EmuCore<Block>,
     /// `x0..x31` plus the fast tier's [`SINK`] slot; padded to 64
     /// for mask-based bounds-check elimination (slots 33..64 unused).
     regs: [u32; 64],
-    count: u64,
-    pc: u32,
-    sys: SysState,
-    stats: EmuStats,
-    dirty: DirtyMap,
-    /// Fast-tier trace cache, indexed by code-segment slot. Sized
-    /// lazily on the first fast-tier run.
-    blocks: Vec<Option<Box<Block>>>,
 }
 
 /// Write-side register lowering: `x0` writes go to the sink slot.
@@ -138,22 +124,9 @@ impl RiscvEmu {
     /// Prepares an emulator for a linked image.
     #[must_use]
     pub fn new(image: Image) -> RiscvEmu {
-        let mut mem = vec![0u8; MEM_SIZE as usize];
-        image.load_into(&mut mem);
-        let pc = image.entry;
         let mut regs = [0u32; 64];
         regs[Reg::SP.num() as usize] = STACK_TOP;
-        RiscvEmu {
-            image,
-            mem,
-            regs,
-            count: 0,
-            pc,
-            sys: SysState::default(),
-            stats: EmuStats::default(),
-            dirty: DirtyMap::new(),
-            blocks: Vec::new(),
-        }
+        RiscvEmu { core: EmuCore::new(image, EmuStats::default()), regs }
     }
 
     /// Architectural value of `reg`.
@@ -162,10 +135,12 @@ impl RiscvEmu {
         self.r(reg)
     }
 
+    #[inline]
     fn r(&self, reg: Reg) -> u32 {
         self.regs[reg.num() as usize]
     }
 
+    #[inline]
     fn w(&mut self, reg: Reg, val: u32) {
         if !reg.is_zero() {
             self.regs[reg.num() as usize] = val;
@@ -179,46 +154,10 @@ impl RiscvEmu {
         self.regs[usize::from(r & 63)]
     }
 
-    fn load(&self, width: MemWidth, addr: u32) -> Result<u32, TrapKind> {
-        let a = addr as usize;
-        if !addr.is_multiple_of(width.bytes()) {
-            return Err(TrapKind::MisalignedLoad { addr, width });
-        }
-        if a + width.bytes() as usize > self.mem.len() {
-            return Err(TrapKind::WildLoad { addr, width });
-        }
-        Ok(match width {
-            MemWidth::B => self.mem[a] as i8 as i32 as u32,
-            MemWidth::Bu => u32::from(self.mem[a]),
-            MemWidth::H => i32::from(i16::from_le_bytes([self.mem[a], self.mem[a + 1]])) as u32,
-            MemWidth::Hu => u32::from(u16::from_le_bytes([self.mem[a], self.mem[a + 1]])),
-            MemWidth::W => {
-                u32::from_le_bytes([self.mem[a], self.mem[a + 1], self.mem[a + 2], self.mem[a + 3]])
-            }
-        })
-    }
-
-    fn store(&mut self, width: MemWidth, addr: u32, val: u32) -> Result<(), TrapKind> {
-        let a = addr as usize;
-        if !addr.is_multiple_of(width.bytes()) {
-            return Err(TrapKind::MisalignedStore { addr, width });
-        }
-        if a + width.bytes() as usize > self.mem.len() {
-            return Err(TrapKind::WildStore { addr, width });
-        }
-        match width {
-            MemWidth::B | MemWidth::Bu => self.mem[a] = val as u8,
-            MemWidth::H | MemWidth::Hu => self.mem[a..a + 2].copy_from_slice(&(val as u16).to_le_bytes()),
-            MemWidth::W => self.mem[a..a + 4].copy_from_slice(&val.to_le_bytes()),
-        }
-        // Aligned accesses never straddle a page, so one mark suffices.
-        self.dirty.mark(a);
-        Ok(())
-    }
-
     /// Executes one already-decoded instruction at `pc`. Returns the
-    /// next PC; `Ok(None)` in the `exit` slot distinction is handled
-    /// by the caller via `sys.exit_code` and the `Ebreak` flag.
+    /// next PC; the caller detects an exit from `sys.exit_code` and
+    /// the `Ebreak` flag.
+    #[inline]
     fn exec_inst(&mut self, inst: &RvInst, pc: u32) -> Result<u32, TrapKind> {
         let mut next_pc = pc.wrapping_add(4);
         match *inst {
@@ -240,13 +179,13 @@ impl RiscvEmu {
             }
             RvInst::Load { width, rd, rs1, offset } => {
                 let a = self.r(rs1).wrapping_add(offset as u32);
-                let v = self.load(width, a)?;
+                let v = self.core.load(width, a)?;
                 self.w(rd, v);
             }
             RvInst::Store { width, rs2, rs1, offset } => {
                 let a = self.r(rs1).wrapping_add(offset as u32);
                 let v = self.r(rs2);
-                self.store(width, a, v)?;
+                self.core.store(width, a, v)?;
             }
             RvInst::OpImm { op, rd, rs1, imm } => {
                 let v = op.eval(self.r(rs1), imm);
@@ -259,7 +198,7 @@ impl RiscvEmu {
             RvInst::Ecall => {
                 let code = self.r(Reg::A7) as u16;
                 let arg = self.r(Reg::A0);
-                match self.sys.apply(code, arg) {
+                match self.core.sys.apply(code, arg) {
                     Some(r) => self.w(Reg::A0, r),
                     None => return Err(TrapKind::UnknownSys { code }),
                 }
@@ -268,39 +207,31 @@ impl RiscvEmu {
         }
         Ok(next_pc)
     }
+}
 
+impl EmuIsa for RiscvEmu {
+    type Block = Block;
+
+    #[inline]
+    fn core(&self) -> &EmuCore<Block> {
+        &self.core
+    }
+
+    #[inline]
+    fn core_mut(&mut self) -> &mut EmuCore<Block> {
+        &mut self.core
+    }
+
+    #[inline]
     fn step_trapping(&mut self) -> Result<Option<EmuExit>, TrapKind> {
-        let Some(word) = self.image.fetch(self.pc) else {
+        let Some(word) = self.core.image.fetch(self.core.pc) else {
             return Err(TrapKind::FetchFault);
         };
         let Ok(inst) = decode(word) else {
             return Err(TrapKind::IllegalInstruction { word });
         };
-        let next_pc = self.exec_inst(&inst, self.pc)?;
-        // Statistics count only instructions that complete without
-        // trapping, keeping the retired count equal to the trap index.
-        self.stats.bump_kind(EmuKind::of_riscv(&inst));
-        self.stats.count_retired(1);
-        self.count += 1;
-        self.pc = next_pc;
-        if matches!(inst, RvInst::Ebreak) {
-            return Ok(Some(EmuExit::Done { code: self.sys.exit_code.unwrap_or(0) }));
-        }
-        if let Some(code) = self.sys.exit_code {
-            return Ok(Some(EmuExit::Done { code }));
-        }
-        Ok(None)
-    }
-
-    fn run_interp(&mut self, max_steps: u64) -> EmuExit {
-        loop {
-            if self.stats.retired >= max_steps {
-                return EmuExit::StepLimit;
-            }
-            if let Some(exit) = self.step() {
-                return exit;
-            }
-        }
+        let next_pc = self.exec_inst(&inst, self.core.pc)?;
+        Ok(self.core.retire_one(EmuKind::of_riscv(&inst), next_pc, matches!(inst, RvInst::Ebreak)))
     }
 
     /// Translates the trace starting at `start_pc`. An empty trace
@@ -313,7 +244,7 @@ impl RiscvEmu {
         let mut ends_break = false;
         let mut pc = start_pc;
         while meta.len() < BLOCK_CAP {
-            let Some(word) = self.image.fetch(pc) else { break };
+            let Some(word) = self.core.image.fetch(pc) else { break };
             let Ok(inst) = decode(word) else { break };
             kind_counts[EmuKind::of_riscv(&inst) as usize] += 1;
             meta.push((pc, EmuKind::of_riscv(&inst)));
@@ -434,31 +365,13 @@ impl RiscvEmu {
         Block { end_pc: pc, ops, meta, kind_counts, ends_break }
     }
 
-    /// Flushes statistics for the first `done` instructions of a
-    /// partially executed trace (cold path: traps only).
-    fn flush_partial(&mut self, b: &Block, done: u64) {
-        for &(_, kind) in &b.meta[..done as usize] {
-            self.stats.bump_kind(kind);
-        }
-        self.stats.count_retired(done);
-    }
-
-    /// Finalizes a mid-trace trap: syncs count/PC/stats to the
-    /// completed prefix and produces the trap exit the interpreter
-    /// would have raised at the same instruction.
-    fn block_trap(&mut self, b: &Block, entry: u64, done: u32, kind: TrapKind) -> Option<EmuExit> {
-        self.flush_partial(b, u64::from(done));
-        self.count = entry + u64::from(done);
-        self.pc = b.meta[done as usize].0;
-        Some(EmuExit::Trap(Trap::untimed(kind, self.pc, self.count)))
-    }
-
     /// Executes one translated trace; the caller guarantees enough
     /// step budget for the whole trace.
+    #[inline]
     fn exec_block(&mut self, b: &Block) -> Option<EmuExit> {
-        let entry = self.count;
+        let entry = self.core.count;
         let mut next_pc = b.end_pc;
-        for (idx, op) in (0_u32..).zip(b.ops.iter()) {
+        for (idx, op) in (0_u64..).zip(b.ops.iter()) {
             match *op {
                 FastOp::Nop => {}
                 FastOp::Li { rd, value } => self.regs[usize::from(rd & 63)] = value,
@@ -532,61 +445,61 @@ impl RiscvEmu {
                 }
                 FastOp::LdB { rd, rs1, offset } => {
                     let a = self.rr(rs1).wrapping_add(offset);
-                    match memops::load_b(&self.mem, a) {
+                    match memops::load_b(&self.core.mem, a) {
                         Ok(v) => self.regs[usize::from(rd & 63)] = v,
-                        Err(kind) => return self.block_trap(b, entry, idx, kind),
+                        Err(kind) => return self.core.trace_trap(&b.meta, entry, idx, kind),
                     }
                 }
                 FastOp::LdBu { rd, rs1, offset } => {
                     let a = self.rr(rs1).wrapping_add(offset);
-                    match memops::load_bu(&self.mem, a) {
+                    match memops::load_bu(&self.core.mem, a) {
                         Ok(v) => self.regs[usize::from(rd & 63)] = v,
-                        Err(kind) => return self.block_trap(b, entry, idx, kind),
+                        Err(kind) => return self.core.trace_trap(&b.meta, entry, idx, kind),
                     }
                 }
                 FastOp::LdH { rd, rs1, offset } => {
                     let a = self.rr(rs1).wrapping_add(offset);
-                    match memops::load_h(&self.mem, a) {
+                    match memops::load_h(&self.core.mem, a) {
                         Ok(v) => self.regs[usize::from(rd & 63)] = v,
-                        Err(kind) => return self.block_trap(b, entry, idx, kind),
+                        Err(kind) => return self.core.trace_trap(&b.meta, entry, idx, kind),
                     }
                 }
                 FastOp::LdHu { rd, rs1, offset } => {
                     let a = self.rr(rs1).wrapping_add(offset);
-                    match memops::load_hu(&self.mem, a) {
+                    match memops::load_hu(&self.core.mem, a) {
                         Ok(v) => self.regs[usize::from(rd & 63)] = v,
-                        Err(kind) => return self.block_trap(b, entry, idx, kind),
+                        Err(kind) => return self.core.trace_trap(&b.meta, entry, idx, kind),
                     }
                 }
                 FastOp::LdW { rd, rs1, offset } => {
                     let a = self.rr(rs1).wrapping_add(offset);
-                    match memops::load_w(&self.mem, a) {
+                    match memops::load_w(&self.core.mem, a) {
                         Ok(v) => self.regs[usize::from(rd & 63)] = v,
-                        Err(kind) => return self.block_trap(b, entry, idx, kind),
+                        Err(kind) => return self.core.trace_trap(&b.meta, entry, idx, kind),
                     }
                 }
                 FastOp::StB { rs2, rs1, offset, width } => {
                     let a = self.rr(rs1).wrapping_add(offset);
                     let v = self.rr(rs2);
-                    match memops::store_b(&mut self.mem, a, v, width) {
-                        Ok(()) => self.dirty.mark(a as usize),
-                        Err(kind) => return self.block_trap(b, entry, idx, kind),
+                    match memops::store_b(&mut self.core.mem, a, v, width) {
+                        Ok(()) => self.core.dirty.mark(a as usize),
+                        Err(kind) => return self.core.trace_trap(&b.meta, entry, idx, kind),
                     }
                 }
                 FastOp::StH { rs2, rs1, offset, width } => {
                     let a = self.rr(rs1).wrapping_add(offset);
                     let v = self.rr(rs2);
-                    match memops::store_h(&mut self.mem, a, v, width) {
-                        Ok(()) => self.dirty.mark(a as usize),
-                        Err(kind) => return self.block_trap(b, entry, idx, kind),
+                    match memops::store_h(&mut self.core.mem, a, v, width) {
+                        Ok(()) => self.core.dirty.mark(a as usize),
+                        Err(kind) => return self.core.trace_trap(&b.meta, entry, idx, kind),
                     }
                 }
                 FastOp::StW { rs2, rs1, offset } => {
                     let a = self.rr(rs1).wrapping_add(offset);
                     let v = self.rr(rs2);
-                    match memops::store_w(&mut self.mem, a, v) {
-                        Ok(()) => self.dirty.mark(a as usize),
-                        Err(kind) => return self.block_trap(b, entry, idx, kind),
+                    match memops::store_w(&mut self.core.mem, a, v) {
+                        Ok(()) => self.core.dirty.mark(a as usize),
+                        Err(kind) => return self.core.trace_trap(&b.meta, entry, idx, kind),
                     }
                 }
                 FastOp::Beq { rs1, rs2, target } => {
@@ -627,165 +540,39 @@ impl RiscvEmu {
                 FastOp::Ecall => {
                     let code = self.rr(Reg::A7.num()) as u16;
                     let arg = self.rr(Reg::A0.num());
-                    match self.sys.apply(code, arg) {
+                    match self.core.sys.apply(code, arg) {
                         Some(r) => self.regs[usize::from(Reg::A0.num() & 63)] = r,
                         None => {
-                            return self.block_trap(b, entry, idx, TrapKind::UnknownSys { code })
+                            let kind = TrapKind::UnknownSys { code };
+                            return self.core.trace_trap(&b.meta, entry, idx, kind);
                         }
                     }
                 }
                 FastOp::Ebreak => {}
             }
         }
-        let done = b.meta.len() as u64;
-        self.count = entry + done;
-        self.pc = next_pc;
-        self.stats.add_kind_counts(&b.kind_counts);
-        self.stats.count_retired(done);
-        if b.ends_break {
-            return Some(EmuExit::Done { code: self.sys.exit_code.unwrap_or(0) });
-        }
-        if let Some(code) = self.sys.exit_code {
-            return Some(EmuExit::Done { code });
-        }
-        None
+        self.core.retire_trace(b.meta.len() as u64, next_pc, &b.kind_counts, b.ends_break)
     }
 
-    fn run_fast(&mut self, max_steps: u64) -> EmuExit {
-        if self.blocks.len() != self.image.code.len() {
-            self.blocks = (0..self.image.code.len()).map(|_| None).collect();
-        }
-        // Move the cache out of `self` so a cached trace can stay
-        // borrowed across `exec_block(&mut self, ..)` without a
-        // per-dispatch take/put-back of the slot.
-        let mut blocks = std::mem::take(&mut self.blocks);
-        let exit = self.run_fast_cached(max_steps, &mut blocks);
-        self.blocks = blocks;
-        exit
+    #[inline]
+    fn unchecked_len(&self, b: &Block) -> Option<u64> {
+        (!b.meta.is_empty()).then_some(b.meta.len() as u64)
     }
 
-    fn run_fast_cached(&mut self, max_steps: u64, blocks: &mut [Option<Box<Block>>]) -> EmuExit {
-        loop {
-            if self.stats.retired >= max_steps {
-                return EmuExit::StepLimit;
-            }
-            let pc = self.pc;
-            let in_code =
-                pc >= self.image.code_base && pc < self.image.code_end() && pc.is_multiple_of(4);
-            if !in_code {
-                match self.step() {
-                    Some(exit) => return exit,
-                    None => continue,
-                }
-            }
-            let slot = ((pc - self.image.code_base) / 4) as usize;
-            if blocks[slot].is_none() {
-                blocks[slot] = Some(Box::new(self.translate(pc)));
-            }
-            let Some(block) = blocks[slot].as_deref() else {
-                return EmuExit::StepLimit; // unreachable: slot just filled
-            };
-            // Single-step when the trace would overshoot the step
-            // budget (preserving exact StepLimit semantics) or is
-            // empty (first word faults — let the interpreter trap).
-            let budget = max_steps - self.stats.retired;
-            if block.meta.is_empty() || block.meta.len() as u64 > budget {
-                match self.step() {
-                    Some(exit) => return exit,
-                    None => continue,
-                }
-            }
-            if let Some(exit) = self.exec_block(block) {
-                return exit;
-            }
-        }
-    }
-
-    /// Fast tier cross-checked against a cloned interpreter twin in
-    /// [`LOCKSTEP_CHUNK`]-instruction windows; any divergence in exit
-    /// or full architectural checkpoint is a
-    /// [`TrapKind::TierDivergence`] trap.
-    fn run_lockstep(&mut self, max_steps: u64) -> EmuExit {
-        let mut twin = self.clone();
-        loop {
-            let target = self.stats.retired.saturating_add(LOCKSTEP_CHUNK).min(max_steps);
-            let fast = self.run_fast(target);
-            let interp = twin.run_interp(target);
-            if fast != interp || self.checkpoint() != twin.checkpoint() {
-                return EmuExit::Trap(Trap::untimed(
-                    TrapKind::TierDivergence { executed: self.count },
-                    self.pc,
-                    self.count,
-                ));
-            }
-            match fast {
-                EmuExit::StepLimit if target < max_steps => {}
-                exit => return exit,
-            }
-        }
-    }
-}
-
-impl ExecBackend for RiscvEmu {
-    /// Executes one instruction on the interpreter tier. Returns
-    /// `Some(exit)` when the program stops.
-    fn step(&mut self) -> Option<EmuExit> {
-        match self.step_trapping() {
-            Ok(exit) => exit,
-            Err(kind) => Some(EmuExit::Trap(Trap::untimed(kind, self.pc, self.count))),
-        }
-    }
-
-    fn run_with(&mut self, max_steps: u64, tier: TierConfig) -> EmuExit {
-        match tier.tier {
-            Tier::Interp => self.run_interp(max_steps),
-            Tier::Fast if tier.lockstep => self.run_lockstep(max_steps),
-            Tier::Fast => self.run_fast(max_steps),
-        }
-    }
-
-    fn stats(&self) -> &EmuStats {
-        &self.stats
-    }
-
-    fn pc(&self) -> u32 {
-        self.pc
-    }
-
-    fn executed(&self) -> u64 {
-        self.count
-    }
-
-    fn stdout(&self) -> &str {
-        &self.sys.stdout
-    }
-
-    fn checkpoint(&self) -> Checkpoint {
+    fn arch_snap(&self) -> ArchSnap {
         // Snapshot only the 32 architectural registers; the fast
         // tier's sink slot is never architecturally visible.
         let mut regs = [0u32; 32];
         regs.copy_from_slice(&self.regs[..32]);
-        Checkpoint {
-            pc: self.pc,
-            executed: self.count,
-            arch: ArchSnap::Riscv { regs },
-            sys: self.sys.clone(),
-            stats: self.stats.clone(),
-            pages: checkpoint::collect_pages(&self.dirty, &self.mem),
-        }
+        ArchSnap::Riscv { regs }
     }
 
-    fn restore(&mut self, cp: &Checkpoint) -> Result<(), CheckpointError> {
-        let ArchSnap::Riscv { regs } = &cp.arch else {
+    fn restore_arch(&mut self, arch: &ArchSnap) -> Result<(), CheckpointError> {
+        let ArchSnap::Riscv { regs } = arch else {
             return Err(CheckpointError::IsaMismatch);
         };
-        self.pc = cp.pc;
-        self.count = cp.executed;
         self.regs[..32].copy_from_slice(regs);
         self.regs[32] = 0;
-        self.sys = cp.sys.clone();
-        self.stats = cp.stats.clone();
-        cp.restore_pages(&self.image, &mut self.mem, &mut self.dirty);
         Ok(())
     }
 }
@@ -793,6 +580,7 @@ impl ExecBackend for RiscvEmu {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::emu::{ExecBackend, TierConfig};
     use straight_asm::{link_riscv, RvFunc, RvItem, RvProgram, RvReloc};
     use straight_isa::AluImmOp;
 

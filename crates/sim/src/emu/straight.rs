@@ -30,22 +30,14 @@
 //! raises the exact trap. Code is immutable (fetch reads the image,
 //! not memory), so translated traces never need invalidation.
 
-use straight_asm::{Image, MEM_SIZE, STACK_TOP};
-use straight_isa::{
-    decode, AluImmOp, AluOp, Dist, Inst, MemWidth, Trap, TrapKind, MAX_DISTANCE,
-};
+use straight_asm::{Image, STACK_TOP};
+use straight_isa::{decode, AluImmOp, AluOp, Dist, Inst, MemWidth, TrapKind, MAX_DISTANCE};
 
-use super::checkpoint::{self, ArchSnap, Checkpoint, CheckpointError, DirtyMap};
-use super::sys::SysState;
-use super::{memops, EmuExit, EmuKind, EmuStats, ExecBackend, Tier, TierConfig};
+use super::checkpoint::{ArchSnap, CheckpointError};
+use super::{memops, EmuCore, EmuExit, EmuIsa, EmuKind, EmuStats, BLOCK_CAP};
 
 const RING: usize = (MAX_DISTANCE as usize + 1).next_power_of_two();
 const RING_MASK: u64 = RING as u64 - 1;
-
-/// Longest translated trace, in architectural instructions.
-const BLOCK_CAP: usize = 256;
-/// Retired instructions per lockstep comparison window.
-const LOCKSTEP_CHUNK: u64 = 4096;
 
 /// A lowered micro-op of the fast tier — one dispatch per op, with
 /// everything the translator can pre-resolve folded in: distances are
@@ -115,7 +107,7 @@ enum FastOp {
 /// code-end, or [`BLOCK_CAP`]. Unconditional `J`/`JAL` do not end a
 /// trace — their targets are static, so translation continues there.
 #[derive(Debug, Clone)]
-struct Block {
+pub(crate) struct Block {
     /// PC after the last instruction when no terminator redirects
     /// (follows fused jumps, so not simply `start_pc + 4 * len`).
     end_pc: u32,
@@ -144,24 +136,15 @@ struct Block {
 /// STRAIGHT functional emulator.
 #[derive(Debug, Clone)]
 pub struct StraightEmu {
-    image: Image,
-    mem: Vec<u8>,
+    core: EmuCore<Block>,
     /// Results of the most recent instructions, indexed by retired
     /// count masked by `RING - 1` (fixed size so indexing needs no
     /// bounds check in the fast tier).
     ring: Box<[u32; RING]>,
-    count: u64,
-    pc: u32,
     sp: u32,
     /// Lowest address the sanitizer accepts for SP (end of the data
     /// segment — everything above it up to [`STACK_TOP`] is stack).
     stack_floor: u32,
-    sys: SysState,
-    stats: EmuStats,
-    dirty: DirtyMap,
-    /// Fast-tier block cache, indexed by code-segment slot. Sized
-    /// lazily on the first fast-tier run.
-    blocks: Vec<Option<Box<Block>>>,
     /// Collect the per-operand distance histogram (Figure 16). The
     /// fast tier adds precomputed per-trace counts in one batch.
     pub profile_distances: bool,
@@ -190,22 +173,14 @@ impl StraightEmu {
     /// Prepares an emulator for a linked image.
     #[must_use]
     pub fn new(image: Image) -> StraightEmu {
-        let mut mem = vec![0u8; MEM_SIZE as usize];
-        image.load_into(&mut mem);
-        let pc = image.entry;
         let stack_floor = image.data_base.saturating_add(image.data.len() as u32);
+        let stats =
+            EmuStats { dist_hist: vec![0; MAX_DISTANCE as usize + 1], ..EmuStats::default() };
         StraightEmu {
-            image,
-            mem,
+            core: EmuCore::new(image, stats),
             ring: Box::new([0; RING]),
-            count: 0,
-            pc,
             sp: STACK_TOP,
             stack_floor,
-            sys: SysState::default(),
-            stats: EmuStats { dist_hist: vec![0; MAX_DISTANCE as usize + 1], ..EmuStats::default() },
-            dirty: DirtyMap::new(),
-            blocks: Vec::new(),
             profile_distances: false,
             distance_bound: None,
             check_sp: false,
@@ -222,13 +197,14 @@ impl StraightEmu {
     /// distance 1). Zero before any instruction has executed.
     #[must_use]
     pub fn last_result(&self) -> u32 {
-        if self.count == 0 {
+        if self.core.count == 0 {
             0
         } else {
-            self.ring[((self.count - 1) & RING_MASK) as usize]
+            self.ring[((self.core.count - 1) & RING_MASK) as usize]
         }
     }
 
+    #[inline]
     fn read_dist(&self, d: Dist) -> Result<u32, TrapKind> {
         if d.is_zero() {
             return Ok(0);
@@ -238,64 +214,60 @@ impl StraightEmu {
         // producer that never existed; the ring slot holds garbage (or
         // a stale wrap-around value), so this must trap in every build
         // profile rather than silently mis-read.
-        if back > self.count {
-            return Err(TrapKind::DistanceOutOfRange { dist: d.get(), executed: self.count });
+        if back > self.core.count {
+            return Err(TrapKind::DistanceOutOfRange { dist: d.get(), executed: self.core.count });
         }
         if let Some(bound) = self.distance_bound {
             if d.get() > bound {
                 return Err(TrapKind::DistanceAboveBound { dist: d.get(), bound });
             }
         }
-        Ok(self.ring[((self.count - back) & RING_MASK) as usize])
-    }
-
-    fn load(&self, width: MemWidth, addr: u32) -> Result<u32, TrapKind> {
-        let a = addr as usize;
-        if !addr.is_multiple_of(width.bytes()) {
-            return Err(TrapKind::MisalignedLoad { addr, width });
-        }
-        if a + width.bytes() as usize > self.mem.len() {
-            return Err(TrapKind::WildLoad { addr, width });
-        }
-        Ok(match width {
-            MemWidth::B => self.mem[a] as i8 as i32 as u32,
-            MemWidth::Bu => u32::from(self.mem[a]),
-            MemWidth::H => i32::from(i16::from_le_bytes([self.mem[a], self.mem[a + 1]])) as u32,
-            MemWidth::Hu => u32::from(u16::from_le_bytes([self.mem[a], self.mem[a + 1]])),
-            MemWidth::W => {
-                u32::from_le_bytes([self.mem[a], self.mem[a + 1], self.mem[a + 2], self.mem[a + 3]])
-            }
-        })
-    }
-
-    fn store(&mut self, width: MemWidth, addr: u32, val: u32) -> Result<(), TrapKind> {
-        let a = addr as usize;
-        if !addr.is_multiple_of(width.bytes()) {
-            return Err(TrapKind::MisalignedStore { addr, width });
-        }
-        if a + width.bytes() as usize > self.mem.len() {
-            return Err(TrapKind::WildStore { addr, width });
-        }
-        match width {
-            MemWidth::B | MemWidth::Bu => self.mem[a] = val as u8,
-            MemWidth::H | MemWidth::Hu => self.mem[a..a + 2].copy_from_slice(&(val as u16).to_le_bytes()),
-            MemWidth::W => self.mem[a..a + 4].copy_from_slice(&val.to_le_bytes()),
-        }
-        // Aligned accesses never straddle a page, so one mark suffices.
-        self.dirty.mark(a);
-        Ok(())
+        Ok(self.ring[((self.core.count - back) & RING_MASK) as usize])
     }
 
     fn profile(&mut self, inst: &Inst) {
         for s in inst.sources().into_iter().flatten() {
             if !s.is_zero() {
-                self.stats.dist_hist[s.get() as usize] += 1;
+                self.core.stats.dist_hist[s.get() as usize] += 1;
             }
         }
     }
 
+    /// Finalizes a mid-trace trap: syncs count/PC/stats to the
+    /// completed prefix and produces the trap exit the interpreter
+    /// would have raised at the same instruction. The trapping
+    /// instruction is categorized as not retired but, when profiling,
+    /// its distances count: the interpreter profiles before executing.
+    fn block_trap(&mut self, b: &Block, entry: u64, count: u64, kind: TrapKind) -> Option<EmuExit> {
+        let done = count - entry;
+        if self.profile_distances {
+            for &(pc, _) in &b.meta[..=done as usize] {
+                // Translation decoded every word of the trace.
+                if let Some(Ok(inst)) = self.core.image.fetch(pc).map(decode) {
+                    self.profile(&inst);
+                }
+            }
+        }
+        self.core.trace_trap(&b.meta, entry, done, kind)
+    }
+}
+
+impl EmuIsa for StraightEmu {
+    type Block = Block;
+
+    #[inline]
+    fn core(&self) -> &EmuCore<Block> {
+        &self.core
+    }
+
+    #[inline]
+    fn core_mut(&mut self) -> &mut EmuCore<Block> {
+        &mut self.core
+    }
+
+    #[inline]
     fn step_trapping(&mut self) -> Result<Option<EmuExit>, TrapKind> {
-        let Some(word) = self.image.fetch(self.pc) else {
+        let Some(word) = self.core.image.fetch(self.core.pc) else {
             return Err(TrapKind::FetchFault);
         };
         let Ok(inst) = decode(word) else {
@@ -304,7 +276,7 @@ impl StraightEmu {
         if self.profile_distances {
             self.profile(&inst);
         }
-        let mut next_pc = self.pc.wrapping_add(4);
+        let mut next_pc = self.core.pc.wrapping_add(4);
         let result: u32 = match inst {
             Inst::Nop | Inst::Halt => 0,
             Inst::Alu { op, s1, s2 } => op.eval(self.read_dist(s1)?, self.read_dist(s2)?),
@@ -312,12 +284,12 @@ impl StraightEmu {
             Inst::Lui { imm } => u32::from(imm) << 16,
             Inst::Ld { width, addr, offset } => {
                 let a = self.read_dist(addr)?.wrapping_add(offset as i32 as u32);
-                self.load(width, a)?
+                self.core.load(width, a)?
             }
             Inst::St { width, val, addr } => {
                 let v = self.read_dist(val)?;
                 let a = self.read_dist(addr)?;
-                self.store(width, a, v)?;
+                self.core.store(width, a, v)?;
                 v
             }
             Inst::Rmov { s } => self.read_dist(s)?,
@@ -331,67 +303,48 @@ impl StraightEmu {
             }
             Inst::Bez { s, offset } => {
                 if self.read_dist(s)? == 0 {
-                    next_pc = self.pc.wrapping_add((offset as i32 as u32).wrapping_mul(4));
+                    next_pc = self.core.pc.wrapping_add((offset as i32 as u32).wrapping_mul(4));
                 }
                 0
             }
             Inst::Bnz { s, offset } => {
                 if self.read_dist(s)? != 0 {
-                    next_pc = self.pc.wrapping_add((offset as i32 as u32).wrapping_mul(4));
+                    next_pc = self.core.pc.wrapping_add((offset as i32 as u32).wrapping_mul(4));
                 }
                 0
             }
             Inst::J { offset } => {
-                next_pc = self.pc.wrapping_add((offset as u32).wrapping_mul(4));
+                next_pc = self.core.pc.wrapping_add((offset as u32).wrapping_mul(4));
                 0
             }
             Inst::Jal { offset } => {
-                let link = self.pc.wrapping_add(4);
-                next_pc = self.pc.wrapping_add((offset as u32).wrapping_mul(4));
+                let link = self.core.pc.wrapping_add(4);
+                next_pc = self.core.pc.wrapping_add((offset as u32).wrapping_mul(4));
                 link
             }
             Inst::Jr { s } | Inst::Jalr { s } => {
                 let target = self.read_dist(s)?;
                 next_pc = target;
                 if matches!(inst, Inst::Jalr { .. }) {
-                    self.pc.wrapping_add(4)
+                    self.core.pc.wrapping_add(4)
                 } else {
                     target
                 }
             }
             Inst::Sys { code, s } => {
                 let arg = self.read_dist(s)?;
-                match self.sys.apply(code, arg) {
+                match self.core.sys.apply(code, arg) {
                     Some(r) => r,
                     None => return Err(TrapKind::UnknownSys { code }),
                 }
             }
         };
-        // Statistics count only instructions that complete without
-        // trapping, keeping the retired count equal to the trap index.
-        self.stats.bump_kind(EmuKind::of_straight(inst.kind()));
-        self.stats.count_retired(1);
-        self.ring[(self.count & RING_MASK) as usize] = result;
-        self.count += 1;
-        self.pc = next_pc;
-        if matches!(inst, Inst::Halt) {
-            return Ok(Some(EmuExit::Done { code: self.sys.exit_code.unwrap_or(0) }));
-        }
-        if let Some(code) = self.sys.exit_code {
-            return Ok(Some(EmuExit::Done { code }));
-        }
-        Ok(None)
-    }
-
-    fn run_interp(&mut self, max_steps: u64) -> EmuExit {
-        loop {
-            if self.stats.retired >= max_steps {
-                return EmuExit::StepLimit;
-            }
-            if let Some(exit) = self.step() {
-                return exit;
-            }
-        }
+        self.ring[(self.core.count & RING_MASK) as usize] = result;
+        Ok(self.core.retire_one(
+            EmuKind::of_straight(inst.kind()),
+            next_pc,
+            matches!(inst, Inst::Halt),
+        ))
     }
 
     /// Translates the trace starting at `start_pc`. An empty trace
@@ -406,7 +359,7 @@ impl StraightEmu {
         let mut ends_halt = false;
         let mut pc = start_pc;
         while meta.len() < BLOCK_CAP {
-            let Some(word) = self.image.fetch(pc) else { break };
+            let Some(word) = self.core.image.fetch(pc) else { break };
             let Ok(inst) = decode(word) else { break };
             let kind = EmuKind::of_straight(inst.kind());
             kind_counts[kind as usize] += 1;
@@ -549,242 +502,120 @@ impl StraightEmu {
         }
     }
 
-    /// Finalizes a mid-trace trap: syncs count/PC/stats to the
-    /// completed prefix and produces the trap exit the interpreter
-    /// would have raised at the same instruction. The trapping
-    /// instruction is categorized as not retired but, when profiling,
-    /// its distances count: the interpreter profiles before executing.
-    fn block_trap(&mut self, b: &Block, entry: u64, count: u64, kind: TrapKind) -> Option<EmuExit> {
-        let done = count - entry;
-        for &(_, category) in &b.meta[..done as usize] {
-            self.stats.bump_kind(category);
-        }
-        self.stats.count_retired(done);
-        if self.profile_distances {
-            for &(pc, _) in &b.meta[..=done as usize] {
-                // Translation decoded every word of the trace.
-                if let Some(Ok(inst)) = self.image.fetch(pc).map(decode) {
-                    self.profile(&inst);
-                }
-            }
-        }
-        self.count = count;
-        self.pc = b.meta[done as usize].0;
-        Some(EmuExit::Trap(Trap::untimed(kind, self.pc, self.count)))
-    }
-
-    /// Executes one translated trace. Requires `self.count >=
-    /// block.max_dist` (unchecked ring reads) and enough step budget
-    /// for the whole trace — both enforced by [`StraightEmu::run_fast`].
+    /// Executes one translated trace. Requires `count >= max_dist`
+    /// (unchecked ring reads) and enough step budget for the whole
+    /// trace — both enforced by the driver via `unchecked_len`.
+    #[inline]
     fn exec_block(&mut self, b: &Block) -> Option<EmuExit> {
-        let entry = self.count;
+        let entry = self.core.count;
         let mut count = entry;
         let mut next_pc = b.end_pc;
         for op in &b.ops {
-            match *op {
-                FastOp::Nop => {
-                    self.ring[(count & RING_MASK) as usize] = 0;
-                    count += 1;
-                }
-                FastOp::Const { value } => {
-                    self.ring[(count & RING_MASK) as usize] = value;
-                    count += 1;
-                }
+            // Every op but an RMOV chain writes exactly one ring result.
+            let v = match *op {
+                FastOp::Nop | FastOp::Halt => 0,
+                FastOp::Const { value } => value,
                 FastOp::Add { s1, s2 } => {
-                    let v = src(&self.ring, count, s1).wrapping_add(src(&self.ring, count, s2));
-                    self.ring[(count & RING_MASK) as usize] = v;
-                    count += 1;
+                    src(&self.ring, count, s1).wrapping_add(src(&self.ring, count, s2))
                 }
                 FastOp::Sub { s1, s2 } => {
-                    let v = src(&self.ring, count, s1).wrapping_sub(src(&self.ring, count, s2));
-                    self.ring[(count & RING_MASK) as usize] = v;
-                    count += 1;
+                    src(&self.ring, count, s1).wrapping_sub(src(&self.ring, count, s2))
                 }
                 FastOp::Sll { s1, s2 } => {
-                    let v = src(&self.ring, count, s1).wrapping_shl(src(&self.ring, count, s2) & 31);
-                    self.ring[(count & RING_MASK) as usize] = v;
-                    count += 1;
+                    src(&self.ring, count, s1).wrapping_shl(src(&self.ring, count, s2) & 31)
                 }
                 FastOp::Slt { s1, s2 } => {
-                    let v = u32::from((src(&self.ring, count, s1) as i32) < (src(&self.ring, count, s2) as i32));
-                    self.ring[(count & RING_MASK) as usize] = v;
-                    count += 1;
+                    u32::from((src(&self.ring, count, s1) as i32) < (src(&self.ring, count, s2) as i32))
                 }
                 FastOp::Sltu { s1, s2 } => {
-                    let v = u32::from(src(&self.ring, count, s1) < src(&self.ring, count, s2));
-                    self.ring[(count & RING_MASK) as usize] = v;
-                    count += 1;
+                    u32::from(src(&self.ring, count, s1) < src(&self.ring, count, s2))
                 }
-                FastOp::Xor { s1, s2 } => {
-                    let v = src(&self.ring, count, s1) ^ src(&self.ring, count, s2);
-                    self.ring[(count & RING_MASK) as usize] = v;
-                    count += 1;
-                }
+                FastOp::Xor { s1, s2 } => src(&self.ring, count, s1) ^ src(&self.ring, count, s2),
                 FastOp::Srl { s1, s2 } => {
-                    let v = src(&self.ring, count, s1).wrapping_shr(src(&self.ring, count, s2) & 31);
-                    self.ring[(count & RING_MASK) as usize] = v;
-                    count += 1;
+                    src(&self.ring, count, s1).wrapping_shr(src(&self.ring, count, s2) & 31)
                 }
                 FastOp::Sra { s1, s2 } => {
-                    let v = ((src(&self.ring, count, s1) as i32).wrapping_shr(src(&self.ring, count, s2) & 31)) as u32;
-                    self.ring[(count & RING_MASK) as usize] = v;
-                    count += 1;
+                    ((src(&self.ring, count, s1) as i32).wrapping_shr(src(&self.ring, count, s2) & 31)) as u32
                 }
-                FastOp::Or { s1, s2 } => {
-                    let v = src(&self.ring, count, s1) | src(&self.ring, count, s2);
-                    self.ring[(count & RING_MASK) as usize] = v;
-                    count += 1;
-                }
-                FastOp::And { s1, s2 } => {
-                    let v = src(&self.ring, count, s1) & src(&self.ring, count, s2);
-                    self.ring[(count & RING_MASK) as usize] = v;
-                    count += 1;
-                }
+                FastOp::Or { s1, s2 } => src(&self.ring, count, s1) | src(&self.ring, count, s2),
+                FastOp::And { s1, s2 } => src(&self.ring, count, s1) & src(&self.ring, count, s2),
                 FastOp::Mul { s1, s2 } => {
-                    let v = src(&self.ring, count, s1).wrapping_mul(src(&self.ring, count, s2));
-                    self.ring[(count & RING_MASK) as usize] = v;
-                    count += 1;
+                    src(&self.ring, count, s1).wrapping_mul(src(&self.ring, count, s2))
                 }
                 FastOp::Alu { op, s1, s2 } => {
-                    let v = op.eval(src(&self.ring, count, s1), src(&self.ring, count, s2));
-                    self.ring[(count & RING_MASK) as usize] = v;
-                    count += 1;
+                    op.eval(src(&self.ring, count, s1), src(&self.ring, count, s2))
                 }
-                FastOp::Addi { s1, imm } => {
-                    let v = src(&self.ring, count, s1).wrapping_add(imm);
-                    self.ring[(count & RING_MASK) as usize] = v;
-                    count += 1;
-                }
-                FastOp::Slli { s1, imm } => {
-                    let v = src(&self.ring, count, s1).wrapping_shl(imm & 31);
-                    self.ring[(count & RING_MASK) as usize] = v;
-                    count += 1;
-                }
-                FastOp::Slti { s1, imm } => {
-                    let v = u32::from((src(&self.ring, count, s1) as i32) < (imm as i32));
-                    self.ring[(count & RING_MASK) as usize] = v;
-                    count += 1;
-                }
-                FastOp::Sltiu { s1, imm } => {
-                    let v = u32::from(src(&self.ring, count, s1) < imm);
-                    self.ring[(count & RING_MASK) as usize] = v;
-                    count += 1;
-                }
-                FastOp::Xori { s1, imm } => {
-                    let v = src(&self.ring, count, s1) ^ imm;
-                    self.ring[(count & RING_MASK) as usize] = v;
-                    count += 1;
-                }
-                FastOp::Srli { s1, imm } => {
-                    let v = src(&self.ring, count, s1).wrapping_shr(imm & 31);
-                    self.ring[(count & RING_MASK) as usize] = v;
-                    count += 1;
-                }
-                FastOp::Srai { s1, imm } => {
-                    let v = ((src(&self.ring, count, s1) as i32).wrapping_shr(imm & 31)) as u32;
-                    self.ring[(count & RING_MASK) as usize] = v;
-                    count += 1;
-                }
-                FastOp::Ori { s1, imm } => {
-                    let v = src(&self.ring, count, s1) | imm;
-                    self.ring[(count & RING_MASK) as usize] = v;
-                    count += 1;
-                }
-                FastOp::Andi { s1, imm } => {
-                    let v = src(&self.ring, count, s1) & imm;
-                    self.ring[(count & RING_MASK) as usize] = v;
-                    count += 1;
-                }
-                FastOp::AluImm { op, s1, imm } => {
-                    let v = op.eval(src(&self.ring, count, s1), imm);
-                    self.ring[(count & RING_MASK) as usize] = v;
-                    count += 1;
-                }
+                FastOp::Addi { s1, imm } => src(&self.ring, count, s1).wrapping_add(imm),
+                FastOp::Slli { s1, imm } => src(&self.ring, count, s1).wrapping_shl(imm & 31),
+                FastOp::Slti { s1, imm } => u32::from((src(&self.ring, count, s1) as i32) < (imm as i32)),
+                FastOp::Sltiu { s1, imm } => u32::from(src(&self.ring, count, s1) < imm),
+                FastOp::Xori { s1, imm } => src(&self.ring, count, s1) ^ imm,
+                FastOp::Srli { s1, imm } => src(&self.ring, count, s1).wrapping_shr(imm & 31),
+                FastOp::Srai { s1, imm } => ((src(&self.ring, count, s1) as i32).wrapping_shr(imm & 31)) as u32,
+                FastOp::Ori { s1, imm } => src(&self.ring, count, s1) | imm,
+                FastOp::Andi { s1, imm } => src(&self.ring, count, s1) & imm,
+                FastOp::AluImm { op, s1, imm } => op.eval(src(&self.ring, count, s1), imm),
                 FastOp::LdB { addr, offset } => {
                     let a = src(&self.ring, count, addr).wrapping_add(offset);
-                    match memops::load_b(&self.mem, a) {
-                        Ok(v) => {
-                            self.ring[(count & RING_MASK) as usize] = v;
-                            count += 1;
-                        }
+                    match memops::load_b(&self.core.mem, a) {
+                        Ok(v) => v,
                         Err(kind) => return self.block_trap(b, entry, count, kind),
                     }
                 }
                 FastOp::LdBu { addr, offset } => {
                     let a = src(&self.ring, count, addr).wrapping_add(offset);
-                    match memops::load_bu(&self.mem, a) {
-                        Ok(v) => {
-                            self.ring[(count & RING_MASK) as usize] = v;
-                            count += 1;
-                        }
+                    match memops::load_bu(&self.core.mem, a) {
+                        Ok(v) => v,
                         Err(kind) => return self.block_trap(b, entry, count, kind),
                     }
                 }
                 FastOp::LdH { addr, offset } => {
                     let a = src(&self.ring, count, addr).wrapping_add(offset);
-                    match memops::load_h(&self.mem, a) {
-                        Ok(v) => {
-                            self.ring[(count & RING_MASK) as usize] = v;
-                            count += 1;
-                        }
+                    match memops::load_h(&self.core.mem, a) {
+                        Ok(v) => v,
                         Err(kind) => return self.block_trap(b, entry, count, kind),
                     }
                 }
                 FastOp::LdHu { addr, offset } => {
                     let a = src(&self.ring, count, addr).wrapping_add(offset);
-                    match memops::load_hu(&self.mem, a) {
-                        Ok(v) => {
-                            self.ring[(count & RING_MASK) as usize] = v;
-                            count += 1;
-                        }
+                    match memops::load_hu(&self.core.mem, a) {
+                        Ok(v) => v,
                         Err(kind) => return self.block_trap(b, entry, count, kind),
                     }
                 }
                 FastOp::LdW { addr, offset } => {
                     let a = src(&self.ring, count, addr).wrapping_add(offset);
-                    match memops::load_w(&self.mem, a) {
-                        Ok(v) => {
-                            self.ring[(count & RING_MASK) as usize] = v;
-                            count += 1;
-                        }
+                    match memops::load_w(&self.core.mem, a) {
+                        Ok(v) => v,
                         Err(kind) => return self.block_trap(b, entry, count, kind),
                     }
                 }
                 FastOp::StB { val, addr, width } => {
                     let v = src(&self.ring, count, val);
                     let a = src(&self.ring, count, addr);
-                    match memops::store_b(&mut self.mem, a, v, width) {
-                        Ok(()) => {
-                            self.dirty.mark(a as usize);
-                            self.ring[(count & RING_MASK) as usize] = v;
-                            count += 1;
-                        }
-                        Err(kind) => return self.block_trap(b, entry, count, kind),
+                    if let Err(kind) = memops::store_b(&mut self.core.mem, a, v, width) {
+                        return self.block_trap(b, entry, count, kind);
                     }
+                    self.core.dirty.mark(a as usize);
+                    v
                 }
                 FastOp::StH { val, addr, width } => {
                     let v = src(&self.ring, count, val);
                     let a = src(&self.ring, count, addr);
-                    match memops::store_h(&mut self.mem, a, v, width) {
-                        Ok(()) => {
-                            self.dirty.mark(a as usize);
-                            self.ring[(count & RING_MASK) as usize] = v;
-                            count += 1;
-                        }
-                        Err(kind) => return self.block_trap(b, entry, count, kind),
+                    if let Err(kind) = memops::store_h(&mut self.core.mem, a, v, width) {
+                        return self.block_trap(b, entry, count, kind);
                     }
+                    self.core.dirty.mark(a as usize);
+                    v
                 }
                 FastOp::StW { val, addr } => {
                     let v = src(&self.ring, count, val);
                     let a = src(&self.ring, count, addr);
-                    match memops::store_w(&mut self.mem, a, v) {
-                        Ok(()) => {
-                            self.dirty.mark(a as usize);
-                            self.ring[(count & RING_MASK) as usize] = v;
-                            count += 1;
-                        }
-                        Err(kind) => return self.block_trap(b, entry, count, kind),
+                    if let Err(kind) = memops::store_w(&mut self.core.mem, a, v) {
+                        return self.block_trap(b, entry, count, kind);
                     }
+                    self.core.dirty.mark(a as usize);
+                    v
                 }
                 FastOp::RmovChain { first, len } => {
                     for &d in &b.chain_dists[first as usize..(first + len) as usize] {
@@ -792,6 +623,7 @@ impl StraightEmu {
                         self.ring[(count & RING_MASK) as usize] = v;
                         count += 1;
                     }
+                    continue;
                 }
                 FastOp::SpAdd { imm } => {
                     let sp = self.sp.wrapping_add(imm as i32 as u32);
@@ -799,217 +631,73 @@ impl StraightEmu {
                         return self.block_trap(b, entry, count, TrapKind::SpMisuse { sp });
                     }
                     self.sp = sp;
-                    self.ring[(count & RING_MASK) as usize] = sp;
-                    count += 1;
+                    sp
                 }
                 FastOp::Bez { s, target } => {
-                    let c = src(&self.ring, count, s);
-                    self.ring[(count & RING_MASK) as usize] = 0;
-                    count += 1;
-                    if c == 0 {
+                    if src(&self.ring, count, s) == 0 {
                         next_pc = target;
                     }
+                    0
                 }
                 FastOp::Bnz { s, target } => {
-                    let c = src(&self.ring, count, s);
-                    self.ring[(count & RING_MASK) as usize] = 0;
-                    count += 1;
-                    if c != 0 {
+                    if src(&self.ring, count, s) != 0 {
                         next_pc = target;
                     }
+                    0
                 }
                 FastOp::Jr { s } => {
-                    let target = src(&self.ring, count, s);
-                    self.ring[(count & RING_MASK) as usize] = target;
-                    count += 1;
-                    next_pc = target;
+                    next_pc = src(&self.ring, count, s);
+                    next_pc
                 }
                 FastOp::Jalr { s, link } => {
-                    let target = src(&self.ring, count, s);
-                    self.ring[(count & RING_MASK) as usize] = link;
-                    count += 1;
-                    next_pc = target;
+                    next_pc = src(&self.ring, count, s);
+                    link
                 }
                 FastOp::Sys { code, s } => {
                     let arg = src(&self.ring, count, s);
-                    match self.sys.apply(code, arg) {
-                        Some(r) => {
-                            self.ring[(count & RING_MASK) as usize] = r;
-                            count += 1;
-                        }
+                    match self.core.sys.apply(code, arg) {
+                        Some(r) => r,
                         None => {
                             return self.block_trap(b, entry, count, TrapKind::UnknownSys { code })
                         }
                     }
                 }
-                FastOp::Halt => {
-                    self.ring[(count & RING_MASK) as usize] = 0;
-                    count += 1;
-                }
-            }
+            };
+            self.ring[(count & RING_MASK) as usize] = v;
+            count += 1;
         }
-        self.count = count;
-        self.pc = next_pc;
-        self.stats.add_kind_counts(&b.kind_counts);
-        self.stats.count_retired(count - entry);
         if self.profile_distances {
             for &(d, n) in &b.dist_counts {
-                self.stats.dist_hist[d as usize] += n;
+                self.core.stats.dist_hist[d as usize] += n;
             }
         }
-        if b.ends_halt {
-            return Some(EmuExit::Done { code: self.sys.exit_code.unwrap_or(0) });
-        }
-        if let Some(code) = self.sys.exit_code {
-            return Some(EmuExit::Done { code });
-        }
-        None
+        self.core.retire_trace(count - entry, next_pc, &b.kind_counts, b.ends_halt)
     }
 
-    fn run_fast(&mut self, max_steps: u64) -> EmuExit {
-        if self.blocks.len() != self.image.code.len() {
-            self.blocks = (0..self.image.code.len()).map(|_| None).collect();
-        }
-        // Move the cache out of `self` so a cached trace can stay
-        // borrowed across `exec_block(&mut self, ..)` without a
-        // per-dispatch take/put-back of the slot.
-        let mut blocks = std::mem::take(&mut self.blocks);
-        let exit = self.run_fast_cached(max_steps, &mut blocks);
-        self.blocks = blocks;
-        exit
+    /// Unchecked ring reads are legal once at least the trace's
+    /// deepest read has retired (before that, warm-up single-steps).
+    /// A trace reading past the sanitizer's distance bound single-steps
+    /// so the interpreter raises the exact trap.
+    #[inline]
+    fn unchecked_len(&self, b: &Block) -> Option<u64> {
+        let unchecked = b.len_insts > 0
+            && self.core.count >= u64::from(b.max_dist)
+            && self.distance_bound.is_none_or(|bound| b.max_dist <= bound);
+        unchecked.then_some(u64::from(b.len_insts))
     }
 
-    fn run_fast_cached(&mut self, max_steps: u64, blocks: &mut [Option<Box<Block>>]) -> EmuExit {
-        loop {
-            if self.stats.retired >= max_steps {
-                return EmuExit::StepLimit;
-            }
-            let pc = self.pc;
-            let in_code =
-                pc >= self.image.code_base && pc < self.image.code_end() && pc.is_multiple_of(4);
-            if !in_code {
-                // Out of the code segment: the interpreter raises the
-                // fetch fault with the proper context.
-                match self.step() {
-                    Some(exit) => return exit,
-                    None => continue,
-                }
-            }
-            let slot = ((pc - self.image.code_base) / 4) as usize;
-            if blocks[slot].is_none() {
-                blocks[slot] = Some(Box::new(self.translate(pc)));
-            }
-            let Some(block) = blocks[slot].as_deref() else {
-                return EmuExit::StepLimit; // unreachable: slot just filled
-            };
-            // Fall back to single-stepping when the trace would
-            // overshoot the step budget (preserving exact StepLimit
-            // semantics), when distance reads are not yet provably in
-            // range (warm-up: fewer instructions retired than the
-            // trace's deepest read), when a read exceeds the
-            // sanitizer's distance bound (the interpreter raises the
-            // exact trap), or when the trace is empty (the first word
-            // faults — let the interpreter trap).
-            let budget = max_steps - self.stats.retired;
-            if block.len_insts == 0
-                || u64::from(block.len_insts) > budget
-                || self.count < u64::from(block.max_dist)
-                || self.distance_bound.is_some_and(|bound| block.max_dist > bound)
-            {
-                match self.step() {
-                    Some(exit) => return exit,
-                    None => continue,
-                }
-            }
-            if let Some(exit) = self.exec_block(block) {
-                return exit;
-            }
-        }
+    fn arch_snap(&self) -> ArchSnap {
+        ArchSnap::Straight { sp: self.sp, ring: self.ring.to_vec() }
     }
 
-    /// Fast tier cross-checked against a cloned interpreter twin in
-    /// [`LOCKSTEP_CHUNK`]-instruction windows; any divergence in exit
-    /// or full architectural checkpoint is a
-    /// [`TrapKind::TierDivergence`] trap.
-    fn run_lockstep(&mut self, max_steps: u64) -> EmuExit {
-        let mut twin = self.clone();
-        loop {
-            let target = self.stats.retired.saturating_add(LOCKSTEP_CHUNK).min(max_steps);
-            let fast = self.run_fast(target);
-            let interp = twin.run_interp(target);
-            if fast != interp || self.checkpoint() != twin.checkpoint() {
-                return EmuExit::Trap(Trap::untimed(
-                    TrapKind::TierDivergence { executed: self.count },
-                    self.pc,
-                    self.count,
-                ));
-            }
-            match fast {
-                EmuExit::StepLimit if target < max_steps => {}
-                exit => return exit,
-            }
-        }
-    }
-}
-
-impl ExecBackend for StraightEmu {
-    /// Executes one instruction on the interpreter tier. Returns
-    /// `Some(exit)` when the program stops.
-    fn step(&mut self) -> Option<EmuExit> {
-        match self.step_trapping() {
-            Ok(exit) => exit,
-            Err(kind) => Some(EmuExit::Trap(Trap::untimed(kind, self.pc, self.count))),
-        }
-    }
-
-    fn run_with(&mut self, max_steps: u64, tier: TierConfig) -> EmuExit {
-        match tier.tier {
-            Tier::Interp => self.run_interp(max_steps),
-            Tier::Fast if tier.lockstep => self.run_lockstep(max_steps),
-            Tier::Fast => self.run_fast(max_steps),
-        }
-    }
-
-    fn stats(&self) -> &EmuStats {
-        &self.stats
-    }
-
-    fn pc(&self) -> u32 {
-        self.pc
-    }
-
-    fn executed(&self) -> u64 {
-        self.count
-    }
-
-    fn stdout(&self) -> &str {
-        &self.sys.stdout
-    }
-
-    fn checkpoint(&self) -> Checkpoint {
-        Checkpoint {
-            pc: self.pc,
-            executed: self.count,
-            arch: ArchSnap::Straight { sp: self.sp, ring: self.ring.to_vec() },
-            sys: self.sys.clone(),
-            stats: self.stats.clone(),
-            pages: checkpoint::collect_pages(&self.dirty, &self.mem),
-        }
-    }
-
-    fn restore(&mut self, cp: &Checkpoint) -> Result<(), CheckpointError> {
-        let ArchSnap::Straight { sp, ring } = &cp.arch else {
+    fn restore_arch(&mut self, arch: &ArchSnap) -> Result<(), CheckpointError> {
+        let ArchSnap::Straight { sp, ring } = arch else {
             return Err(CheckpointError::IsaMismatch);
         };
-        self.pc = cp.pc;
-        self.count = cp.executed;
         self.sp = *sp;
         for (dst, v) in self.ring.iter_mut().zip(ring) {
             *dst = *v;
         }
-        self.sys = cp.sys.clone();
-        self.stats = cp.stats.clone();
-        cp.restore_pages(&self.image, &mut self.mem, &mut self.dirty);
         Ok(())
     }
 }
@@ -1017,7 +705,7 @@ impl ExecBackend for StraightEmu {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::emu::EmuResult;
+    use crate::emu::{EmuResult, ExecBackend, TierConfig};
     use straight_asm::{link_straight, parse_straight_asm};
 
     fn image_for(src: &str) -> Image {

@@ -104,6 +104,25 @@ enum Shadow {
     R(Box<RiscvEmu>),
 }
 
+impl Shadow {
+    fn emu(&mut self) -> &mut dyn ExecBackend {
+        match self {
+            Shadow::S(emu) => &mut **emu,
+            Shadow::R(emu) => &mut **emu,
+        }
+    }
+
+    /// The oracle's architectural value for `uop`'s destination, after
+    /// stepping it: STRAIGHT's newest result (`HALT` writes none),
+    /// RV32IM's logical destination register.
+    fn committed_value(&self, uop: &UOp) -> Option<u32> {
+        match self {
+            Shadow::S(emu) => (!uop.is_halt()).then(|| emu.last_result()),
+            Shadow::R(emu) => uop.logical_dst.map(|l| emu.reg(Reg::new(l))),
+        }
+    }
+}
+
 fn check_load(width: MemWidth, addr: u32, mem_len: usize) -> Option<TrapKind> {
     if !addr.is_multiple_of(width.bytes()) {
         Some(TrapKind::MisalignedLoad { addr, width })
@@ -531,56 +550,29 @@ impl Core {
             });
         }
         let committed = uop.dst.map(|d| self.prf[d as usize]);
-        match &mut self.shadow {
-            Some(Shadow::S(emu)) => {
-                if emu.pc() != uop.pc {
-                    return Some(TrapKind::OraclePcMismatch { expected: emu.pc() });
-                }
-                match emu.step() {
-                    // The oracle observed an architectural trap the
-                    // core sailed past.
-                    Some(EmuExit::Trap(t)) => return Some(t.kind),
-                    Some(_) => self.shadow_done = true,
-                    None => {}
-                }
-                if !uop.is_halt() {
-                    if let Some(got) = committed {
-                        let expected = emu.last_result();
-                        if got != expected {
-                            return Some(TrapKind::OracleValueMismatch { expected, got });
-                        }
-                    }
-                }
-                if uop.is_sys() && emu.stdout() != self.sys.stdout {
-                    return Some(TrapKind::OracleOutputDivergence {
-                        core_len: self.sys.stdout.len() as u32,
-                        oracle_len: emu.stdout().len() as u32,
-                    });
-                }
-            }
-            Some(Shadow::R(emu)) => {
-                if emu.pc() != uop.pc {
-                    return Some(TrapKind::OraclePcMismatch { expected: emu.pc() });
-                }
-                match emu.step() {
-                    Some(EmuExit::Trap(t)) => return Some(t.kind),
-                    Some(_) => self.shadow_done = true,
-                    None => {}
-                }
-                if let (Some(got), Some(l)) = (committed, uop.logical_dst) {
-                    let expected = emu.reg(Reg::new(l));
-                    if got != expected {
-                        return Some(TrapKind::OracleValueMismatch { expected, got });
-                    }
-                }
-                if uop.is_sys() && emu.stdout() != self.sys.stdout {
-                    return Some(TrapKind::OracleOutputDivergence {
-                        core_len: self.sys.stdout.len() as u32,
-                        oracle_len: emu.stdout().len() as u32,
-                    });
-                }
-            }
+        let shadow = self.shadow.as_mut()?;
+        let emu = shadow.emu();
+        if emu.pc() != uop.pc {
+            return Some(TrapKind::OraclePcMismatch { expected: emu.pc() });
+        }
+        match emu.step() {
+            // The oracle observed an architectural trap the core
+            // sailed past.
+            Some(EmuExit::Trap(t)) => return Some(t.kind),
+            Some(_) => self.shadow_done = true,
             None => {}
+        }
+        if let (Some(got), Some(expected)) = (committed, shadow.committed_value(uop)) {
+            if got != expected {
+                return Some(TrapKind::OracleValueMismatch { expected, got });
+            }
+        }
+        let oracle_out = shadow.emu().stdout();
+        if uop.is_sys() && oracle_out != self.sys.stdout {
+            return Some(TrapKind::OracleOutputDivergence {
+                core_len: self.sys.stdout.len() as u32,
+                oracle_len: oracle_out.len() as u32,
+            });
         }
         None
     }
@@ -1500,28 +1492,9 @@ impl Core {
         }
     }
 
-    /// Runs in place to completion (or trap, watchdog, or the cycle
-    /// budget), leaving the core inspectable.
-    pub fn run_in_place(&mut self, max_cycles: u64) -> SimResult {
-        while self.halted.is_none() && self.fatal.is_none() && self.cycle < max_cycles {
-            self.step();
-        }
-        self.stats.mem = self.hier.stats();
-        SimResult {
-            exit: self.exit(),
-            exit_code: self.halted,
-            watchdog: self.watchdog_report.clone(),
-            stdout: self.sys.stdout.clone(),
-            stats: self.stats.clone(),
-        }
-    }
-
-    /// Runs in place until `max_retired` instructions have committed
-    /// (or completion, trap, watchdog, or the cycle budget). A stop at
-    /// the retire budget reports [`SimExit::CycleLimit`] — no separate
-    /// exit variant exists, and sampled-interval callers distinguish
-    /// the cases by the retired count in the stats.
-    pub fn run_retired(&mut self, max_retired: u64, max_cycles: u64) -> SimResult {
+    /// The one run loop: steps until completion, trap, watchdog, the
+    /// cycle budget, or `max_retired` commits.
+    fn advance(&mut self, max_retired: u64, max_cycles: u64) -> SimExit {
         while self.halted.is_none()
             && self.fatal.is_none()
             && self.cycle < max_cycles
@@ -1530,8 +1503,18 @@ impl Core {
             self.step();
         }
         self.stats.mem = self.hier.stats();
+        self.exit()
+    }
+
+    /// Runs in place until `max_retired` instructions have committed
+    /// (or completion, trap, watchdog, or the cycle budget), leaving
+    /// the core inspectable; `u64::MAX` runs to completion. A stop at
+    /// the retire budget reports [`SimExit::CycleLimit`] — no separate
+    /// exit variant exists, and sampled-interval callers distinguish
+    /// the cases by the retired count in the stats.
+    pub fn run_retired(&mut self, max_retired: u64, max_cycles: u64) -> SimResult {
         SimResult {
-            exit: self.exit(),
+            exit: self.advance(max_retired, max_cycles),
             exit_code: self.halted,
             watchdog: self.watchdog_report.clone(),
             stdout: self.sys.stdout.clone(),
@@ -1539,15 +1522,12 @@ impl Core {
         }
     }
 
-    /// Runs to completion (or trap, watchdog, or the cycle budget).
+    /// Runs to completion (or trap, watchdog, or the cycle budget),
+    /// moving the output and statistics out of the core.
     #[must_use]
     pub fn run(mut self, max_cycles: u64) -> SimResult {
-        while self.halted.is_none() && self.fatal.is_none() && self.cycle < max_cycles {
-            self.step();
-        }
-        self.stats.mem = self.hier.stats();
         SimResult {
-            exit: self.exit(),
+            exit: self.advance(u64::MAX, max_cycles),
             exit_code: self.halted,
             watchdog: self.watchdog_report,
             stdout: self.sys.stdout,

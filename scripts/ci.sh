@@ -79,13 +79,13 @@ for fig in fig15 fig16; do
     done
 done
 
-# Sampled-simulation smoke: the checkpoint-sampled methodology figure
-# must produce a record its own validator accepts, with paired
-# (full)/(sampled) cells per workload x machine and positive estimates.
-target/release/straight-lab --figure sampled --quick --quiet --out "$SMOKE_DIR/sampled"
-test -s "$SMOKE_DIR/sampled/BENCH_sampled.json"
-target/release/straight-lab --validate "$SMOKE_DIR/sampled/BENCH_sampled.json"
-python3 - "$SMOKE_DIR/sampled/BENCH_sampled.json" <<'EOF'
+# Sampled-simulation smoke: the checkpoint-sampled methodology record
+# the golden gate above produced must pass its own validator, with
+# paired (full)/(sampled) cells per workload x machine and positive
+# estimates.
+test -s "$SMOKE_DIR/golden-live/BENCH_sampled.json"
+target/release/straight-lab --validate "$SMOKE_DIR/golden-live/BENCH_sampled.json"
+python3 - "$SMOKE_DIR/golden-live/BENCH_sampled.json" <<'EOF'
 import json, sys
 cells = json.load(open(sys.argv[1]))["cells"]
 full = {c["id"].replace(" (full)", ""): c for c in cells if c["id"].endswith(" (full)")}

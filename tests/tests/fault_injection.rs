@@ -191,7 +191,7 @@ fn ras_corruption_is_recovered() {
         let mut core = Core::new(image, cfg).unwrap();
         core.schedule_fault(300, FaultKind::RasCorrupt { slots: 4 });
         core.schedule_fault(1_500, FaultKind::RasCorrupt { slots: 8 });
-        let r = core.run_in_place(MAX);
+        let r = core.run_retired(u64::MAX, MAX);
         assert_eq!(core.faults_applied(), 2);
         assert_eq!(core_exit(&r), (clean_code, clean_stdout.as_str()));
     }

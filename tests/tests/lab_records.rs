@@ -252,10 +252,10 @@ fn core_reset_replay_is_byte_identical() {
     for (image, cfg) in cells {
         let name = cfg.name.clone();
         let mut core = Core::new(image, cfg).expect("core builds");
-        let fresh = core.run_in_place(50_000_000);
+        let fresh = core.run_retired(u64::MAX, 50_000_000);
         assert_eq!(fresh.exit_code, Some(0), "{name}: fresh run completes");
         core.reset();
-        let replay = core.run_in_place(50_000_000);
+        let replay = core.run_retired(u64::MAX, 50_000_000);
         let a = fresh.stats.to_json().render_pretty();
         let b = replay.stats.to_json().render_pretty();
         assert_eq!(a, b, "{name}: reset replay diverged from the fresh run");
@@ -274,7 +274,7 @@ fn shadow_emulator_is_only_built_when_sanitizing() {
 
     let mut core =
         Core::new(image.clone(), MachineConfig::straight_4way()).expect("core builds");
-    let r = core.run_in_place(50_000_000);
+    let r = core.run_retired(u64::MAX, 50_000_000);
     assert_eq!(r.exit_code, Some(0));
     assert!(
         !core.shadow_allocated(),
@@ -283,7 +283,7 @@ fn shadow_emulator_is_only_built_when_sanitizing() {
 
     let mut core =
         Core::new(image, MachineConfig::straight_4way().with_sanitizer()).expect("core builds");
-    let r = core.run_in_place(50_000_000);
+    let r = core.run_retired(u64::MAX, 50_000_000);
     assert_eq!(r.exit_code, Some(0));
     assert!(core.shadow_allocated(), "a sanitized run builds the shadow oracle");
 }

@@ -22,7 +22,7 @@ fn profile_of(isa: IsaKind) -> ([(&'static str, u64); 5], u64) {
         IsaKind::Ss => MachineConfig::ss_4way(),
     };
     let mut core = Core::new(image, cfg).expect("core builds");
-    let result = core.run_in_place(200_000_000);
+    let result = core.run_retired(u64::MAX, 200_000_000);
     assert_eq!(result.exit_code, Some(0), "workload completes: {:?}", result.exit);
     (core.stage_profile(), result.stats.cycles)
 }
