@@ -458,19 +458,23 @@ fn register_job(state: &DaemonState, kind: JobKind, params: RunParams, cells: Ve
     ok_response().field("job", &job).field("cells", &total).build()
 }
 
+/// Parses an experiment name, or builds the `unknown-experiment` error
+/// response listing the valid names.
+fn parse_experiment(name: &str) -> Result<ExperimentId, Json> {
+    name.parse::<ExperimentId>().map_err(|e| {
+        let valid = UnknownExperiment::valid_names().into_iter().map(|n| Json::Str(n.to_string()));
+        let valid = Some(("valid", Json::Arr(valid.collect())));
+        error_response("unknown-experiment", e.to_string(), valid)
+    })
+}
+
 fn submit_experiment(state: &DaemonState, request: &Json) -> Json {
     let Some(name) = request.get("experiment").and_then(Json::as_str) else {
         return error_response("malformed", "missing string field `experiment`", None);
     };
-    let id = match name.parse::<ExperimentId>() {
+    let id = match parse_experiment(name) {
         Ok(id) => id,
-        Err(e) => {
-            let valid = UnknownExperiment::valid_names()
-                .into_iter()
-                .map(|n| Json::Str(n.to_string()))
-                .collect();
-            return error_response("unknown-experiment", e.to_string(), Some(("valid", Json::Arr(valid))));
-        }
+        Err(resp) => return resp,
     };
     let params = match request_params(request) {
         Ok(p) => p,
@@ -490,15 +494,9 @@ fn submit_cell(state: &DaemonState, request: &Json) -> Json {
             None,
         );
     };
-    let id = match experiment.parse::<ExperimentId>() {
+    let id = match parse_experiment(experiment) {
         Ok(id) => id,
-        Err(e) => {
-            let valid = UnknownExperiment::valid_names()
-                .into_iter()
-                .map(|n| Json::Str(n.to_string()))
-                .collect();
-            return error_response("unknown-experiment", e.to_string(), Some(("valid", Json::Arr(valid))));
-        }
+        Err(resp) => return resp,
     };
     let cells = id.spec().cells();
     let Some(cell) = cells.into_iter().find(|c| c.id() == cell_id) else {

@@ -1,15 +1,21 @@
 //! The paper's evaluation as a uniform experiment grid.
 //!
 //! Every figure/table of the evaluation (Figures 11–17, the §VI-B
-//! sensitivity study, Table I) is a named [`ExperimentSpec`] that
-//! enumerates [`CellSpec`]s — one cell per (workload × core config ×
-//! ISA profile) point. Cells are independent, so the
+//! sensitivity study, Table I) is a named [`ExperimentSpec`], defined
+//! in one place: [`ExperimentId::spec`] gives its title,
+//! [`ExperimentSpec::cells`] enumerates its [`CellSpec`]s (one cell per
+//! workload × core config × ISA profile point), and
+//! [`ExperimentSpec::render`] turns its records back into the
+//! paper-shaped text report. Cells are independent, so the
 //! [`lab`](crate::lab) runner executes them in parallel; each produces
 //! a serializable [`CellRecord`], and a whole experiment's records form
 //! an [`ExperimentResult`] that round-trips through JSON
-//! (`BENCH_<name>.json`). The paper-shaped text reports are re-rendered
-//! *from the records* (see [`ExperimentSpec::render`]), so a saved
-//! JSON file can regenerate its figure exactly.
+//! (`BENCH_<name>.json`).
+//!
+//! `render` writes the report header, cross-checks that the cells of
+//! each group printed the same program output, and hands the records
+//! to the figure's own formatter. A report is a pure function of the
+//! records, so a saved JSON file regenerates its figure exactly.
 //!
 //! Every failure mode — a workload that fails to build for one
 //! target, a machine that rejects an image, a run that ends in a trap
@@ -21,7 +27,6 @@ use std::collections::BTreeMap;
 use std::str::FromStr;
 
 use straight_json::{fnv1a64, obj, read_field, FromJson, Json, JsonError, ToJson};
-use straight_power::figure17;
 use straight_sim::emu::{Checkpoint, EmuExit, ExecBackend, RiscvEmu, StraightEmu, TierConfig};
 use straight_sim::pipeline::{Core, CoreError, MachineConfig, SimExit, SimResult, SimStats};
 use straight_workloads::{coremark, dhrystone};
@@ -111,55 +116,36 @@ impl ExperimentId {
     /// The full [`ExperimentSpec`] behind this id.
     #[must_use]
     pub fn spec(self) -> ExperimentSpec {
-        let (title, paper_ref, kind) = match self {
-            ExperimentId::Fig11 => (
-                "Figure 11: 4-way relative performance (vs SS-4way)",
-                "Figure 11",
-                FigureKind::Perf { global_baseline: None },
-            ),
-            ExperimentId::Fig12 => (
-                "Figure 12: 2-way relative performance (vs SS-2way)",
-                "Figure 12",
-                FigureKind::Perf { global_baseline: None },
-            ),
-            ExperimentId::Fig13 => (
-                "Figure 13: misprediction-penalty effect (vs SS-2way)",
-                "Figure 13",
-                FigureKind::Perf { global_baseline: Some(("2-way", "SS")) },
-            ),
-            ExperimentId::Fig14 => (
-                "Figure 14: with TAGE branch predictor (vs SS)",
-                "Figure 14",
-                FigureKind::Perf { global_baseline: None },
-            ),
-            ExperimentId::Fig15 => (
-                "Figure 15: retired instruction mix (normalized to SS)",
-                "Figure 15",
-                FigureKind::Mix,
-            ),
-            ExperimentId::Fig16 => (
-                "Figure 16: cumulative fraction of source distances",
-                "Figure 16",
-                FigureKind::Distance,
-            ),
+        let (title, paper_ref) = match self {
+            ExperimentId::Fig11 => {
+                ("Figure 11: 4-way relative performance (vs SS-4way)", "Figure 11")
+            }
+            ExperimentId::Fig12 => {
+                ("Figure 12: 2-way relative performance (vs SS-2way)", "Figure 12")
+            }
+            ExperimentId::Fig13 => {
+                ("Figure 13: misprediction-penalty effect (vs SS-2way)", "Figure 13")
+            }
+            ExperimentId::Fig14 => ("Figure 14: with TAGE branch predictor (vs SS)", "Figure 14"),
+            ExperimentId::Fig15 => {
+                ("Figure 15: retired instruction mix (normalized to SS)", "Figure 15")
+            }
+            ExperimentId::Fig16 => {
+                ("Figure 16: cumulative fraction of source distances", "Figure 16")
+            }
             ExperimentId::Fig17 => (
                 "Figure 17: relative power (normalized to SS at 1.0x, per module)",
                 "Figure 17",
-                FigureKind::Power,
             ),
-            ExperimentId::Sensitivity => (
-                "Sensitivity: max source distance vs CoreMark cycles",
-                "Section VI-B",
-                FigureKind::Sensitivity,
-            ),
-            ExperimentId::Table1 => ("Table I: evaluated models", "Table I", FigureKind::Table),
-            ExperimentId::Sampled => (
-                "Sampled: checkpoint-sampled simulation vs full runs",
-                "Methodology",
-                FigureKind::Sampled,
-            ),
+            ExperimentId::Sensitivity => {
+                ("Sensitivity: max source distance vs CoreMark cycles", "Section VI-B")
+            }
+            ExperimentId::Table1 => ("Table I: evaluated models", "Table I"),
+            ExperimentId::Sampled => {
+                ("Sampled: checkpoint-sampled simulation vs full runs", "Methodology")
+            }
         };
-        ExperimentSpec { id: self, title, paper_ref, kind }
+        ExperimentSpec { id: self, title, paper_ref }
     }
 }
 
@@ -862,44 +848,17 @@ impl FromJson for ExperimentResult {
     }
 }
 
-/// How an experiment's records turn back into its paper-shaped text
-/// report.
-#[derive(Debug, Clone, Copy)]
-pub enum FigureKind {
-    /// Grouped performance bars (Figures 11–14). The baseline is the
-    /// first cell of each group, or one global `(group, label)` cell
-    /// (Figure 13 normalizes everything to SS-2way).
-    Perf {
-        /// Global normalization cell, when not per-group.
-        global_baseline: Option<(&'static str, &'static str)>,
-    },
-    /// Retired-instruction mix (Figure 15).
-    Mix,
-    /// Source-distance distribution (Figure 16).
-    Distance,
-    /// Per-module power (Figure 17).
-    Power,
-    /// Distance-limit sensitivity table (§VI-B).
-    Sensitivity,
-    /// Table I configuration dump.
-    Table,
-    /// Sampled-vs-full comparison table (pairs of `X (full)` /
-    /// `X (sampled)` cells per workload group).
-    Sampled,
-}
-
 /// One named experiment of the grid (obtained from
-/// [`ExperimentId::spec`]).
+/// [`ExperimentId::spec`]): its cells ([`ExperimentSpec::cells`]) and
+/// its report ([`ExperimentSpec::render`]).
 #[derive(Debug, Clone, Copy)]
 pub struct ExperimentSpec {
     /// Typed identity ("fig11", ..., "sensitivity", "table1").
     pub id: ExperimentId,
-    /// Report title (exactly the header the legacy binaries printed).
+    /// Report title (the `== title ==` header of the rendered report).
     pub title: &'static str,
     /// Paper reference ("Figure 11", "Table I", "§VI-B").
     pub paper_ref: &'static str,
-    /// Rendering/assembly mode.
-    pub kind: FigureKind,
 }
 
 /// The full grid, in run order.
@@ -922,43 +881,42 @@ fn re_plus(d: u16) -> Target {
     Target::StraightRePlus { max_distance: d }
 }
 
-/// The three-bar (SS / RAW / RE+) group the performance figures share.
-fn perf_cells(
+/// A cell that runs `workload`.
+fn cell(
     experiment: ExperimentId,
-    workload: WorkloadKind,
     group: &str,
-    ss_cfg: MachineConfig,
-    st_cfg: MachineConfig,
+    label: &str,
+    workload: WorkloadKind,
+    kind: CellKind,
+) -> CellSpec {
+    CellSpec {
+        experiment,
+        group: group.to_string(),
+        label: label.to_string(),
+        workload: Some(workload),
+        param: None,
+        kind,
+    }
+}
+
+/// The three-bar (SS / RAW / RE+) groups of the performance figures,
+/// one per `(group, workload, SS machine, STRAIGHT machine)` row.
+fn perf_cells<const N: usize>(
+    experiment: ExperimentId,
+    rows: [(&str, WorkloadKind, MachineConfig, MachineConfig); N],
 ) -> Vec<CellSpec> {
-    vec![
-        CellSpec {
-            experiment,
-            group: group.to_string(),
-            label: "SS".to_string(),
-            workload: Some(workload),
-            param: None,
-            kind: CellKind::Pipeline { target: Target::Riscv, machine: ss_cfg },
-        },
-        CellSpec {
-            experiment,
-            group: group.to_string(),
-            label: "STRAIGHT(RAW)".to_string(),
-            workload: Some(workload),
-            param: None,
-            kind: CellKind::Pipeline {
-                target: raw(EVAL_MAX_DISTANCE),
-                machine: st_cfg.clone(),
-            },
-        },
-        CellSpec {
-            experiment,
-            group: group.to_string(),
-            label: "STRAIGHT(RE+)".to_string(),
-            workload: Some(workload),
-            param: None,
-            kind: CellKind::Pipeline { target: re_plus(EVAL_MAX_DISTANCE), machine: st_cfg },
-        },
-    ]
+    rows.into_iter()
+        .flat_map(|(group, workload, ss, st)| {
+            [
+                ("SS", Target::Riscv, ss),
+                ("STRAIGHT(RAW)", raw(EVAL_MAX_DISTANCE), st.clone()),
+                ("STRAIGHT(RE+)", re_plus(EVAL_MAX_DISTANCE), st),
+            ]
+            .map(|(label, target, machine)| {
+                cell(experiment, group, label, workload, CellKind::Pipeline { target, machine })
+            })
+        })
+        .collect()
 }
 
 impl ExperimentSpec {
@@ -967,128 +925,78 @@ impl ExperimentSpec {
     /// without enumerating its cells is a compile error.
     #[must_use]
     pub fn cells(&self) -> Vec<CellSpec> {
-        match self.id {
-            ExperimentId::Fig11 => {
-                let mut cells = perf_cells(
-                    ExperimentId::Fig11,
-                    WorkloadKind::Dhrystone,
-                    "Dhrystone",
-                    machines::ss_4way(),
-                    machines::straight_4way(),
-                );
-                cells.extend(perf_cells(
-                    ExperimentId::Fig11,
-                    WorkloadKind::Coremark,
-                    "Coremark",
-                    machines::ss_4way(),
-                    machines::straight_4way(),
-                ));
-                cells
-            }
-            ExperimentId::Fig12 => {
-                let mut cells = perf_cells(
-                    ExperimentId::Fig12,
-                    WorkloadKind::Dhrystone,
-                    "Dhrystone",
-                    machines::ss_2way(),
-                    machines::straight_2way(),
-                );
-                cells.extend(perf_cells(
-                    ExperimentId::Fig12,
-                    WorkloadKind::Coremark,
-                    "Coremark",
-                    machines::ss_2way(),
-                    machines::straight_2way(),
-                ));
-                cells
-            }
-            ExperimentId::Fig13 => {
-                let mut cells = Vec::new();
-                for (scale, ss_cfg, st_cfg) in [
-                    ("2-way", machines::ss_2way(), machines::straight_2way()),
-                    ("4-way", machines::ss_4way(), machines::straight_4way()),
-                ] {
-                    for (label, target, machine) in [
-                        ("SS", Target::Riscv, ss_cfg.clone()),
-                        ("SS no penalty", Target::Riscv, ss_cfg.with_ideal_recovery()),
-                        ("STRAIGHT(RE+)", re_plus(EVAL_MAX_DISTANCE), st_cfg),
-                    ] {
-                        cells.push(CellSpec {
-                            experiment: ExperimentId::Fig13,
-                            group: scale.to_string(),
-                            label: label.to_string(),
-                            workload: Some(WorkloadKind::Coremark),
-                            param: None,
-                            kind: CellKind::Pipeline { target, machine },
-                        });
-                    }
-                }
-                cells
-            }
-            ExperimentId::Fig14 => {
-                let mut cells = perf_cells(
-                    ExperimentId::Fig14,
-                    WorkloadKind::Coremark,
-                    "Coremark 2-way",
-                    machines::ss_2way().with_tage(),
-                    machines::straight_2way().with_tage(),
-                );
-                cells.extend(perf_cells(
-                    ExperimentId::Fig14,
-                    WorkloadKind::Coremark,
-                    "Coremark 4-way",
-                    machines::ss_4way().with_tage(),
-                    machines::straight_4way().with_tage(),
-                ));
-                cells
-            }
+        let id = self.id;
+        match id {
+            ExperimentId::Fig11 => perf_cells(
+                id,
+                [WorkloadKind::Dhrystone, WorkloadKind::Coremark]
+                    .map(|w| (w.name(), w, machines::ss_4way(), machines::straight_4way())),
+            ),
+            ExperimentId::Fig12 => perf_cells(
+                id,
+                [WorkloadKind::Dhrystone, WorkloadKind::Coremark]
+                    .map(|w| (w.name(), w, machines::ss_2way(), machines::straight_2way())),
+            ),
+            ExperimentId::Fig13 => [
+                ("2-way", machines::ss_2way(), machines::straight_2way()),
+                ("4-way", machines::ss_4way(), machines::straight_4way()),
+            ]
+            .into_iter()
+            .flat_map(|(scale, ss, st)| {
+                [
+                    ("SS", Target::Riscv, ss.clone()),
+                    ("SS no penalty", Target::Riscv, ss.with_ideal_recovery()),
+                    ("STRAIGHT(RE+)", re_plus(EVAL_MAX_DISTANCE), st),
+                ]
+                .map(|(label, target, machine)| {
+                    let kind = CellKind::Pipeline { target, machine };
+                    cell(id, scale, label, WorkloadKind::Coremark, kind)
+                })
+            })
+            .collect(),
+            ExperimentId::Fig14 => perf_cells(
+                id,
+                [
+                    ("Coremark 2-way", machines::ss_2way(), machines::straight_2way()),
+                    ("Coremark 4-way", machines::ss_4way(), machines::straight_4way()),
+                ]
+                .map(|(group, ss, st)| {
+                    (group, WorkloadKind::Coremark, ss.with_tage(), st.with_tage())
+                }),
+            ),
             ExperimentId::Fig15 => [
                 ("SS", Target::Riscv),
                 ("STRAIGHT(RAW)", raw(EVAL_MAX_DISTANCE)),
                 ("STRAIGHT(RE+)", re_plus(EVAL_MAX_DISTANCE)),
             ]
             .into_iter()
-            .map(|(label, target)| CellSpec {
-                experiment: ExperimentId::Fig15,
-                group: "Coremark".to_string(),
-                label: label.to_string(),
-                workload: Some(WorkloadKind::Coremark),
-                param: None,
-                kind: CellKind::EmuMix { target },
+            .map(|(label, target)| {
+                cell(id, "Coremark", label, WorkloadKind::Coremark, CellKind::EmuMix { target })
             })
             .collect(),
             ExperimentId::Fig16 => [WorkloadKind::Dhrystone, WorkloadKind::Coremark]
                 .into_iter()
                 .map(|workload| CellSpec {
-                    experiment: ExperimentId::Fig16,
-                    group: workload.name().to_string(),
-                    label: "STRAIGHT(RE+)".to_string(),
-                    workload: Some(workload),
                     param: Some(1023),
-                    kind: CellKind::EmuDistance { target: re_plus(1023) },
+                    ..cell(
+                        id,
+                        workload.name(),
+                        "STRAIGHT(RE+)",
+                        workload,
+                        CellKind::EmuDistance { target: re_plus(1023) },
+                    )
                 })
                 .collect(),
-            ExperimentId::Fig17 => vec![
-                CellSpec {
-                    experiment: ExperimentId::Fig17,
-                    group: "Dhrystone".to_string(),
-                    label: "SS".to_string(),
-                    workload: Some(WorkloadKind::Dhrystone),
-                    param: None,
-                    kind: CellKind::Pipeline { target: Target::Riscv, machine: machines::ss_2way() },
-                },
-                CellSpec {
-                    experiment: ExperimentId::Fig17,
-                    group: "Dhrystone".to_string(),
-                    label: "STRAIGHT(RE+)".to_string(),
-                    workload: Some(WorkloadKind::Dhrystone),
-                    param: None,
-                    kind: CellKind::Pipeline {
-                        target: re_plus(EVAL_MAX_DISTANCE),
-                        machine: machines::straight_2way(),
-                    },
-                },
-            ],
+            ExperimentId::Fig17 => [
+                ("SS", Target::Riscv, machines::ss_2way()),
+                ("STRAIGHT(RE+)", re_plus(EVAL_MAX_DISTANCE), machines::straight_2way()),
+            ]
+            .into_iter()
+            .map(|(label, target, machine)| {
+                let kind = CellKind::Pipeline { target, machine };
+                cell(id, "Dhrystone", label, WorkloadKind::Dhrystone, kind)
+            })
+            .collect(),
             ExperimentId::Sensitivity => SENSITIVITY_DISTANCES
                 .into_iter()
                 .map(|d| {
@@ -1096,13 +1004,10 @@ impl ExperimentSpec {
                     let mut cfg = machines::straight_4way();
                     cfg.max_distance = u32::from(d);
                     cfg.phys_regs = cfg.phys_regs.max(u32::from(d) + cfg.rob_capacity);
+                    let kind = CellKind::Pipeline { target: re_plus(d), machine: cfg };
                     CellSpec {
-                        experiment: ExperimentId::Sensitivity,
-                        group: "Coremark".to_string(),
-                        label: format!("d={d}"),
-                        workload: Some(WorkloadKind::Coremark),
                         param: Some(u64::from(d)),
-                        kind: CellKind::Pipeline { target: re_plus(d), machine: cfg },
+                        ..cell(id, "Coremark", &format!("d={d}"), WorkloadKind::Coremark, kind)
                     }
                 })
                 .collect(),
@@ -1114,7 +1019,7 @@ impl ExperimentSpec {
             ]
             .into_iter()
             .map(|machine| CellSpec {
-                experiment: ExperimentId::Table1,
+                experiment: id,
                 group: "models".to_string(),
                 label: machine.name.clone(),
                 workload: None,
@@ -1129,22 +1034,12 @@ impl ExperimentSpec {
                         ("SS", Target::Riscv, machines::ss_2way()),
                         ("STRAIGHT(RE+)", re_plus(EVAL_MAX_DISTANCE), machines::straight_2way()),
                     ] {
-                        cells.push(CellSpec {
-                            experiment: ExperimentId::Sampled,
-                            group: workload.name().to_string(),
-                            label: format!("{prefix} (full)"),
-                            workload: Some(workload),
-                            param: None,
-                            kind: CellKind::Pipeline { target, machine: machine.clone() },
-                        });
-                        cells.push(CellSpec {
-                            experiment: ExperimentId::Sampled,
-                            group: workload.name().to_string(),
-                            label: format!("{prefix} (sampled)"),
-                            workload: Some(workload),
-                            param: None,
-                            kind: CellKind::Sampled { target, machine },
-                        });
+                        let group = workload.name();
+                        let full = CellKind::Pipeline { target, machine: machine.clone() };
+                        cells.push(cell(id, group, &format!("{prefix} (full)"), workload, full));
+                        let estimate = CellKind::Sampled { target, machine };
+                        let label = format!("{prefix} (sampled)");
+                        cells.push(cell(id, group, &label, workload, estimate));
                     }
                 }
                 cells
@@ -1153,59 +1048,60 @@ impl ExperimentSpec {
     }
 
     /// Re-renders the paper-shaped text report from an experiment's
-    /// records. Byte-identical to what the legacy per-figure binaries
-    /// printed.
+    /// records: the `== title ==` header, then the figure's body from
+    /// its per-figure function in the `report` module. Before any body
+    /// is formatted, cells are grouped in first-seen order, and every
+    /// cell of a group that carries a `stdout_digest` must carry the
+    /// same one (the functional cross-check: the group's variants ran
+    /// the same program).
     ///
     /// # Errors
     ///
-    /// [`ExperimentError::Divergence`] when a performance group's
-    /// variants disagree on program output, and
-    /// [`ExperimentError::Malformed`] when required cells are missing.
+    /// [`ExperimentError::Divergence`] when a group's cells disagree on
+    /// program output, and [`ExperimentError::Malformed`] when cells the
+    /// figure needs are missing.
     pub fn render(&self, result: &ExperimentResult) -> Result<String, ExperimentError> {
-        match self.kind {
-            FigureKind::Perf { global_baseline } => {
-                let groups = assemble_perf(self, result, global_baseline)?;
-                Ok(report::render_perf(self.title, &groups))
-            }
-            FigureKind::Mix => Ok(report::render_mix(&assemble_mix(self, result)?)),
-            FigureKind::Distance => {
-                Ok(report::render_distances(&assemble_distances(self, result)?))
-            }
-            FigureKind::Power => {
-                let (ss, st) = stats_pair(self, result, "SS", "STRAIGHT(RE+)")?;
-                Ok(report::render_power(&figure17(&ss, &st, &FIG17_FREQS)))
-            }
-            FigureKind::Sensitivity => {
-                let rows: Vec<(u16, u64)> = result
-                    .cells
-                    .iter()
-                    .map(|c| {
-                        let d = c.param.ok_or_else(|| malformed(self, "cell without param"))?;
-                        Ok((d as u16, c.cycles))
-                    })
-                    .collect::<Result<_, ExperimentError>>()?;
-                Ok(report::render_sensitivity(&rows))
-            }
-            FigureKind::Table => Ok(report::render_table1(&[
-                machines::ss_2way(),
-                machines::straight_2way(),
-                machines::ss_4way(),
-                machines::straight_4way(),
-            ])),
-            FigureKind::Sampled => {
-                Ok(report::render_sampled(&assemble_sampled(self, result)?))
+        let groups = grouped(&result.cells);
+        for (group, members) in &groups {
+            let mut digests =
+                members.iter().filter_map(|c| c.stdout_digest.as_ref().map(|d| (&c.label, d)));
+            let Some((_, first)) = digests.next() else { continue };
+            if let Some((variant, _)) = digests.find(|(_, d)| *d != first) {
+                return Err(ExperimentError::Divergence {
+                    workload: group.to_string(),
+                    variant: variant.clone(),
+                });
             }
         }
+        let mut out = format!("== {} ==\n", self.title);
+        let cells = &result.cells;
+        let body = match self.id {
+            ExperimentId::Fig11 | ExperimentId::Fig12 | ExperimentId::Fig14 => {
+                report::perf(&mut out, &groups, None)
+            }
+            // Figure 13 normalizes every group to the 2-way SS cell.
+            ExperimentId::Fig13 => cells
+                .iter()
+                .find(|c| c.group == "2-way" && c.label == "SS")
+                .ok_or_else(|| "missing baseline cell 2-way/SS".to_string())
+                .and_then(|base| report::perf(&mut out, &groups, Some(base.cycles))),
+            ExperimentId::Fig15 => report::mix(&mut out, cells),
+            ExperimentId::Fig16 => report::distances(&mut out, cells),
+            ExperimentId::Fig17 => report::power(&mut out, cells),
+            ExperimentId::Sensitivity => report::sensitivity(&mut out, cells),
+            ExperimentId::Table1 => report::table1(&mut out, cells, &self.cells()),
+            ExperimentId::Sampled => report::sampled(&mut out, &groups),
+        };
+        body.map_err(|msg| ExperimentError::Malformed { experiment: self.id.to_string(), msg })?;
+        Ok(out)
     }
 }
 
-fn malformed(spec: &ExperimentSpec, msg: impl Into<String>) -> ExperimentError {
-    ExperimentError::Malformed { experiment: spec.id.to_string(), msg: msg.into() }
-}
+/// Cells grouped in first-seen order, preserving in-group order.
+pub(crate) type Groups<'a> = Vec<(&'a str, Vec<&'a CellRecord>)>;
 
-/// Groups cells in first-seen order, preserving in-group order.
-fn grouped(cells: &[CellRecord]) -> Vec<(&str, Vec<&CellRecord>)> {
-    let mut out: Vec<(&str, Vec<&CellRecord>)> = Vec::new();
+fn grouped(cells: &[CellRecord]) -> Groups<'_> {
+    let mut out: Groups<'_> = Vec::new();
     for cell in cells {
         match out.iter_mut().find(|(g, _)| *g == cell.group) {
             Some((_, members)) => members.push(cell),
@@ -1213,148 +1109,6 @@ fn grouped(cells: &[CellRecord]) -> Vec<(&str, Vec<&CellRecord>)> {
         }
     }
     out
-}
-
-fn assemble_perf(
-    spec: &ExperimentSpec,
-    result: &ExperimentResult,
-    global_baseline: Option<(&str, &str)>,
-) -> Result<Vec<report::PerfGroup>, ExperimentError> {
-    let groups = grouped(&result.cells);
-    if groups.is_empty() {
-        return Err(malformed(spec, "no cells"));
-    }
-    let global_base = match global_baseline {
-        Some((g, l)) => Some(
-            result
-                .cells
-                .iter()
-                .find(|c| c.group == g && c.label == l)
-                .ok_or_else(|| malformed(spec, format!("missing baseline cell {g}/{l}")))?
-                .cycles as f64,
-        ),
-        None => None,
-    };
-    let mut out = Vec::new();
-    for (group, members) in groups {
-        let first = members.first().ok_or_else(|| malformed(spec, "empty group"))?;
-        // Functional cross-check: every variant of the group must have
-        // printed the same output as the baseline.
-        for member in &members {
-            if member.stdout_digest != first.stdout_digest {
-                return Err(ExperimentError::Divergence {
-                    workload: group.to_string(),
-                    variant: member.label.clone(),
-                });
-            }
-        }
-        let base = global_base.unwrap_or(first.cycles as f64);
-        out.push(report::PerfGroup {
-            workload: group.to_string(),
-            rows: members
-                .iter()
-                .map(|c| report::PerfRow {
-                    label: c.label.clone(),
-                    cycles: c.cycles,
-                    retired: c.retired,
-                    relative: base / c.cycles as f64,
-                })
-                .collect(),
-        });
-    }
-    Ok(out)
-}
-
-fn assemble_mix(
-    spec: &ExperimentSpec,
-    result: &ExperimentResult,
-) -> Result<Vec<report::MixRow>, ExperimentError> {
-    result
-        .cells
-        .iter()
-        .map(|c| {
-            let kinds = c.kinds.clone().ok_or_else(|| malformed(spec, "cell without kinds"))?;
-            Ok(report::MixRow { label: c.label.clone(), kinds, total: c.retired })
-        })
-        .collect()
-}
-
-fn assemble_distances(
-    spec: &ExperimentSpec,
-    result: &ExperimentResult,
-) -> Result<Vec<report::DistanceProfile>, ExperimentError> {
-    result
-        .cells
-        .iter()
-        .map(|c| {
-            let cumulative =
-                c.distances.clone().ok_or_else(|| malformed(spec, "cell without distances"))?;
-            let max_used =
-                c.max_distance_used.ok_or_else(|| malformed(spec, "cell without max distance"))?;
-            Ok(report::DistanceProfile {
-                workload: c.group.clone(),
-                cumulative,
-                max_used: max_used as usize,
-            })
-        })
-        .collect()
-}
-
-fn assemble_sampled(
-    spec: &ExperimentSpec,
-    result: &ExperimentResult,
-) -> Result<Vec<report::SampledRow>, ExperimentError> {
-    let mut rows = Vec::new();
-    for (group, members) in grouped(&result.cells) {
-        for full in &members {
-            let Some(prefix) = full.label.strip_suffix(" (full)") else { continue };
-            let sampled = members
-                .iter()
-                .find(|c| c.label == format!("{prefix} (sampled)"))
-                .ok_or_else(|| {
-                    malformed(spec, format!("missing sampled cell for {group}/{prefix}"))
-                })?;
-            // Functional cross-check: the emulator that fast-forwarded
-            // the sampled cell must print exactly what the full
-            // cycle-accurate run printed.
-            if sampled.stdout_digest != full.stdout_digest {
-                return Err(ExperimentError::Divergence {
-                    workload: group.to_string(),
-                    variant: sampled.label.clone(),
-                });
-            }
-            rows.push(report::SampledRow {
-                workload: group.to_string(),
-                label: prefix.to_string(),
-                full_cycles: full.cycles,
-                full_ipc: full.ipc,
-                est_cycles: sampled.cycles,
-                est_ipc: sampled.ipc,
-            });
-        }
-    }
-    if rows.is_empty() {
-        return Err(malformed(spec, "no (full)/(sampled) cell pairs"));
-    }
-    Ok(rows)
-}
-
-/// The full [`SimStats`] of two labeled cells (the Figure 17 pair).
-fn stats_pair(
-    spec: &ExperimentSpec,
-    result: &ExperimentResult,
-    a: &str,
-    b: &str,
-) -> Result<(SimStats, SimStats), ExperimentError> {
-    let get = |label: &str| {
-        result
-            .cells
-            .iter()
-            .find(|c| c.label == label)
-            .and_then(|c| c.stats.clone())
-            .ok_or_else(|| malformed(spec, format!("missing stats for `{label}`")))
-    };
-    Ok((get(a)?, get(b)?))
 }
 
 #[cfg(test)]

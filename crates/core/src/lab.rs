@@ -302,14 +302,18 @@ fn exec_cell(spec: &CellSpec, params: &RunParams, shared: &SessionShared) -> Cel
         sim_wall_ms: None,
         ksim_cycles_per_sec: None,
     };
+    // Every kind but a configuration dump runs the cell's workload.
+    let workload = || {
+        spec.workload.ok_or_else(|| {
+            Arc::new(ExperimentError::Malformed {
+                experiment: spec.experiment.to_string(),
+                msg: format!("cell `{}` without a workload", spec.id()),
+            })
+        })
+    };
     match &spec.kind {
         CellKind::Pipeline { target, machine } => {
-            let workload = spec.workload.ok_or_else(|| {
-                Arc::new(ExperimentError::Malformed {
-                    experiment: spec.experiment.to_string(),
-                    msg: "pipeline cell without a workload".to_string(),
-                })
-            })?;
+            let workload = workload()?;
             // A persisted record for this fingerprint (a previous
             // process's simulation) short-circuits everything,
             // including the workload build: only the measurement
@@ -357,12 +361,7 @@ fn exec_cell(spec: &CellSpec, params: &RunParams, shared: &SessionShared) -> Cel
             }
         }
         CellKind::EmuMix { target } => {
-            let workload = spec.workload.ok_or_else(|| {
-                Arc::new(ExperimentError::Malformed {
-                    experiment: spec.experiment.to_string(),
-                    msg: "emulator cell without a workload".to_string(),
-                })
-            })?;
+            let workload = workload()?;
             let image = image_for(caches, workload, *target, params)?;
             let result = match target {
                 Target::Riscv => {
@@ -384,12 +383,7 @@ fn exec_cell(spec: &CellSpec, params: &RunParams, shared: &SessionShared) -> Cel
             record.stdout_digest = Some(hex_digest(&result.stdout));
         }
         CellKind::EmuDistance { target } => {
-            let workload = spec.workload.ok_or_else(|| {
-                Arc::new(ExperimentError::Malformed {
-                    experiment: spec.experiment.to_string(),
-                    msg: "emulator cell without a workload".to_string(),
-                })
-            })?;
+            let workload = workload()?;
             let image = image_for(caches, workload, *target, params)?;
             let mut emu = StraightEmu::new((*image).clone());
             emu.profile_distances = true;
@@ -418,12 +412,7 @@ fn exec_cell(spec: &CellSpec, params: &RunParams, shared: &SessionShared) -> Cel
         // their estimate is cheap relative to a full simulation, and
         // intentionally re-derived every run.
         CellKind::Sampled { target, machine } => {
-            let workload = spec.workload.ok_or_else(|| {
-                Arc::new(ExperimentError::Malformed {
-                    experiment: spec.experiment.to_string(),
-                    msg: "sampled cell without a workload".to_string(),
-                })
-            })?;
+            let workload = workload()?;
             let image = image_for(caches, workload, *target, params)?;
             let outcome = run_sampled(workload.name(), &image, machine.clone(), *target)
                 .map_err(Arc::new)?;
@@ -967,42 +956,36 @@ pub fn write_result(dir: &Path, result: &ExperimentResult) -> Result<PathBuf, La
     Ok(path)
 }
 
-/// Parses and shape-checks a `BENCH_<name>.json` file, returning the
-/// typed result.
+/// Parses and shape-checks a `BENCH_<name>.json` file, and checks
+/// that its records render (see [`ExperimentSpec::render`]), returning
+/// the typed result.
 ///
 /// # Errors
 ///
 /// [`LabError::Io`] when unreadable; [`LabError::Assemble`] when the
-/// JSON is invalid or does not match the record schema.
+/// JSON is invalid, does not match the record schema, names no known
+/// experiment, or holds records its figure cannot render.
 pub fn validate_file(path: &Path) -> Result<ExperimentResult, LabError> {
     let text = std::fs::read_to_string(path)
         .map_err(|source| LabError::Io { path: path.to_path_buf(), source })?;
-    let parsed = Json::parse(&text).map_err(|e| LabError::Assemble {
-        experiment: path.display().to_string(),
-        source: ExperimentError::Malformed {
-            experiment: path.display().to_string(),
-            msg: e.to_string(),
-        },
-    })?;
-    let result = ExperimentResult::from_json(&parsed).map_err(|e| LabError::Assemble {
-        experiment: path.display().to_string(),
-        source: ExperimentError::Malformed {
-            experiment: path.display().to_string(),
-            msg: e.to_string(),
-        },
-    })?;
+    let malformed = |experiment: &str, msg: String| LabError::Assemble {
+        experiment: experiment.to_string(),
+        source: ExperimentError::Malformed { experiment: experiment.to_string(), msg },
+    };
+    let file = path.display().to_string();
+    let result = Json::parse(&text)
+        .and_then(|parsed| ExperimentResult::from_json(&parsed))
+        .map_err(|e| malformed(&file, e.to_string()))?;
     if result.schema_version != SCHEMA_VERSION {
-        return Err(LabError::Assemble {
-            experiment: result.experiment.clone(),
-            source: ExperimentError::Malformed {
-                experiment: result.experiment.clone(),
-                msg: format!(
-                    "schema version {} (this binary reads {})",
-                    result.schema_version, SCHEMA_VERSION
-                ),
-            },
-        });
+        return Err(malformed(
+            &result.experiment,
+            format!("schema version {} (this binary reads {SCHEMA_VERSION})", result.schema_version),
+        ));
     }
+    let id: ExperimentId = result.experiment.parse().map_err(|e| malformed(&file, format!("{e}")))?;
+    id.spec()
+        .render(&result)
+        .map_err(|source| LabError::Assemble { experiment: result.experiment.clone(), source })?;
     Ok(result)
 }
 

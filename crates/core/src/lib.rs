@@ -9,14 +9,14 @@
 //!   experiments (Figures 11–17, the §VI-B sensitivity study,
 //!   Table I), selected by the typed [`experiment::ExperimentId`] and
 //!   described by [`experiment::ExperimentSpec`]s, each cell producing
-//!   a serializable [`experiment::CellRecord`];
+//!   a serializable [`experiment::CellRecord`] and each experiment
+//!   rendering its paper-shaped text report straight from those
+//!   records;
 //! * [`lab`] — the [`lab::LabSession`] experiment-running session
 //!   (persistent worker pool, image/run caches with hit counters,
 //!   blocking and asynchronous submission, `BENCH_<name>.json`
 //!   output) behind both the `straight-lab` binary and the
-//!   `straightd` daemon;
-//! * [`report`] — paper-shaped text rendering, re-derived from the
-//!   records.
+//!   `straightd` daemon.
 //!
 //! ```
 //! use straight_core::{build, Target, machines, run_on};
@@ -31,7 +31,7 @@
 
 pub mod experiment;
 pub mod lab;
-pub mod report;
+mod report;
 
 use straight_asm::{link_riscv, link_straight, Image};
 use straight_compiler::{compile_riscv, compile_straight, StraightOptions};

@@ -1,201 +1,139 @@
-//! Plain-text rendering of experiment results, in the shape of the
-//! paper's figures. The input types are assembled from
-//! [`CellRecord`](crate::experiment::CellRecord)s by
-//! [`ExperimentSpec::render`](crate::experiment::ExperimentSpec::render),
-//! so a saved `BENCH_<name>.json` regenerates its figure exactly.
+//! The per-figure bodies of the plain-text reports, in the shape of the
+//! paper's figures. [`ExperimentSpec::render`] writes the `== title ==`
+//! header and checks every group's output digests, then dispatches on
+//! the experiment id to one function here, which formats the
+//! [`CellRecord`]s directly. A saved `BENCH_<name>.json` therefore
+//! regenerates its figure exactly.
+//!
+//! Each function appends to the report and returns the message of a
+//! missing-cell error, which `render` turns into
+//! [`ExperimentError::Malformed`](crate::experiment::ExperimentError::Malformed).
+//!
+//! [`ExperimentSpec::render`]: crate::experiment::ExperimentSpec::render
 
-use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-use straight_power::Figure17Row;
-use straight_sim::pipeline::MachineConfig;
+use straight_power::figure17;
+use straight_sim::pipeline::IsaKind;
 
-/// One bar of a performance figure.
-#[derive(Debug, Clone)]
-pub struct PerfRow {
-    /// Bar label ("SS", "STRAIGHT(RAW)", "STRAIGHT(RE+)").
-    pub label: String,
-    /// Execution cycles.
-    pub cycles: u64,
-    /// Retired instructions.
-    pub retired: u64,
-    /// Performance relative to the figure's baseline (1/cycles,
-    /// normalized).
-    pub relative: f64,
-}
+use crate::experiment::{CellKind, CellRecord, CellSpec, Groups, FIG17_FREQS};
 
-/// One workload's bar group.
-#[derive(Debug, Clone)]
-pub struct PerfGroup {
-    /// Workload name.
-    pub workload: String,
-    /// Bars, baseline first.
-    pub rows: Vec<PerfRow>,
-}
-
-/// One bar of the retired-instruction-mix figure.
-#[derive(Debug, Clone)]
-pub struct MixRow {
-    /// Bar label.
-    pub label: String,
-    /// Retired count per category.
-    pub kinds: BTreeMap<String, u64>,
-    /// Total retired.
-    pub total: u64,
-}
-
-/// Figure 16 data: cumulative source-distance fraction per workload,
-/// measured on code compiled with the uppermost limit (1023).
-#[derive(Debug, Clone)]
-pub struct DistanceProfile {
-    /// Workload name.
-    pub workload: String,
-    /// Cumulative fraction at distances 1, 2, 4, ..., 1024.
-    pub cumulative: Vec<(u32, f64)>,
-    /// Largest distance observed in the generated code.
-    pub max_used: usize,
-}
-
-/// One full-vs-sampled comparison of the methodology experiment: the
-/// same (workload, target, machine) point simulated to completion and
-/// estimated from checkpointed sample intervals.
-#[derive(Debug, Clone)]
-pub struct SampledRow {
-    /// Workload name.
-    pub workload: String,
-    /// Configuration label ("SS", "STRAIGHT(RE+)").
-    pub label: String,
-    /// Cycles of the full cycle-accurate run.
-    pub full_cycles: u64,
-    /// IPC of the full run.
-    pub full_ipc: f64,
-    /// Extrapolated cycles from the sampled intervals.
-    pub est_cycles: u64,
-    /// Aggregate IPC over the sampled intervals.
-    pub est_ipc: f64,
-}
-
-/// Renders a performance-bar figure (Figures 11–14).
-#[must_use]
-pub fn render_perf(title: &str, groups: &[PerfGroup]) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "== {title} ==");
-    for g in groups {
-        let _ = writeln!(out, "[{}]", g.workload);
-        for r in &g.rows {
-            let bar_len = (r.relative * 40.0).round().clamp(0.0, 78.0) as usize;
+/// Performance bars (Figures 11–14): each cell's speed relative to
+/// `base` cycles, or to its group's first cell when `base` is `None`.
+pub(crate) fn perf(out: &mut String, groups: &Groups, base: Option<u64>) -> Result<(), String> {
+    if groups.is_empty() {
+        return Err("no cells".to_string());
+    }
+    for (group, members) in groups {
+        let _ = writeln!(out, "[{group}]");
+        let base = base.unwrap_or(members[0].cycles) as f64;
+        for c in members {
+            let relative = base / c.cycles as f64;
+            let bar_len = (relative * 40.0).round().clamp(0.0, 78.0) as usize;
             let _ = writeln!(
                 out,
                 "  {:<16} rel={:+.3}  cycles={:>12}  retired={:>12}  {}",
-                r.label,
-                r.relative,
-                r.cycles,
-                r.retired,
+                c.label,
+                relative,
+                c.cycles,
+                c.retired,
                 "#".repeat(bar_len)
             );
         }
     }
-    out
+    Ok(())
 }
 
-/// Renders the retired-mix figure (Figure 15), normalized to the
-/// first row's total.
-#[must_use]
-pub fn render_mix(rows: &[MixRow]) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "== Figure 15: retired instruction mix (normalized to SS) ==");
-    let base = rows.first().map(|r| r.total).unwrap_or(1) as f64;
+/// The retired-instruction mix (Figure 15), normalized to the first
+/// cell's total.
+pub(crate) fn mix(out: &mut String, cells: &[CellRecord]) -> Result<(), String> {
+    let base = cells.first().map_or(1, |c| c.retired) as f64;
     let cats = ["jump+branch", "alu", "ld", "st", "rmov", "nop", "other"];
     let _ = write!(out, "  {:<16}", "");
     for c in cats {
         let _ = write!(out, "{c:>13}");
     }
     let _ = writeln!(out, "{:>13}", "TOTAL");
-    for r in rows {
-        let _ = write!(out, "  {:<16}", r.label);
+    for cell in cells {
+        let kinds = cell.kinds.as_ref().ok_or("cell without kinds")?;
+        let _ = write!(out, "  {:<16}", cell.label);
         for c in cats {
-            let v = r.kinds.get(c).copied().unwrap_or(0) as f64 / base;
+            let v = kinds.get(c).copied().unwrap_or(0) as f64 / base;
             let _ = write!(out, "{v:>13.3}");
         }
-        let _ = writeln!(out, "{:>13.3}", r.total as f64 / base);
+        let _ = writeln!(out, "{:>13.3}", cell.retired as f64 / base);
     }
-    out
+    Ok(())
 }
 
-/// Renders the distance-distribution figure (Figure 16).
-#[must_use]
-pub fn render_distances(profiles: &[DistanceProfile]) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "== Figure 16: cumulative fraction of source distances ==");
-    for p in profiles {
-        let _ = writeln!(out, "[{}] (max distance used: {})", p.workload, p.max_used);
-        for (d, f) in &p.cumulative {
+/// The cumulative source-distance fractions (Figure 16), one profile
+/// per workload group.
+pub(crate) fn distances(out: &mut String, cells: &[CellRecord]) -> Result<(), String> {
+    for c in cells {
+        let cumulative = c.distances.as_ref().ok_or("cell without distances")?;
+        let max_used = c.max_distance_used.ok_or("cell without max distance")?;
+        let _ = writeln!(out, "[{}] (max distance used: {max_used})", c.group);
+        for (d, f) in cumulative {
             let _ = writeln!(out, "  <= {d:>5}: {:>6.1} %  {}", f * 100.0, "#".repeat((f * 50.0) as usize));
         }
     }
-    out
+    Ok(())
 }
 
-/// Renders the power figure (Figure 17).
-#[must_use]
-pub fn render_power(rows: &[Figure17Row]) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "== Figure 17: relative power (normalized to SS at 1.0x, per module) ==");
+/// Per-module power (Figure 17) of the `SS` and `STRAIGHT(RE+)` cells.
+pub(crate) fn power(out: &mut String, cells: &[CellRecord]) -> Result<(), String> {
+    let stats = |label: &str| {
+        cells
+            .iter()
+            .find(|c| c.label == label)
+            .and_then(|c| c.stats.as_ref())
+            .ok_or_else(|| format!("missing stats for `{label}`"))
+    };
+    let (ss, st) = (stats("SS")?, stats("STRAIGHT(RE+)")?);
     let _ = writeln!(
         out,
         "  {:<8}{:>14}{:>14}{:>14}{:>14}{:>14}{:>14}",
         "freq", "SS rename", "ST rename", "SS regfile", "ST regfile", "SS other", "ST other"
     );
-    for r in rows {
+    for r in figure17(ss, st, &FIG17_FREQS) {
         let _ = writeln!(
             out,
             "  {:<8.1}{:>14.3}{:>14.3}{:>14.3}{:>14.3}{:>14.3}{:>14.3}",
             r.freq, r.ss.rename, r.straight.rename, r.ss.regfile, r.straight.regfile, r.ss.other, r.straight.other
         );
     }
-    out
+    Ok(())
 }
 
-/// Renders the sensitivity table (§VI-B).
-#[must_use]
-pub fn render_sensitivity(rows: &[(u16, u64)]) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "== Sensitivity: max source distance vs CoreMark cycles ==");
-    let base = rows.iter().map(|&(_, c)| c).min().unwrap_or(1) as f64;
-    for &(d, cycles) in rows {
-        let _ = writeln!(out, "  max_distance={d:>5}: {cycles:>12} cycles ({:+.2} %)", (cycles as f64 / base - 1.0) * 100.0);
-    }
-    out
-}
-
-/// Renders the sampled-vs-full comparison table.
-#[must_use]
-pub fn render_sampled(rows: &[SampledRow]) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "== Sampled: checkpoint-sampled simulation vs full runs ==");
-    let _ = writeln!(
-        out,
-        "  {:<12}{:<18}{:>14}{:>14}{:>10}{:>9}{:>9}{:>10}",
-        "workload", "model", "full cycles", "est cycles", "err %", "full ipc", "est ipc", "err %"
-    );
-    for r in rows {
-        let cycle_err = (r.est_cycles as f64 / r.full_cycles as f64 - 1.0) * 100.0;
-        let ipc_err = (r.est_ipc / r.full_ipc - 1.0) * 100.0;
+/// The distance-limit sensitivity table (§VI-B), relative to the
+/// fastest limit.
+pub(crate) fn sensitivity(out: &mut String, cells: &[CellRecord]) -> Result<(), String> {
+    let base = cells.iter().map(|c| c.cycles).min().unwrap_or(1) as f64;
+    for c in cells {
+        let d = c.param.ok_or("cell without param")?;
         let _ = writeln!(
             out,
-            "  {:<12}{:<18}{:>14}{:>14}{:>+10.2}{:>9.3}{:>9.3}{:>+10.2}",
-            r.workload, r.label, r.full_cycles, r.est_cycles, cycle_err, r.full_ipc, r.est_ipc, ipc_err
+            "  max_distance={d:>5}: {:>12} cycles ({:+.2} %)",
+            c.cycles,
+            (c.cycles as f64 / base - 1.0) * 100.0
         );
     }
-    out
+    Ok(())
 }
 
-/// Renders Table I (the evaluated machine models).
-#[must_use]
-pub fn render_table1(configs: &[MachineConfig]) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "== Table I: evaluated models ==");
-    for cfg in configs {
+/// Table I: the machine model of each record's configuration-dump cell
+/// in `specs`.
+pub(crate) fn table1(
+    out: &mut String,
+    cells: &[CellRecord],
+    specs: &[CellSpec],
+) -> Result<(), String> {
+    for c in cells {
+        let Some(CellKind::ConfigDump { machine: cfg }) =
+            specs.iter().find(|s| s.id() == c.id).map(|s| &s.kind)
+        else {
+            return Err(format!("`{}` is not a model of the table", c.id));
+        };
         let _ = writeln!(out, "[{}]", cfg.name);
         let _ = writeln!(out, "  isa             {:?}", cfg.isa);
         let _ = writeln!(out, "  fetch width     {}", cfg.fetch_width);
@@ -212,50 +150,122 @@ pub fn render_table1(configs: &[MachineConfig]) -> String {
         let _ = writeln!(out, "  commit width    {}", cfg.commit_width);
         let _ = writeln!(out, "  predictor       {:?}", cfg.predictor);
         let _ = writeln!(out, "  L3              {}", if cfg.hierarchy.l3.is_some() { "2 MiB" } else { "none" });
-        if cfg.isa == straight_sim::pipeline::IsaKind::Straight {
+        if cfg.isa == IsaKind::Straight {
             let _ = writeln!(out, "  max distance    {}", cfg.max_distance);
         }
     }
-    out
+    Ok(())
+}
+
+/// The sampled-vs-full comparison: each group's `X (full)` cell next
+/// to its `X (sampled)` estimate.
+pub(crate) fn sampled(out: &mut String, groups: &Groups) -> Result<(), String> {
+    let _ = writeln!(
+        out,
+        "  {:<12}{:<18}{:>14}{:>14}{:>10}{:>9}{:>9}{:>10}",
+        "workload", "model", "full cycles", "est cycles", "err %", "full ipc", "est ipc", "err %"
+    );
+    let mut pairs = 0;
+    for (group, members) in groups {
+        for full in members {
+            let Some(prefix) = full.label.strip_suffix(" (full)") else { continue };
+            let est = members
+                .iter()
+                .find(|c| c.label == format!("{prefix} (sampled)"))
+                .ok_or_else(|| format!("missing sampled cell for {group}/{prefix}"))?;
+            let cycle_err = (est.cycles as f64 / full.cycles as f64 - 1.0) * 100.0;
+            let ipc_err = (est.ipc / full.ipc - 1.0) * 100.0;
+            let _ = writeln!(
+                out,
+                "  {:<12}{:<18}{:>14}{:>14}{:>+10.2}{:>9.3}{:>9.3}{:>+10.2}",
+                group, prefix, full.cycles, est.cycles, cycle_err, full.ipc, est.ipc, ipc_err
+            );
+            pairs += 1;
+        }
+    }
+    if pairs == 0 {
+        return Err("no (full)/(sampled) cell pairs".to_string());
+    }
+    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::experiment::{
+        CellRecord, ExperimentError, ExperimentId, ExperimentResult, RunParams, SCHEMA_VERSION,
+    };
+
+    fn record(id: ExperimentId, group: &str, label: &str, cycles: u64) -> CellRecord {
+        CellRecord {
+            id: format!("{id}/{group}/{label}"),
+            experiment: id.to_string(),
+            group: group.to_string(),
+            label: label.to_string(),
+            workload: None,
+            target: None,
+            machine: None,
+            config_fingerprint: String::new(),
+            param: None,
+            cycles,
+            retired: 80,
+            ipc: 0.0,
+            stats: None,
+            kinds: None,
+            distances: None,
+            max_distance_used: None,
+            stdout_digest: None,
+            wall_ms: 0.0,
+            sim_wall_ms: None,
+            ksim_cycles_per_sec: None,
+        }
+    }
+
+    fn render(id: ExperimentId, cells: Vec<CellRecord>) -> Result<String, ExperimentError> {
+        let spec = id.spec();
+        spec.render(&ExperimentResult {
+            schema_version: SCHEMA_VERSION,
+            experiment: id.to_string(),
+            title: spec.title.to_string(),
+            paper_ref: spec.paper_ref.to_string(),
+            git_rev: String::new(),
+            params: RunParams::default(),
+            wall_ms: 0.0,
+            cells,
+        })
+    }
 
     #[test]
     fn perf_rendering_contains_rows() {
-        let g = vec![PerfGroup {
-            workload: "Toy".into(),
-            rows: vec![
-                PerfRow { label: "SS".into(), cycles: 100, retired: 80, relative: 1.0 },
-                PerfRow { label: "STRAIGHT(RE+)".into(), cycles: 84, retired: 90, relative: 1.19 },
-            ],
-        }];
-        let s = render_perf("Figure X", &g);
-        assert!(s.contains("Figure X"));
+        let id = ExperimentId::Fig11;
+        let cells = vec![record(id, "Toy", "SS", 100), record(id, "Toy", "STRAIGHT(RE+)", 84)];
+        let s = render(id, cells).unwrap();
+        assert!(s.starts_with("== Figure 11: 4-way relative performance (vs SS-4way) ==\n[Toy]\n"));
         assert!(s.contains("STRAIGHT(RE+)"));
         assert!(s.contains("rel=+1.190"));
     }
 
     #[test]
     fn sensitivity_rendering() {
-        let s = render_sensitivity(&[(1023, 1000), (31, 1010)]);
+        let id = ExperimentId::Sensitivity;
+        let cells = [(1023, 1000), (31, 1010)]
+            .map(|(d, cycles)| CellRecord { param: Some(d), ..record(id, "Coremark", "d", cycles) })
+            .to_vec();
+        let s = render(id, cells).unwrap();
         assert!(s.contains("max_distance= 1023"));
         assert!(s.contains("+1.00 %"));
     }
 
     #[test]
     fn table1_lists_all_models() {
-        let s = render_table1(&[
-            crate::machines::ss_2way(),
-            crate::machines::straight_2way(),
-            crate::machines::ss_4way(),
-            crate::machines::straight_4way(),
-        ]);
+        let id = ExperimentId::Table1;
+        let cells = id.spec().cells().iter().map(|c| record(id, &c.group, &c.label, 0)).collect();
+        let s = render(id, cells).unwrap();
         for name in ["SS-2way", "STRAIGHT-2way", "SS-4way", "STRAIGHT-4way"] {
             assert!(s.contains(&format!("[{name}]")));
         }
         assert!(s.contains("max distance"));
+        // A record that is not one of the table's models cannot render.
+        let err = render(id, vec![record(id, "models", "SS-8way", 0)]).unwrap_err();
+        assert!(err.to_string().contains("not a model"), "{err}");
     }
 }

@@ -57,6 +57,13 @@ for fig in fig11 fig14 sampled; do
     cmp "$SMOKE_DIR/golden.norm" "$SMOKE_DIR/golden-live.norm"
 done
 
+# Report-text gate: every figure's text report from a live --all
+# --quick run must match the committed tests/golden/report_quick.txt
+# byte for byte. Intentional changes regenerate it
+# (tests/golden/README.md).
+target/release/straight-lab --all --quick --no-write > "$SMOKE_DIR/report_quick.txt"
+cmp tests/golden/report_quick.txt "$SMOKE_DIR/report_quick.txt"
+
 # Tier gate: the emulator-bound figures (fig15 instruction mix, fig16
 # operand distances) run on the default (fast, decoded-trace) tier and
 # in lockstep mode -- cross-checked against an interpreter twin every

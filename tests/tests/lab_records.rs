@@ -212,16 +212,35 @@ fn written_files_validate_and_re_render() {
     let dir = std::env::temp_dir().join(format!("straight_lab_test_{}", std::process::id()));
     let session =
         LabSession::builder().jobs(4).out_dir(Some(dir.clone())).build().unwrap();
-    let run = session.run(&ids(&["fig15"]), tiny_params()).unwrap().remove(0);
-    let path = run.path.clone().expect("out_dir set, so a path is returned");
-    assert!(path.ends_with("BENCH_fig15.json"));
+    let runs = session.run(&ids(&["fig15", "fig11", "sampled"]), tiny_params()).unwrap();
+    for run in &runs {
+        let path = run.path.clone().expect("out_dir set, so a path is returned");
+        assert!(path.ends_with(format!("BENCH_{}.json", run.result.experiment)));
 
-    // The file parses, schema-checks, and regenerates the exact text
-    // report.
-    let reloaded = validate_file(&path).unwrap();
-    assert_eq!(reloaded, run.result);
-    let spec = straight_core::experiment::find("fig15").unwrap();
-    assert_eq!(spec.render(&reloaded).unwrap(), run.rendered);
+        // The file parses, schema-checks, and regenerates the exact
+        // text report.
+        let reloaded = validate_file(&path).unwrap();
+        assert_eq!(reloaded, run.result);
+        let spec = straight_core::experiment::find(&run.result.experiment).unwrap();
+        assert_eq!(spec.render(&reloaded).unwrap(), run.rendered);
+    }
+
+    // Records that parse but cannot render are rejected too.
+    let path = runs[0].path.clone().unwrap();
+    let rejects = |result: &ExperimentResult, what: &str, expect: &str| {
+        std::fs::write(&path, result.to_json().render_pretty()).unwrap();
+        let err = validate_file(&path).expect_err(what).to_string();
+        assert!(err.contains(expect), "{what}: got {err}");
+    };
+    let mut mix = runs[0].result.clone();
+    mix.cells[1].stdout_digest = Some("0123456789abcdef".to_string());
+    rejects(&mix, "a tampered stdout digest", "diverged");
+    let mut renamed = runs[1].result.clone();
+    renamed.experiment = "fig99".to_string();
+    rejects(&renamed, "an unknown experiment", "unknown experiment `fig99`");
+    let mut unpaired = runs[2].result.clone();
+    unpaired.cells.retain(|c| !c.label.ends_with(" (sampled)"));
+    rejects(&unpaired, "sampled records without estimates", "missing sampled cell");
 
     // Corrupted files are rejected, not misread.
     std::fs::write(&path, "{\"schema_version\": 999}").unwrap();
@@ -229,6 +248,22 @@ fn written_files_validate_and_re_render() {
     std::fs::write(&path, "not json at all").unwrap();
     assert!(validate_file(&path).is_err());
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The committed golden records re-render to exactly the report text
+/// a live `straight-lab --all --quick` run prints
+/// (`tests/golden/report_quick.txt`, which `scripts/ci.sh` compares
+/// against a live run).
+#[test]
+fn golden_records_render_the_committed_report_text() {
+    let golden = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("golden");
+    let report = std::fs::read_to_string(golden.join("report_quick.txt")).unwrap();
+    for name in ["fig11", "fig14", "sampled"] {
+        let result = validate_file(&golden.join(format!("BENCH_{name}_quick.json"))).unwrap();
+        let rendered = straight_core::experiment::find(name).unwrap().render(&result).unwrap();
+        assert!(rendered.lines().count() > 2, "{name}: {rendered}");
+        assert!(report.contains(&rendered), "{name} renders differently:\n{rendered}");
+    }
 }
 
 /// The data-oriented core's slabs/wheel/register files are reused
@@ -316,6 +351,19 @@ fn perf_records_detect_divergence_at_render_time() {
         cell.group = "Coremark".to_string();
         cell.stdout_digest = Some(format!("{i:016x}"));
     }
+    let err = spec.render(&result).unwrap_err();
+    assert!(err.to_string().contains("diverged"), "got: {err}");
+}
+
+#[test]
+fn mix_records_detect_divergence_at_render_time() {
+    // Every figure cross-checks its groups' output digests, not only
+    // the performance figures.
+    let runs = run_fresh(&["fig15"], 4);
+    let mut result = runs[0].result.clone();
+    let spec = straight_core::experiment::find("fig15").unwrap();
+    assert!(spec.render(&result).is_ok());
+    result.cells[2].stdout_digest = Some("0123456789abcdef".to_string());
     let err = spec.render(&result).unwrap_err();
     assert!(err.to_string().contains("diverged"), "got: {err}");
 }
