@@ -303,7 +303,6 @@ fn emit_run(opts: &Options, run: &LabRun) {
 fn run_local(opts: &Options, ids: &[ExperimentId], params: RunParams) -> ExitCode {
     let mut builder = LabSession::builder()
         .jobs(opts.jobs)
-        .profile(opts.profile)
         .out_dir((!opts.no_write).then(|| opts.out.clone()));
     if let Some(tier) = opts.emu_tier {
         builder = builder.emu_tier(tier);

@@ -23,12 +23,12 @@
 //! propagates as a typed [`ExperimentError`] naming the workload and
 //! the target/machine involved, instead of panicking mid-sweep.
 
-use std::collections::BTreeMap;
 use std::str::FromStr;
 
-use straight_json::{fnv1a64, obj, read_field, FromJson, Json, JsonError, ToJson};
+use straight_json::{fnv1a64, json_record};
 use straight_sim::emu::{Checkpoint, EmuExit, ExecBackend, RiscvEmu, StraightEmu, TierConfig};
 use straight_sim::pipeline::{Core, CoreError, MachineConfig, SimExit, SimResult, SimStats};
+use straight_sim::KindCounts;
 use straight_workloads::{coremark, dhrystone};
 
 use crate::report;
@@ -498,25 +498,7 @@ impl RunParams {
     }
 }
 
-impl ToJson for RunParams {
-    fn to_json(&self) -> Json {
-        obj()
-            .field("dhry_iters", &self.dhry_iters)
-            .field("cm_iters", &self.cm_iters)
-            .field("max_cycles", &self.max_cycles)
-            .build()
-    }
-}
-
-impl FromJson for RunParams {
-    fn from_json(value: &Json) -> Result<Self, JsonError> {
-        Ok(RunParams {
-            dhry_iters: read_field(value, "dhry_iters")?,
-            cm_iters: read_field(value, "cm_iters")?,
-            max_cycles: read_field(value, "max_cycles")?,
-        })
-    }
-}
+json_record!(RunParams { dhry_iters, cm_iters, max_cycles });
 
 /// The two paper workloads.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -705,7 +687,7 @@ pub struct CellRecord {
     /// Full pipeline statistics, for pipeline cells.
     pub stats: Option<SimStats>,
     /// Retired-kind histogram, for emulator-mix cells.
-    pub kinds: Option<BTreeMap<String, u64>>,
+    pub kinds: Option<KindCounts>,
     /// Cumulative distance fractions, for distance cells.
     pub distances: Option<Vec<(u32, f64)>>,
     /// Largest source distance observed, for distance cells.
@@ -723,59 +705,28 @@ pub struct CellRecord {
     pub ksim_cycles_per_sec: Option<f64>,
 }
 
-impl ToJson for CellRecord {
-    fn to_json(&self) -> Json {
-        obj()
-            .field("id", &self.id)
-            .field("experiment", &self.experiment)
-            .field("group", &self.group)
-            .field("label", &self.label)
-            .field("workload", &self.workload)
-            .field("target", &self.target)
-            .field("machine", &self.machine)
-            .field("config_fingerprint", &self.config_fingerprint)
-            .field("param", &self.param)
-            .field("cycles", &self.cycles)
-            .field("retired", &self.retired)
-            .field("ipc", &self.ipc)
-            .field("stats", &self.stats)
-            .field("kinds", &self.kinds)
-            .field("distances", &self.distances)
-            .field("max_distance_used", &self.max_distance_used)
-            .field("stdout_digest", &self.stdout_digest)
-            .field("wall_ms", &self.wall_ms)
-            .field("sim_wall_ms", &self.sim_wall_ms)
-            .field("ksim_cycles_per_sec", &self.ksim_cycles_per_sec)
-            .build()
-    }
-}
-
-impl FromJson for CellRecord {
-    fn from_json(value: &Json) -> Result<Self, JsonError> {
-        Ok(CellRecord {
-            id: read_field(value, "id")?,
-            experiment: read_field(value, "experiment")?,
-            group: read_field(value, "group")?,
-            label: read_field(value, "label")?,
-            workload: read_field(value, "workload")?,
-            target: read_field(value, "target")?,
-            machine: read_field(value, "machine")?,
-            config_fingerprint: read_field(value, "config_fingerprint")?,
-            param: read_field(value, "param")?,
-            cycles: read_field(value, "cycles")?,
-            retired: read_field(value, "retired")?,
-            ipc: read_field(value, "ipc")?,
-            stats: read_field(value, "stats")?,
-            kinds: read_field(value, "kinds")?,
-            distances: read_field(value, "distances")?,
-            max_distance_used: read_field(value, "max_distance_used")?,
-            stdout_digest: read_field(value, "stdout_digest")?,
-            wall_ms: read_field(value, "wall_ms")?,
-            sim_wall_ms: read_field(value, "sim_wall_ms")?,
-            ksim_cycles_per_sec: read_field(value, "ksim_cycles_per_sec")?,
-        })
-    }
-}
+json_record!(CellRecord {
+    id,
+    experiment,
+    group,
+    label,
+    workload,
+    target,
+    machine,
+    config_fingerprint,
+    param,
+    cycles,
+    retired,
+    ipc,
+    stats,
+    kinds,
+    distances,
+    max_distance_used,
+    stdout_digest,
+    wall_ms,
+    sim_wall_ms,
+    ksim_cycles_per_sec,
+});
 
 /// A full experiment's machine-readable result: provenance plus one
 /// [`CellRecord`] per grid point. This is the content of a
@@ -818,35 +769,16 @@ impl ExperimentResult {
     }
 }
 
-impl ToJson for ExperimentResult {
-    fn to_json(&self) -> Json {
-        obj()
-            .field("schema_version", &self.schema_version)
-            .field("experiment", &self.experiment)
-            .field("title", &self.title)
-            .field("paper_ref", &self.paper_ref)
-            .field("git_rev", &self.git_rev)
-            .field("params", &self.params)
-            .field("wall_ms", &self.wall_ms)
-            .field("cells", &self.cells)
-            .build()
-    }
-}
-
-impl FromJson for ExperimentResult {
-    fn from_json(value: &Json) -> Result<Self, JsonError> {
-        Ok(ExperimentResult {
-            schema_version: read_field(value, "schema_version")?,
-            experiment: read_field(value, "experiment")?,
-            title: read_field(value, "title")?,
-            paper_ref: read_field(value, "paper_ref")?,
-            git_rev: read_field(value, "git_rev")?,
-            params: read_field(value, "params")?,
-            wall_ms: read_field(value, "wall_ms")?,
-            cells: read_field(value, "cells")?,
-        })
-    }
-}
+json_record!(ExperimentResult {
+    schema_version,
+    experiment,
+    title,
+    paper_ref,
+    git_rev,
+    params,
+    wall_ms,
+    cells,
+});
 
 /// One named experiment of the grid (obtained from
 /// [`ExperimentId::spec`]): its cells ([`ExperimentSpec::cells`]) and

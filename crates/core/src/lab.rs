@@ -19,7 +19,7 @@
 //!   observable.
 //!
 //! Construction is explicit:
-//! `LabSession::builder().jobs(8).profile(true).build()?`. Work enters
+//! `LabSession::builder().jobs(8).build()?`. Work enters
 //! either through the blocking [`LabSession::run`] (what `straight-lab`
 //! uses in-process) or the asynchronous [`LabSession::submit`] /
 //! [`Batch`] pair (what the `straightd` daemon builds its job queue
@@ -377,9 +377,7 @@ fn exec_cell(spec: &CellSpec, params: &RunParams, shared: &SessionShared) -> Cel
                 }));
             }
             record.retired = result.stats.retired;
-            record.kinds = Some(
-                result.stats.kinds().into_iter().map(|(k, v)| (k.to_string(), v)).collect(),
-            );
+            record.kinds = Some(result.stats.kinds);
             record.stdout_digest = Some(hex_digest(&result.stdout));
         }
         CellKind::EmuDistance { target } => {
@@ -595,7 +593,6 @@ impl Batch {
 #[derive(Clone)]
 pub struct LabSessionBuilder {
     jobs: usize,
-    profile: bool,
     out_dir: Option<PathBuf>,
     git_rev: Option<String>,
     record_cache: Option<Arc<dyn RecordCache>>,
@@ -610,15 +607,6 @@ impl LabSessionBuilder {
     #[must_use]
     pub fn jobs(mut self, jobs: usize) -> LabSessionBuilder {
         self.jobs = jobs;
-        self
-    }
-
-    /// Whether front-ends should surface the host-side throughput
-    /// profile (the records always carry it; this flag is the caller's
-    /// presentation choice, stored once on the session).
-    #[must_use]
-    pub fn profile(mut self, profile: bool) -> LabSessionBuilder {
-        self.profile = profile;
         self
     }
 
@@ -726,7 +714,6 @@ impl LabSessionBuilder {
             shared,
             workers,
             jobs: self.jobs,
-            profile: self.profile,
             out_dir: self.out_dir,
         })
     }
@@ -740,19 +727,16 @@ pub struct LabSession {
     shared: Arc<SessionShared>,
     workers: Vec<std::thread::JoinHandle<()>>,
     jobs: usize,
-    profile: bool,
     out_dir: Option<PathBuf>,
 }
 
 impl LabSession {
     /// Starts configuring a session. Defaults: [`default_jobs`]
-    /// workers, no profiling, no output directory, the fast emulator
-    /// tier.
+    /// workers, no output directory, the fast emulator tier.
     #[must_use]
     pub fn builder() -> LabSessionBuilder {
         LabSessionBuilder {
             jobs: default_jobs(),
-            profile: false,
             out_dir: None,
             git_rev: None,
             record_cache: None,
@@ -765,12 +749,6 @@ impl LabSession {
     #[must_use]
     pub fn jobs(&self) -> usize {
         self.jobs
-    }
-
-    /// Whether the caller asked for throughput-profile presentation.
-    #[must_use]
-    pub fn profile(&self) -> bool {
-        self.profile
     }
 
     /// The git revision stamped into this session's records.

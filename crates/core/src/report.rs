@@ -13,6 +13,7 @@
 
 use std::fmt::Write as _;
 
+use straight_isa::InstKind;
 use straight_power::figure17;
 use straight_sim::pipeline::IsaKind;
 
@@ -48,17 +49,16 @@ pub(crate) fn perf(out: &mut String, groups: &Groups, base: Option<u64>) -> Resu
 /// cell's total.
 pub(crate) fn mix(out: &mut String, cells: &[CellRecord]) -> Result<(), String> {
     let base = cells.first().map_or(1, |c| c.retired) as f64;
-    let cats = ["jump+branch", "alu", "ld", "st", "rmov", "nop", "other"];
     let _ = write!(out, "  {:<16}", "");
-    for c in cats {
-        let _ = write!(out, "{c:>13}");
+    for kind in InstKind::ALL {
+        let _ = write!(out, "{:>13}", kind.name());
     }
     let _ = writeln!(out, "{:>13}", "TOTAL");
     for cell in cells {
         let kinds = cell.kinds.as_ref().ok_or("cell without kinds")?;
         let _ = write!(out, "  {:<16}", cell.label);
-        for c in cats {
-            let v = kinds.get(c).copied().unwrap_or(0) as f64 / base;
+        for kind in InstKind::ALL {
+            let v = kinds[kind] as f64 / base;
             let _ = write!(out, "{v:>13.3}");
         }
         let _ = writeln!(out, "{:>13.3}", cell.retired as f64 / base);

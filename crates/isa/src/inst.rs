@@ -30,23 +30,56 @@ impl MemWidth {
 }
 
 /// Coarse instruction classification used by the retired-mix analysis
-/// (Figure 15 of the paper).
+/// (Figure 15 of the paper), shared by both ISAs: the STRAIGHT-only
+/// categories (`Rmov`, `Nop`) stay empty for RV32IM. The discriminants
+/// index flat per-category count arrays.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[repr(u8)]
 pub enum InstKind {
     /// Jumps and conditional branches.
-    JumpBranch,
+    JumpBranch = 0,
     /// Arithmetic/logic including immediates and `LUI`.
-    Alu,
+    Alu = 1,
     /// Loads.
-    Ld,
+    Ld = 2,
     /// Stores.
-    St,
+    St = 3,
     /// Distance-fixing register moves.
-    Rmov,
+    Rmov = 4,
     /// Padding no-ops.
-    Nop,
-    /// Everything else (`SPADD`, `SYS`, `HALT`).
-    Other,
+    Nop = 5,
+    /// Everything else (`SPADD`, `SYS`, `HALT`; `ECALL`, `EBREAK`).
+    Other = 6,
+}
+
+impl InstKind {
+    /// Number of categories.
+    pub const COUNT: usize = 7;
+
+    /// Every category, in discriminant (figure legend) order.
+    pub const ALL: [InstKind; InstKind::COUNT] = [
+        InstKind::JumpBranch,
+        InstKind::Alu,
+        InstKind::Ld,
+        InstKind::St,
+        InstKind::Rmov,
+        InstKind::Nop,
+        InstKind::Other,
+    ];
+
+    /// The figure label of this category, also its key in the records.
+    #[must_use]
+    pub fn name(self) -> &'static str {
+        match self {
+            InstKind::JumpBranch => "jump+branch",
+            InstKind::Alu => "alu",
+            InstKind::Ld => "ld",
+            InstKind::St => "st",
+            InstKind::Rmov => "rmov",
+            InstKind::Nop => "nop",
+            InstKind::Other => "other",
+        }
+    }
 }
 
 /// One STRAIGHT instruction.
@@ -291,6 +324,9 @@ mod tests {
         assert_eq!(Inst::SpAdd { imm: 4 }.kind(), InstKind::Other);
         assert_eq!(Inst::Jal { offset: 2 }.kind(), InstKind::JumpBranch);
         assert_eq!(Inst::Lui { imm: 1 }.kind(), InstKind::Alu);
+        for (i, kind) in InstKind::ALL.into_iter().enumerate() {
+            assert_eq!(kind as usize, i, "{} is out of place in ALL", kind.name());
+        }
     }
 
     #[test]

@@ -710,6 +710,42 @@ impl ToJson for Json {
     }
 }
 
+/// Implements [`ToJson`] and [`FromJson`] for a struct by listing its
+/// fields: the JSON object carries one key per listed field, in the
+/// order listed, and reading one back requires every key.
+///
+/// ```
+/// use straight_json::{json_record, FromJson, ToJson};
+///
+/// #[derive(Debug, PartialEq)]
+/// struct Point {
+///     x: u32,
+///     y: Option<u32>,
+/// }
+/// json_record!(Point { x, y });
+///
+/// let p = Point { x: 1, y: None };
+/// assert_eq!(p.to_json().render(), r#"{"x":1,"y":null}"#);
+/// assert_eq!(Point::from_json(&p.to_json()).unwrap(), p);
+/// ```
+#[macro_export]
+macro_rules! json_record {
+    ($ty:ty { $($field:ident),* $(,)? }) => {
+        impl $crate::ToJson for $ty {
+            fn to_json(&self) -> $crate::Json {
+                $crate::obj()$(.field(stringify!($field), &self.$field))*.build()
+            }
+        }
+        impl $crate::FromJson for $ty {
+            fn from_json(value: &$crate::Json) -> Result<Self, $crate::JsonError> {
+                Ok(Self {
+                    $($field: $crate::read_field(value, stringify!($field))?,)*
+                })
+            }
+        }
+    };
+}
+
 /// Reads a typed field out of an object in one step.
 ///
 /// # Errors

@@ -1,6 +1,6 @@
 use std::fmt;
 
-use straight_isa::{AluImmOp, AluOp, MemWidth};
+use straight_isa::{AluImmOp, AluOp, InstKind, MemWidth};
 
 use crate::Reg;
 
@@ -173,10 +173,22 @@ impl RvInst {
         }
     }
 
+    /// Classification for the retired-instruction-mix figure.
+    #[must_use]
+    pub fn kind(&self) -> InstKind {
+        match self {
+            RvInst::Jal { .. } | RvInst::Jalr { .. } | RvInst::Branch { .. } => InstKind::JumpBranch,
+            RvInst::Load { .. } => InstKind::Ld,
+            RvInst::Store { .. } => InstKind::St,
+            RvInst::Ecall | RvInst::Ebreak => InstKind::Other,
+            _ => InstKind::Alu,
+        }
+    }
+
     /// True for control-transfer instructions.
     #[must_use]
     pub fn is_control(&self) -> bool {
-        matches!(self, RvInst::Jal { .. } | RvInst::Jalr { .. } | RvInst::Branch { .. })
+        self.kind() == InstKind::JumpBranch
     }
 
     /// True for conditional branches.
@@ -288,5 +300,8 @@ mod tests {
         assert!(RvInst::Jalr { rd: Reg::ZERO, rs1: Reg::RA, offset: 0 }.is_control());
         assert!(RvInst::Branch { op: BranchOp::Bne, rs1: Reg::A0, rs2: Reg::ZERO, offset: -4 }.is_cond_branch());
         assert!(RvInst::Load { width: MemWidth::W, rd: Reg::A0, rs1: Reg::SP, offset: 0 }.is_mem());
+        assert_eq!(RvInst::Store { width: MemWidth::B, rs1: Reg::SP, rs2: Reg::A0, offset: 0 }.kind(), InstKind::St);
+        assert_eq!(RvInst::Ebreak.kind(), InstKind::Other);
+        assert_eq!(RvInst::Lui { rd: Reg::A0, imm: 1 }.kind(), InstKind::Alu);
     }
 }

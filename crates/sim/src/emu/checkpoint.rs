@@ -220,9 +220,9 @@ impl Checkpoint {
             None => out.push(0),
         }
         out.extend_from_slice(&self.stats.retired.to_le_bytes());
-        for kind in self.stats.kinds() {
-            out.extend_from_slice(kind.0.as_bytes());
-            out.extend_from_slice(&kind.1.to_le_bytes());
+        for (name, n) in self.stats.kinds.nonzero() {
+            out.extend_from_slice(name.as_bytes());
+            out.extend_from_slice(&n.to_le_bytes());
         }
         out.extend_from_slice(&(self.stats.dist_hist.len() as u32).to_le_bytes());
         for v in &self.stats.dist_hist {

@@ -39,12 +39,10 @@ pub use checkpoint::{Checkpoint, CheckpointError};
 pub use riscv::RiscvEmu;
 pub use straight::StraightEmu;
 
-use std::collections::BTreeMap;
-
 use straight_asm::{Image, MEM_SIZE};
 use straight_isa::{InstKind, MemWidth, Trap, TrapKind};
-use straight_riscv::RvInst;
 
+use crate::KindCounts;
 use checkpoint::{ArchSnap, DirtyMap};
 use sys::SysState;
 
@@ -67,139 +65,23 @@ pub enum EmuExit {
     Trap(Trap),
 }
 
-/// The Figure 15 retired-instruction categories, shared by both ISAs.
-/// The discriminants index [`EmuStats`]' flat count array, so the fast
-/// tier can batch-account a whole translated block with one array add
-/// instead of a map lookup per instruction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EmuKind {
-    /// Jumps and branches.
-    JumpBranch = 0,
-    /// ALU operations (including `LUI`/`AUIPC`-style immediates).
-    Alu = 1,
-    /// Loads.
-    Ld = 2,
-    /// Stores.
-    St = 3,
-    /// STRAIGHT `RMOV` distance moves.
-    Rmov = 4,
-    /// STRAIGHT distance-padding `NOP`s.
-    Nop = 5,
-    /// Everything else (`SPADD`, `SYS`/`ecall`, `HALT`).
-    Other = 6,
-}
-
-impl EmuKind {
-    /// Number of categories (the length of the count arrays).
-    pub const COUNT: usize = 7;
-
-    /// The figure label of this category.
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        match self {
-            EmuKind::JumpBranch => "jump+branch",
-            EmuKind::Alu => "alu",
-            EmuKind::Ld => "ld",
-            EmuKind::St => "st",
-            EmuKind::Rmov => "rmov",
-            EmuKind::Nop => "nop",
-            EmuKind::Other => "other",
-        }
-    }
-
-    /// Category of a STRAIGHT instruction kind.
-    #[must_use]
-    pub fn of_straight(kind: InstKind) -> EmuKind {
-        match kind {
-            InstKind::JumpBranch => EmuKind::JumpBranch,
-            InstKind::Alu => EmuKind::Alu,
-            InstKind::Ld => EmuKind::Ld,
-            InstKind::St => EmuKind::St,
-            InstKind::Rmov => EmuKind::Rmov,
-            InstKind::Nop => EmuKind::Nop,
-            InstKind::Other => EmuKind::Other,
-        }
-    }
-
-    /// Category of an RV32IM instruction.
-    #[must_use]
-    pub fn of_riscv(inst: &RvInst) -> EmuKind {
-        match inst {
-            RvInst::Jal { .. } | RvInst::Jalr { .. } | RvInst::Branch { .. } => EmuKind::JumpBranch,
-            RvInst::Load { .. } => EmuKind::Ld,
-            RvInst::Store { .. } => EmuKind::St,
-            RvInst::Ecall | RvInst::Ebreak => EmuKind::Other,
-            _ => EmuKind::Alu,
-        }
-    }
-}
-
 /// Retired-instruction statistics.
 ///
-/// Retirement counting and categorization are deliberately separate
-/// operations: the interpreter bumps both per instruction, while the
-/// fast tier retires a whole translated block with one
-/// `count_retired` plus one flat-array add — no
-/// per-instruction map lookups. The category map of the old API is
-/// still available, built on demand by [`EmuStats::kinds`].
+/// The interpreter counts each retired instruction into `kinds`; the
+/// fast tier retires a whole translated trace with one array add of
+/// the trace's precomputed counts.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct EmuStats {
     /// Total retired instructions.
     pub retired: u64,
-    /// Per-category counts, indexed by [`EmuKind`] discriminant.
-    kind_counts: [u64; EmuKind::COUNT],
+    /// Retired counts per category (Figure 15).
+    pub kinds: KindCounts,
     /// Histogram of source-operand distances (STRAIGHT only; index =
     /// distance, Figure 16).
     pub dist_hist: Vec<u64>,
 }
 
 impl EmuStats {
-    /// Categorizes one retired instruction. Does *not* advance
-    /// `retired` — pair with [`EmuStats::count_retired`].
-    #[inline]
-    pub(crate) fn bump_kind(&mut self, kind: EmuKind) {
-        self.kind_counts[kind as usize] += 1;
-    }
-
-    /// Advances the retired count by `n` (batch retirement).
-    #[inline]
-    pub(crate) fn count_retired(&mut self, n: u64) {
-        self.retired += n;
-    }
-
-    /// Adds a whole block's precomputed category counts at once.
-    #[inline]
-    pub(crate) fn add_kind_counts(&mut self, counts: &[u64; EmuKind::COUNT]) {
-        for (total, add) in self.kind_counts.iter_mut().zip(counts) {
-            *total += add;
-        }
-    }
-
-    /// Per-category counts as a labeled map (Figure 15 shape); only
-    /// categories that retired at least one instruction appear.
-    #[must_use]
-    pub fn kinds(&self) -> BTreeMap<&'static str, u64> {
-        const ALL: [EmuKind; EmuKind::COUNT] = [
-            EmuKind::JumpBranch,
-            EmuKind::Alu,
-            EmuKind::Ld,
-            EmuKind::St,
-            EmuKind::Rmov,
-            EmuKind::Nop,
-            EmuKind::Other,
-        ];
-        ALL.into_iter()
-            .filter(|k| self.kind_counts[*k as usize] > 0)
-            .map(|k| (k.name(), self.kind_counts[k as usize]))
-            .collect()
-    }
-
-    /// Retired count of one category.
-    #[must_use]
-    pub fn kind_count(&self, kind: EmuKind) -> u64 {
-        self.kind_counts[kind as usize]
-    }
-
     /// Cumulative fraction of operands at distance ≤ `d`.
     #[must_use]
     pub fn cumulative_fraction(&self, d: usize) -> f64 {
@@ -442,9 +324,9 @@ impl<B> EmuCore<B> {
     /// without trapping, keeping the retired count equal to the trap
     /// index.
     #[inline]
-    fn retire_one(&mut self, kind: EmuKind, next_pc: u32, halted: bool) -> Option<EmuExit> {
-        self.stats.bump_kind(kind);
-        self.stats.count_retired(1);
+    fn retire_one(&mut self, kind: InstKind, next_pc: u32, halted: bool) -> Option<EmuExit> {
+        self.stats.kinds[kind] += 1;
+        self.stats.retired += 1;
         self.count += 1;
         self.pc = next_pc;
         self.exit_after(halted)
@@ -457,13 +339,13 @@ impl<B> EmuCore<B> {
         &mut self,
         n: u64,
         next_pc: u32,
-        kind_counts: &[u64; EmuKind::COUNT],
+        kinds: &KindCounts,
         halted: bool,
     ) -> Option<EmuExit> {
         self.count += n;
         self.pc = next_pc;
-        self.stats.add_kind_counts(kind_counts);
-        self.stats.count_retired(n);
+        self.stats.kinds += kinds;
+        self.stats.retired += n;
         self.exit_after(halted)
     }
 
@@ -473,15 +355,15 @@ impl<B> EmuCore<B> {
     /// prefix and returns the trap the interpreter would have raised.
     fn trace_trap(
         &mut self,
-        meta: &[(u32, EmuKind)],
+        meta: &[(u32, InstKind)],
         entry: u64,
         done: u64,
         kind: TrapKind,
     ) -> Option<EmuExit> {
         for &(_, category) in &meta[..done as usize] {
-            self.stats.bump_kind(category);
+            self.stats.kinds[category] += 1;
         }
-        self.stats.count_retired(done);
+        self.stats.retired += done;
         self.count = entry + done;
         self.pc = meta[done as usize].0;
         Some(self.trap(kind))
@@ -680,33 +562,28 @@ mod tests {
     #[test]
     fn kinds_map_contains_only_touched_categories() {
         let mut stats = EmuStats::default();
-        stats.bump_kind(EmuKind::Alu);
-        stats.bump_kind(EmuKind::Alu);
-        stats.bump_kind(EmuKind::JumpBranch);
-        stats.count_retired(3);
-        let kinds = stats.kinds();
-        assert_eq!(kinds.get("alu"), Some(&2));
-        assert_eq!(kinds.get("jump+branch"), Some(&1));
-        assert!(!kinds.contains_key("nop"), "untouched kinds are absent, as in the old map");
-        assert_eq!(stats.retired, 3);
+        stats.kinds[InstKind::Alu] += 2;
+        stats.kinds[InstKind::St] += 1;
+        let kinds: Vec<_> = stats.kinds.nonzero().collect();
+        assert_eq!(kinds, [("alu", 2), ("st", 1)], "untouched kinds are absent");
     }
 
     #[test]
     fn batch_accounting_matches_per_instruction() {
         let mut a = EmuStats::default();
         for _ in 0..5 {
-            a.bump_kind(EmuKind::Ld);
-            a.count_retired(1);
+            a.kinds[InstKind::Ld] += 1;
+            a.retired += 1;
         }
-        a.bump_kind(EmuKind::St);
-        a.count_retired(1);
+        a.kinds[InstKind::St] += 1;
+        a.retired += 1;
 
         let mut b = EmuStats::default();
-        let mut block = [0u64; EmuKind::COUNT];
-        block[EmuKind::Ld as usize] = 5;
-        block[EmuKind::St as usize] = 1;
-        b.add_kind_counts(&block);
-        b.count_retired(6);
+        let mut block = KindCounts::default();
+        block[InstKind::Ld] = 5;
+        block[InstKind::St] = 1;
+        b.kinds += &block;
+        b.retired += 6;
 
         assert_eq!(a, b);
     }

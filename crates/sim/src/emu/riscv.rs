@@ -11,11 +11,12 @@
 //! the static target) — with statistics batched per trace.
 
 use straight_asm::{Image, STACK_TOP};
-use straight_isa::{AluOp, TrapKind};
+use straight_isa::{AluOp, InstKind, TrapKind};
 use straight_riscv::{decode, MemWidth, Reg, RvInst};
 
 use super::checkpoint::{ArchSnap, CheckpointError};
-use super::{memops, EmuCore, EmuExit, EmuIsa, EmuKind, EmuStats, BLOCK_CAP};
+use super::{memops, EmuCore, EmuExit, EmuIsa, EmuStats, BLOCK_CAP};
+use crate::KindCounts;
 
 /// Architectural registers are `x0..x31`; slot 32 is the fast tier's
 /// write sink for `x0`-target instructions (never read, excluded from
@@ -95,9 +96,9 @@ pub(crate) struct Block {
     /// Per instruction: its PC and Figure 15 category. Cold paths
     /// only (mid-trace traps need the interpreter's exact PC and
     /// per-instruction statistics).
-    meta: Vec<(u32, EmuKind)>,
+    meta: Vec<(u32, InstKind)>,
     /// Precomputed Figure 15 category counts for a full execution.
-    kind_counts: [u64; EmuKind::COUNT],
+    kinds: KindCounts,
     /// Ends in `EBREAK`.
     ends_break: bool,
 }
@@ -231,7 +232,7 @@ impl EmuIsa for RiscvEmu {
             return Err(TrapKind::IllegalInstruction { word });
         };
         let next_pc = self.exec_inst(&inst, self.core.pc)?;
-        Ok(self.core.retire_one(EmuKind::of_riscv(&inst), next_pc, matches!(inst, RvInst::Ebreak)))
+        Ok(self.core.retire_one(inst.kind(), next_pc, matches!(inst, RvInst::Ebreak)))
     }
 
     /// Translates the trace starting at `start_pc`. An empty trace
@@ -239,15 +240,16 @@ impl EmuIsa for RiscvEmu {
     /// back to the interpreter, which raises the proper trap.
     fn translate(&self, start_pc: u32) -> Block {
         let mut ops = Vec::new();
-        let mut meta: Vec<(u32, EmuKind)> = Vec::new();
-        let mut kind_counts = [0u64; EmuKind::COUNT];
+        let mut meta: Vec<(u32, InstKind)> = Vec::new();
+        let mut kinds = KindCounts::default();
         let mut ends_break = false;
         let mut pc = start_pc;
         while meta.len() < BLOCK_CAP {
             let Some(word) = self.core.image.fetch(pc) else { break };
             let Ok(inst) = decode(word) else { break };
-            kind_counts[EmuKind::of_riscv(&inst) as usize] += 1;
-            meta.push((pc, EmuKind::of_riscv(&inst)));
+            let kind = inst.kind();
+            kinds[kind] += 1;
+            meta.push((pc, kind));
             let mut next = pc.wrapping_add(4);
             let terminator = matches!(
                 inst,
@@ -362,7 +364,7 @@ impl EmuIsa for RiscvEmu {
                 break;
             }
         }
-        Block { end_pc: pc, ops, meta, kind_counts, ends_break }
+        Block { end_pc: pc, ops, meta, kinds, ends_break }
     }
 
     /// Executes one translated trace; the caller guarantees enough
@@ -551,7 +553,7 @@ impl EmuIsa for RiscvEmu {
                 FastOp::Ebreak => {}
             }
         }
-        self.core.retire_trace(b.meta.len() as u64, next_pc, &b.kind_counts, b.ends_break)
+        self.core.retire_trace(b.meta.len() as u64, next_pc, &b.kinds, b.ends_break)
     }
 
     #[inline]
@@ -648,7 +650,7 @@ mod tests {
         let image = link_riscv(&sum_loop_program()).unwrap();
         let r = RiscvEmu::new(image).run(10_000);
         assert_eq!(r.exit_code(), Some(15));
-        assert!(r.stats.kinds()["jump+branch"] >= 5);
+        assert!(r.stats.kinds[InstKind::JumpBranch] >= 5);
     }
 
     #[test]

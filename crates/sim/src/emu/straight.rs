@@ -31,10 +31,11 @@
 //! not memory), so translated traces never need invalidation.
 
 use straight_asm::{Image, STACK_TOP};
-use straight_isa::{decode, AluImmOp, AluOp, Dist, Inst, MemWidth, TrapKind, MAX_DISTANCE};
+use straight_isa::{decode, AluImmOp, AluOp, Dist, Inst, InstKind, MemWidth, TrapKind, MAX_DISTANCE};
 
 use super::checkpoint::{ArchSnap, CheckpointError};
-use super::{memops, EmuCore, EmuExit, EmuIsa, EmuKind, EmuStats, BLOCK_CAP};
+use super::{memops, EmuCore, EmuExit, EmuIsa, EmuStats, BLOCK_CAP};
+use crate::KindCounts;
 
 const RING: usize = (MAX_DISTANCE as usize + 1).next_power_of_two();
 const RING_MASK: u64 = RING as u64 - 1;
@@ -117,9 +118,9 @@ pub(crate) struct Block {
     /// Per architectural instruction: its PC and Figure 15 category.
     /// Cold paths only (mid-trace traps need the interpreter's exact
     /// PC and per-instruction statistics).
-    meta: Vec<(u32, EmuKind)>,
+    meta: Vec<(u32, InstKind)>,
     /// Precomputed Figure 15 category counts for a full execution.
-    kind_counts: [u64; EmuKind::COUNT],
+    kinds: KindCounts,
     /// Precomputed Figure 16 source-distance counts for a full
     /// execution, nonzero distances only, ascending.
     dist_counts: Vec<(u16, u64)>,
@@ -340,11 +341,7 @@ impl EmuIsa for StraightEmu {
             }
         };
         self.ring[(self.core.count & RING_MASK) as usize] = result;
-        Ok(self.core.retire_one(
-            EmuKind::of_straight(inst.kind()),
-            next_pc,
-            matches!(inst, Inst::Halt),
-        ))
+        Ok(self.core.retire_one(inst.kind(), next_pc, matches!(inst, Inst::Halt)))
     }
 
     /// Translates the trace starting at `start_pc`. An empty trace
@@ -353,16 +350,16 @@ impl EmuIsa for StraightEmu {
     fn translate(&self, start_pc: u32) -> Block {
         let mut ops = Vec::new();
         let mut chain_dists: Vec<u16> = Vec::new();
-        let mut meta: Vec<(u32, EmuKind)> = Vec::new();
-        let mut kind_counts = [0u64; EmuKind::COUNT];
+        let mut meta: Vec<(u32, InstKind)> = Vec::new();
+        let mut kinds = KindCounts::default();
         let mut dists: Vec<u16> = Vec::new();
         let mut ends_halt = false;
         let mut pc = start_pc;
         while meta.len() < BLOCK_CAP {
             let Some(word) = self.core.image.fetch(pc) else { break };
             let Ok(inst) = decode(word) else { break };
-            let kind = EmuKind::of_straight(inst.kind());
-            kind_counts[kind as usize] += 1;
+            let kind = inst.kind();
+            kinds[kind] += 1;
             meta.push((pc, kind));
             dists.extend(
                 inst.sources().into_iter().flatten().filter(|s| !s.is_zero()).map(Dist::get),
@@ -495,7 +492,7 @@ impl EmuIsa for StraightEmu {
             chain_dists,
             len_insts: meta.len() as u32,
             meta,
-            kind_counts,
+            kinds,
             max_dist: dist_counts.last().map_or(0, |&(d, _)| d),
             dist_counts,
             ends_halt,
@@ -671,7 +668,7 @@ impl EmuIsa for StraightEmu {
                 self.core.stats.dist_hist[d as usize] += n;
             }
         }
-        self.core.retire_trace(count - entry, next_pc, &b.kind_counts, b.ends_halt)
+        self.core.retire_trace(count - entry, next_pc, &b.kinds, b.ends_halt)
     }
 
     /// Unchecked ring reads are legal once at least the trace's
@@ -751,7 +748,7 @@ mod tests {
         assert_eq!(r.exit_code(), Some(0));
         assert_eq!(r.stdout, "0\n");
         assert!(r.stats.retired > 20, "{}", r.stats.retired);
-        assert!(r.stats.kinds().get("nop").copied().unwrap_or(0) > 0);
+        assert!(r.stats.kinds[InstKind::Nop] > 0);
     }
 
     #[test]

@@ -18,6 +18,9 @@
 //! * [`inject`] — deterministic microarchitectural fault injection
 //!   for exercising the hazard sanitizer and the forward-progress
 //!   watchdog.
+//!
+//! Both the emulators and the cores count retired instructions per
+//! Figure 15 category in one [`KindCounts`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -25,31 +28,9 @@
 
 pub mod emu;
 pub mod inject;
+mod kinds;
 pub mod mem;
 pub mod pipeline;
 pub mod predict;
 
-/// Implements [`straight_json::ToJson`] and [`straight_json::FromJson`]
-/// for a flat struct by listing its fields: the JSON object carries one
-/// key per field, in declaration order.
-macro_rules! json_record {
-    ($ty:ty { $($field:ident),* $(,)? }) => {
-        impl straight_json::ToJson for $ty {
-            fn to_json(&self) -> straight_json::Json {
-                straight_json::Json::obj([
-                    $((stringify!($field), straight_json::ToJson::to_json(&self.$field)),)*
-                ])
-            }
-        }
-        impl straight_json::FromJson for $ty {
-            fn from_json(
-                value: &straight_json::Json,
-            ) -> Result<Self, straight_json::JsonError> {
-                Ok(Self {
-                    $($field: straight_json::read_field(value, stringify!($field))?,)*
-                })
-            }
-        }
-    };
-}
-pub(crate) use json_record;
+pub use kinds::KindCounts;

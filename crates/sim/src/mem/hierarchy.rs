@@ -61,7 +61,7 @@ pub struct MemStats {
 
 // Each cache level serializes as a two-element `[accesses, misses]`
 // array.
-crate::json_record!(MemStats { l1i, l1d, l2, l3, prefetches });
+straight_json::json_record!(MemStats { l1i, l1d, l2, l3, prefetches });
 
 /// Simple next-line stream detector: tracks a few recent miss
 /// streams; two consecutive line misses arm a stream that prefetches

@@ -205,8 +205,6 @@ pub struct Core {
     pending_faults: Vec<(u64, FaultKind)>,
     faults_applied: u32,
     force_flip_branch: bool,
-    /// Debug: (load pc, store pc) of each memory-order violation.
-    pub violation_log: Vec<(u32, u32)>,
     /// Host nanoseconds per pipeline stage, in [`STAGE_NAMES`] order.
     #[cfg(feature = "stage-profile")]
     stage_ns: [u64; 5],
@@ -311,7 +309,6 @@ impl Core {
             pending_faults: Vec::new(),
             faults_applied: 0,
             force_flip_branch: false,
-            violation_log: Vec::new(),
             #[cfg(feature = "stage-profile")]
             stage_ns: [0; 5],
         })
@@ -591,7 +588,8 @@ impl Core {
                 return;
             }
         }
-        self.stats.bump_kind_idx(uop.kind);
+        self.stats.retired_kinds[uop.kind] += 1;
+        self.stats.retired += 1;
         self.stats.events.rob_commits += 1;
         // Predictor training happens in order at retire.
         if uop.is_cond_branch() {
@@ -928,7 +926,6 @@ impl Core {
         // match is the oldest victim.
         if let Some((load_seq, load_pc)) = self.lsq.loads.find_violation_victim(seq, addr, width) {
             // Only an actual executed load matters; it re-executes.
-            self.violation_log.push((load_pc, uop.pc));
             self.stats.memory_violations += 1;
             self.memdep.on_violation(load_pc);
             self.recover(load_seq - 1, load_pc, None);
@@ -1325,7 +1322,6 @@ impl Core {
         self.pending_faults.clear();
         self.faults_applied = 0;
         self.force_flip_branch = false;
-        self.violation_log.clear();
         #[cfg(feature = "stage-profile")]
         {
             self.stage_ns = [0; 5];
@@ -1397,39 +1393,6 @@ impl Core {
     }
 
     // -- driver -------------------------------------------------------
-
-    /// One-line state summary for debugging stalls.
-    #[must_use]
-    pub fn debug_snapshot(&self) -> String {
-        let head = (!self.rob.is_empty()).then(|| {
-            let hs = self.rob.head_slot();
-            let uop = self.rob.uop[hs];
-            format!(
-                "head seq={} pc={:#x} {:?} state={:?} srcs_ready={}",
-                self.rob.seq[hs],
-                uop.pc,
-                uop.func,
-                self.rob.state[hs],
-                self.srcs_ready(&uop)
-            )
-        });
-        format!(
-            "cyc={} rob={} iq={} infl={} lsq={} frontq={} front_rdy={:?} front_pc={:?} fetch_pc={:#x} fstall@{} rstall@{} retired={} | {:?}",
-            self.cycle,
-            self.rob.len(),
-            self.sched.occupancy,
-            self.inflight.len(),
-            self.lsq.len(),
-            self.front_q.len(),
-            self.front_q.front().map(|f| f.ready_at),
-            self.front_q.front().map(|f| format!("{:#x}", f.pc)),
-            self.fetch_pc,
-            self.fetch_stall_until,
-            self.rename_stall_until,
-            self.stats.retired,
-            head
-        )
-    }
 
     /// Runs one pipeline stage, charging its host time to `slot` when
     /// the `stage-profile` feature is enabled.

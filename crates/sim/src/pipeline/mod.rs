@@ -16,5 +16,5 @@ pub use config::{IsaKind, MachineConfig, UnitCfg};
 pub use core::{simulate, Core, CoreError, DEFAULT_MAX_CYCLES};
 #[cfg(feature = "stage-profile")]
 pub use core::STAGE_NAMES;
-pub use stats::{intern_kind, PowerEvents, SimExit, SimResult, SimStats, WatchdogReport, KIND_NAMES};
+pub use stats::{PowerEvents, SimExit, SimResult, SimStats, WatchdogReport};
 pub use uop::{ControlInfo, ExecUnit, FuncOp, RawInst, UOp};

@@ -1,14 +1,13 @@
 //! Simulation statistics, including the activity-event counters the
 //! power model consumes (Figure 17).
 
-use std::collections::BTreeMap;
 use std::fmt;
 
 use straight_isa::Trap;
-use straight_json::{read_field, FromJson, Json, JsonError, ToJson};
+use straight_json::{json_record, read_field, FromJson, Json, JsonError, ToJson};
 
-use crate::json_record;
 use crate::mem::MemStats;
+use crate::KindCounts;
 
 /// Activity events for the power model: every counter corresponds to
 /// a physical structure access in one of the modeled modules.
@@ -61,11 +60,8 @@ pub struct SimStats {
     pub cycles: u64,
     /// Retired (committed) instructions.
     pub retired: u64,
-    /// Retired counts per category, indexed like [`KIND_NAMES`]
-    /// (Figure 15 categories). A fixed array rather than a map: the
-    /// retire path bumps one of these per instruction, so the counter
-    /// must be O(1) with no string hashing.
-    pub retired_kinds: [u64; KIND_NAMES.len()],
+    /// Retired counts per category (Figure 15).
+    pub retired_kinds: KindCounts,
     /// Conditional branches resolved / mispredicted.
     pub branches: u64,
     /// Mispredicted conditional branches.
@@ -109,100 +105,15 @@ impl SimStats {
             self.branch_mispredicts as f64 / self.branches as f64
         }
     }
-
-    /// Bumps a retired-kind counter. `kind` must be one of
-    /// [`KIND_NAMES`]; anything else is counted as `"other"`.
-    pub fn bump_kind(&mut self, kind: &'static str) {
-        let slot = kind_slot(kind);
-        debug_assert_eq!(KIND_NAMES[slot], kind, "unknown retired-instruction kind");
-        self.retired_kinds[slot] += 1;
-        self.retired += 1;
-    }
-
-    /// Bumps a retired-kind counter by its [`KIND_NAMES`] index — the
-    /// pipeline's hot path, which carries the category pre-encoded as
-    /// an index (the crate-internal `kind_idx` constants) instead of a
-    /// string.
-    #[inline]
-    pub fn bump_kind_idx(&mut self, idx: u8) {
-        debug_assert!((idx as usize) < KIND_NAMES.len(), "kind index out of range");
-        self.retired_kinds[idx as usize] += 1;
-        self.retired += 1;
-    }
-
-    /// The retired count for one [`KIND_NAMES`] category.
-    #[must_use]
-    pub fn kind_count(&self, name: &str) -> u64 {
-        KIND_NAMES
-            .iter()
-            .position(|&k| k == name)
-            .map_or(0, |i| self.retired_kinds[i])
-    }
-}
-
-/// O(1) category dispatch: every [`KIND_NAMES`] entry starts with a
-/// distinct byte, so one byte identifies the slot.
-#[inline]
-fn kind_slot(kind: &str) -> usize {
-    match kind.as_bytes().first() {
-        Some(b'j') => 0,
-        Some(b'a') => 1,
-        Some(b'l') => 2,
-        Some(b's') => 3,
-        Some(b'r') => 4,
-        Some(b'n') => 5,
-        _ => 6,
-    }
-}
-
-/// The closed vocabulary of retired-instruction categories (the
-/// Figure 15 legend). [`SimStats`] keys its per-kind counters with
-/// these `&'static str`s, so deserialization interns incoming keys
-/// against this list.
-pub const KIND_NAMES: [&str; 7] = ["jump+branch", "alu", "ld", "st", "rmov", "nop", "other"];
-
-/// [`KIND_NAMES`] indices, for code that carries a category as a
-/// compact `u8` (the `UOp::kind` encoding) rather than a string.
-pub(crate) mod kind_idx {
-    /// `"jump+branch"`.
-    pub const JUMP_BRANCH: u8 = 0;
-    /// `"alu"`.
-    pub const ALU: u8 = 1;
-    /// `"ld"`.
-    pub const LD: u8 = 2;
-    /// `"st"`.
-    pub const ST: u8 = 3;
-    /// `"rmov"`.
-    pub const RMOV: u8 = 4;
-    /// `"nop"`.
-    pub const NOP: u8 = 5;
-    /// `"other"`.
-    pub const OTHER: u8 = 6;
-}
-
-/// Interns a category name against [`KIND_NAMES`].
-#[must_use]
-pub fn intern_kind(name: &str) -> Option<&'static str> {
-    KIND_NAMES.iter().find(|&&k| k == name).copied()
 }
 
 impl ToJson for SimStats {
     fn to_json(&self) -> Json {
-        // Emitted exactly as the former `BTreeMap` representation did:
-        // categories with a non-zero count, in lexicographic order.
-        let mut lex: Vec<usize> = (0..KIND_NAMES.len()).collect();
-        lex.sort_by_key(|&i| KIND_NAMES[i]);
-        let kinds = Json::Obj(
-            lex.into_iter()
-                .filter(|&i| self.retired_kinds[i] != 0)
-                .map(|i| (KIND_NAMES[i].to_string(), self.retired_kinds[i].to_json()))
-                .collect(),
-        );
         straight_json::obj()
             .field("cycles", &self.cycles)
             .field("retired", &self.retired)
             .field("ipc", &self.ipc())
-            .field("retired_kinds", &kinds)
+            .field("retired_kinds", &self.retired_kinds)
             .field("branches", &self.branches)
             .field("branch_mispredicts", &self.branch_mispredicts)
             .field("indirect_mispredicts", &self.indirect_mispredicts)
@@ -219,18 +130,10 @@ impl ToJson for SimStats {
 
 impl FromJson for SimStats {
     fn from_json(value: &Json) -> Result<Self, JsonError> {
-        let kinds_value: BTreeMap<String, u64> = read_field(value, "retired_kinds")?;
-        let mut retired_kinds = [0u64; KIND_NAMES.len()];
-        for (name, count) in kinds_value {
-            let slot = KIND_NAMES.iter().position(|&k| k == name).ok_or_else(|| {
-                JsonError::Shape(format!("unknown retired-instruction kind `{name}`"))
-            })?;
-            retired_kinds[slot] = count;
-        }
         Ok(SimStats {
             cycles: read_field(value, "cycles")?,
             retired: read_field(value, "retired")?,
-            retired_kinds,
+            retired_kinds: read_field(value, "retired_kinds")?,
             branches: read_field(value, "branches")?,
             branch_mispredicts: read_field(value, "branch_mispredicts")?,
             indirect_mispredicts: read_field(value, "indirect_mispredicts")?,
@@ -352,43 +255,11 @@ mod tests {
 
     #[test]
     fn ipc_and_rates() {
-        let mut s = SimStats { cycles: 100, ..SimStats::default() };
-        for _ in 0..150 {
-            s.bump_kind("alu");
-        }
+        let mut s = SimStats { cycles: 100, retired: 150, ..SimStats::default() };
         s.branches = 10;
         s.branch_mispredicts = 3;
         assert!((s.ipc() - 1.5).abs() < 1e-9);
         assert!((s.mispredict_rate() - 0.3).abs() < 1e-9);
-        assert_eq!(s.kind_count("alu"), 150);
-        assert_eq!(s.kind_count("ld"), 0);
-    }
-
-    #[test]
-    fn kind_slots_cover_all_names() {
-        // The one-byte dispatch must stay in lockstep with KIND_NAMES.
-        for (i, name) in KIND_NAMES.iter().enumerate() {
-            assert_eq!(kind_slot(name), i, "kind {name} maps to the wrong slot");
-        }
-    }
-
-    #[test]
-    fn kind_idx_constants_match_names() {
-        // The compact `u8` encoding must stay in lockstep with
-        // KIND_NAMES too.
-        let pairs = [
-            (kind_idx::JUMP_BRANCH, "jump+branch"),
-            (kind_idx::ALU, "alu"),
-            (kind_idx::LD, "ld"),
-            (kind_idx::ST, "st"),
-            (kind_idx::RMOV, "rmov"),
-            (kind_idx::NOP, "nop"),
-            (kind_idx::OTHER, "other"),
-        ];
-        assert_eq!(pairs.len(), KIND_NAMES.len());
-        for (idx, name) in pairs {
-            assert_eq!(KIND_NAMES[idx as usize], name);
-        }
     }
 
     #[test]

@@ -9,7 +9,6 @@ use std::collections::VecDeque;
 use straight_isa::{AluImmOp, AluOp, Dist, Inst, InstKind, MemWidth, TrapKind};
 use straight_riscv::{BranchOp, Reg, RvInst};
 
-use super::stats::kind_idx;
 
 /// A raw fetched instruction of either ISA.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -214,11 +213,9 @@ pub struct UOp {
     pub srcs: [Option<u16>; 2],
     /// Physical destination.
     pub dst: Option<u16>,
-    /// Figure 15 category, encoded as an index into
-    /// [`KIND_NAMES`](crate::pipeline::KIND_NAMES). A compact `u8`
-    /// instead of a `&'static str` keeps the micro-op small — uops are
-    /// copied by value between the ROB columns and the pipeline stages.
-    pub kind: u8,
+    /// Figure 15 category (one byte: uops are copied by value between
+    /// the ROB columns and the pipeline stages).
+    pub kind: InstKind,
     /// SS: architectural destination register.
     pub logical_dst: Option<u8>,
     /// SS: previous mapping of `logical_dst` (for walk recovery and
@@ -286,7 +283,7 @@ impl UOp {
             latency: 1,
             srcs: [None, None],
             dst: None,
-            kind: kind_idx::OTHER,
+            kind: InstKind::Other,
             logical_dst: None,
             prev_phys: None,
             rp_after,
@@ -333,15 +330,7 @@ pub fn rename_straight(inst: Inst, pc: u32, st: &mut RpState, phys: u32) -> UOp 
             Some(if x >= phys { x - phys } else { x } as u16)
         }
     };
-    let kind = match inst.kind() {
-        InstKind::JumpBranch => kind_idx::JUMP_BRANCH,
-        InstKind::Alu => kind_idx::ALU,
-        InstKind::Ld => kind_idx::LD,
-        InstKind::St => kind_idx::ST,
-        InstKind::Rmov => kind_idx::RMOV,
-        InstKind::Nop => kind_idx::NOP,
-        InstKind::Other => kind_idx::OTHER,
-    };
+    let kind = inst.kind();
     let (func, unit, latency, srcs): (FuncOp, ExecUnit, u32, [Option<u16>; 2]) = match inst {
         Inst::Nop => (FuncOp::Nop, ExecUnit::Alu, 1, [None, None]),
         Inst::Halt => (FuncOp::Halt, ExecUnit::Alu, 1, [None, None]),
@@ -438,13 +427,7 @@ impl RmtState {
 /// no physical register is free (rename stalls).
 #[must_use]
 pub fn rename_riscv(inst: RvInst, pc: u32, st: &mut RmtState) -> Option<UOp> {
-    let kind = match inst {
-        RvInst::Jal { .. } | RvInst::Jalr { .. } | RvInst::Branch { .. } => kind_idx::JUMP_BRANCH,
-        RvInst::Load { .. } => kind_idx::LD,
-        RvInst::Store { .. } => kind_idx::ST,
-        RvInst::Ecall | RvInst::Ebreak => kind_idx::OTHER,
-        _ => kind_idx::ALU,
-    };
+    let kind = inst.kind();
     let src = |st: &RmtState, r: Reg| -> Option<u16> {
         if r.is_zero() {
             None

@@ -42,14 +42,15 @@ for c in cells:
 print(f"throughput fields OK on {len(piped)} pipeline cells")
 EOF
 
-# Golden-record gate: live --quick fig11 (gshare), fig14 (TAGE) and
-# sampled (checkpoint-sampled estimates) runs (git rev pinned) must be
-# byte-identical, after --normalize, to the committed golden records. Any accidental change to simulated behaviour
-# fails here; intentional changes must regenerate the records
+# Golden-record gate: live --quick fig11 (gshare), fig14 (TAGE), fig15
+# (retired-instruction mix) and sampled (checkpoint-sampled estimates)
+# runs (git rev pinned) must be byte-identical, after --normalize, to
+# the committed golden records. Any accidental change to simulated
+# behaviour fails here; intentional changes must regenerate the records
 # (tests/golden/README.md).
-STRAIGHT_GIT_REV=golden target/release/straight-lab --figure fig11,fig14,sampled --quick \
+STRAIGHT_GIT_REV=golden target/release/straight-lab --figure fig11,fig14,fig15,sampled --quick \
     --quiet --out "$SMOKE_DIR/golden-live"
-for fig in fig11 fig14 sampled; do
+for fig in fig11 fig14 fig15 sampled; do
     target/release/straight-lab --normalize "tests/golden/BENCH_${fig}_quick.json" \
         > "$SMOKE_DIR/golden.norm"
     target/release/straight-lab --normalize "$SMOKE_DIR/golden-live/BENCH_$fig.json" \

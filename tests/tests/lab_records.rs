@@ -2,16 +2,16 @@
 //! `straight-lab` runner: JSON round-tripping, run-to-run determinism,
 //! and the compatibility of the re-rendered reports.
 
-use std::collections::BTreeMap;
-
 use straight_compiler::StraightOptions;
 use straight_core::experiment::{
     CellRecord, ExperimentId, ExperimentResult, RunParams, SCHEMA_VERSION,
 };
 use straight_core::lab::{validate_file, LabRun, LabSession};
+use straight_isa::InstKind;
 use straight_json::{FromJson, Json, ToJson};
 use straight_sim::emu::TierConfig;
 use straight_sim::pipeline::{Core, MachineConfig, SimStats};
+use straight_sim::KindCounts;
 use straight_tests::{build_ir, build_riscv, build_straight};
 use straight_workloads::dhrystone;
 
@@ -34,11 +34,11 @@ fn run_fresh(names: &[&str], jobs: usize) -> Vec<LabRun> {
 /// A synthetic record exercising every optional field at once (real
 /// cells set disjoint subsets).
 fn synthetic_result() -> ExperimentResult {
-    let mut stats = SimStats { cycles: 1000, ..SimStats::default() };
-    for _ in 0..150 {
-        stats.bump_kind("alu");
-    }
-    stats.bump_kind("jump+branch");
+    let mut stats = SimStats { cycles: 1000, retired: 151, ..SimStats::default() };
+    stats.retired_kinds[InstKind::Alu] = 150;
+    stats.retired_kinds[InstKind::JumpBranch] = 1;
+    let mut kinds = KindCounts::default();
+    kinds[InstKind::Alu] = 150;
     stats.events.rmt_reads = 42;
     stats.mem.l1d = (100, 7);
     ExperimentResult {
@@ -63,7 +63,7 @@ fn synthetic_result() -> ExperimentResult {
             retired: 151,
             ipc: 0.151,
             stats: Some(stats),
-            kinds: Some(BTreeMap::from([("alu".to_string(), 150u64)])),
+            kinds: Some(kinds),
             distances: Some(vec![(1, 0.5), (1024, 1.0)]),
             max_distance_used: Some(900),
             stdout_digest: Some("ffffffffffffffff".to_string()),
@@ -242,6 +242,22 @@ fn written_files_validate_and_re_render() {
     unpaired.cells.retain(|c| !c.label.ends_with(" (sampled)"));
     rejects(&unpaired, "sampled records without estimates", "missing sampled cell");
 
+    // A mix category the figure does not have is rejected, not
+    // dropped from the report.
+    let mut json = runs[0].result.to_json();
+    let Json::Obj(fields) = &mut json else { panic!("a record is an object") };
+    let Some((_, Json::Arr(cells))) = fields.iter_mut().find(|(k, _)| k == "cells") else {
+        panic!("a record has cells")
+    };
+    let Json::Obj(cell) = &mut cells[0] else { panic!("a cell is an object") };
+    let Some((_, Json::Obj(kinds))) = cell.iter_mut().find(|(k, _)| k == "kinds") else {
+        panic!("a fig15 cell has kinds")
+    };
+    kinds.push(("fma".to_string(), 3u64.to_json()));
+    std::fs::write(&path, json.render_pretty()).unwrap();
+    let err = validate_file(&path).expect_err("an unknown mix category").to_string();
+    assert!(err.contains("unknown retired-instruction kind `fma`"), "got {err}");
+
     // Corrupted files are rejected, not misread.
     std::fs::write(&path, "{\"schema_version\": 999}").unwrap();
     assert!(validate_file(&path).is_err());
@@ -258,7 +274,7 @@ fn written_files_validate_and_re_render() {
 fn golden_records_render_the_committed_report_text() {
     let golden = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("golden");
     let report = std::fs::read_to_string(golden.join("report_quick.txt")).unwrap();
-    for name in ["fig11", "fig14", "sampled"] {
+    for name in ["fig11", "fig14", "fig15", "sampled"] {
         let result = validate_file(&golden.join(format!("BENCH_{name}_quick.json"))).unwrap();
         let rendered = straight_core::experiment::find(name).unwrap().render(&result).unwrap();
         assert!(rendered.lines().count() > 2, "{name}: {rendered}");

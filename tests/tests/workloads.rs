@@ -3,6 +3,10 @@
 //! and the cycle-accurate machines.
 
 use straight_compiler::StraightOptions;
+use straight_core::experiment::{RunParams, WorkloadKind, EVAL_MAX_DISTANCE, MAX_CYCLES};
+use straight_core::{build, run_on, Target};
+use straight_isa::InstKind;
+use straight_sim::emu::{ExecBackend, RiscvEmu, StraightEmu, TierConfig};
 use straight_sim::pipeline::{simulate, MachineConfig};
 use straight_tests::{build_ir, build_riscv, build_straight, check_differential, run_interp};
 use straight_workloads::{coremark, dhrystone, kernels};
@@ -71,8 +75,8 @@ fn re_plus_reduces_rmov_count_on_coremark() {
     let module = build_ir(&coremark(1));
     let raw = straight_tests::run_straight(build_straight(&module, &StraightOptions::raw()));
     let re = straight_tests::run_straight(build_straight(&module, &StraightOptions::default()));
-    let raw_rmov = raw.stats.kinds().get("rmov").copied().unwrap_or(0);
-    let re_rmov = re.stats.kinds().get("rmov").copied().unwrap_or(0);
+    let raw_rmov = raw.stats.kinds[InstKind::Rmov];
+    let re_rmov = re.stats.kinds[InstKind::Rmov];
     assert!(
         (re_rmov as f64) < 0.6 * raw_rmov as f64,
         "RE+ should cut RMOVs: RAW={raw_rmov} RE+={re_rmov}"
@@ -94,4 +98,41 @@ fn coremark_has_more_live_pressure_than_dhrystone() {
     let c = over(&coremark(1));
     assert!(c > 1.05, "coremark RAW overhead should be visible: {c}");
     assert!(d > 0.9, "sanity: {d}");
+}
+
+#[test]
+fn emulator_mix_equals_cycle_core_retired_kinds() {
+    // Figure 15 takes the mix from the emulator; the cycle core counts
+    // the same categories at commit. On one image they must agree
+    // category by category.
+    let params = RunParams::quick();
+    let max_distance = EVAL_MAX_DISTANCE;
+    for workload in [WorkloadKind::Dhrystone, WorkloadKind::Coremark] {
+        let src = workload.source(&params);
+        for (target, machine) in [
+            (Target::Riscv, MachineConfig::ss_4way()),
+            (
+                Target::StraightRaw { max_distance },
+                MachineConfig::straight_4way(),
+            ),
+            (
+                Target::StraightRePlus { max_distance },
+                MachineConfig::straight_4way(),
+            ),
+        ] {
+            let image = build(&src, target).unwrap();
+            let emu = match target {
+                Target::Riscv => {
+                    RiscvEmu::new(image.clone()).run_tiered(u64::MAX, TierConfig::fast())
+                }
+                _ => StraightEmu::new(image.clone()).run_tiered(u64::MAX, TierConfig::fast()),
+            };
+            let core = run_on(&image, machine, MAX_CYCLES).unwrap();
+            let what = format!("{} on {target:?}", workload.name());
+            assert_eq!(emu.exit_code(), Some(0), "{what}");
+            assert_eq!(core.exit_code, Some(0), "{what}");
+            assert_eq!(emu.stats.kinds, core.stats.retired_kinds, "{what}");
+            assert_eq!(emu.stats.retired, core.stats.retired, "{what}");
+        }
+    }
 }
