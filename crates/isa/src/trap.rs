@@ -92,7 +92,7 @@ pub enum TrapKind {
     /// An environment-call code the platform does not implement.
     UnknownSys {
         /// The service code.
-        code: u16,
+        code: u32,
     },
     /// The machine configuration cannot execute this image (wrong
     /// ISA). Raised at construction time, never mid-run.

@@ -197,7 +197,7 @@ impl RiscvEmu {
                 self.w(rd, v);
             }
             RvInst::Ecall => {
-                let code = self.r(Reg::A7) as u16;
+                let code = self.r(Reg::A7);
                 let arg = self.r(Reg::A0);
                 match self.core.sys.apply(code, arg) {
                     Some(r) => self.w(Reg::A0, r),
@@ -540,7 +540,7 @@ impl EmuIsa for RiscvEmu {
                     self.regs[usize::from(rd & 63)] = link;
                 }
                 FastOp::Ecall => {
-                    let code = self.rr(Reg::A7.num()) as u16;
+                    let code = self.rr(Reg::A7.num());
                     let arg = self.rr(Reg::A0.num());
                     match self.core.sys.apply(code, arg) {
                         Some(r) => self.regs[usize::from(Reg::A0.num() & 63)] = r,

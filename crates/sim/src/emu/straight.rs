@@ -334,6 +334,7 @@ impl EmuIsa for StraightEmu {
             }
             Inst::Sys { code, s } => {
                 let arg = self.read_dist(s)?;
+                let code = u32::from(code);
                 match self.core.sys.apply(code, arg) {
                     Some(r) => r,
                     None => return Err(TrapKind::UnknownSys { code }),
@@ -652,6 +653,7 @@ impl EmuIsa for StraightEmu {
                 }
                 FastOp::Sys { code, s } => {
                     let arg = src(&self.ring, count, s);
+                    let code = u32::from(code);
                     match self.core.sys.apply(code, arg) {
                         Some(r) => r,
                         None => {

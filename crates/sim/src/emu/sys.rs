@@ -13,8 +13,11 @@ pub struct SysState {
 
 impl SysState {
     /// Applies one service invocation; returns the service's result
-    /// value, or `None` for an unknown code.
-    pub fn apply(&mut self, code: u16, arg: u32) -> Option<u32> {
+    /// value, or `None` for an unknown code. The code is a full word:
+    /// RV32IM passes `a7` unchanged, so a code above `u16::MAX` is
+    /// unknown rather than aliasing a small one.
+    pub fn apply(&mut self, code: u32, arg: u32) -> Option<u32> {
+        let Ok(code) = u16::try_from(code) else { return None };
         match code {
             abi::SYS_PRINT_INT => {
                 self.stdout.push_str(&(arg as i32).to_string());
@@ -41,11 +44,14 @@ mod tests {
     #[test]
     fn services() {
         let mut s = SysState::default();
-        assert_eq!(s.apply(abi::SYS_PRINT_INT, -5i32 as u32), Some(0));
-        assert_eq!(s.apply(abi::SYS_PRINT_CHAR, u32::from(b'x')), Some(0));
+        assert_eq!(s.apply(abi::SYS_PRINT_INT.into(), -5i32 as u32), Some(0));
+        assert_eq!(s.apply(abi::SYS_PRINT_CHAR.into(), u32::from(b'x')), Some(0));
         assert_eq!(s.stdout, "-5\nx");
-        assert_eq!(s.apply(abi::SYS_EXIT, 9), Some(0));
+        assert_eq!(s.apply(abi::SYS_EXIT.into(), 9), Some(0));
         assert_eq!(s.exit_code, Some(9));
         assert_eq!(s.apply(999, 0), None);
+        // A code that only matches a known one in its low 16 bits is
+        // unknown.
+        assert_eq!(s.apply(0x1_0000 | u32::from(abi::SYS_PRINT_INT), 0), None);
     }
 }

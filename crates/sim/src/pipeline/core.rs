@@ -29,7 +29,7 @@ use std::fmt;
 use super::lsq::LsqSlab;
 use super::rob::{RState, RobSlab};
 use super::sched::Scheduler;
-use super::slab::{SlotBits, SlotHandle};
+use super::slab::{RingWalk, SlotBits, SlotHandle};
 use super::wheel::{CompletionWheel, Inflight, LoadSrc};
 
 use straight_asm::{Image, ImageIsa, MEM_SIZE, STACK_TOP};
@@ -45,9 +45,7 @@ use crate::predict::{build, DirectionPredictor, Ras, RasCheckpoint, StoreSets};
 
 use super::config::{IsaKind, MachineConfig};
 use super::stats::{SimExit, SimResult, SimStats, WatchdogReport};
-use super::uop::{
-    rename_riscv, rename_straight, ControlInfo, ExecUnit, FuncOp, RawInst, RmtState, RpState, UOp,
-};
+use super::uop::{decode, ControlInfo, Decoded, ExecUnit, FuncOp, RawInst, RmtState, RpState, UOp};
 
 /// Default cycle budget for [`simulate`].
 pub const DEFAULT_MAX_CYCLES: u64 = 2_000_000_000;
@@ -92,7 +90,8 @@ impl std::error::Error for CoreError {}
 struct FrontEntry {
     ready_at: u64,
     pc: u32,
-    raw: RawInst,
+    /// Index into `Core::decoded`.
+    slot: u32,
     predicted_next: u32,
     ras_cp: RasCheckpoint,
 }
@@ -147,15 +146,12 @@ fn check_store(width: MemWidth, addr: u32, mem_len: usize) -> Option<TrapKind> {
 pub struct Core {
     cfg: MachineConfig,
     image: Image,
-    /// The code segment decoded once up front: fetch in a hot loop
-    /// re-reads the same words millions of times, and decoding is pure
-    /// in the word, so this caches `RawInst`s (including illegal-word
-    /// faults) per slot.
-    predecoded: Vec<RawInst>,
-    /// Control classification per code slot, precomputed with
-    /// `predecoded`: fetch consults it for every instruction, and the
-    /// targets only depend on the (fixed) word and PC.
-    control: Vec<ControlInfo>,
+    /// The code segment decoded once up front, one entry per code slot
+    /// plus a last one for fetches outside the image: fetch re-reads
+    /// the same words millions of times, and decoding, control
+    /// classification and everything in a micro-op that rename does
+    /// not change are pure in the word and its PC.
+    decoded: Vec<Decoded>,
     mem: Vec<u8>,
     hier: Hierarchy,
     bp: Box<dyn DirectionPredictor>,
@@ -244,24 +240,19 @@ impl Core {
         prf[rmt_state.rmt[2] as usize] = STACK_TOP;
         rmt_state.freelist.make_contiguous();
         let fetch_pc = image.entry;
-        let predecoded: Vec<RawInst> = image
+        let decoded: Vec<Decoded> = image
             .code
             .iter()
-            .map(|&word| match cfg.isa {
-                IsaKind::Straight => match straight_isa::decode(word) {
-                    Ok(i) => RawInst::S(i),
-                    Err(_) => RawInst::Fault(TrapKind::IllegalInstruction { word }),
-                },
-                IsaKind::Ss => match straight_riscv::decode(word) {
-                    Ok(i) => RawInst::R(i),
-                    Err(_) => RawInst::Fault(TrapKind::IllegalInstruction { word }),
-                },
-            })
-            .collect();
-        let control: Vec<ControlInfo> = predecoded
-            .iter()
             .enumerate()
-            .map(|(idx, raw)| raw.control_info(image.code_base + 4 * idx as u32))
+            .map(|(idx, &word)| {
+                let raw = match cfg.isa {
+                    IsaKind::Straight => straight_isa::decode(word).ok().map(RawInst::S),
+                    IsaKind::Ss => straight_riscv::decode(word).ok().map(RawInst::R),
+                };
+                let raw = raw.unwrap_or(RawInst::Fault(TrapKind::IllegalInstruction { word }));
+                decode(raw, image.code_base + 4 * idx as u32)
+            })
+            .chain(std::iter::once(decode(RawInst::Fault(TrapKind::FetchFault), 0)))
             .collect();
         let mut prf_ready = SlotBits::new(phys);
         for p in 0..phys {
@@ -277,8 +268,7 @@ impl Core {
             lsq: LsqSlab::new(cfg.lsq_ld as usize, cfg.lsq_st as usize),
             cfg,
             image,
-            predecoded,
-            control,
+            decoded,
             mem,
             ras: Ras::new(),
             memdep: StoreSets::new(),
@@ -492,8 +482,8 @@ impl Core {
                     } else if self.srcs_ready(&uop) {
                         let arg = self.src_value(uop.srcs[0]);
                         let code = match uop.func {
-                            FuncOp::Sys { code: Some(c) } => c,
-                            _ => self.src_value(uop.srcs[1]) as u16,
+                            FuncOp::Sys { code: Some(c) } => u32::from(c),
+                            _ => self.src_value(uop.srcs[1]),
                         };
                         let result = match self.sys.apply(code, arg) {
                             Some(r) => r,
@@ -754,17 +744,15 @@ impl Core {
         // slot, which is exactly ascending sequence-number order
         // (slots are `seq mod capacity` and the live window is
         // contiguous), so the issue order and every stat bump match
-        // the old sorted ready queue.
-        let mut candidates = std::mem::take(&mut self.sched.scratch);
-        candidates.clear();
-        if !self.rob.is_empty() {
-            self.sched.ready.collect_ring_order(self.rob.head_slot(), &mut candidates);
+        // the old sorted ready queue. The walk is lazy and stops when
+        // the issue budget is spent.
+        if self.rob.is_empty() {
+            return;
         }
-        for &slot_u in &candidates {
-            if budget_total == 0 {
-                break;
-            }
-            let slot = slot_u as usize;
+        let mut walk = RingWalk::new(&self.sched.ready, self.rob.head_slot());
+        while budget_total > 0 {
+            let Some(slot) = walk.next(&self.sched.ready) else { break };
+            let slot_u = slot as u32;
             let seq = self.rob.seq[slot];
             // Defensive staleness check, mirroring the old per-seq
             // revalidation (a ready bit never legitimately outlives
@@ -874,7 +862,6 @@ impl Core {
                 },
             );
         }
-        self.sched.scratch = candidates;
     }
 
     /// Attempts to issue a load: address generation, LSQ search,
@@ -1048,94 +1035,52 @@ impl Core {
                 self.stats.backpressure_stall_cycles += 1;
                 return;
             }
+            let d = &self.decoded[front.slot as usize];
             // LSQ capacity.
-            let (is_load, is_store) = match front.raw {
-                RawInst::S(i) => (matches!(i, straight_isa::Inst::Ld { .. }), matches!(i, straight_isa::Inst::St { .. })),
-                RawInst::R(i) => {
-                    (matches!(i, straight_riscv::RvInst::Load { .. }), matches!(i, straight_riscv::RvInst::Store { .. }))
-                }
-                RawInst::Fault(_) => (false, false),
-            };
-            if is_load && self.lsq.loads.len() >= self.cfg.lsq_ld as usize {
+            if d.uop.is_load() && self.lsq.loads.len() >= self.cfg.lsq_ld as usize {
                 self.stats.backpressure_stall_cycles += 1;
                 return;
             }
-            if is_store && self.lsq.stores.len() >= self.cfg.lsq_st as usize {
+            if d.uop.is_store() && self.lsq.stores.len() >= self.cfg.lsq_st as usize {
                 self.stats.backpressure_stall_cycles += 1;
                 return;
             }
-            // Rename.
-            let uop = match (self.cfg.isa, front.raw) {
-                (_, RawInst::Fault(kind)) => {
-                    UOp::trap(front.pc, kind, self.rp_state.rp, self.rp_state.sp)
-                }
-                (IsaKind::Straight, RawInst::S(inst)) => {
-                    // Hazard check at the RP adders: a distance
-                    // reaching past the start of execution references
-                    // a producer that never existed (`next_seq` is the
-                    // dynamic index this instruction will get). Trap
-                    // precisely instead of reading ring garbage.
-                    let sources = inst.sources();
-                    let oob =
-                        sources.into_iter().flatten().find(|d| u64::from(d.get()) > self.next_seq);
-                    match oob {
-                        Some(d) => UOp::trap(
-                            front.pc,
-                            TrapKind::DistanceOutOfRange { dist: d.get(), executed: self.next_seq },
-                            self.rp_state.rp,
-                            self.rp_state.sp,
-                        ),
-                        None => {
-                            self.stats.events.rp_adds +=
-                                1 + sources.iter().flatten().count() as u64;
-                            rename_straight(inst, front.pc, &mut self.rp_state, self.cfg.phys_regs)
-                        }
-                    }
-                }
-                (IsaKind::Ss, RawInst::R(inst)) => {
-                    let nsrc = inst.sources().iter().flatten().count() as u64;
-                    match rename_riscv(inst, front.pc, &mut self.rmt_state) {
-                        Some(u) => {
-                            self.stats.events.rmt_reads += nsrc + u64::from(u.dst.is_some());
-                            self.stats.events.rmt_writes += u64::from(u.dst.is_some());
-                            self.stats.events.freelist_ops += u64::from(u.dst.is_some());
-                            u
-                        }
-                        None => {
-                            self.stats.freelist_stall_cycles += 1;
-                            return;
-                        }
-                    }
-                }
-                // Core::new validates the image's ISA tag against the
-                // machine and fetch decodes with the machine's own
-                // decoder, so a cross-ISA instruction cannot appear.
-                (IsaKind::Straight, RawInst::R(_)) | (IsaKind::Ss, RawInst::S(_)) => {
-                    unreachable!("Core::new validates the image ISA")
-                }
+            // Rename: physical registers, RP/SP and the RMT/free-list
+            // changes, worked out as scalars.
+            let Some(r) = d.rename(
+                self.cfg.isa,
+                self.next_seq,
+                self.cfg.phys_regs,
+                &mut self.rp_state,
+                &mut self.rmt_state,
+                &mut self.stats.events,
+            ) else {
+                self.stats.freelist_stall_cycles += 1;
+                return;
             };
             self.front_q.pop_front();
             self.stats.events.decoded += 1;
-            if let Some(d) = uop.dst {
-                self.prf_ready.clear(d as usize);
+            if let Some(p) = r.dst {
+                self.prf_ready.clear(p as usize);
             }
             let seq = self.next_seq;
             self.next_seq += 1;
             let uid = self.next_uid;
             self.next_uid += 1;
-            let goes_to_iq = !(uop.is_sys() || uop.is_halt() || uop.is_trap());
-            if uop.is_load() || uop.is_store() {
-                let width = match uop.func {
-                    FuncOp::Load { width, .. } | FuncOp::Store { width, .. } => width,
-                    _ => MemWidth::W,
-                };
-                if uop.is_store() {
-                    self.lsq.stores.push_back(seq, uop.pc, width);
-                } else {
-                    self.lsq.loads.push_back(seq, uop.pc, width);
+            let trapped = r.trap.is_some() || d.uop.is_trap();
+            if !trapped {
+                match d.uop.func {
+                    FuncOp::Load { width, .. } => self.lsq.loads.push_back(seq, front.pc, width),
+                    FuncOp::Store { width, .. } => self.lsq.stores.push_back(seq, front.pc, width),
+                    _ => {}
                 }
             }
-            let slot = self.rob.push(seq, uid, uop);
+            let goes_to_iq = !(trapped || d.uop.is_sys() || d.uop.is_halt());
+            let is_store = d.uop.is_store();
+            // The template and the renamed fields go straight into the
+            // ROB slot.
+            let slot = self.rob.push(seq, uid);
+            r.write(d, front.pc, &mut self.rob.uop[slot]);
             self.rob.predicted_next[slot] = front.predicted_next;
             self.rob.ras_cp[slot] = front.ras_cp;
             // Subscribe to the wakeup list of each not-yet-ready
@@ -1145,8 +1090,7 @@ impl Core {
             // ready, and the data tag is picked up at that point.
             let mut pending = 0u8;
             if goes_to_iq {
-                let watched: &[Option<u16>] =
-                    if uop.is_store() { &uop.srcs[..1] } else { &uop.srcs[..] };
+                let watched: &[Option<u16>] = if is_store { &r.srcs[..1] } else { &r.srcs[..] };
                 for &p in watched.iter().flatten() {
                     if !self.prf_ready.get(p as usize) {
                         self.sched.wakeup[p as usize].push(SlotHandle { slot: slot as u32, gen: uid });
@@ -1193,18 +1137,14 @@ impl Core {
             // word enters the pipe as a fault entry; fetch then parks
             // until a recovery redirects it (on the correct path the
             // fault commits and ends the simulation).
-            let (raw, info) = if pc < self.image.code_base || !pc.is_multiple_of(4) {
-                (RawInst::Fault(TrapKind::FetchFault), ControlInfo::None)
+            let fault_slot = self.decoded.len() - 1;
+            let slot = if pc < self.image.code_base || !pc.is_multiple_of(4) {
+                fault_slot
             } else {
-                let idx = ((pc - self.image.code_base) / 4) as usize;
-                match self.predecoded.get(idx) {
-                    // `control` is precomputed in lockstep with
-                    // `predecoded` (faults classify as None).
-                    Some(&r) => (r, self.control[idx]),
-                    None => (RawInst::Fault(TrapKind::FetchFault), ControlInfo::None),
-                }
+                (((pc - self.image.code_base) / 4) as usize).min(fault_slot)
             };
-            let faulted = matches!(raw, RawInst::Fault(_));
+            let info = self.decoded[slot].control;
+            let faulted = self.decoded[slot].uop.is_trap();
             let ras_cp = self.ras.checkpoint();
             let predicted_next = match info {
                 ControlInfo::None => pc.wrapping_add(4),
@@ -1234,7 +1174,7 @@ impl Core {
             self.front_q.push_back(FrontEntry {
                 ready_at: self.cycle + delay,
                 pc,
-                raw,
+                slot: slot as u32,
                 predicted_next,
                 ras_cp,
             });

@@ -10,7 +10,8 @@
 //! pointer chasing, and each field lives in its own flat column so the
 //! stages touch only the bytes they need: commit reads `state`/`trap`,
 //! the wakeup path reads `gen`/`pending`, select reads `state` and the
-//! `uop` payload, the recovery walk streams over `uop` columns.
+//! `uop` payload, dispatch writes the renamed `uop` in place, and the
+//! recovery walk streams over `uop` columns.
 //!
 //! Cross-cycle references into the slab (scheduler wakeup waiters) use
 //! generational [`SlotHandle`]s: `gen` holds the entry's dispatch uid
@@ -143,13 +144,14 @@ impl RobSlab {
 
     /// Appends an entry for `seq` (which must be `head_seq + len`,
     /// i.e. sequence numbers stay contiguous) and returns its slot.
-    pub fn push(&mut self, seq: u64, uid: u64, uop: UOp) -> usize {
+    /// The slot's `uop` still holds its previous tenant: dispatch
+    /// writes the renamed micro-op there directly.
+    pub fn push(&mut self, seq: u64, uid: u64) -> usize {
         debug_assert_eq!(seq, self.head_seq + self.len as u64, "ROB seqs must stay contiguous");
         debug_assert!(self.len <= self.mask, "ROB slab overfull");
         let slot = (seq as usize) & self.mask;
         self.seq[slot] = seq;
         self.gen[slot] = uid;
-        self.uop[slot] = uop;
         self.state[slot] = RState::Waiting;
         self.trap[slot] = None;
         self.actual_taken[slot] = false;
@@ -226,7 +228,7 @@ mod tests {
 
     fn push_n(rob: &mut RobSlab, from_seq: u64, from_uid: u64, n: u64) {
         for i in 0..n {
-            let slot = rob.push(from_seq + i, from_uid + i, uop());
+            let slot = rob.push(from_seq + i, from_uid + i);
             rob.in_iq.set(slot);
         }
     }
@@ -251,7 +253,7 @@ mod tests {
         let mut next = 0u64;
         for _ in 0..5 {
             while rob.len() < 64 {
-                rob.push(next, next, uop());
+                rob.push(next, next);
                 next += 1;
             }
             while rob.len() > 3 {

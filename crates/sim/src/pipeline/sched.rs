@@ -32,9 +32,6 @@ pub(crate) struct Scheduler {
     /// Occupied scheduler slots (ready + waiting), for dispatch
     /// backpressure.
     pub occupancy: usize,
-    /// Recycled select-order snapshot (ROB slots, age order), so
-    /// select does not allocate every cycle.
-    pub scratch: Vec<u32>,
 }
 
 impl Scheduler {
@@ -45,7 +42,6 @@ impl Scheduler {
             wakeup: vec![Vec::new(); phys],
             ready: SlotBits::new(rob_slots),
             occupancy: 0,
-            scratch: Vec::new(),
         }
     }
 

@@ -28,10 +28,10 @@ pub(crate) struct SlotHandle {
 /// A packed bitset over slab slots.
 ///
 /// Backs the scheduler's ready set (one bit per ROB slot) and supports
-/// the age-ordered select walk: set bits are enumerated in *ring*
-/// order starting from the ROB head slot, which — because ROB sequence
-/// numbers are contiguous and slots are `seq mod capacity` — is
-/// exactly ascending age. Scanning packed words with
+/// the age-ordered select walk ([`RingWalk`]): set bits are enumerated
+/// in *ring* order starting from the ROB head slot, which — because ROB
+/// sequence numbers are contiguous and slots are `seq mod capacity` —
+/// is exactly ascending age. Scanning packed words with
 /// `trailing_zeros`/`w &= w - 1` replaces the old sorted-`Vec`
 /// insert/remove (each an `O(n)` memmove) with `O(1)` bit flips.
 #[derive(Debug, Clone)]
@@ -71,48 +71,60 @@ impl SlotBits {
     pub fn is_empty(&self) -> bool {
         self.words.iter().all(|&w| w == 0)
     }
+}
 
-    /// Appends every set slot to `out` in ring order starting at
-    /// `start`: `start, start+1, …, cap-1, 0, …, start-1`. With
-    /// `start` = the ROB head slot this is ascending sequence-number
-    /// (age) order — the select order the scheduler contract requires.
-    pub fn collect_ring_order(&self, start: usize, out: &mut Vec<u32>) {
-        let nwords = self.words.len();
-        let sw = start / 64;
-        let sb = start % 64;
-        // Segment [start, cap): the first word keeps only bits >= sb.
-        let mut w = self.words[sw] & (u64::MAX << sb);
-        let mut wi = sw;
-        loop {
-            while w != 0 {
-                let b = w.trailing_zeros() as usize;
-                out.push((wi * 64 + b) as u32);
-                w &= w - 1;
-            }
-            wi += 1;
-            if wi == nwords {
-                break;
-            }
-            w = self.words[wi];
+/// A lazy walk over the set bits of a [`SlotBits`] in ring order from
+/// a start slot: `start, start+1, …, cap-1, 0, …, start-1`. With
+/// `start` = the ROB head slot this is ascending sequence-number (age)
+/// order, the select order the scheduler contract requires.
+///
+/// The walk copies one word at a time, when it reaches it, and yields
+/// one slot per [`RingWalk::next`] call, so select stops scanning as
+/// soon as its issue budget is spent. It reads the bitset as it was
+/// when the walk began as long as the caller only clears bits it has
+/// already been handed (select clears the slot it issues).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct RingWalk {
+    /// Set bits of the current word not yet yielded.
+    word: u64,
+    /// Index of the current word.
+    wi: usize,
+    /// Words still to load; the last is the start word again.
+    left: usize,
+    /// The start word's bits below `start`, walked last.
+    below_start: u64,
+}
+
+impl RingWalk {
+    /// A walk over `bits` starting at slot `start`.
+    pub fn new(bits: &SlotBits, start: usize) -> RingWalk {
+        let (wi, sb) = (start / 64, start % 64);
+        RingWalk {
+            word: bits.words[wi] & (u64::MAX << sb),
+            wi,
+            left: bits.words.len(),
+            below_start: !(u64::MAX << sb),
         }
-        // Segment [0, start): whole words below sw, then the partial
-        // word keeping only bits < sb.
-        for (i, &word) in self.words.iter().enumerate().take(sw) {
-            let mut w = word;
-            while w != 0 {
-                let b = w.trailing_zeros() as usize;
-                out.push((i * 64 + b) as u32);
-                w &= w - 1;
+    }
+
+    /// The next set slot in ring order, or `None` once the walk is back
+    /// at its start.
+    #[inline]
+    pub fn next(&mut self, bits: &SlotBits) -> Option<usize> {
+        while self.word == 0 {
+            if self.left == 0 {
+                return None;
+            }
+            self.left -= 1;
+            self.wi = if self.wi + 1 == bits.words.len() { 0 } else { self.wi + 1 };
+            self.word = bits.words[self.wi];
+            if self.left == 0 {
+                self.word &= self.below_start;
             }
         }
-        if sb != 0 {
-            let mut w = self.words[sw] & !(u64::MAX << sb);
-            while w != 0 {
-                let b = w.trailing_zeros() as usize;
-                out.push((sw * 64 + b) as u32);
-                w &= w - 1;
-            }
-        }
+        let b = self.word.trailing_zeros() as usize;
+        self.word &= self.word - 1;
+        Some(self.wi * 64 + b)
     }
 }
 
@@ -137,10 +149,14 @@ mod tests {
         assert!(b.is_empty());
     }
 
+    /// The first `k` slots of the walk from `start`.
+    fn walked(bits: &SlotBits, start: usize, k: usize) -> Vec<u32> {
+        let mut walk = RingWalk::new(bits, start);
+        (0..k).map_while(|_| walk.next(bits)).map(|s| s as u32).collect()
+    }
+
     fn collected(bits: &SlotBits, start: usize) -> Vec<u32> {
-        let mut out = Vec::new();
-        bits.collect_ring_order(start, &mut out);
-        out
+        walked(bits, start, usize::MAX)
     }
 
     #[test]
@@ -179,6 +195,30 @@ mod tests {
             let naive: Vec<u32> =
                 (0..cap).map(|k| ((start + k) % cap) as u32).filter(|&s| b.get(s as usize)).collect();
             assert_eq!(collected(&b, start), naive, "start={start}");
+            // Stopping after k visits (select's budget running out)
+            // yields exactly the first k slots of the full walk.
+            for k in 0..=naive.len() {
+                assert_eq!(walked(&b, start, k), naive[..k], "start={start} k={k}");
+            }
         }
+    }
+
+    #[test]
+    fn walk_ignores_bits_cleared_behind_it() {
+        // Select clears each slot it issues; the rest of the walk is
+        // the ready set as it was when the walk began.
+        let cap = 256;
+        let mut b = SlotBits::new(cap);
+        for i in [5usize, 64, 200, 201, 3] {
+            b.set(i);
+        }
+        let mut walk = RingWalk::new(&b, 200);
+        let mut seen = Vec::new();
+        while let Some(s) = walk.next(&b) {
+            b.clear(s);
+            seen.push(s);
+        }
+        assert_eq!(seen, vec![200, 201, 3, 5, 64]);
+        assert!(b.is_empty());
     }
 }

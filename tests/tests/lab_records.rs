@@ -266,20 +266,23 @@ fn written_files_validate_and_re_render() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// The committed golden records re-render to exactly the report text
-/// a live `straight-lab --all --quick` run prints
-/// (`tests/golden/report_quick.txt`, which `scripts/ci.sh` compares
-/// against a live run).
+/// The committed golden records, one per experiment, re-render in grid
+/// order to exactly the report text a live `straight-lab --all --quick`
+/// run prints (`tests/golden/report_quick.txt`; `scripts/ci.sh`
+/// compares a live run against both).
 #[test]
 fn golden_records_render_the_committed_report_text() {
     let golden = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("golden");
     let report = std::fs::read_to_string(golden.join("report_quick.txt")).unwrap();
-    for name in ["fig11", "fig14", "fig15", "sampled"] {
+    let mut rendered = String::new();
+    for spec in straight_core::experiment::all() {
+        let name = spec.id.to_string();
         let result = validate_file(&golden.join(format!("BENCH_{name}_quick.json"))).unwrap();
-        let rendered = straight_core::experiment::find(name).unwrap().render(&result).unwrap();
-        assert!(rendered.lines().count() > 2, "{name}: {rendered}");
-        assert!(report.contains(&rendered), "{name} renders differently:\n{rendered}");
+        let text = spec.render(&result).unwrap();
+        assert!(text.lines().count() > 2, "{name}: {text}");
+        rendered.push_str(&text);
     }
+    assert_eq!(rendered, report, "the golden records render a different report");
 }
 
 /// The data-oriented core's slabs/wheel/register files are reused

@@ -10,7 +10,7 @@
 use straight_asm::{link_riscv, link_straight, parse_straight_asm, Image, RvFunc, RvItem, RvProgram};
 use straight_isa::{AluImmOp, Trap, TrapKind};
 use straight_riscv::{Reg, RvInst};
-use straight_sim::emu::{EmuExit, ExecBackend, RiscvEmu, StraightEmu};
+use straight_sim::emu::{EmuExit, ExecBackend, RiscvEmu, StraightEmu, TierConfig};
 use straight_sim::pipeline::{simulate, MachineConfig, SimExit};
 
 const MAX: u64 = 1_000_000;
@@ -208,6 +208,29 @@ fn riscv_wild_jump_fetch_faults_same_trap() {
     let t = check_trap_matches(&image, ss_cfgs());
     assert_eq!(t.kind, TrapKind::FetchFault);
     assert_eq!(t.pc, 0x1_0000);
+}
+
+#[test]
+fn riscv_ecall_code_is_all_of_a7() {
+    // The low half of a7 is the print-int code, but the service code is
+    // the whole register: the interpreter, the fast tier and both SS
+    // cores must trap on it, not print.
+    let image = riscv_image(vec![
+        RvInst::Lui { rd: Reg::A7, imm: 0x0001_0000 },
+        RvInst::OpImm { op: AluImmOp::Addi, rd: Reg::A7, rs1: Reg::A7, imm: 1 },
+        RvInst::Ecall,
+        RvInst::Jalr { rd: Reg::ZERO, rs1: Reg::RA, offset: 0 },
+    ]);
+    let t = check_trap_matches(&image, ss_cfgs());
+    assert_eq!(t.kind, TrapKind::UnknownSys { code: 0x1_0001 });
+    let mut fast = RiscvEmu::new(image.clone());
+    match fast.run_with(MAX, TierConfig::fast()) {
+        EmuExit::Trap(f) => {
+            assert!(t.same_event(&f), "fast tier trap `{f}` is not the interpreter's `{t}`");
+            assert_eq!(f.index, t.index, "fast tier: dynamic instruction index");
+        }
+        other => panic!("fast tier did not trap: {other:?}"),
+    }
 }
 
 // -- resource limits ------------------------------------------------
