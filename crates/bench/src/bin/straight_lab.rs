@@ -59,7 +59,7 @@ OPTIONS:
     --help               This text
 
 ENVIRONMENT:
-    STRAIGHT_DHRY_ITERS / STRAIGHT_CM_ITERS   iteration counts (default 200 / 3)
+    STRAIGHT_DHRY_ITERS / STRAIGHT_CM_ITERS   positive iteration counts (default 200 / 3)
     STRAIGHT_GIT_REV                          overrides recorded git revision
 ";
 
@@ -74,7 +74,8 @@ struct Options {
     remote_retries: Option<u32>,
     stats: bool,
     jobs: usize,
-    quick: bool,
+    /// `--quick`'s counts, or the environment's.
+    params: RunParams,
     out: PathBuf,
     no_write: bool,
     quiet: bool,
@@ -95,13 +96,14 @@ fn parse_args() -> Result<Options, String> {
         remote_retries: None,
         stats: false,
         jobs: default_jobs(),
-        quick: false,
+        params: RunParams::default(),
         out: PathBuf::from("."),
         no_write: false,
         quiet: false,
         profile: false,
         emu_tier: None,
     };
+    let mut quick = false;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         let mut value_for = |flag: &str| {
@@ -142,7 +144,7 @@ fn parse_args() -> Result<Options, String> {
                     .filter(|&n| n >= 1)
                     .ok_or_else(|| format!("--jobs: `{value}` is not a positive integer"))?;
             }
-            "--quick" => opts.quick = true,
+            "--quick" => quick = true,
             "--emu-tier" => {
                 let value = value_for("--emu-tier")?;
                 opts.emu_tier = Some(match value.as_str() {
@@ -188,6 +190,7 @@ fn parse_args() -> Result<Options, String> {
                 .to_string(),
         );
     }
+    opts.params = if quick { RunParams::quick() } else { straight_bench::params_from_env()? };
     Ok(opts)
 }
 
@@ -475,13 +478,8 @@ fn main() -> ExitCode {
     } else {
         opts.figures.clone()
     };
-    let params = if opts.quick {
-        RunParams::quick()
-    } else {
-        straight_bench::params_from_env()
-    };
     match &opts.remote {
-        Some(addr) => run_remote(&opts, addr, &ids, params),
-        None => run_local(&opts, &ids, params),
+        Some(addr) => run_remote(&opts, addr, &ids, opts.params),
+        None => run_local(&opts, &ids, opts.params),
     }
 }

@@ -32,21 +32,28 @@ pub mod store;
 
 use straight_core::experiment::RunParams;
 
-/// Dhrystone iteration count (`STRAIGHT_DHRY_ITERS`, default 200).
-#[must_use]
-pub fn dhry_iters() -> u32 {
-    std::env::var("STRAIGHT_DHRY_ITERS").ok().and_then(|v| v.parse().ok()).unwrap_or(200)
-}
-
-/// CoreMark iteration count (`STRAIGHT_CM_ITERS`, default 3).
-#[must_use]
-pub fn cm_iters() -> u32 {
-    std::env::var("STRAIGHT_CM_ITERS").ok().and_then(|v| v.parse().ok()).unwrap_or(3)
-}
-
 /// Run parameters from the environment (`straight-lab` without
-/// `--quick`).
-#[must_use]
-pub fn params_from_env() -> RunParams {
-    RunParams { dhry_iters: dhry_iters(), cm_iters: cm_iters(), ..RunParams::default() }
+/// `--quick`): `STRAIGHT_DHRY_ITERS` and `STRAIGHT_CM_ITERS`, each
+/// defaulting to [`RunParams::default`]'s count when unset.
+///
+/// # Errors
+///
+/// Names the variable when one is set to anything but a positive
+/// integer.
+pub fn params_from_env() -> Result<RunParams, String> {
+    let iters = |name: &str, default: u32| {
+        let Some(value) = std::env::var_os(name) else { return Ok(default) };
+        let value = value.to_string_lossy();
+        value
+            .parse::<u32>()
+            .ok()
+            .filter(|&n| n >= 1)
+            .ok_or_else(|| format!("{name}: `{value}` is not a positive integer"))
+    };
+    let defaults = RunParams::default();
+    Ok(RunParams {
+        dhry_iters: iters("STRAIGHT_DHRY_ITERS", defaults.dhry_iters)?,
+        cm_iters: iters("STRAIGHT_CM_ITERS", defaults.cm_iters)?,
+        ..defaults
+    })
 }

@@ -8,8 +8,15 @@ use std::path::PathBuf;
 use std::process::{Command, Output};
 
 fn straight_lab(args: &[&str]) -> Output {
+    straight_lab_with_env(args, &[])
+}
+
+fn straight_lab_with_env(args: &[&str], env: &[(&str, &str)]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_straight-lab"))
         .args(args)
+        .env_remove("STRAIGHT_DHRY_ITERS")
+        .env_remove("STRAIGHT_CM_ITERS")
+        .envs(env.iter().copied())
         .output()
         .expect("spawn straight-lab")
 }
@@ -30,6 +37,20 @@ fn non_numeric_jobs_is_rejected_the_same_way() {
     let out = straight_lab(&["--all", "--jobs", "many"]);
     assert_eq!(out.status.code(), Some(2));
     assert!(String::from_utf8_lossy(&out.stderr).contains("`many`"));
+}
+
+#[test]
+fn bad_iteration_counts_are_usage_errors_at_parse_time() {
+    for var in ["STRAIGHT_DHRY_ITERS", "STRAIGHT_CM_ITERS"] {
+        for value in ["0", "many", "-3", ""] {
+            let out = straight_lab_with_env(&["--figure", "fig11"], &[(var, value)]);
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(2), "{var}={value:?}: {stderr}");
+            assert!(stderr.contains(var), "stderr names the variable: {stderr}");
+            assert!(stderr.contains(&format!("`{value}`")), "stderr quotes the value: {stderr}");
+            assert!(out.stdout.is_empty(), "{var}={value:?}: nothing ran");
+        }
+    }
 }
 
 #[test]

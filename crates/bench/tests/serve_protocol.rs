@@ -332,13 +332,17 @@ fn stats_stay_consistent_after_cancellation() {
     let finished = client.submit_experiment(ExperimentId::Table1, &tiny_params()).unwrap();
     assert_eq!(client.wait_job(finished).unwrap(), "done");
 
+    // The daemon can answer within its first millisecond; after a
+    // known pause its uptime must cover at least that pause.
+    let pause = Duration::from_millis(5);
+    std::thread::sleep(pause);
     let stats = client.stats().unwrap();
     let get = |key: &str| stats.get(key).and_then(Json::as_u64).expect(key);
     assert_eq!(get("jobs_submitted"), 2, "cancelled jobs still count as submitted");
     assert_eq!(get("jobs_active"), 0, "cancellation must not leak an active job");
     assert_eq!(get("worker_panics"), 0);
     assert!(matches!(stats.get("store"), Some(Json::Null) | None), "no store configured");
-    assert!(get("uptime_ms") > 0);
+    assert!(get("uptime_ms") >= pause.as_millis() as u64, "uptime {}", get("uptime_ms"));
     daemon.stop();
 }
 

@@ -306,14 +306,15 @@ pub(crate) fn build_for(
     })
 }
 
-/// Runs an image and requires normal completion.
+/// Runs an image within `max_cycles` and requires normal completion.
 pub(crate) fn run_checked(
     workload: &str,
     image: &straight_asm::Image,
     cfg: MachineConfig,
+    max_cycles: u64,
 ) -> Result<SimResult, ExperimentError> {
     let machine = cfg.name.clone();
-    let result = run_on(image, cfg, MAX_CYCLES).map_err(|source| ExperimentError::Machine {
+    let result = run_on(image, cfg, max_cycles).map_err(|source| ExperimentError::Machine {
         workload: workload.to_string(),
         machine: machine.clone(),
         source,
@@ -366,19 +367,22 @@ const MAX_CHECKPOINTS: usize = 64;
 /// checkpoint at or below the point when that checkpoint is ahead of
 /// the emulator or the emulator is already past the point. The
 /// cycle-accurate core resumes from each point and simulates up to
-/// [`SAMPLE_WINDOW`] retired instructions. Aggregate sample IPC
-/// extrapolates to whole-program cycles.
+/// [`SAMPLE_WINDOW`] retired instructions, each resumed core within
+/// `max_cycles`. Aggregate sample IPC extrapolates to whole-program
+/// cycles.
 pub(crate) fn run_sampled(
     workload: &str,
     image: &straight_asm::Image,
     cfg: MachineConfig,
+    max_cycles: u64,
     target: Target,
 ) -> Result<SampledOutcome, ExperimentError> {
+    let spacing = CHECKPOINT_SPACING;
     match target {
         Target::Riscv => {
-            sample_on(workload, image, cfg, RiscvEmu::new(image.clone()), CHECKPOINT_SPACING)
+            sample_on(workload, image, cfg, max_cycles, RiscvEmu::new(image.clone()), spacing)
         }
-        _ => sample_on(workload, image, cfg, StraightEmu::new(image.clone()), CHECKPOINT_SPACING),
+        _ => sample_on(workload, image, cfg, max_cycles, StraightEmu::new(image.clone()), spacing),
     }
 }
 
@@ -386,6 +390,7 @@ fn sample_on<E: ExecBackend>(
     workload: &str,
     image: &straight_asm::Image,
     cfg: MachineConfig,
+    max_cycles: u64,
     mut emu: E,
     first_spacing: u64,
 ) -> Result<SampledOutcome, ExperimentError> {
@@ -453,15 +458,23 @@ fn sample_on<E: ExecBackend>(
         // microarchitectural state and is excluded from the estimate
         // (the retire/cycle budgets of `run_retired` are cumulative,
         // so the second call measures the delta).
-        let warm = core.run_retired(window / 2, MAX_CYCLES);
-        if let SimExit::Trap(trap) = &warm.exit {
-            return Err(abnormal(format!("sample at {}: {trap:?}", cp.executed())));
-        }
+        let mut run_to = |retired: u64| {
+            let run = core.run_retired(retired, max_cycles);
+            match &run.exit {
+                SimExit::Trap(trap) => {
+                    Err(abnormal(format!("sample at {}: {trap:?}", cp.executed())))
+                }
+                // A stop at the retire budget reports `CycleLimit` too.
+                SimExit::CycleLimit if run.stats.cycles >= max_cycles => Err(abnormal(format!(
+                    "sample at {}: cycle budget {max_cycles} exhausted",
+                    cp.executed()
+                ))),
+                _ => Ok(run),
+            }
+        };
+        let warm = run_to(window / 2)?;
         let (warm_retired, warm_cycles) = (warm.stats.retired, warm.stats.cycles);
-        let sample = core.run_retired(window, MAX_CYCLES);
-        if let SimExit::Trap(trap) = &sample.exit {
-            return Err(abnormal(format!("sample at {}: {trap:?}", cp.executed())));
-        }
+        let sample = run_to(window)?;
         sampled_retired += sample.stats.retired - warm_retired;
         sampled_cycles += sample.stats.cycles - warm_cycles;
     }
@@ -1175,7 +1188,8 @@ mod tests {
             fresh: impl Fn() -> E,
             first_spacing: u64,
         ) -> u64 {
-            let one = sample_on(what, image, cfg.clone(), fresh(), first_spacing).unwrap();
+            let one =
+                sample_on(what, image, cfg.clone(), MAX_CYCLES, fresh(), first_spacing).unwrap();
             let reference = sample_two_pass(what, image, cfg, fresh).unwrap();
             assert_eq!(one.cycles_est, reference.cycles_est, "{what}: cycles_est");
             assert_eq!(one.ipc_est.to_bits(), reference.ipc_est.to_bits(), "{what}: ipc_est");
@@ -1229,6 +1243,27 @@ mod tests {
         }
         // A one-instruction spacing thins the grid at every doubling.
         one_pass_matches_reference("tiny", src, 1);
+    }
+
+    #[test]
+    fn sampling_fails_when_the_cycle_budget_ends_inside_a_window() {
+        // The first sample point is instruction 0, where a resumed core
+        // runs like a fresh one: a budget one cycle past its warm-up
+        // cuts the measured half of the first window short.
+        let src = WorkloadKind::Dhrystone.source(&RunParams::quick());
+        let image = build_for("Dhrystone", &src, Target::Riscv).unwrap();
+        let cfg = machines::ss_2way();
+        let total = RiscvEmu::new(image.clone()).run(u64::MAX).stats.retired;
+        let window = (total / SAMPLE_COUNT).min(SAMPLE_WINDOW);
+        let mut core = Core::new(image.clone(), cfg.clone()).unwrap();
+        let budget = core.run_retired(window / 2, MAX_CYCLES).stats.cycles + 1;
+        let emu = RiscvEmu::new(image.clone());
+        match sample_on("Dhrystone", &image, cfg, budget, emu, CHECKPOINT_SPACING).err() {
+            Some(ExperimentError::Abnormal { exit, .. }) => {
+                assert!(exit.contains("cycle budget"), "{exit}");
+            }
+            other => panic!("expected an abnormal exit, got {other:?}"),
+        }
     }
 
     #[test]

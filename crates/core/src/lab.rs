@@ -339,7 +339,7 @@ fn exec_cell(spec: &CellSpec, params: &RunParams, shared: &SessionShared) -> Cel
                 .get_or_init(|| {
                     caches.run_misses.fetch_add(1, Ordering::Relaxed);
                     let sim_started = Instant::now();
-                    run_checked(workload.name(), &image, machine.clone())
+                    run_checked(workload.name(), &image, machine.clone(), params.max_cycles)
                         .map(|result| {
                             let sim_wall_ms = sim_started.elapsed().as_secs_f64() * 1e3;
                             Arc::new(TimedRun { result, sim_wall_ms })
@@ -412,8 +412,9 @@ fn exec_cell(spec: &CellSpec, params: &RunParams, shared: &SessionShared) -> Cel
         CellKind::Sampled { target, machine } => {
             let workload = workload()?;
             let image = image_for(caches, workload, *target, params)?;
-            let outcome = run_sampled(workload.name(), &image, machine.clone(), *target)
-                .map_err(Arc::new)?;
+            let outcome =
+                run_sampled(workload.name(), &image, machine.clone(), params.max_cycles, *target)
+                    .map_err(Arc::new)?;
             record.cycles = outcome.cycles_est;
             record.retired = outcome.retired;
             record.ipc = outcome.ipc_est;
@@ -1070,6 +1071,25 @@ mod tests {
             .into_iter()
             .find(|c| matches!(c.kind, CellKind::Pipeline { .. }))
             .expect("fig17 has pipeline cells")
+    }
+
+    #[test]
+    fn cells_fail_when_the_cycle_budget_runs_out() {
+        let cells = [
+            ExperimentId::Fig11.spec().cells()[0].clone(),
+            ExperimentId::Sampled.spec().cells()[1].clone(),
+        ];
+        assert!(matches!(cells[0].kind, CellKind::Pipeline { .. }), "{}", cells[0].id());
+        assert!(matches!(cells[1].kind, CellKind::Sampled { .. }), "{}", cells[1].id());
+        let params = RunParams { max_cycles: 1_000, ..RunParams::quick() };
+        let outcomes = session().submit(cells.to_vec(), params).wait();
+        for (cell, outcome) in cells.iter().zip(outcomes) {
+            let id = cell.id();
+            match outcome {
+                Err(e) => assert!(matches!(*e, ExperimentError::Abnormal { .. }), "{id}: {e}"),
+                Ok(record) => panic!("{id}: completed in {} cycles", record.cycles),
+            }
+        }
     }
 
     /// A record under another cell's identity, as a restarted daemon

@@ -11,11 +11,12 @@
 //! to it too: only pages dirty in the emulator or in the checkpoint are
 //! rewritten, each from the checkpoint or else from the pristine image.
 //!
-//! Checkpoints have a canonical byte serialization
-//! ([`Checkpoint::to_bytes`]) used by the differential suite to assert
-//! bit-identity, and are the hand-off format for sampled simulation:
-//! the cycle-accurate core's `Core::resume_from` seeds its physical
-//! register file and RP/RMT state from one.
+//! Two checkpoints are the same state exactly when they are `==` (the
+//! dirty pages are kept in canonical ascending order). Checkpoints are
+//! the hand-off format for sampled simulation: the cycle-accurate
+//! core's `Core::resume_from` restores its memory with the same
+//! `Checkpoint::restore_pages` the emulators use and seeds its
+//! physical register file and RP/RMT state from one.
 
 use straight_asm::{Image, ImageIsa, MEM_SIZE};
 
@@ -143,15 +144,6 @@ impl Checkpoint {
         self.pages.len()
     }
 
-    /// Overlays the dirty pages onto a freshly image-loaded memory
-    /// (`Core::resume_from`).
-    pub(crate) fn apply_pages(&self, mem: &mut [u8]) {
-        for page in &self.pages {
-            let base = page.index as usize * PAGE_SIZE;
-            mem[base..base + PAGE_SIZE].copy_from_slice(&page.bytes);
-        }
-    }
-
     /// Rebuilds the dirty map matching this checkpoint's pages.
     fn dirty_map(&self) -> DirtyMap {
         let mut map = DirtyMap::new();
@@ -162,9 +154,10 @@ impl Checkpoint {
     }
 
     /// Rewinds a live emulator's memory `mem` of `image`, whose
-    /// stored-to pages `dirty` marks, to this checkpoint's memory (the
-    /// restore path shared by both emulators). Only pages dirty on
-    /// either side are rewritten: to the checkpoint's bytes where it
+    /// stored-to pages `dirty` marks, to this checkpoint's memory. Both
+    /// emulators restore through it, and so does `Core::resume_from`,
+    /// whose freshly loaded memory has no dirty page. Only pages dirty
+    /// on either side are rewritten: to the checkpoint's bytes where it
     /// carries the page, else to the pristine image bytes. Every other
     /// page already holds the image on both sides.
     pub(crate) fn restore_pages(&self, image: &Image, mem: &mut [u8], dirty: &mut DirtyMap) {
@@ -186,8 +179,8 @@ impl Checkpoint {
     }
 
     /// Canonical byte serialization: every field in a fixed
-    /// little-endian layout, dirty pages in ascending order. Two
-    /// checkpoints are byte-identical exactly when they are `==`.
+    /// little-endian layout, dirty pages in ascending order. Its length
+    /// is the checkpoint size `perfbench` reports.
     #[must_use]
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::new();

@@ -30,7 +30,7 @@
 //! emulator and the cycle-accurate core observe the *same* event.
 
 pub mod checkpoint;
-mod memops;
+pub(crate) mod memops;
 mod riscv;
 mod straight;
 pub mod sys;
@@ -284,26 +284,10 @@ impl<B> EmuCore<B> {
         }
     }
 
-    /// Interpreter load: dispatches on `width` at run time.
-    #[inline]
-    fn load(&self, width: MemWidth, addr: u32) -> Result<u32, TrapKind> {
-        match width {
-            MemWidth::B => memops::load_b(&self.mem, addr),
-            MemWidth::Bu => memops::load_bu(&self.mem, addr),
-            MemWidth::H => memops::load_h(&self.mem, addr),
-            MemWidth::Hu => memops::load_hu(&self.mem, addr),
-            MemWidth::W => memops::load_w(&self.mem, addr),
-        }
-    }
-
-    /// Interpreter store: dispatches on `width` at run time.
+    /// Interpreter store: [`memops::store`], then the dirty mark.
     #[inline]
     fn store(&mut self, width: MemWidth, addr: u32, val: u32) -> Result<(), TrapKind> {
-        match width {
-            MemWidth::B | MemWidth::Bu => memops::store_b(&mut self.mem, addr, val, width)?,
-            MemWidth::H | MemWidth::Hu => memops::store_h(&mut self.mem, addr, val, width)?,
-            MemWidth::W => memops::store_w(&mut self.mem, addr, val)?,
-        }
+        memops::store(&mut self.mem, width, addr, val)?;
         // Aligned accesses never straddle a page, so one mark suffices.
         self.dirty.mark(addr as usize);
         Ok(())

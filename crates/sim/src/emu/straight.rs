@@ -285,7 +285,7 @@ impl EmuIsa for StraightEmu {
             Inst::Lui { imm } => u32::from(imm) << 16,
             Inst::Ld { width, addr, offset } => {
                 let a = self.read_dist(addr)?.wrapping_add(offset as i32 as u32);
-                self.core.load(width, a)?
+                memops::load(&self.core.mem, width, a)?
             }
             Inst::St { width, val, addr } => {
                 let v = self.read_dist(val)?;
@@ -1002,9 +1002,9 @@ mod tests {
 
         let mut resumed = StraightEmu::new(image_for(src));
         resumed.restore(&cp).expect("same ISA");
-        assert_eq!(resumed.checkpoint().to_bytes(), cp.to_bytes());
+        assert_eq!(resumed.checkpoint(), cp);
         let done2 = resumed.run_until(u64::MAX);
         assert_eq!(done, done2);
-        assert_eq!(emu.checkpoint().to_bytes(), resumed.checkpoint().to_bytes());
+        assert_eq!(emu.checkpoint(), resumed.checkpoint());
     }
 }

@@ -33,10 +33,11 @@ use super::slab::{RingWalk, SlotBits, SlotHandle};
 use super::wheel::{CompletionWheel, Inflight, LoadSrc};
 
 use straight_asm::{Image, ImageIsa, MEM_SIZE, STACK_TOP};
-use straight_isa::{MemWidth, Trap, TrapKind};
+use straight_isa::{Trap, TrapKind};
 use straight_riscv::Reg;
 
-use crate::emu::checkpoint::ArchSnap;
+use crate::emu::checkpoint::{ArchSnap, DirtyMap};
+use crate::emu::memops;
 use crate::emu::sys::SysState;
 use crate::emu::{Checkpoint, EmuExit, ExecBackend, RiscvEmu, StraightEmu};
 use crate::inject::FaultKind;
@@ -119,26 +120,6 @@ impl Shadow {
             Shadow::S(emu) => (!uop.is_halt()).then(|| emu.last_result()),
             Shadow::R(emu) => uop.logical_dst.map(|l| emu.reg(Reg::new(l))),
         }
-    }
-}
-
-fn check_load(width: MemWidth, addr: u32, mem_len: usize) -> Option<TrapKind> {
-    if !addr.is_multiple_of(width.bytes()) {
-        Some(TrapKind::MisalignedLoad { addr, width })
-    } else if addr as usize + width.bytes() as usize > mem_len {
-        Some(TrapKind::WildLoad { addr, width })
-    } else {
-        None
-    }
-}
-
-fn check_store(width: MemWidth, addr: u32, mem_len: usize) -> Option<TrapKind> {
-    if !addr.is_multiple_of(width.bytes()) {
-        Some(TrapKind::MisalignedStore { addr, width })
-    } else if addr as usize + width.bytes() as usize > mem_len {
-        Some(TrapKind::WildStore { addr, width })
-    } else {
-        None
     }
 }
 
@@ -336,7 +317,7 @@ impl Core {
         if cp.isa() != core.image.isa {
             return Err(CoreError::IsaMismatch { machine, image: cp.isa() });
         }
-        cp.apply_pages(&mut core.mem);
+        cp.restore_pages(&core.image, &mut core.mem, &mut DirtyMap::new());
         core.fetch_pc = cp.pc();
         core.sys = cp.sys.clone();
         match &cp.arch {
@@ -400,34 +381,6 @@ impl Core {
         }
         // Hand the drained allocation back to the (now empty) list.
         self.sched.wakeup[p as usize] = waiters;
-    }
-
-    fn mem_read(&self, width: MemWidth, addr: u32) -> u32 {
-        let a = addr as usize;
-        if a + width.bytes() as usize > self.mem.len() {
-            return 0; // wrong-path wild access
-        }
-        match width {
-            MemWidth::B => self.mem[a] as i8 as i32 as u32,
-            MemWidth::Bu => u32::from(self.mem[a]),
-            MemWidth::H => i32::from(i16::from_le_bytes([self.mem[a], self.mem[a + 1]])) as u32,
-            MemWidth::Hu => u32::from(u16::from_le_bytes([self.mem[a], self.mem[a + 1]])),
-            MemWidth::W => {
-                u32::from_le_bytes([self.mem[a], self.mem[a + 1], self.mem[a + 2], self.mem[a + 3]])
-            }
-        }
-    }
-
-    fn mem_write(&mut self, width: MemWidth, addr: u32, val: u32) {
-        let a = addr as usize;
-        if a + width.bytes() as usize > self.mem.len() {
-            return;
-        }
-        match width {
-            MemWidth::B | MemWidth::Bu => self.mem[a] = val as u8,
-            MemWidth::H | MemWidth::Hu => self.mem[a..a + 2].copy_from_slice(&(val as u16).to_le_bytes()),
-            MemWidth::W => self.mem[a..a + 4].copy_from_slice(&val.to_le_bytes()),
-        }
     }
 
     /// Raises a fatal trap with the current architectural context.
@@ -588,7 +541,12 @@ impl Core {
         if uop.is_store() {
             if let Some(e) = self.lsq.stores.remove(seq) {
                 if let (Some(addr), Some(data)) = (e.addr, e.data) {
-                    self.mem_write(e.width, addr, data);
+                    // A faulting address was recorded on the ROB entry
+                    // at address generation and raised before retiring;
+                    // should one still reach memory, it ends the run.
+                    if let Err(kind) = memops::store(&mut self.mem, e.width, addr, data) {
+                        self.raise(kind, uop.pc);
+                    }
                 }
             }
         } else if uop.is_load() {
@@ -651,14 +609,14 @@ impl Core {
                 FuncOp::Copy => s0,
                 FuncOp::Load { width, .. } => {
                     let addr = self.lsq.loads.addr_of(f.seq).unwrap_or(0);
-                    match check_load(width, addr, self.mem.len()) {
-                        Some(kind) => {
+                    match memops::load(&self.mem, width, addr) {
+                        Err(kind) => {
                             trap = Some(kind);
                             0
                         }
-                        None => match f.load_src {
-                            Some(LoadSrc::Fwd(v)) => v,
-                            _ => self.mem_read(width, addr),
+                        Ok(v) => match f.load_src {
+                            Some(LoadSrc::Fwd(data)) => memops::forwarded(width, data),
+                            _ => v,
                         },
                     }
                 }
@@ -902,7 +860,7 @@ impl Core {
         self.lsq.stores.set_addr(seq, addr);
         // A wild or misaligned store address is recorded on the ROB
         // entry and raised precisely if the store reaches the head.
-        if let Some(kind) = check_store(width, addr, self.mem.len()) {
+        if let Some(kind) = memops::check_store(&self.mem, width, addr) {
             if let Some(slot) = self.rob.slot(seq) {
                 self.rob.trap[slot] = Some(kind);
             }
@@ -1214,58 +1172,6 @@ impl Core {
     #[must_use]
     pub fn shadow_allocated(&self) -> bool {
         self.shadow.is_some()
-    }
-
-    /// Rewinds the core to its post-construction state, reusing the
-    /// slab and register-file allocations: memory is reloaded from the
-    /// image, predictors and caches are rebuilt, and every pipeline
-    /// structure is emptied. A subsequent run is bit-identical to a
-    /// fresh [`Core::new`] run of the same image and configuration.
-    pub fn reset(&mut self) {
-        self.mem.fill(0);
-        self.image.load_into(&mut self.mem);
-        self.hier = Hierarchy::new(self.cfg.hierarchy);
-        self.bp = build(self.cfg.predictor);
-        self.ras = Ras::new();
-        self.memdep = StoreSets::new();
-        self.prf.fill(0);
-        self.rmt_state = RmtState::new(self.cfg.phys_regs);
-        self.prf[self.rmt_state.rmt[2] as usize] = STACK_TOP;
-        self.rmt_state.freelist.make_contiguous();
-        for p in 0..self.prf.len() {
-            self.prf_ready.set(p);
-        }
-        self.rp_state = RpState { rp: 0, sp: STACK_TOP };
-        self.arch_rp = RpState { rp: 0, sp: STACK_TOP };
-        self.rob.clear();
-        self.sched.clear();
-        self.inflight.clear();
-        self.due_scratch.clear();
-        self.lsq.clear();
-        self.front_q.clear();
-        self.next_seq = 0;
-        self.next_uid = 0;
-        self.fetch_pc = self.image.entry;
-        self.fetch_stall_until = 0;
-        self.fetch_faulted = false;
-        self.rename_stall_until = 0;
-        self.div_busy_until.fill(0);
-        self.cycle = 0;
-        self.last_commit_cycle = 0;
-        self.sys = SysState::default();
-        self.stats = SimStats::default();
-        self.halted = None;
-        self.fatal = None;
-        self.watchdog_report = None;
-        self.shadow = None;
-        self.shadow_done = false;
-        self.pending_faults.clear();
-        self.faults_applied = 0;
-        self.force_flip_branch = false;
-        #[cfg(feature = "stage-profile")]
-        {
-            self.stage_ns = [0; 5];
-        }
     }
 
     fn apply_due_faults(&mut self) {

@@ -355,12 +355,6 @@ impl LsqRing {
             }
         }
     }
-
-    /// Empties the ring (core reset).
-    pub fn clear(&mut self) {
-        self.head = 0;
-        self.len = 0;
-    }
 }
 
 /// The split load/store queue.
@@ -387,12 +381,6 @@ impl LsqSlab {
     pub fn squash_younger(&mut self, boundary: u64) {
         self.loads.squash_younger(boundary);
         self.stores.squash_younger(boundary);
-    }
-
-    /// Empties both rings (core reset).
-    pub fn clear(&mut self) {
-        self.loads.clear();
-        self.stores.clear();
     }
 }
 

@@ -199,7 +199,7 @@ impl RobSlab {
         }
     }
 
-    /// Empties the slab (core reset), invalidating every generation.
+    /// Empties the slab, invalidating every generation.
     pub fn clear(&mut self) {
         self.gen.fill(u64::MAX);
         self.in_iq.clear_all();

@@ -44,13 +44,4 @@ impl Scheduler {
             occupancy: 0,
         }
     }
-
-    /// Empties all scheduler state (core reset), keeping allocations.
-    pub fn clear(&mut self) {
-        for list in &mut self.wakeup {
-            list.clear();
-        }
-        self.ready.clear_all();
-        self.occupancy = 0;
-    }
 }

@@ -108,8 +108,8 @@ impl CompletionWheel {
         }
     }
 
-    /// Drops every event (core reset, or the `LoseCompletion` injected
-    /// fault). Bucket allocations are kept.
+    /// Drops every event (the `LoseCompletion` injected fault). Bucket
+    /// allocations are kept.
     pub fn clear(&mut self) {
         for b in &mut self.buckets {
             b.clear();

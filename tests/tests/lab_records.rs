@@ -285,18 +285,17 @@ fn golden_records_render_the_committed_report_text() {
     assert_eq!(rendered, report, "the golden records render a different report");
 }
 
-/// The data-oriented core's slabs/wheel/register files are reused
-/// across runs through [`Core::reset`]: a replay after an in-process
-/// reset must serialize to exactly the same record bytes as the fresh
-/// run (the bit-identity contract DESIGN.md's "Data-oriented core"
-/// section documents).
+/// Two fresh cores of one cell, run one after the other in one thread,
+/// must serialize to exactly the same record bytes (the bit-identity
+/// contract of DESIGN.md's "Data-oriented core" section): state leaked
+/// from the first run through a global or thread-local would change
+/// the second.
 #[test]
-fn core_reset_replay_is_byte_identical() {
+fn fresh_cores_in_one_thread_are_byte_identical() {
     let module = build_ir(&dhrystone(5));
     let straight = build_straight(&module, &StraightOptions::default());
     let riscv = build_riscv(&module);
-    // The TAGE machines also check that a reset clears the folded
-    // global history along with the tables.
+    // The TAGE machines also cover the folded global history.
     let cells: [(straight_asm::Image, MachineConfig); 4] = [
         (straight.clone(), MachineConfig::straight_4way()),
         (riscv.clone(), MachineConfig::ss_4way()),
@@ -305,16 +304,15 @@ fn core_reset_replay_is_byte_identical() {
     ];
     for (image, cfg) in cells {
         let name = cfg.name.clone();
-        let mut core = Core::new(image, cfg).expect("core builds");
-        let fresh = core.run_retired(u64::MAX, 50_000_000);
-        assert_eq!(fresh.exit_code, Some(0), "{name}: fresh run completes");
-        core.reset();
-        let replay = core.run_retired(u64::MAX, 50_000_000);
-        let a = fresh.stats.to_json().render_pretty();
-        let b = replay.stats.to_json().render_pretty();
-        assert_eq!(a, b, "{name}: reset replay diverged from the fresh run");
-        assert_eq!(fresh.stdout, replay.stdout, "{name}: stdout diverged");
-        assert_eq!(fresh.exit_code, replay.exit_code, "{name}: exit code diverged");
+        let run = || Core::new(image.clone(), cfg.clone()).expect("core builds").run(50_000_000);
+        let first = run();
+        assert_eq!(first.exit_code, Some(0), "{name}: first run completes");
+        let second = run();
+        let a = first.stats.to_json().render_pretty();
+        let b = second.stats.to_json().render_pretty();
+        assert_eq!(a, b, "{name}: second run diverged from the first");
+        assert_eq!(first.stdout, second.stdout, "{name}: stdout diverged");
+        assert_eq!(first.exit_code, second.exit_code, "{name}: exit code diverged");
     }
 }
 

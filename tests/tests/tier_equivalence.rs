@@ -102,11 +102,6 @@ fn check_tiers<E: ExecBackend>(what: &str, seed: u64, mut fresh: impl FnMut() ->
     assert_eq!(fast.stdout(), interp.stdout(), "{what} seed {seed}: stdout diverged");
     let fast_cp = fast.checkpoint();
     assert_eq!(fast_cp, interp_cp, "{what} seed {seed}: final state diverged");
-    assert_eq!(
-        fast_cp.to_bytes(),
-        interp_cp.to_bytes(),
-        "{what} seed {seed}: checkpoint bytes diverged"
-    );
 
     // Lockstep mode cross-checks state every sync window and turns
     // any divergence into a trap, so completing cleanly is itself an
@@ -135,9 +130,9 @@ fn check_tiers<E: ExecBackend>(what: &str, seed: u64, mut fresh: impl FnMut() ->
                 panic!("{what} seed {seed}: restore failed: {e:?}")
             });
             assert_eq!(
-                resumed.checkpoint().to_bytes(),
-                cp.to_bytes(),
-                "{what} seed {seed}: checkpoint round-trip not byte-identical"
+                resumed.checkpoint(),
+                cp,
+                "{what} seed {seed}: checkpoint round-trip not identical"
             );
             let exit = resumed.run_with(BUDGET, tier);
             assert_eq!(
@@ -166,11 +161,7 @@ fn check_tiers<E: ExecBackend>(what: &str, seed: u64, mut fresh: impl FnMut() ->
             for (snap_name, snap) in [("mid-run", &cp), ("initial", &initial)] {
                 let what = format!("{what} seed {seed}: {tier_name} from {snap_name}");
                 back.restore(snap).unwrap_or_else(|e| panic!("{what}: restore failed: {e:?}"));
-                assert_eq!(
-                    back.checkpoint().to_bytes(),
-                    snap.to_bytes(),
-                    "{what}: backward restore not byte-identical"
-                );
+                assert_eq!(&back.checkpoint(), snap, "{what}: backward restore not identical");
                 assert_eq!(back.run_with(BUDGET, tier), interp_exit, "{what}: exit diverged");
                 assert_eq!(back.stats(), interp.stats(), "{what}: stats diverged");
                 assert_eq!(back.checkpoint(), interp_cp, "{what}: final state diverged");
@@ -194,7 +185,7 @@ fn check_profiled_tiers(what: &str, seed: u64, fresh: impl Fn() -> StraightEmu) 
         interp.stats().dist_hist.iter().any(|&n| n > 0),
         "{what} seed {seed}: profiling recorded no distances"
     );
-    let interp_bytes = interp.checkpoint().to_bytes();
+    let interp_cp = interp.checkpoint();
     for (tier_name, tier) in
         [("fast", TierConfig::fast()), ("fast-lockstep", TierConfig::fast_lockstep())]
     {
@@ -206,9 +197,9 @@ fn check_profiled_tiers(what: &str, seed: u64, fresh: impl Fn() -> StraightEmu) 
             "{what} seed {seed}: profiled {tier_name} stats diverged"
         );
         assert_eq!(
-            emu.checkpoint().to_bytes(),
-            interp_bytes,
-            "{what} seed {seed}: profiled {tier_name} checkpoint bytes diverged"
+            emu.checkpoint(),
+            interp_cp,
+            "{what} seed {seed}: profiled {tier_name} checkpoint diverged"
         );
     }
 }

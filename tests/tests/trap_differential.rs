@@ -1,14 +1,15 @@
 //! Fault-path differential tests: a program that faults must produce
-//! the *same typed trap* on the functional emulator and on the
-//! cycle-accurate out-of-order core — same [`TrapKind`] (payload
-//! included), same faulting PC, and, because both report the retired
-//! instruction count as the index, the same dynamic instruction index.
-//! This pins down trap *precision*: whatever speculation the core was
-//! doing, the architectural fault it reports is the one the in-order
-//! reference sees.
+//! the *same typed trap* on the functional emulator (interpreter and
+//! fast tier) and on the cycle-accurate out-of-order cores, sanitized
+//! or not — same [`TrapKind`] (payload included), same faulting PC,
+//! and, because all report the retired instruction count as the index,
+//! the same dynamic instruction index. This pins down trap *precision*:
+//! whatever speculation the core was doing, the architectural fault it
+//! reports is the one the in-order reference sees. The memory-rule
+//! tests also hold every executor to the same exit code and output.
 
 use straight_asm::{link_riscv, link_straight, parse_straight_asm, Image, RvFunc, RvItem, RvProgram};
-use straight_isa::{AluImmOp, Trap, TrapKind};
+use straight_isa::{AluImmOp, MemWidth, TrapKind};
 use straight_riscv::{Reg, RvInst};
 use straight_sim::emu::{EmuExit, ExecBackend, RiscvEmu, StraightEmu, TierConfig};
 use straight_sim::pipeline::{simulate, MachineConfig, SimExit};
@@ -32,49 +33,67 @@ fn riscv_image(items: Vec<RvInst>) -> Image {
     link_riscv(&prog).expect("links")
 }
 
-fn emu_trap(image: &Image) -> Trap {
-    let exit = match image.isa {
-        straight_asm::ImageIsa::Straight => StraightEmu::new(image.clone()).run(MAX).exit,
-        straight_asm::ImageIsa::Riscv => RiscvEmu::new(image.clone()).run(MAX).exit,
-    };
-    match exit {
-        EmuExit::Trap(t) => t,
-        other => panic!("emulator did not trap: {other:?}"),
-    }
+/// What one executor made of a program: exit code, console output and
+/// trap (kind, PC, dynamic instruction index).
+#[derive(Debug, PartialEq)]
+struct Outcome {
+    exit_code: Option<i32>,
+    stdout: String,
+    trap: Option<(TrapKind, u32, u64)>,
 }
 
-fn core_trap(image: &Image, cfg: MachineConfig) -> Trap {
+fn emu_outcome(image: &Image, tier: TierConfig) -> Outcome {
+    let r = match image.isa {
+        straight_asm::ImageIsa::Straight => StraightEmu::new(image.clone()).run_tiered(MAX, tier),
+        straight_asm::ImageIsa::Riscv => RiscvEmu::new(image.clone()).run_tiered(MAX, tier),
+    };
+    let trap = match r.exit {
+        EmuExit::Trap(t) => Some((t.kind, t.pc, t.index)),
+        EmuExit::StepLimit => panic!("emulator hit the step limit"),
+        _ => None,
+    };
+    Outcome { exit_code: r.exit_code(), stdout: r.stdout, trap }
+}
+
+fn core_outcome(image: &Image, cfg: MachineConfig) -> Outcome {
     let name = cfg.name.clone();
     let r = simulate(image.clone(), cfg, MAX).unwrap();
-    match r.exit {
-        SimExit::Trap(t) => t,
-        other => panic!("{name} did not trap: {other:?}\n--- stdout ---\n{}", r.stdout),
-    }
+    let trap = match r.exit {
+        SimExit::Trap(t) => {
+            assert!(t.cycle.is_some(), "{name}: core traps carry a cycle");
+            Some((t.kind, t.pc, t.index))
+        }
+        SimExit::CycleLimit => panic!("{name} hit the cycle limit"),
+        SimExit::Completed { .. } => None,
+    };
+    Outcome { exit_code: r.exit_code, stdout: r.stdout, trap }
 }
 
-/// Both cycle-accurate models of an ISA must report the emulator's
-/// exact trap: same kind (with payload), same PC, same dynamic index.
-fn check_trap_matches(image: &Image, configs: [MachineConfig; 2]) -> Trap {
-    let reference = emu_trap(image);
-    for cfg in configs {
+/// The interpreter, the fast tier, both cycle-accurate widths and a
+/// sanitized run must agree on exit code, output and trap. Returns
+/// the interpreter's outcome.
+fn check_executors_agree(image: &Image, what: &str) -> Outcome {
+    let reference = emu_outcome(image, TierConfig::interp());
+    assert_eq!(emu_outcome(image, TierConfig::fast()), reference, "{what}: fast tier");
+    let (two, four) = match image.isa {
+        straight_asm::ImageIsa::Straight => {
+            (MachineConfig::straight_2way(), MachineConfig::straight_4way())
+        }
+        straight_asm::ImageIsa::Riscv => (MachineConfig::ss_2way(), MachineConfig::ss_4way()),
+    };
+    for cfg in [two, four.clone(), four.with_sanitizer()] {
         let name = cfg.name.clone();
-        let t = core_trap(image, cfg);
-        assert!(
-            reference.same_event(&t),
-            "{name}: core trap `{t}` is not the emulator's `{reference}`"
-        );
-        assert_eq!(t.index, reference.index, "{name}: dynamic instruction index");
-        assert!(t.cycle.is_some(), "{name}: core traps carry a cycle");
+        assert_eq!(core_outcome(image, cfg), reference, "{what}: {name}");
     }
     reference
 }
 
-fn straight_cfgs() -> [MachineConfig; 2] {
-    [MachineConfig::straight_2way(), MachineConfig::straight_4way()]
-}
-
-fn ss_cfgs() -> [MachineConfig; 2] {
-    [MachineConfig::ss_2way(), MachineConfig::ss_4way()]
+/// Every executor must report the interpreter's exact trap; returns
+/// its kind and PC.
+fn check_trap_matches(image: &Image, what: &str) -> (TrapKind, u32) {
+    let out = check_executors_agree(image, what);
+    let Some((kind, pc, _)) = out.trap else { panic!("{what}: no trap, exit {:?}", out.exit_code) };
+    (kind, pc)
 }
 
 // -- STRAIGHT -------------------------------------------------------
@@ -88,8 +107,8 @@ fn straight_misaligned_load_same_trap() {
             LD [1] 0
             HALT",
     );
-    let t = check_trap_matches(&image, straight_cfgs());
-    assert!(matches!(t.kind, TrapKind::MisalignedLoad { addr: 3, .. }), "{t}");
+    let (kind, _) = check_trap_matches(&image, "misaligned load");
+    assert!(matches!(kind, TrapKind::MisalignedLoad { addr: 3, .. }), "{kind}");
 }
 
 #[test]
@@ -103,8 +122,8 @@ fn straight_wild_store_same_trap() {
             ST [1] [2]
             HALT",
     );
-    let t = check_trap_matches(&image, straight_cfgs());
-    assert!(matches!(t.kind, TrapKind::WildStore { addr: 0x0040_0000, .. }), "{t}");
+    let (kind, _) = check_trap_matches(&image, "wild store");
+    assert!(matches!(kind, TrapKind::WildStore { addr: 0x0040_0000, .. }), "{kind}");
 }
 
 #[test]
@@ -122,9 +141,9 @@ fn straight_illegal_instruction_same_trap() {
     let main = image.symbol("main").unwrap();
     let idx = ((main + 4 - image.code_base) / 4) as usize;
     image.code[idx] = bad;
-    let t = check_trap_matches(&image, straight_cfgs());
-    assert_eq!(t.kind, TrapKind::IllegalInstruction { word: bad });
-    assert_eq!(t.pc, main + 4);
+    let (kind, pc) = check_trap_matches(&image, "illegal instruction");
+    assert_eq!(kind, TrapKind::IllegalInstruction { word: bad });
+    assert_eq!(pc, main + 4);
 }
 
 #[test]
@@ -140,8 +159,8 @@ fn straight_distance_out_of_range_same_trap() {
             ADD [1] [5]
             HALT",
     );
-    let t = check_trap_matches(&image, straight_cfgs());
-    assert_eq!(t.kind, TrapKind::DistanceOutOfRange { dist: 5, executed: 2 });
+    let (kind, _) = check_trap_matches(&image, "distance out of range");
+    assert_eq!(kind, TrapKind::DistanceOutOfRange { dist: 5, executed: 2 });
 }
 
 #[test]
@@ -153,9 +172,9 @@ fn straight_fetch_fault_same_trap() {
             LUI 1
             JR [1]",
     );
-    let t = check_trap_matches(&image, straight_cfgs());
-    assert_eq!(t.kind, TrapKind::FetchFault);
-    assert_eq!(t.pc, 0x1_0000);
+    let (kind, pc) = check_trap_matches(&image, "fetch fault");
+    assert_eq!(kind, TrapKind::FetchFault);
+    assert_eq!(pc, 0x1_0000);
 }
 
 // -- RV32IM ---------------------------------------------------------
@@ -167,8 +186,8 @@ fn riscv_misaligned_load_same_trap() {
         RvInst::Load { width: straight_isa::MemWidth::W, rd: Reg::T1, rs1: Reg::T0, offset: 0 },
         RvInst::Jalr { rd: Reg::ZERO, rs1: Reg::RA, offset: 0 },
     ]);
-    let t = check_trap_matches(&image, ss_cfgs());
-    assert!(matches!(t.kind, TrapKind::MisalignedLoad { addr: 3, .. }), "{t}");
+    let (kind, _) = check_trap_matches(&image, "misaligned load");
+    assert!(matches!(kind, TrapKind::MisalignedLoad { addr: 3, .. }), "{kind}");
 }
 
 #[test]
@@ -178,8 +197,8 @@ fn riscv_wild_store_same_trap() {
         RvInst::Store { width: straight_isa::MemWidth::W, rs2: Reg::T0, rs1: Reg::T0, offset: 0 },
         RvInst::Jalr { rd: Reg::ZERO, rs1: Reg::RA, offset: 0 },
     ]);
-    let t = check_trap_matches(&image, ss_cfgs());
-    assert!(matches!(t.kind, TrapKind::WildStore { addr: 0x0040_0000, .. }), "{t}");
+    let (kind, _) = check_trap_matches(&image, "wild store");
+    assert!(matches!(kind, TrapKind::WildStore { addr: 0x0040_0000, .. }), "{kind}");
 }
 
 #[test]
@@ -194,9 +213,9 @@ fn riscv_illegal_instruction_same_trap() {
     let main = image.symbol("main").unwrap();
     let idx = ((main + 4 - image.code_base) / 4) as usize;
     image.code[idx] = bad;
-    let t = check_trap_matches(&image, ss_cfgs());
-    assert_eq!(t.kind, TrapKind::IllegalInstruction { word: bad });
-    assert_eq!(t.pc, main + 4);
+    let (kind, pc) = check_trap_matches(&image, "illegal instruction");
+    assert_eq!(kind, TrapKind::IllegalInstruction { word: bad });
+    assert_eq!(pc, main + 4);
 }
 
 #[test]
@@ -205,31 +224,166 @@ fn riscv_wild_jump_fetch_faults_same_trap() {
         RvInst::Lui { rd: Reg::T0, imm: 0x0001_0000 },
         RvInst::Jalr { rd: Reg::ZERO, rs1: Reg::T0, offset: 0 },
     ]);
-    let t = check_trap_matches(&image, ss_cfgs());
-    assert_eq!(t.kind, TrapKind::FetchFault);
-    assert_eq!(t.pc, 0x1_0000);
+    let (kind, pc) = check_trap_matches(&image, "wild jump");
+    assert_eq!(kind, TrapKind::FetchFault);
+    assert_eq!(pc, 0x1_0000);
 }
 
 #[test]
 fn riscv_ecall_code_is_all_of_a7() {
     // The low half of a7 is the print-int code, but the service code is
-    // the whole register: the interpreter, the fast tier and both SS
-    // cores must trap on it, not print.
+    // the whole register: every executor must trap on it, not print.
     let image = riscv_image(vec![
         RvInst::Lui { rd: Reg::A7, imm: 0x0001_0000 },
         RvInst::OpImm { op: AluImmOp::Addi, rd: Reg::A7, rs1: Reg::A7, imm: 1 },
         RvInst::Ecall,
         RvInst::Jalr { rd: Reg::ZERO, rs1: Reg::RA, offset: 0 },
     ]);
-    let t = check_trap_matches(&image, ss_cfgs());
-    assert_eq!(t.kind, TrapKind::UnknownSys { code: 0x1_0001 });
-    let mut fast = RiscvEmu::new(image.clone());
-    match fast.run_with(MAX, TierConfig::fast()) {
-        EmuExit::Trap(f) => {
-            assert!(t.same_event(&f), "fast tier trap `{f}` is not the interpreter's `{t}`");
-            assert_eq!(f.index, t.index, "fast tier: dynamic instruction index");
+    let (kind, _) = check_trap_matches(&image, "ecall code");
+    assert_eq!(kind, TrapKind::UnknownSys { code: 0x1_0001 });
+}
+
+// -- the memory rule ------------------------------------------------
+
+/// Stored by the forwarding programs: the low byte and the low
+/// halfword have their top bit set, and there are bits above both.
+const STORED: u32 = 0x1234_80f0;
+
+/// Each load width with the store of the same size, and the value the
+/// load must read back from [`STORED`].
+const FORWARDS: [(MemWidth, MemWidth, i32); 5] = [
+    (MemWidth::B, MemWidth::B, -0x10),
+    (MemWidth::Bu, MemWidth::B, 0xf0),
+    (MemWidth::H, MemWidth::H, -0x7f10),
+    (MemWidth::Hu, MemWidth::H, 0x80f0),
+    (MemWidth::W, MemWidth::W, STORED as i32),
+];
+
+const LOAD_WIDTHS: [MemWidth; 5] =
+    [MemWidth::B, MemWidth::Bu, MemWidth::H, MemWidth::Hu, MemWidth::W];
+
+/// Both ISAs encode only these; a `Bu`/`Hu` store is a `B`/`H` store.
+const STORE_WIDTHS: [MemWidth; 3] = [MemWidth::B, MemWidth::H, MemWidth::W];
+
+/// Addresses past the end of memory: one past the last byte, and far.
+const WILD: [u32; 2] = [0x0040_0000, 0xffff_0000];
+
+fn suffix(width: MemWidth) -> &'static str {
+    match width {
+        MemWidth::B => ".B",
+        MemWidth::Bu => ".BU",
+        MemWidth::H => ".H",
+        MemWidth::Hu => ".HU",
+        MemWidth::W => "",
+    }
+}
+
+#[test]
+fn straight_loads_read_back_a_store_the_same_everywhere() {
+    // The load follows the store at once, so the cores forward.
+    for (load, store, want) in FORWARDS {
+        let image = straight_image(&format!(
+            ".text
+             func main:
+                LUI 48
+                LUI {}
+                ORi [1] {}
+                ST{} [1] [3]
+                LD{} [4] 0
+                SYS 1 [1]
+                SYS 3 [2]
+                HALT",
+            STORED >> 16,
+            STORED as u16 as i16,
+            suffix(store),
+            suffix(load),
+        ));
+        let what = format!("ST{} then LD{}", suffix(store), suffix(load));
+        let out = check_executors_agree(&image, &what);
+        assert_eq!((out.exit_code, out.stdout), (Some(want), format!("{want}\n")));
+    }
+}
+
+#[test]
+fn riscv_loads_read_back_a_store_the_same_everywhere() {
+    // The load follows the store at once, so the cores forward.
+    for (load, store, want) in FORWARDS {
+        let image = riscv_image(vec![
+            RvInst::Lui { rd: Reg::T0, imm: 0x1234_8000 },
+            RvInst::OpImm { op: AluImmOp::Addi, rd: Reg::T0, rs1: Reg::T0, imm: 0xf0 },
+            RvInst::Lui { rd: Reg::T1, imm: 0x0030_0000 },
+            RvInst::Store { width: store, rs2: Reg::T0, rs1: Reg::T1, offset: 0 },
+            RvInst::Load { width: load, rd: Reg::T2, rs1: Reg::T1, offset: 0 },
+            RvInst::OpImm { op: AluImmOp::Addi, rd: Reg::A0, rs1: Reg::T2, imm: 0 },
+            RvInst::OpImm { op: AluImmOp::Addi, rd: Reg::A7, rs1: Reg::ZERO, imm: 1 },
+            RvInst::Ecall,
+            RvInst::OpImm { op: AluImmOp::Addi, rd: Reg::A0, rs1: Reg::T2, imm: 0 },
+            RvInst::Jalr { rd: Reg::ZERO, rs1: Reg::RA, offset: 0 },
+        ]);
+        let out = check_executors_agree(&image, &format!("{store:?} store then {load:?} load"));
+        assert_eq!((out.exit_code, out.stdout), (Some(want), format!("{want}\n")));
+    }
+}
+
+#[test]
+fn straight_misaligned_and_wild_accesses_trap_the_same_everywhere() {
+    let mut cases = vec![];
+    for width in LOAD_WIDTHS {
+        let ld = format!("LD{}", suffix(width));
+        if width.bytes() > 1 {
+            let kind = TrapKind::MisalignedLoad { addr: 0x30_0001, width };
+            cases.push((format!("LUI 48\n {ld} [1] 1"), kind));
         }
-        other => panic!("fast tier did not trap: {other:?}"),
+        for addr in WILD {
+            let kind = TrapKind::WildLoad { addr, width };
+            cases.push((format!("LUI {}\n {ld} [1] 0", addr >> 16), kind));
+        }
+    }
+    for width in STORE_WIDTHS {
+        let st = format!("ST{}", suffix(width));
+        if width.bytes() > 1 {
+            let kind = TrapKind::MisalignedStore { addr: 0x30_0001, width };
+            cases.push((format!("LUI 48\n ADDi [1] 1\n ADDi [0] 7\n {st} [1] [2]"), kind));
+        }
+        for addr in WILD {
+            let kind = TrapKind::WildStore { addr, width };
+            cases.push((format!("LUI {}\n ADDi [0] 7\n {st} [1] [2]", addr >> 16), kind));
+        }
+    }
+    for (body, kind) in cases {
+        let image = straight_image(&format!(".text\nfunc main:\n {body}\n SYS 3 [1]\n HALT"));
+        assert_eq!(check_trap_matches(&image, &body).0, kind, "{body}");
+    }
+}
+
+#[test]
+fn riscv_misaligned_and_wild_accesses_trap_the_same_everywhere() {
+    let base = |imm| RvInst::Lui { rd: Reg::T0, imm };
+    let mut cases = vec![];
+    for width in LOAD_WIDTHS {
+        let load = |offset| RvInst::Load { width, rd: Reg::A0, rs1: Reg::T0, offset };
+        if width.bytes() > 1 {
+            let kind = TrapKind::MisalignedLoad { addr: 0x30_0001, width };
+            cases.push((base(0x30_0000), load(1), kind));
+        }
+        for addr in WILD {
+            cases.push((base(addr), load(0), TrapKind::WildLoad { addr, width }));
+        }
+    }
+    for width in STORE_WIDTHS {
+        let store = |offset| RvInst::Store { width, rs2: Reg::T0, rs1: Reg::T0, offset };
+        if width.bytes() > 1 {
+            let kind = TrapKind::MisalignedStore { addr: 0x30_0001, width };
+            cases.push((base(0x30_0000), store(1), kind));
+        }
+        for addr in WILD {
+            cases.push((base(addr), store(0), TrapKind::WildStore { addr, width }));
+        }
+    }
+    let ret = RvInst::Jalr { rd: Reg::ZERO, rs1: Reg::RA, offset: 0 };
+    for (base, access, kind) in cases {
+        let what = format!("{kind}");
+        assert_eq!(check_trap_matches(&riscv_image(vec![base, access, ret]), &what).0, kind);
     }
 }
 
