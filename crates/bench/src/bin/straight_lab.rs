@@ -44,7 +44,7 @@ OPTIONS:
                          queue-full refusals, with exponential backoff
                          (default: 4)
     --stats              With --remote: print the daemon's stats JSON and exit
-    --jobs N             Worker-thread cap (default: all cores)
+    --jobs N             Worker-thread cap, 1..=1024 (default: all cores)
     --quick              Reduced iteration counts for smoke runs (dhry 50, cm 1)
     --emu-tier TIER      Emulator tier for the instruction-mix and distance
                          cells: fast (default), interp (the reference), or
@@ -56,6 +56,7 @@ OPTIONS:
     --quiet              Suppress the text reports (records still written)
     --profile            Print a host-side throughput table (per pipeline
                          cell: simulated cycles, sim wall time, kcycles/s)
+                         and the process's peak resident set (Linux)
     --help               This text
 
 ENVIRONMENT:
@@ -137,12 +138,7 @@ fn parse_args() -> Result<Options, String> {
             }
             "--stats" => opts.stats = true,
             "--jobs" | "-j" => {
-                let value = value_for("--jobs")?;
-                opts.jobs = value
-                    .parse::<usize>()
-                    .ok()
-                    .filter(|&n| n >= 1)
-                    .ok_or_else(|| format!("--jobs: `{value}` is not a positive integer"))?;
+                opts.jobs = straight_bench::parse_jobs(&value_for("--jobs")?)?;
             }
             "--quick" => quick = true,
             "--emu-tier" => {
@@ -251,7 +247,8 @@ fn normalize(paths: &[PathBuf]) -> ExitCode {
 /// Prints the host-side profiler summary: one row per pipeline cell
 /// with the simulation's wall time and throughput, then totals over
 /// the *unique* simulations (cells sharing a config fingerprint share
-/// one cached run, so their times are the same measurement).
+/// one cached run, so their times are the same measurement), then the
+/// process's peak resident set where the OS reports it.
 fn print_profile(runs: &[LabRun]) {
     println!();
     println!("{:<44} {:>12} {:>10} {:>10}", "PROFILE (pipeline cells)", "CYCLES", "SIM ms", "KCYC/S");
@@ -277,15 +274,26 @@ fn print_profile(runs: &[LabRun]) {
     }
     if seen.is_empty() {
         println!("(no pipeline cells in this selection)");
-        return;
+    } else {
+        println!(
+            "{:<44} {:>12} {:>10.1} {:>10.0}",
+            format!("TOTAL ({} unique simulations)", seen.len()),
+            total_cycles,
+            total_ms,
+            if total_ms > 0.0 { total_cycles as f64 / total_ms } else { 0.0 }
+        );
     }
-    println!(
-        "{:<44} {:>12} {:>10.1} {:>10.0}",
-        format!("TOTAL ({} unique simulations)", seen.len()),
-        total_cycles,
-        total_ms,
-        if total_ms > 0.0 { total_cycles as f64 / total_ms } else { 0.0 }
-    );
+    if let Some(kib) = peak_rss_kib() {
+        println!("peak RSS (VmHWM): {:.1} MB", kib as f64 / 1024.0);
+    }
+}
+
+/// The process's peak resident set in KiB (`VmHWM` in
+/// `/proc/self/status`); `None` where that file is absent.
+fn peak_rss_kib() -> Option<u64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let value = status.lines().find_map(|line| line.strip_prefix("VmHWM:"))?;
+    value.trim().strip_suffix("kB")?.trim().parse().ok()
 }
 
 /// Emits one finished run: report text, record file, write notice.

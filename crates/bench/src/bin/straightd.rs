@@ -23,7 +23,7 @@ USAGE:
 
 OPTIONS:
     --listen ADDR        host:port, or a Unix socket path containing `/`
-    --jobs N             Worker-thread cap (default: all cores)
+    --jobs N             Worker-thread cap, 1..=1024 (default: all cores)
     --queue N            Job-queue bound; beyond it submissions get a
                          queue-full error (default: 64)
     --store DIR          Crash-safe on-disk record store; completed
@@ -83,14 +83,7 @@ fn parse_args() -> Result<Options, String> {
         match arg.as_str() {
             "--listen" | "-l" => listen = Some(value_for("--listen")?),
             "--jobs" | "-j" => {
-                let value = value_for("--jobs")?;
-                jobs = Some(
-                    value
-                        .parse::<usize>()
-                        .ok()
-                        .filter(|&n| n >= 1)
-                        .ok_or_else(|| format!("--jobs: `{value}` is not a positive integer"))?,
-                );
+                jobs = Some(straight_bench::parse_jobs(&value_for("--jobs")?)?);
             }
             "--queue" => {
                 let value = value_for("--queue")?;

@@ -32,6 +32,25 @@ pub mod store;
 
 use straight_core::experiment::RunParams;
 
+/// The largest `--jobs` value `straight-lab` and `straightd` accept:
+/// each job is an operating-system thread, and a count no host can
+/// start is a usage error rather than a failed run.
+pub const MAX_JOBS: usize = 1024;
+
+/// Parses a `--jobs` value: an integer in `1..=MAX_JOBS`.
+///
+/// # Errors
+///
+/// Names the flag and the value when it is not a positive integer or
+/// exceeds [`MAX_JOBS`].
+pub fn parse_jobs(value: &str) -> Result<usize, String> {
+    match value.parse::<usize>() {
+        Ok(n) if n > MAX_JOBS => Err(format!("--jobs: `{value}` is above the limit of {MAX_JOBS}")),
+        Ok(n) if n >= 1 => Ok(n),
+        _ => Err(format!("--jobs: `{value}` is not a positive integer")),
+    }
+}
+
 /// Run parameters from the environment (`straight-lab` without
 /// `--quick`): `STRAIGHT_DHRY_ITERS` and `STRAIGHT_CM_ITERS`, each
 /// defaulting to [`RunParams::default`]'s count when unset.

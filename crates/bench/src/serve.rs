@@ -672,7 +672,9 @@ impl Daemon {
     /// # Errors
     ///
     /// [`LabError::InvalidJobs`] (as an `InvalidInput` I/O error) when
-    /// `jobs` is 0; otherwise whatever binding the listener raised.
+    /// `jobs` is 0, [`LabError::Spawn`] (the same way) when the
+    /// operating system refuses a worker thread; otherwise whatever
+    /// binding the listener raised.
     pub fn bind(config: &DaemonConfig) -> io::Result<Daemon> {
         let mut builder = LabSession::builder().jobs(config.jobs);
         let mut store = None;

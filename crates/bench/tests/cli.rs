@@ -1,6 +1,7 @@
-//! Integration tests of the `straight-lab` command line: argument
-//! validation happens at parse time with usage-style exits (code 2),
-//! and `--normalize` produces comparable output.
+//! Integration tests of the `straight-lab` (and, for `--jobs`,
+//! `straightd`) command line: argument validation happens at parse
+//! time with usage-style exits (code 2), and `--normalize` produces
+//! comparable output.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
@@ -37,6 +38,31 @@ fn non_numeric_jobs_is_rejected_the_same_way() {
     let out = straight_lab(&["--all", "--jobs", "many"]);
     assert_eq!(out.status.code(), Some(2));
     assert!(String::from_utf8_lossy(&out.stderr).contains("`many`"));
+}
+
+#[test]
+fn jobs_above_the_limit_are_usage_errors_in_both_binaries() {
+    // No selection and no `--listen`: were `--jobs` accepted, parsing
+    // would still fail on the missing argument, so no worker starts
+    // whatever the outcome.
+    let straightd = |args: &[&str]| {
+        Command::new(env!("CARGO_BIN_EXE_straightd")).args(args).output().expect("spawn straightd")
+    };
+    for run in [straight_lab as fn(&[&str]) -> Output, straightd] {
+        for value in ["1025", "99999999999999"] {
+            let out = run(&["--jobs", value]);
+            assert_eq!(out.status.code(), Some(2), "usage errors exit 2");
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            let want = format!("--jobs: `{value}` is above the limit of 1024");
+            assert!(stderr.contains(&want), "{stderr}");
+        }
+        let out = run(&["--jobs", "1024"]);
+        assert_eq!(out.status.code(), Some(2), "the missing argument is still an error");
+        assert!(!String::from_utf8_lossy(&out.stderr).contains("--jobs:"), "1024 is accepted");
+        let help = run(&["--help"]);
+        let help = String::from_utf8_lossy(&help.stdout);
+        assert!(help.contains("Worker-thread cap, 1..=1024"), "--help documents the limit");
+    }
 }
 
 #[test]

@@ -62,6 +62,11 @@ fn lock<'a, T>(mutex: &'a Mutex<T>) -> MutexGuard<'a, T> {
 pub enum LabError {
     /// A session was configured with zero worker threads.
     InvalidJobs,
+    /// The operating system refused a worker thread.
+    Spawn {
+        /// The underlying I/O error.
+        source: std::io::Error,
+    },
     /// A cell failed to build or run.
     Cell {
         /// Cell id (`experiment/group/label`).
@@ -92,6 +97,7 @@ impl std::fmt::Display for LabError {
             LabError::InvalidJobs => {
                 write!(f, "--jobs must be at least 1 (0 would run nothing)")
             }
+            LabError::Spawn { source } => write!(f, "cannot start a worker thread: {source}"),
             LabError::Cell { cell, source } => write!(f, "cell {cell}: {source}"),
             LabError::Assemble { experiment, source } => write!(f, "{experiment}: {source}"),
             LabError::Io { path, source } => write!(f, "{}: {source}", path.display()),
@@ -662,7 +668,9 @@ impl LabSessionBuilder {
     ///
     /// # Errors
     ///
-    /// [`LabError::InvalidJobs`] when `jobs` is 0.
+    /// [`LabError::InvalidJobs`] when `jobs` is 0, and
+    /// [`LabError::Spawn`] when the operating system refuses a worker
+    /// thread (the workers already started are shut down and joined).
     pub fn build(self) -> Result<LabSession, LabError> {
         if self.jobs == 0 {
             return Err(LabError::InvalidJobs);
@@ -680,10 +688,18 @@ impl LabSessionBuilder {
             chaos_panic_cell: self.chaos_panic_cell,
             emu_tier: self.emu_tier,
         });
-        let workers = (0..self.jobs)
-            .map(|_| {
-                let shared = Arc::clone(&shared);
-                std::thread::spawn(move || loop {
+        let mut session = LabSession {
+            shared,
+            workers: Vec::new(),
+            jobs: self.jobs,
+            out_dir: self.out_dir,
+        };
+        for _ in 0..self.jobs {
+            let shared = Arc::clone(&session.shared);
+            // Dropping `session` on failure shuts down and joins the
+            // workers already started.
+            let worker = std::thread::Builder::new()
+                .spawn(move || loop {
                     let task = {
                         let mut queue = lock(&shared.queue);
                         loop {
@@ -709,14 +725,10 @@ impl LabSessionBuilder {
                         shared.panics.fetch_add(1, Ordering::Relaxed);
                     }
                 })
-            })
-            .collect();
-        Ok(LabSession {
-            shared,
-            workers,
-            jobs: self.jobs,
-            out_dir: self.out_dir,
-        })
+                .map_err(|source| LabError::Spawn { source })?;
+            session.workers.push(worker);
+        }
+        Ok(session)
     }
 }
 

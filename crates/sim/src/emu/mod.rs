@@ -39,11 +39,12 @@ pub use checkpoint::{Checkpoint, CheckpointError};
 pub use riscv::RiscvEmu;
 pub use straight::StraightEmu;
 
-use straight_asm::{Image, MEM_SIZE};
-use straight_isa::{InstKind, MemWidth, Trap, TrapKind};
+use straight_asm::Image;
+use straight_isa::{InstKind, Trap, TrapKind};
 
 use crate::KindCounts;
-use checkpoint::{ArchSnap, DirtyMap};
+use checkpoint::ArchSnap;
+use memops::Memory;
 use sys::SysState;
 
 /// Longest translated trace, in architectural instructions.
@@ -213,7 +214,8 @@ pub trait ExecBackend {
     /// this emulator or any emulator of the same image and ISA), at an
     /// earlier or a later point than the current one. Memory costs
     /// O(dirty pages): only pages dirty here or in the checkpoint are
-    /// rewritten.
+    /// rewritten, and a page neither the checkpoint nor the image
+    /// holds is dropped.
     ///
     /// # Errors
     ///
@@ -248,19 +250,19 @@ pub trait ExecBackend {
     }
 }
 
-/// The ISA-independent state of an emulator: image, memory, counters,
-/// console state, statistics, dirty pages, and the fast tier's trace
-/// cache. Each ISA's emulator embeds one next to its register state.
+/// The ISA-independent state of an emulator: image, memory (with its
+/// dirty pages), counters, console state, statistics, and the fast
+/// tier's trace cache. Each ISA's emulator embeds one next to its
+/// register state.
 #[derive(Debug, Clone)]
 pub(crate) struct EmuCore<B> {
     image: Image,
-    mem: Vec<u8>,
+    mem: Memory,
     /// Dynamic instructions executed.
     count: u64,
     pc: u32,
     sys: SysState,
     stats: EmuStats,
-    dirty: DirtyMap,
     /// Fast-tier trace cache, indexed by code-segment slot. Sized
     /// lazily on the first fast-tier run.
     blocks: Vec<Option<Box<B>>>,
@@ -269,8 +271,7 @@ pub(crate) struct EmuCore<B> {
 impl<B> EmuCore<B> {
     /// Loads `image` into a fresh memory, with the PC at its entry.
     fn new(image: Image, stats: EmuStats) -> EmuCore<B> {
-        let mut mem = vec![0u8; MEM_SIZE as usize];
-        image.load_into(&mut mem);
+        let mem = Memory::from_image(&image);
         let pc = image.entry;
         EmuCore {
             image,
@@ -279,18 +280,8 @@ impl<B> EmuCore<B> {
             pc,
             sys: SysState::default(),
             stats,
-            dirty: DirtyMap::new(),
             blocks: Vec::new(),
         }
-    }
-
-    /// Interpreter store: [`memops::store`], then the dirty mark.
-    #[inline]
-    fn store(&mut self, width: MemWidth, addr: u32, val: u32) -> Result<(), TrapKind> {
-        memops::store(&mut self.mem, width, addr, val)?;
-        // Aligned accesses never straddle a page, so one mark suffices.
-        self.dirty.mark(addr as usize);
-        Ok(())
     }
 
     /// The exit after an instruction or trace retires: done when it
@@ -523,7 +514,7 @@ impl<I: EmuIsa> ExecBackend for I {
             arch: self.arch_snap(),
             sys: core.sys.clone(),
             stats: core.stats.clone(),
-            pages: checkpoint::collect_pages(&core.dirty, &core.mem),
+            pages: core.mem.collect_pages(),
         }
     }
 
@@ -534,7 +525,7 @@ impl<I: EmuIsa> ExecBackend for I {
         core.count = cp.executed;
         core.sys = cp.sys.clone();
         core.stats = cp.stats.clone();
-        cp.restore_pages(&core.image, &mut core.mem, &mut core.dirty);
+        core.mem.restore_pages(&core.image, &cp.pages);
         Ok(())
     }
 }

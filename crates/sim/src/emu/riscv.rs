@@ -186,7 +186,7 @@ impl RiscvEmu {
             RvInst::Store { width, rs2, rs1, offset } => {
                 let a = self.r(rs1).wrapping_add(offset as u32);
                 let v = self.r(rs2);
-                self.core.store(width, a, v)?;
+                memops::store(&mut self.core.mem, width, a, v)?;
             }
             RvInst::OpImm { op, rd, rs1, imm } => {
                 let v = op.eval(self.r(rs1), imm);
@@ -483,25 +483,22 @@ impl EmuIsa for RiscvEmu {
                 FastOp::StB { rs2, rs1, offset, width } => {
                     let a = self.rr(rs1).wrapping_add(offset);
                     let v = self.rr(rs2);
-                    match memops::store_b(&mut self.core.mem, a, v, width) {
-                        Ok(()) => self.core.dirty.mark(a as usize),
-                        Err(kind) => return self.core.trace_trap(&b.meta, entry, idx, kind),
+                    if let Err(kind) = memops::store_b(&mut self.core.mem, a, v, width) {
+                        return self.core.trace_trap(&b.meta, entry, idx, kind);
                     }
                 }
                 FastOp::StH { rs2, rs1, offset, width } => {
                     let a = self.rr(rs1).wrapping_add(offset);
                     let v = self.rr(rs2);
-                    match memops::store_h(&mut self.core.mem, a, v, width) {
-                        Ok(()) => self.core.dirty.mark(a as usize),
-                        Err(kind) => return self.core.trace_trap(&b.meta, entry, idx, kind),
+                    if let Err(kind) = memops::store_h(&mut self.core.mem, a, v, width) {
+                        return self.core.trace_trap(&b.meta, entry, idx, kind);
                     }
                 }
                 FastOp::StW { rs2, rs1, offset } => {
                     let a = self.rr(rs1).wrapping_add(offset);
                     let v = self.rr(rs2);
-                    match memops::store_w(&mut self.core.mem, a, v) {
-                        Ok(()) => self.core.dirty.mark(a as usize),
-                        Err(kind) => return self.core.trace_trap(&b.meta, entry, idx, kind),
+                    if let Err(kind) = memops::store_w(&mut self.core.mem, a, v) {
+                        return self.core.trace_trap(&b.meta, entry, idx, kind);
                     }
                 }
                 FastOp::Beq { rs1, rs2, target } => {

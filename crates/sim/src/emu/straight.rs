@@ -290,7 +290,7 @@ impl EmuIsa for StraightEmu {
             Inst::St { width, val, addr } => {
                 let v = self.read_dist(val)?;
                 let a = self.read_dist(addr)?;
-                self.core.store(width, a, v)?;
+                memops::store(&mut self.core.mem, width, a, v)?;
                 v
             }
             Inst::Rmov { s } => self.read_dist(s)?,
@@ -594,7 +594,6 @@ impl EmuIsa for StraightEmu {
                     if let Err(kind) = memops::store_b(&mut self.core.mem, a, v, width) {
                         return self.block_trap(b, entry, count, kind);
                     }
-                    self.core.dirty.mark(a as usize);
                     v
                 }
                 FastOp::StH { val, addr, width } => {
@@ -603,7 +602,6 @@ impl EmuIsa for StraightEmu {
                     if let Err(kind) = memops::store_h(&mut self.core.mem, a, v, width) {
                         return self.block_trap(b, entry, count, kind);
                     }
-                    self.core.dirty.mark(a as usize);
                     v
                 }
                 FastOp::StW { val, addr } => {
@@ -612,7 +610,6 @@ impl EmuIsa for StraightEmu {
                     if let Err(kind) = memops::store_w(&mut self.core.mem, a, v) {
                         return self.block_trap(b, entry, count, kind);
                     }
-                    self.core.dirty.mark(a as usize);
                     v
                 }
                 FastOp::RmovChain { first, len } => {

@@ -32,12 +32,12 @@ use super::sched::Scheduler;
 use super::slab::{RingWalk, SlotBits, SlotHandle};
 use super::wheel::{CompletionWheel, Inflight, LoadSrc};
 
-use straight_asm::{Image, ImageIsa, MEM_SIZE, STACK_TOP};
+use straight_asm::{Image, ImageIsa, STACK_TOP};
 use straight_isa::{Trap, TrapKind};
 use straight_riscv::Reg;
 
-use crate::emu::checkpoint::{ArchSnap, DirtyMap};
-use crate::emu::memops;
+use crate::emu::checkpoint::ArchSnap;
+use crate::emu::memops::{self, Memory};
 use crate::emu::sys::SysState;
 use crate::emu::{Checkpoint, EmuExit, ExecBackend, RiscvEmu, StraightEmu};
 use crate::inject::FaultKind;
@@ -133,7 +133,8 @@ pub struct Core {
     /// classification and everything in a micro-op that rename does
     /// not change are pure in the word and its PC.
     decoded: Vec<Decoded>,
-    mem: Vec<u8>,
+    /// Architectural memory, written when a store commits.
+    pub(crate) mem: Memory,
     hier: Hierarchy,
     bp: Box<dyn DirectionPredictor>,
     ras: Ras,
@@ -211,8 +212,7 @@ impl Core {
         if cfg.phys_regs < 33 {
             return Err(CoreError::TooFewPhysRegs { phys_regs: cfg.phys_regs });
         }
-        let mut mem = vec![0u8; MEM_SIZE as usize];
-        image.load_into(&mut mem);
+        let mem = Memory::from_image(&image);
         let phys = cfg.phys_regs as usize;
         let mut prf = vec![0u32; phys];
         let mut rmt_state = RmtState::new(cfg.phys_regs);
@@ -317,7 +317,7 @@ impl Core {
         if cp.isa() != core.image.isa {
             return Err(CoreError::IsaMismatch { machine, image: cp.isa() });
         }
-        cp.restore_pages(&core.image, &mut core.mem, &mut DirtyMap::new());
+        core.mem.restore_pages(&core.image, &cp.pages);
         core.fetch_pc = cp.pc();
         core.sys = cp.sys.clone();
         match &cp.arch {
@@ -860,7 +860,7 @@ impl Core {
         self.lsq.stores.set_addr(seq, addr);
         // A wild or misaligned store address is recorded on the ROB
         // entry and raised precisely if the store reaches the head.
-        if let Some(kind) = memops::check_store(&self.mem, width, addr) {
+        if let Some(kind) = memops::check_store(width, addr) {
             if let Some(slot) = self.rob.slot(seq) {
                 self.rob.trap[slot] = Some(kind);
             }

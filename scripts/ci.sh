@@ -21,9 +21,24 @@ cargo test -p straight-tests --features stage-profile -q --test stage_profile
 SMOKE_DIR=$(mktemp -d)
 STRAIGHTD_PID=""
 trap '{ [ -n "$STRAIGHTD_PID" ] && kill "$STRAIGHTD_PID" 2>/dev/null; } || true; rm -rf "$SMOKE_DIR"' EXIT
-target/release/straight-lab --figure fig11 --quick --quiet --profile --out "$SMOKE_DIR"
+target/release/straight-lab --figure fig11 --quick --quiet --profile --out "$SMOKE_DIR" \
+    > "$SMOKE_DIR/profile.txt"
 test -s "$SMOKE_DIR/BENCH_fig11.json"
 target/release/straight-lab --validate "$SMOKE_DIR/BENCH_fig11.json"
+
+# Footprint gate: simulated memory is sparse (pages materialize on
+# first write), so the smoke's peak resident set, which `--profile`
+# reports where /proc/self/status exists, stays under 10 MB. A dense
+# 4 MiB memory per emulator and core read 9.5–13.5 MB here.
+python3 - "$SMOKE_DIR/profile.txt" <<'EOF'
+import os, re, sys
+text = open(sys.argv[1]).read()
+m = re.search(r"^peak RSS \(VmHWM\): ([0-9.]+) MB$", text, re.M)
+if os.path.exists("/proc/self/status"):
+    assert m, "--profile must report the peak resident set"
+    assert float(m.group(1)) < 10, f"peak RSS {m.group(1)} MB, want < 10 MB"
+    print(f"peak RSS OK: {m.group(1)} MB")
+EOF
 
 # The record must carry the host-side throughput profile: every
 # pipeline cell (stats != null) reports a positive sim wall time and
