@@ -19,7 +19,6 @@ use std::process::ExitCode;
 use straight_bench::serve::{Client, ClientConfig};
 use straight_core::experiment::{self, ExperimentId, RunParams};
 use straight_core::lab::{default_jobs, validate_file, write_result, LabRun, LabSession};
-use straight_sim::emu::TierConfig;
 
 const USAGE: &str = "\
 straight-lab — unified parallel experiment runner for the STRAIGHT reproduction
@@ -28,7 +27,7 @@ USAGE:
     straight-lab [OPTIONS]
 
 SELECTION (at least one):
-    --all                Run the full grid (fig11..fig17, sensitivity, table1)
+    --all                Run the full grid (fig11..fig17, sensitivity, table1, sampled)
     --figure NAME        Run one experiment; repeatable, accepts comma lists
     --list               List the experiment grid and exit
     --validate FILE      Parse and schema-check a BENCH_*.json file; repeatable
@@ -46,11 +45,6 @@ OPTIONS:
     --stats              With --remote: print the daemon's stats JSON and exit
     --jobs N             Worker-thread cap, 1..=1024 (default: all cores)
     --quick              Reduced iteration counts for smoke runs (dhry 50, cm 1)
-    --emu-tier TIER      Emulator tier for the instruction-mix and distance
-                         cells: fast (default), interp (the reference), or
-                         fast-lockstep (fast, cross-checked against the
-                         interpreter every few thousand instructions).
-                         Local runs only; a daemon configures its own session
     --out DIR            Where to write BENCH_<name>.json (default: .)
     --no-write           Render reports without writing JSON records
     --quiet              Suppress the text reports (records still written)
@@ -81,8 +75,6 @@ struct Options {
     no_write: bool,
     quiet: bool,
     profile: bool,
-    /// `None` keeps the session default (the fast tier).
-    emu_tier: Option<TierConfig>,
 }
 
 fn parse_args() -> Result<Options, String> {
@@ -102,7 +94,6 @@ fn parse_args() -> Result<Options, String> {
         no_write: false,
         quiet: false,
         profile: false,
-        emu_tier: None,
     };
     let mut quick = false;
     let mut args = std::env::args().skip(1);
@@ -141,19 +132,6 @@ fn parse_args() -> Result<Options, String> {
                 opts.jobs = straight_bench::parse_jobs(&value_for("--jobs")?)?;
             }
             "--quick" => quick = true,
-            "--emu-tier" => {
-                let value = value_for("--emu-tier")?;
-                opts.emu_tier = Some(match value.as_str() {
-                    "interp" => TierConfig::interp(),
-                    "fast" => TierConfig::fast(),
-                    "fast-lockstep" => TierConfig::fast_lockstep(),
-                    other => {
-                        return Err(format!(
-                            "--emu-tier: `{other}` is not interp, fast, or fast-lockstep"
-                        ))
-                    }
-                });
-            }
             "--out" | "-o" => opts.out = PathBuf::from(value_for("--out")?),
             "--no-write" => opts.no_write = true,
             "--quiet" | "-q" => opts.quiet = true,
@@ -167,12 +145,6 @@ fn parse_args() -> Result<Options, String> {
     }
     if opts.stats && opts.remote.is_none() {
         return Err("--stats needs --remote ADDR (it queries a daemon)".to_string());
-    }
-    if opts.emu_tier.is_some() && opts.remote.is_some() {
-        return Err(
-            "--emu-tier applies to local runs only (a daemon configures its own session)"
-                .to_string(),
-        );
     }
     if !opts.all
         && !opts.list
@@ -312,13 +284,11 @@ fn emit_run(opts: &Options, run: &LabRun) {
 }
 
 fn run_local(opts: &Options, ids: &[ExperimentId], params: RunParams) -> ExitCode {
-    let mut builder = LabSession::builder()
+    let session = match LabSession::builder()
         .jobs(opts.jobs)
-        .out_dir((!opts.no_write).then(|| opts.out.clone()));
-    if let Some(tier) = opts.emu_tier {
-        builder = builder.emu_tier(tier);
-    }
-    let session = match builder.build() {
+        .out_dir((!opts.no_write).then(|| opts.out.clone()))
+        .build()
+    {
         Ok(session) => session,
         Err(e) => {
             eprintln!("straight-lab: {e}");

@@ -224,6 +224,14 @@ impl Conn {
         }
     }
 
+    /// A second handle on the same socket.
+    fn try_clone(&self) -> io::Result<Conn> {
+        match self {
+            Conn::Tcp(s) => s.try_clone().map(Conn::Tcp),
+            Conn::Unix(s) => s.try_clone().map(Conn::Unix),
+        }
+    }
+
     /// Best-effort peer description for log lines.
     fn peer_name(&self) -> String {
         match self {
@@ -769,10 +777,7 @@ impl Daemon {
                 ListenerKind::Unix(l, _) => l.accept().map(|(s, _)| Conn::Unix(s)),
             };
             match accepted {
-                Ok(conn) => {
-                    let state = Arc::clone(&self.state);
-                    std::thread::spawn(move || serve_connection(conn, &state));
-                }
+                Ok(conn) => self.spawn_handler(conn),
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => std::thread::sleep(poll),
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
                 Err(e) => return Err(e),
@@ -786,6 +791,29 @@ impl Daemon {
             let _ = batch.wait();
         }
         Ok(())
+    }
+
+    /// Serves `conn` on a thread of its own. When the operating system
+    /// refuses the thread, only this connection is refused: it gets one
+    /// `overloaded` error line (best effort) and is closed, and the
+    /// accept loop keeps running.
+    fn spawn_handler(&self, conn: Conn) {
+        // A refused spawn drops the closure and `conn` with it, so the
+        // refusal is answered on a second handle.
+        let refusal = conn.try_clone();
+        let state = Arc::clone(&self.state);
+        if let Err(e) = std::thread::Builder::new().spawn(move || serve_connection(conn, &state)) {
+            let peer = refusal.as_ref().map_or_else(|_| "unknown".to_string(), Conn::peer_name);
+            eprintln!("straightd: refused connection from {peer}: no handler thread ({e})");
+            if let Ok(mut refusal) = refusal {
+                let response = error_response(
+                    "overloaded",
+                    format!("the daemon cannot start a handler thread ({e}); retry later"),
+                    None,
+                );
+                let _ = write_json_line(&mut refusal, &response);
+            }
+        }
     }
 
     /// A snapshot of the underlying session's cache counters.

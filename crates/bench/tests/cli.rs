@@ -91,26 +91,6 @@ fn unknown_figure_is_rejected_at_parse_time_listing_valid_ids() {
 }
 
 #[test]
-fn emu_tier_with_remote_is_rejected_at_parse_time() {
-    // The daemon configures its own session, so the flag would be
-    // dropped silently; the parser refuses before any connection.
-    let out = straight_lab(&[
-        "--remote",
-        "/nonexistent/straightd.sock",
-        "--figure",
-        "fig15",
-        "--emu-tier",
-        "interp",
-    ]);
-    assert_eq!(out.status.code(), Some(2), "usage errors exit 2");
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("--emu-tier"), "stderr names the offending flag: {stderr}");
-    assert!(stderr.contains("local runs only"), "stderr explains the constraint: {stderr}");
-    assert!(!stderr.contains("cannot connect"), "nothing was contacted: {stderr}");
-    assert!(out.stdout.is_empty());
-}
-
-#[test]
 fn normalize_output_is_stable_across_runs() {
     // Run table1 (no simulation, fast everywhere) twice into separate
     // directories; the normalized record text must match exactly even

@@ -32,7 +32,7 @@ use straight_sim::KindCounts;
 use straight_workloads::{coremark, dhrystone};
 
 use crate::report;
-use crate::{build, machines, run_on, BuildError, Target};
+use crate::{build, run_on, BuildError, Target};
 
 /// Cycle budget for experiment runs.
 pub const MAX_CYCLES: u64 = 20_000_000_000;
@@ -874,17 +874,19 @@ impl ExperimentSpec {
         match id {
             ExperimentId::Fig11 => perf_cells(
                 id,
-                [WorkloadKind::Dhrystone, WorkloadKind::Coremark]
-                    .map(|w| (w.name(), w, machines::ss_4way(), machines::straight_4way())),
+                [WorkloadKind::Dhrystone, WorkloadKind::Coremark].map(|w| {
+                    (w.name(), w, MachineConfig::ss_4way(), MachineConfig::straight_4way())
+                }),
             ),
             ExperimentId::Fig12 => perf_cells(
                 id,
-                [WorkloadKind::Dhrystone, WorkloadKind::Coremark]
-                    .map(|w| (w.name(), w, machines::ss_2way(), machines::straight_2way())),
+                [WorkloadKind::Dhrystone, WorkloadKind::Coremark].map(|w| {
+                    (w.name(), w, MachineConfig::ss_2way(), MachineConfig::straight_2way())
+                }),
             ),
             ExperimentId::Fig13 => [
-                ("2-way", machines::ss_2way(), machines::straight_2way()),
-                ("4-way", machines::ss_4way(), machines::straight_4way()),
+                ("2-way", MachineConfig::ss_2way(), MachineConfig::straight_2way()),
+                ("4-way", MachineConfig::ss_4way(), MachineConfig::straight_4way()),
             ]
             .into_iter()
             .flat_map(|(scale, ss, st)| {
@@ -902,8 +904,8 @@ impl ExperimentSpec {
             ExperimentId::Fig14 => perf_cells(
                 id,
                 [
-                    ("Coremark 2-way", machines::ss_2way(), machines::straight_2way()),
-                    ("Coremark 4-way", machines::ss_4way(), machines::straight_4way()),
+                    ("Coremark 2-way", MachineConfig::ss_2way(), MachineConfig::straight_2way()),
+                    ("Coremark 4-way", MachineConfig::ss_4way(), MachineConfig::straight_4way()),
                 ]
                 .map(|(group, ss, st)| {
                     (group, WorkloadKind::Coremark, ss.with_tage(), st.with_tage())
@@ -933,8 +935,12 @@ impl ExperimentSpec {
                 })
                 .collect(),
             ExperimentId::Fig17 => [
-                ("SS", Target::Riscv, machines::ss_2way()),
-                ("STRAIGHT(RE+)", re_plus(EVAL_MAX_DISTANCE), machines::straight_2way()),
+                ("SS", Target::Riscv, MachineConfig::ss_2way()),
+                (
+                    "STRAIGHT(RE+)",
+                    re_plus(EVAL_MAX_DISTANCE),
+                    MachineConfig::straight_2way(),
+                ),
             ]
             .into_iter()
             .map(|(label, target, machine)| {
@@ -946,7 +952,7 @@ impl ExperimentSpec {
                 .into_iter()
                 .map(|d| {
                     // The machine must provision MAX_RP = distance + ROB.
-                    let mut cfg = machines::straight_4way();
+                    let mut cfg = MachineConfig::straight_4way();
                     cfg.max_distance = u32::from(d);
                     cfg.phys_regs = cfg.phys_regs.max(u32::from(d) + cfg.rob_capacity);
                     let kind = CellKind::Pipeline { target: re_plus(d), machine: cfg };
@@ -957,10 +963,10 @@ impl ExperimentSpec {
                 })
                 .collect(),
             ExperimentId::Table1 => [
-                machines::ss_2way(),
-                machines::straight_2way(),
-                machines::ss_4way(),
-                machines::straight_4way(),
+                MachineConfig::ss_2way(),
+                MachineConfig::straight_2way(),
+                MachineConfig::ss_4way(),
+                MachineConfig::straight_4way(),
             ]
             .into_iter()
             .map(|machine| CellSpec {
@@ -976,8 +982,12 @@ impl ExperimentSpec {
                 let mut cells = Vec::new();
                 for workload in [WorkloadKind::Dhrystone, WorkloadKind::Coremark] {
                     for (prefix, target, machine) in [
-                        ("SS", Target::Riscv, machines::ss_2way()),
-                        ("STRAIGHT(RE+)", re_plus(EVAL_MAX_DISTANCE), machines::straight_2way()),
+                        ("SS", Target::Riscv, MachineConfig::ss_2way()),
+                        (
+                            "STRAIGHT(RE+)",
+                            re_plus(EVAL_MAX_DISTANCE),
+                            MachineConfig::straight_2way(),
+                        ),
                     ] {
                         let group = workload.name();
                         let full = CellKind::Pipeline { target, machine: machine.clone() };
@@ -1200,11 +1210,11 @@ mod tests {
         let rv = build_for(what, src, Target::Riscv).unwrap();
         let st = build_for(what, src, re_plus(EVAL_MAX_DISTANCE)).unwrap();
         [
-            check(what, &rv, machines::ss_2way(), || RiscvEmu::new(rv.clone()), first_spacing),
+            check(what, &rv, MachineConfig::ss_2way(), || RiscvEmu::new(rv.clone()), first_spacing),
             check(
                 what,
                 &st,
-                machines::straight_2way(),
+                MachineConfig::straight_2way(),
                 || StraightEmu::new(st.clone()),
                 first_spacing,
             ),
@@ -1252,7 +1262,7 @@ mod tests {
         // cuts the measured half of the first window short.
         let src = WorkloadKind::Dhrystone.source(&RunParams::quick());
         let image = build_for("Dhrystone", &src, Target::Riscv).unwrap();
-        let cfg = machines::ss_2way();
+        let cfg = MachineConfig::ss_2way();
         let total = RiscvEmu::new(image.clone()).run(u64::MAX).stats.retired;
         let window = (total / SAMPLE_COUNT).min(SAMPLE_WINDOW);
         let mut core = Core::new(image.clone(), cfg.clone()).unwrap();

@@ -371,9 +371,9 @@ fn exec_cell(spec: &CellSpec, params: &RunParams, shared: &SessionShared) -> Cel
             let image = image_for(caches, workload, *target, params)?;
             let result = match target {
                 Target::Riscv => {
-                    RiscvEmu::new((*image).clone()).run_tiered(u64::MAX, shared.emu_tier)
+                    RiscvEmu::new((*image).clone()).run_tiered(u64::MAX, TierConfig::fast())
                 }
-                _ => StraightEmu::new((*image).clone()).run_tiered(u64::MAX, shared.emu_tier),
+                _ => StraightEmu::new((*image).clone()).run_tiered(u64::MAX, TierConfig::fast()),
             };
             if result.exit_code().is_none() {
                 return Err(Arc::new(ExperimentError::Abnormal {
@@ -391,7 +391,7 @@ fn exec_cell(spec: &CellSpec, params: &RunParams, shared: &SessionShared) -> Cel
             let image = image_for(caches, workload, *target, params)?;
             let mut emu = StraightEmu::new((*image).clone());
             emu.profile_distances = true;
-            let result = emu.run_tiered(u64::MAX, shared.emu_tier);
+            let result = emu.run_tiered(u64::MAX, TierConfig::fast());
             if result.exit_code().is_none() {
                 return Err(Arc::new(ExperimentError::Abnormal {
                     workload: workload.name().to_string(),
@@ -463,9 +463,6 @@ struct SessionShared {
     /// Chaos injection: a cell id (or `"any"`) whose execution
     /// deliberately panics, exercising the panic-isolation path.
     chaos_panic_cell: Option<String>,
-    /// Execution tier emulator mix and distance cells run on (sampled
-    /// cells always fast-forward on the fast tier).
-    emu_tier: TierConfig,
 }
 
 struct SessionQueue {
@@ -604,7 +601,6 @@ pub struct LabSessionBuilder {
     git_rev: Option<String>,
     record_cache: Option<Arc<dyn RecordCache>>,
     chaos_panic_cell: Option<String>,
-    emu_tier: TierConfig,
 }
 
 impl LabSessionBuilder {
@@ -652,17 +648,6 @@ impl LabSessionBuilder {
         self
     }
 
-    /// Execution tier for emulator mix and distance cells (default:
-    /// the fast tier). The fast tier is bit-equivalent to the
-    /// reference interpreter (`TierConfig::interp()`) by construction
-    /// and cross-checked by the lockstep suite;
-    /// `TierConfig::fast_lockstep()` validates it on every run.
-    #[must_use]
-    pub fn emu_tier(mut self, tier: TierConfig) -> LabSessionBuilder {
-        self.emu_tier = tier;
-        self
-    }
-
     /// Starts the session: spawns the worker pool and initializes
     /// empty caches.
     ///
@@ -686,7 +671,6 @@ impl LabSessionBuilder {
             record_cache: self.record_cache,
             panics: AtomicU64::new(0),
             chaos_panic_cell: self.chaos_panic_cell,
-            emu_tier: self.emu_tier,
         });
         let mut session = LabSession {
             shared,
@@ -745,7 +729,7 @@ pub struct LabSession {
 
 impl LabSession {
     /// Starts configuring a session. Defaults: [`default_jobs`]
-    /// workers, no output directory, the fast emulator tier.
+    /// workers, no output directory.
     #[must_use]
     pub fn builder() -> LabSessionBuilder {
         LabSessionBuilder {
@@ -754,7 +738,6 @@ impl LabSession {
             git_rev: None,
             record_cache: None,
             chaos_panic_cell: None,
-            emu_tier: TierConfig::fast(),
         }
     }
 

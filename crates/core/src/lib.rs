@@ -4,7 +4,8 @@
 //! evaluation stack stands on:
 //!
 //! * [`build`] / [`Target`] — compile MinC for either machine;
-//! * [`machines`] — the Table-I machine models;
+//! * [`MachineConfig`] — the Table-I machine models
+//!   (`MachineConfig::ss_2way()` … `MachineConfig::straight_4way()`);
 //! * [`experiment`] — the evaluation as a uniform grid of named
 //!   experiments (Figures 11–17, the §VI-B sensitivity study,
 //!   Table I), selected by the typed [`experiment::ExperimentId`] and
@@ -19,10 +20,10 @@
 //!   `straightd` daemon.
 //!
 //! ```
-//! use straight_core::{build, Target, machines, run_on};
+//! use straight_core::{build, run_on, MachineConfig, Target};
 //!
 //! let image = build("int main() { return 6 * 7; }", Target::StraightRePlus { max_distance: 31 }).unwrap();
-//! let result = run_on(&image, machines::straight_4way(), 1_000_000).unwrap();
+//! let result = run_on(&image, MachineConfig::straight_4way(), 1_000_000).unwrap();
 //! assert_eq!(result.exit_code, Some(42));
 //! ```
 
@@ -36,7 +37,8 @@ mod report;
 use straight_asm::{link_riscv, link_straight, Image};
 use straight_compiler::{compile_riscv, compile_straight, StraightOptions};
 use straight_ir::compile_source;
-use straight_sim::pipeline::{simulate, CoreError, MachineConfig, SimResult};
+pub use straight_sim::pipeline::MachineConfig;
+use straight_sim::pipeline::{simulate, CoreError, SimResult};
 
 /// Which binary to produce from MinC source.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -113,30 +115,4 @@ pub fn build(src: &str, target: Target) -> Result<Image, BuildError> {
 /// error: they surface as a typed trap in [`SimResult::exit`].
 pub fn run_on(image: &Image, cfg: MachineConfig, max_cycles: u64) -> Result<SimResult, CoreError> {
     simulate(image.clone(), cfg, max_cycles)
-}
-
-/// Table I machine presets, re-exported for convenience.
-pub mod machines {
-    pub use straight_sim::pipeline::MachineConfig;
-
-    /// SS-2way (Table I).
-    #[must_use]
-    pub fn ss_2way() -> MachineConfig {
-        MachineConfig::ss_2way()
-    }
-    /// SS-4way (Table I).
-    #[must_use]
-    pub fn ss_4way() -> MachineConfig {
-        MachineConfig::ss_4way()
-    }
-    /// STRAIGHT-2way (Table I).
-    #[must_use]
-    pub fn straight_2way() -> MachineConfig {
-        MachineConfig::straight_2way()
-    }
-    /// STRAIGHT-4way (Table I).
-    #[must_use]
-    pub fn straight_4way() -> MachineConfig {
-        MachineConfig::straight_4way()
-    }
 }

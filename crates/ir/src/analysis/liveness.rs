@@ -109,22 +109,6 @@ impl Liveness {
     pub fn live_out(&self, b: Block) -> &HashSet<Value> {
         &self.live_out[b.index()]
     }
-
-    /// Sorted live-in list (deterministic iteration for codegen).
-    #[must_use]
-    pub fn live_in_sorted(&self, b: Block) -> Vec<Value> {
-        let mut v: Vec<Value> = self.live_in[b.index()].iter().copied().collect();
-        v.sort_unstable();
-        v
-    }
-
-    /// Sorted live-out list.
-    #[must_use]
-    pub fn live_out_sorted(&self, b: Block) -> Vec<Value> {
-        let mut v: Vec<Value> = self.live_out[b.index()].iter().copied().collect();
-        v.sort_unstable();
-        v
-    }
 }
 
 #[cfg(test)]

@@ -68,16 +68,3 @@ pub fn compile_source(src: &str) -> Result<Module, CompileError> {
     verify::verify_module(&module).map_err(CompileError::Verify)?;
     Ok(module)
 }
-
-/// Parses and lowers without the optimization pipeline (used by tests
-/// that inspect raw lowering output and by the `RAW` compilation mode).
-///
-/// # Errors
-///
-/// Returns [`CompileError`] on lexical, syntactic, or semantic errors.
-pub fn compile_source_unoptimized(src: &str) -> Result<Module, CompileError> {
-    let mut module = frontend::lower_source(src)?;
-    passes::resolve_aliases(&mut module);
-    verify::verify_module(&module).map_err(CompileError::Verify)?;
-    Ok(module)
-}

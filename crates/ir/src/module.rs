@@ -46,13 +46,6 @@ impl Module {
     pub fn global(&self, id: GlobalId) -> &Global {
         &self.globals[id.index()]
     }
-
-    /// Total instruction count across all functions (coarse size
-    /// metric used in tests and reports).
-    #[must_use]
-    pub fn inst_count(&self) -> usize {
-        self.funcs.iter().map(|f| f.insts.len()).sum()
-    }
 }
 
 impl fmt::Display for Module {

@@ -94,9 +94,6 @@ pub enum TrapKind {
         /// The service code.
         code: u32,
     },
-    /// The machine configuration cannot execute this image (wrong
-    /// ISA). Raised at construction time, never mid-run.
-    IsaMismatch,
     /// Sanitizer: the core committed an instruction at a different PC
     /// than the oracle emulator executed — control flow diverged.
     OraclePcMismatch {
@@ -134,15 +131,6 @@ pub enum TrapKind {
     Watchdog {
         /// Commit-free cycles observed when the watchdog fired.
         stalled_cycles: u64,
-    },
-    /// Lockstep validation caught the fast (pre-translated) execution
-    /// tier diverging from the reference interpreter — a translation
-    /// or fusion bug in the emulator itself, never a fault of the
-    /// program.
-    TierDivergence {
-        /// Dynamic instructions the fast tier had executed when the
-        /// divergence was detected.
-        executed: u64,
     },
 }
 
@@ -190,7 +178,6 @@ impl fmt::Display for TrapKind {
             }
             TrapKind::SpMisuse { sp } => write!(f, "stack pointer left the stack region: {sp:#x}"),
             TrapKind::UnknownSys { code } => write!(f, "unknown environment-call code {code}"),
-            TrapKind::IsaMismatch => write!(f, "image ISA does not match the machine"),
             TrapKind::OraclePcMismatch { expected } => {
                 write!(f, "committed PC diverged from the oracle (oracle at {expected:#x})")
             }
@@ -208,9 +195,6 @@ impl fmt::Display for TrapKind {
             }
             TrapKind::Watchdog { stalled_cycles } => {
                 write!(f, "watchdog: no commit for {stalled_cycles} cycles")
-            }
-            TrapKind::TierDivergence { executed } => {
-                write!(f, "fast tier diverged from the interpreter after {executed} instructions")
             }
         }
     }

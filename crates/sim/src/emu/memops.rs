@@ -445,10 +445,10 @@ pub(crate) mod tests {
             for tier in [TierConfig::interp(), TierConfig::fast()] {
                 let mut emu = RiscvEmu::new(riscv.clone());
                 assert!(matches!(emu.run_with(u64::MAX, tier), EmuExit::Done { .. }));
-                counts.push((format!("RV32IM {:?}", tier.tier), emu.core().mem.resident_pages()));
+                counts.push((format!("RV32IM {tier:?}"), emu.core().mem.resident_pages()));
                 let mut emu = StraightEmu::new(straight.clone());
                 assert!(matches!(emu.run_with(u64::MAX, tier), EmuExit::Done { .. }));
-                counts.push((format!("STRAIGHT {:?}", tier.tier), emu.core().mem.resident_pages()));
+                counts.push((format!("STRAIGHT {tier:?}"), emu.core().mem.resident_pages()));
             }
             for (image, cfg) in
                 [(&riscv, MachineConfig::ss_4way()), (&straight, MachineConfig::straight_4way())]

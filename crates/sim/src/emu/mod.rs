@@ -20,10 +20,9 @@
 //! * the **fast** tier caches pre-translated basic blocks of lowered
 //!   micro-ops (with RMOV chains fused into one macro-op) and batches
 //!   statistics per block, the Figure 16 distance histogram included.
-//!   It is validated against the interpreter in lockstep mode
-//!   ([`TierConfig::fast_lockstep`]), where any state divergence
-//!   surfaces as a typed
-//!   [`TrapKind::TierDivergence`](straight_isa::TrapKind) trap.
+//!   It single-steps on the interpreter wherever a trace cannot run
+//!   unchecked; the `tier_equivalence` tests hold its exit, statistics,
+//!   output and final checkpoint equal to the interpreter's.
 //!
 //! Every abnormal stop is a typed [`Trap`] carrying the faulting PC
 //! and dynamic instruction index, so differential tests can assert the
@@ -49,8 +48,6 @@ use sys::SysState;
 
 /// Longest translated trace, in architectural instructions.
 const BLOCK_CAP: usize = 256;
-/// Retired instructions per lockstep comparison window.
-const LOCKSTEP_CHUNK: u64 = 4096;
 
 /// Why emulation stopped.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -103,7 +100,7 @@ impl EmuStats {
 
 /// Which execution engine [`ExecBackend::run_with`] drives.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum Tier {
+pub enum TierConfig {
     /// The fetch-and-decode reference interpreter.
     #[default]
     Interp,
@@ -115,35 +112,17 @@ pub enum Tier {
     Fast,
 }
 
-/// Per-call tier selection.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct TierConfig {
-    /// Engine to run.
-    pub tier: Tier,
-    /// Cross-validate: run a cloned interpreter twin alongside and
-    /// compare full architectural checkpoints every few thousand
-    /// instructions; any mismatch exits with a
-    /// [`TrapKind::TierDivergence`](straight_isa::TrapKind) trap.
-    pub lockstep: bool,
-}
-
 impl TierConfig {
     /// The reference interpreter tier (`TierConfig::default()`).
     #[must_use]
     pub fn interp() -> TierConfig {
-        TierConfig::default()
+        TierConfig::Interp
     }
 
-    /// The fast tier, unchecked.
+    /// The fast tier.
     #[must_use]
     pub fn fast() -> TierConfig {
-        TierConfig { tier: Tier::Fast, lockstep: false }
-    }
-
-    /// The fast tier with lockstep validation against the interpreter.
-    #[must_use]
-    pub fn fast_lockstep() -> TierConfig {
-        TierConfig { tier: Tier::Fast, lockstep: true }
+        TierConfig::Fast
     }
 }
 
@@ -222,12 +201,6 @@ pub trait ExecBackend {
     /// [`CheckpointError::IsaMismatch`] when the checkpoint was taken
     /// on the other ISA's emulator.
     fn restore(&mut self, cp: &Checkpoint) -> Result<(), CheckpointError>;
-
-    /// Runs in place on the interpreter tier until exit, trap, or
-    /// `max_steps` retired instructions.
-    fn run_until(&mut self, max_steps: u64) -> EmuExit {
-        self.run_with(max_steps, TierConfig::interp())
-    }
 
     /// Consuming interpreter-tier run (the historical call shape:
     /// `Emu::new(image).run(max)`).
@@ -353,13 +326,13 @@ impl<B> EmuCore<B> {
 /// The per-ISA half of an emulator: its register state and its
 /// lowering (interpreter step, trace translation and execution).
 /// Everything else — the interpreter loop, the trace-cache driver with
-/// its budget fallback, lockstep validation, and [`ExecBackend`] with
+/// its budget fallback, and [`ExecBackend`] with
 /// checkpoint/restore — is written once over this trait, and
 /// monomorphized per ISA. Being generic, the driver is instantiated in
 /// the crate that calls it, so implementations mark their hot methods
 /// `#[inline]`: that keeps `exec_block` and the interpreter step inlined
 /// into the trace loop instead of an out-of-line call per trace.
-pub(crate) trait EmuIsa: Clone {
+pub(crate) trait EmuIsa {
     /// A translated trace of the fast tier.
     type Block;
 
@@ -453,27 +426,6 @@ fn run_fast_cached<I: EmuIsa>(
     }
 }
 
-/// Fast tier cross-checked against a cloned interpreter twin in
-/// [`LOCKSTEP_CHUNK`]-instruction windows; any divergence in exit or
-/// full architectural checkpoint is a [`TrapKind::TierDivergence`]
-/// trap.
-fn run_lockstep<I: EmuIsa>(emu: &mut I, max_steps: u64) -> EmuExit {
-    let mut twin = emu.clone();
-    loop {
-        let target = emu.core().stats.retired.saturating_add(LOCKSTEP_CHUNK).min(max_steps);
-        let fast = run_fast(emu, target);
-        let interp = run_interp(&mut twin, target);
-        if fast != interp || emu.checkpoint() != twin.checkpoint() {
-            let core = emu.core();
-            return core.trap(TrapKind::TierDivergence { executed: core.count });
-        }
-        match fast {
-            EmuExit::StepLimit if target < max_steps => {}
-            exit => return exit,
-        }
-    }
-}
-
 impl<I: EmuIsa> ExecBackend for I {
     fn step(&mut self) -> Option<EmuExit> {
         match self.step_trapping() {
@@ -483,10 +435,9 @@ impl<I: EmuIsa> ExecBackend for I {
     }
 
     fn run_with(&mut self, max_steps: u64, tier: TierConfig) -> EmuExit {
-        match tier.tier {
-            Tier::Interp => run_interp(self, max_steps),
-            Tier::Fast if tier.lockstep => run_lockstep(self, max_steps),
-            Tier::Fast => run_fast(self, max_steps),
+        match tier {
+            TierConfig::Interp => run_interp(self, max_steps),
+            TierConfig::Fast => run_fast(self, max_steps),
         }
     }
 
@@ -566,9 +517,8 @@ mod tests {
     /// A STRAIGHT emulator behind the per-ISA trait whose fast tier
     /// records where each trace ends and, optionally, corrupts the
     /// stack pointer after a number of traces — a fast-tier bug that
-    /// leaves the exit and output alone, so only the lockstep
+    /// leaves the exit, output and statistics alone, so only the final
     /// checkpoint comparison can see it.
-    #[derive(Debug, Clone)]
     struct Faulty {
         emu: StraightEmu,
         corrupt_after: Option<usize>,
@@ -623,8 +573,8 @@ mod tests {
         }
     }
 
-    /// A loop of two-instruction traces running 5000 iterations: a few
-    /// lockstep windows long, and never reading the stack pointer.
+    /// A loop of two-instruction traces running 5000 iterations, never
+    /// reading the stack pointer.
     fn faulty(corrupt_after: Option<usize>) -> Faulty {
         let prog = straight_asm::parse_straight_asm(
             ".text
@@ -643,21 +593,38 @@ mod tests {
         Faulty { emu, corrupt_after, trace_ends: Vec::new(), corrupted_at: None }
     }
 
-    #[test]
-    fn lockstep_reports_a_fast_tier_divergence_in_its_window() {
-        // Unchecked, the corruption is invisible in the exit.
-        let mut plain = faulty(Some(3000));
-        assert_eq!(plain.run_with(u64::MAX, TierConfig::fast()), EmuExit::Done { code: 0 });
-        assert!(plain.corrupted_at.is_some());
+    /// Runs `fast` on the fast tier and a clean twin on the
+    /// interpreter to completion. Returns the fast tier's exit and
+    /// whether the tiers disagree on the exit, the output, the
+    /// statistics or the final checkpoint (the comparison the
+    /// `tier_equivalence` tests make).
+    fn run_against_interp(fast: &mut Faulty) -> (EmuExit, bool) {
+        let mut interp = faulty(None);
+        let interp_exit = interp.run_with(u64::MAX, TierConfig::interp());
+        let fast_exit = fast.run_with(u64::MAX, TierConfig::fast());
+        let diverged = fast_exit != interp_exit
+            || fast.stdout() != interp.stdout()
+            || fast.stats() != interp.stats()
+            || fast.checkpoint() != interp.checkpoint();
+        (fast_exit, diverged)
+    }
 
-        let mut checked = faulty(Some(3000));
-        let exit = checked.run_with(u64::MAX, TierConfig::fast_lockstep());
-        let corrupted_at = checked.corrupted_at.unwrap();
-        assert!(corrupted_at > LOCKSTEP_CHUNK, "not in the first window: {corrupted_at}");
-        let window_end = corrupted_at.div_ceil(LOCKSTEP_CHUNK) * LOCKSTEP_CHUNK;
-        let EmuExit::Trap(trap) = exit else { panic!("expected a divergence trap, got {exit:?}") };
-        assert_eq!(trap.kind, TrapKind::TierDivergence { executed: window_end });
-        assert_eq!(trap.index, window_end);
+    #[test]
+    fn final_checkpoint_comparison_catches_a_fast_tier_corruption() {
+        let mut clean = faulty(None);
+        let (clean_exit, diverged) = run_against_interp(&mut clean);
+        assert_eq!(clean_exit, EmuExit::Done { code: 0 });
+        assert!(!diverged, "a correct fast tier matches the interpreter");
+
+        // The corruption leaves the exit, output and statistics alone:
+        // only the final checkpoint shows it.
+        let mut corrupt = faulty(Some(3000));
+        let (corrupt_exit, diverged) = run_against_interp(&mut corrupt);
+        assert!(corrupt.corrupted_at.is_some());
+        assert_eq!(corrupt_exit, clean_exit);
+        assert_eq!(corrupt.stdout(), clean.stdout());
+        assert_eq!(corrupt.stats(), clean.stats());
+        assert!(diverged, "the flipped stack pointer went unseen");
     }
 
     #[test]

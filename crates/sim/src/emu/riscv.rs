@@ -653,25 +653,29 @@ mod tests {
     #[test]
     fn fast_tier_matches_interpreter_exactly() {
         let image = link_riscv(&sum_loop_program()).unwrap();
-        let interp = RiscvEmu::new(image.clone()).run(10_000);
-        let fast = RiscvEmu::new(image).run_tiered(10_000, TierConfig::fast_lockstep());
-        assert_eq!(interp.exit, fast.exit);
-        assert_eq!(interp.stdout, fast.stdout);
-        assert_eq!(interp.stats, fast.stats);
+        let mut interp = RiscvEmu::new(image.clone());
+        let mut fast = RiscvEmu::new(image);
+        assert_eq!(
+            interp.run_with(10_000, TierConfig::interp()),
+            fast.run_with(10_000, TierConfig::fast())
+        );
+        assert_eq!(interp.stdout(), fast.stdout());
+        assert_eq!(interp.stats(), fast.stats());
+        assert_eq!(interp.checkpoint(), fast.checkpoint());
     }
 
     #[test]
     fn checkpoint_round_trips_mid_run() {
         let image = link_riscv(&sum_loop_program()).unwrap();
         let mut emu = RiscvEmu::new(image.clone());
-        assert_eq!(emu.run_until(6), EmuExit::StepLimit);
+        assert_eq!(emu.run_with(6, TierConfig::interp()), EmuExit::StepLimit);
         let cp = emu.checkpoint();
-        let done = emu.run_until(u64::MAX);
+        let done = emu.run_with(u64::MAX, TierConfig::interp());
 
         let mut resumed = RiscvEmu::new(image);
         resumed.restore(&cp).expect("same ISA");
         assert_eq!(resumed.checkpoint(), cp);
-        assert_eq!(resumed.run_until(u64::MAX), done);
+        assert_eq!(resumed.run_with(u64::MAX, TierConfig::interp()), done);
     }
 
     #[test]

@@ -883,12 +883,15 @@ mod tests {
                 BNZ [1] loop
                 SYS 1 [2]
                 HALT";
-        let interp = StraightEmu::new(image_for(src)).run(1_000_000);
-        let fast =
-            StraightEmu::new(image_for(src)).run_tiered(1_000_000, TierConfig::fast_lockstep());
-        assert_eq!(interp.exit, fast.exit);
-        assert_eq!(interp.stdout, fast.stdout);
-        assert_eq!(interp.stats, fast.stats);
+        let mut interp = StraightEmu::new(image_for(src));
+        let mut fast = StraightEmu::new(image_for(src));
+        assert_eq!(
+            interp.run_with(1_000_000, TierConfig::interp()),
+            fast.run_with(1_000_000, TierConfig::fast())
+        );
+        assert_eq!(interp.stdout(), fast.stdout());
+        assert_eq!(interp.stats(), fast.stats());
+        assert_eq!(interp.checkpoint(), fast.checkpoint());
     }
 
     #[test]
@@ -905,7 +908,7 @@ mod tests {
     }
 
     /// Runs `src` with distance profiling (and an optional sanitizer
-    /// bound) on the interpreter and on both fast-tier modes, asserting
+    /// bound) on the interpreter and on the fast tier, asserting
     /// identical exits (trap kind, PC and index) and statistics
     /// (histogram included); returns the interpreter's result.
     fn profiled_tiers_agree(src: &str, bound: Option<u16>) -> EmuResult {
@@ -916,11 +919,9 @@ mod tests {
             emu.run_tiered(1_000_000, tier)
         };
         let interp = run(TierConfig::interp());
-        for tier in [TierConfig::fast(), TierConfig::fast_lockstep()] {
-            let fast = run(tier);
-            assert_eq!(fast.exit, interp.exit, "{tier:?}");
-            assert_eq!(fast.stats, interp.stats, "{tier:?}");
-        }
+        let fast = run(TierConfig::fast());
+        assert_eq!(fast.exit, interp.exit);
+        assert_eq!(fast.stats, interp.stats);
         interp
     }
 
@@ -993,14 +994,14 @@ mod tests {
                 SYS 1 [2]
                 HALT";
         let mut emu = StraightEmu::new(image_for(src));
-        assert_eq!(emu.run_until(7), EmuExit::StepLimit);
+        assert_eq!(emu.run_with(7, TierConfig::interp()), EmuExit::StepLimit);
         let cp = emu.checkpoint();
-        let done = emu.run_until(u64::MAX);
+        let done = emu.run_with(u64::MAX, TierConfig::interp());
 
         let mut resumed = StraightEmu::new(image_for(src));
         resumed.restore(&cp).expect("same ISA");
         assert_eq!(resumed.checkpoint(), cp);
-        let done2 = resumed.run_until(u64::MAX);
+        let done2 = resumed.run_with(u64::MAX, TierConfig::interp());
         assert_eq!(done, done2);
         assert_eq!(emu.checkpoint(), resumed.checkpoint());
     }

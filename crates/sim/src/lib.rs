@@ -7,9 +7,10 @@
 //!   analysis (Figure 15), and operand-distance profiling (Figure 16);
 //! * [`mem`] — the simulated memory hierarchy (L1I/L1D/L2/L3 caches,
 //!   stream prefetcher, main memory);
-//! * [`predict`] — branch predictors (gshare and 8-component TAGE),
-//!   BTB, return-address stack, and a store-set memory-dependence
-//!   predictor;
+//! * [`predict`] — branch direction predictors (gshare and
+//!   8-component TAGE), the return-address stack, and a store-set
+//!   memory-dependence predictor. There is no BTB: direct targets
+//!   come from the pre-decoded code and returns from the RAS;
 //! * [`pipeline`] — the cycle-accurate out-of-order cores: the
 //!   renaming superscalar baseline (`SS`) with RAM-based RMT and
 //!   ROB-walking recovery, and the STRAIGHT core with RP-based

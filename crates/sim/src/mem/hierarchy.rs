@@ -176,13 +176,6 @@ impl Hierarchy {
         l1_lat + extra
     }
 
-    /// The L1D hit latency (what a hit costs; used by the scheduler's
-    /// load latency assumption).
-    #[must_use]
-    pub fn l1d_hit_latency(&self) -> u32 {
-        self.l1d.cfg().hit_latency
-    }
-
     /// Statistics snapshot.
     #[must_use]
     pub fn stats(&self) -> MemStats {

@@ -78,7 +78,9 @@ pub struct MachineConfig {
     /// Opt-in hazard sanitizer: retire-time cross-validation of every
     /// committed instruction against a shadow functional emulator
     /// (control flow and result values), plus STRAIGHT RP-vs-ROB
-    /// consistency checks.
+    /// consistency checks; on STRAIGHT the emulator also traps operand
+    /// distances above `max_distance` and a stack pointer outside the
+    /// stack region.
     pub sanitizer: bool,
 }
 

@@ -485,7 +485,17 @@ impl Core {
         }
         if self.shadow.is_none() {
             self.shadow = Some(match self.cfg.isa {
-                IsaKind::Straight => Shadow::S(Box::new(StraightEmu::new(self.image.clone()))),
+                IsaKind::Straight => {
+                    // The oracle also enforces the machine's distance
+                    // bound (an operand reaching past it would read a
+                    // register already reallocated, §III-B) and the
+                    // stack region.
+                    let mut emu = StraightEmu::new(self.image.clone());
+                    let bound = u16::try_from(self.cfg.max_distance).unwrap_or(u16::MAX);
+                    emu.distance_bound = Some(bound);
+                    emu.check_sp = true;
+                    Shadow::S(Box::new(emu))
+                }
                 IsaKind::Ss => Shadow::R(Box::new(RiscvEmu::new(self.image.clone()))),
             });
         }

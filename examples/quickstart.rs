@@ -5,7 +5,7 @@
 //! cargo run --release -p straight-core --example quickstart
 //! ```
 
-use straight_core::{build, machines, run_on, Target};
+use straight_core::{build, run_on, MachineConfig, Target};
 
 fn main() {
     let src = "
@@ -15,8 +15,8 @@ fn main() {
 
     println!("source:\n{src}");
     for (target, cfg) in [
-        (Target::Riscv, machines::ss_4way()),
-        (Target::StraightRePlus { max_distance: 31 }, machines::straight_4way()),
+        (Target::Riscv, MachineConfig::ss_4way()),
+        (Target::StraightRePlus { max_distance: 31 }, MachineConfig::straight_4way()),
     ] {
         let image = build(src, target).expect("build");
         let r = run_on(&image, cfg.clone(), 100_000_000).expect("machine accepts the image");

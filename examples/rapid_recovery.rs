@@ -8,7 +8,7 @@
 //! cargo run --release -p straight-core --example rapid_recovery
 //! ```
 
-use straight_core::{build, machines, run_on, Target};
+use straight_core::{build, run_on, MachineConfig, Target};
 
 fn main() {
     // Pseudo-random branches defeat the predictor on purpose.
@@ -25,10 +25,11 @@ fn main() {
             return 0;
         }
     ";
-    let ss = run_on(&build(src, Target::Riscv).unwrap(), machines::ss_4way(), u64::MAX).unwrap();
+    let ss =
+        run_on(&build(src, Target::Riscv).unwrap(), MachineConfig::ss_4way(), u64::MAX).unwrap();
     let st = run_on(
         &build(src, Target::StraightRePlus { max_distance: 31 }).unwrap(),
-        machines::straight_4way(),
+        MachineConfig::straight_4way(),
         u64::MAX,
     )
     .unwrap();

@@ -75,28 +75,6 @@ for live in "$SMOKE_DIR"/golden-live/BENCH_*.json; do
 done
 test "$(ls "$SMOKE_DIR"/golden-live/BENCH_*.json | wc -l)" -eq 10
 
-# Tier gate: the emulator-bound figures (fig15 instruction mix, fig16
-# operand distances) run on the default (fast, decoded-trace) tier and
-# in lockstep mode -- cross-checked against an interpreter twin every
-# sync window, trapping on any architectural divergence -- must produce
-# records byte-identical, after --normalize, to the reference
-# interpreter tier's.
-STRAIGHT_GIT_REV=ci target/release/straight-lab --figure fig15,fig16 --quick --quiet \
-    --emu-tier interp --out "$SMOKE_DIR/tier-interp"
-STRAIGHT_GIT_REV=ci target/release/straight-lab --figure fig15,fig16 --quick --quiet \
-    --out "$SMOKE_DIR/tier-default"
-STRAIGHT_GIT_REV=ci target/release/straight-lab --figure fig15,fig16 --quick --quiet \
-    --emu-tier fast-lockstep --out "$SMOKE_DIR/tier-lockstep"
-for fig in fig15 fig16; do
-    target/release/straight-lab --normalize "$SMOKE_DIR/tier-interp/BENCH_$fig.json" \
-        > "$SMOKE_DIR/tier-interp.norm"
-    for tier in default lockstep; do
-        target/release/straight-lab --normalize "$SMOKE_DIR/tier-$tier/BENCH_$fig.json" \
-            > "$SMOKE_DIR/tier-$tier.norm"
-        cmp "$SMOKE_DIR/tier-interp.norm" "$SMOKE_DIR/tier-$tier.norm"
-    done
-done
-
 # Sampled-simulation smoke: the checkpoint-sampled methodology record
 # the golden gate above produced must pass its own validator, with
 # paired (full)/(sampled) cells per workload x machine and positive

@@ -7,6 +7,7 @@
 use straight_asm::{link_riscv, link_straight, Image};
 use straight_compiler::{compile_riscv, compile_straight, StraightOptions};
 use straight_ir::{compile_source, interp, Module};
+use straight_isa::rng::SplitMix64;
 use straight_sim::emu::{EmuResult, ExecBackend, RiscvEmu, StraightEmu};
 
 /// One program's behaviour: output text plus exit code.
@@ -81,4 +82,64 @@ pub fn check_differential(src: &str) -> Behaviour {
         assert_eq!(behaviour_of(&r, name), expected, "{name} disagrees with interpreter");
     }
     expected
+}
+
+/// A random arithmetic expression over the in-scope variables `a`,
+/// `b`, `c` and small constants. Divisors and shift amounts are masked
+/// into range, so every expression is defined.
+fn random_expr(r: &mut SplitMix64, depth: u32) -> String {
+    if depth == 0 || r.chance(1, 3) {
+        return match r.below(4) {
+            0 => r.range_i32(-100, 99).to_string(),
+            1 => "a".to_string(),
+            2 => "b".to_string(),
+            _ => "c".to_string(),
+        };
+    }
+    let l = random_expr(r, depth - 1);
+    let rhs = random_expr(r, depth - 1);
+    const OPS: [&str; 15] =
+        ["+", "-", "*", "/", "%", "&", "|", "^", "<", "<=", ">=", "==", "!=", ">>", "<<"];
+    let op = OPS[r.below(OPS.len() as u64) as usize];
+    match op {
+        ">>" | "<<" => format!("(({l}) {op} (({rhs}) & 7))"),
+        "*" => format!("(({l}) * (({rhs}) % 13))"),
+        "/" | "%" => format!("(({l}) {op} ((({rhs}) & 15) + 1))"),
+        _ => format!("(({l}) {op} ({rhs}))"),
+    }
+}
+
+/// A random terminating MinC program: a loop over random expressions,
+/// a data-dependent branch, a call, and a global `g` in the data
+/// segment, printing its state and returning a mix of it. The same
+/// seed always yields the same program, so a failure reproduces from
+/// its seed alone.
+pub fn random_program(r: &mut SplitMix64) -> String {
+    let e1 = random_expr(r, 3);
+    let e2 = random_expr(r, 3);
+    let cond = random_expr(r, 2);
+    let iters = 2 + r.below(14);
+    let branch = if r.chance(1, 2) {
+        format!("if (({cond}) % 3 == 0) b = b + a; else c = c ^ i;")
+    } else {
+        format!("if ((a ^ i) % 2) a = a - c; else b = {e2};")
+    };
+    format!(
+        "int g = 11;
+         int helper(int a, int b, int c) {{ return {e2}; }}
+         int main() {{
+             int a = 5;
+             int b = -9;
+             int c = 13;
+             int i;
+             for (i = 0; i < {iters}; i++) {{
+                 a = {e1};
+                 {branch}
+                 c = c + helper(a, b, i);
+                 g = g + c;
+             }}
+             print_int(a); print_int(b); print_int(c); print_int(g);
+             return (a ^ b ^ c) & 255;
+         }}"
+    )
 }

@@ -12,6 +12,8 @@
 
 use straight_asm::ImageIsa;
 use straight_compiler::StraightOptions;
+use straight_core::experiment::{RunParams, WorkloadKind};
+use straight_core::{build, Target};
 use straight_isa::rng::SplitMix64;
 use straight_isa::TrapKind;
 use straight_sim::inject::FaultKind;
@@ -83,6 +85,33 @@ fn sanitizer_passes_clean_ss_machines() {
         assert_eq!(code, expected.exit_code);
         assert_eq!(stdout, expected.stdout);
     }
+}
+
+/// A binary compiled for a wider distance bound than the machine's
+/// must not run silently: its first operand past the bound could read
+/// a register already reallocated (§III-B sizes the register file for
+/// `max_distance` plus the ROB). The sanitizer's oracle enforces the
+/// machine's bound, so the `--quick` Figure 16 Dhrystone image (RE+
+/// at distance 1023, whose longest operand reaches 98) traps on the
+/// 31-bound machine, while its d=31 build completes.
+#[test]
+fn sanitizer_traps_distances_above_the_machine_bound() {
+    let src = WorkloadKind::Dhrystone.source(&RunParams::quick());
+    let cfg = MachineConfig::straight_4way().with_sanitizer();
+    assert_eq!(cfg.max_distance, 31);
+
+    let wide = build(&src, Target::StraightRePlus { max_distance: 1023 }).unwrap();
+    let r = simulate(wide, cfg.clone(), MAX).unwrap();
+    let trap = r.trap().unwrap_or_else(|| panic!("expected a trap: {:?}", r.exit));
+    assert!(
+        matches!(trap.kind, TrapKind::DistanceAboveBound { bound: 31, dist } if dist > 31),
+        "{trap:?}"
+    );
+    assert!(trap.kind.is_sanitizer());
+
+    let fitted = build(&src, Target::StraightRePlus { max_distance: 31 }).unwrap();
+    let r = simulate(fitted, cfg, MAX).unwrap();
+    completed(&r, "sanitized d=31 Dhrystone");
 }
 
 // -- fault class 1: PRF bit flips (soft errors) ---------------------

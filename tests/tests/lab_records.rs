@@ -9,7 +9,6 @@ use straight_core::experiment::{
 use straight_core::lab::{validate_file, LabRun, LabSession};
 use straight_isa::InstKind;
 use straight_json::{FromJson, Json, ToJson};
-use straight_sim::emu::TierConfig;
 use straight_sim::pipeline::{Core, MachineConfig, SimStats};
 use straight_sim::KindCounts;
 use straight_tests::{build_ir, build_riscv, build_straight};
@@ -111,30 +110,6 @@ fn same_cell_twice_is_identical_modulo_wall_time() {
     );
     // The rendered report carries no timing, so it is identical as-is.
     assert_eq!(a.rendered, b.rendered);
-}
-
-/// The session's default emulator tier (the fast tier) must produce
-/// exactly the records of the reference interpreter tier for the
-/// emulator-bound figures: the Figure 15 mix and the Figure 16
-/// distance profile.
-#[test]
-fn default_tier_records_match_the_interpreter() {
-    let names = ids(&["fig15", "fig16"]);
-    let default_session = LabSession::builder().jobs(4).build().unwrap();
-    let interp_session =
-        LabSession::builder().jobs(4).emu_tier(TierConfig::interp()).build().unwrap();
-    let fast = default_session.run(&names, RunParams::quick()).unwrap();
-    let interp = interp_session.run(&names, RunParams::quick()).unwrap();
-    assert_eq!(fast.len(), 2);
-    for (f, i) in fast.iter().zip(&interp) {
-        assert_eq!(
-            f.result.normalized(),
-            i.result.normalized(),
-            "{}: default-tier records differ from the interpreter's",
-            f.result.experiment
-        );
-        assert_eq!(f.rendered, i.rendered);
-    }
 }
 
 #[test]
@@ -321,8 +296,10 @@ fn fresh_cores_in_one_thread_are_byte_identical() {
 /// emulator, while a sanitized run builds it at first retirement.
 #[test]
 fn shadow_emulator_is_only_built_when_sanitizing() {
+    // Built for the machine's distance bound: the sanitizer traps a
+    // binary whose operands reach past it.
     let module = build_ir(&dhrystone(1));
-    let image = build_straight(&module, &StraightOptions::default());
+    let image = build_straight(&module, &StraightOptions::default().with_max_distance(31));
 
     let mut core =
         Core::new(image.clone(), MachineConfig::straight_4way()).expect("core builds");

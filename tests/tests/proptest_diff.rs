@@ -10,64 +10,14 @@
 //! failure reproduces from its seed alone.
 
 use straight_isa::rng::SplitMix64;
-use straight_tests::check_differential;
-
-/// A random arithmetic expression over the in-scope variables
-/// `a`, `b`, `c` and small constants. Division-like corner cases
-/// appear through the `%` arms without dominating.
-fn expr(r: &mut SplitMix64, depth: u32) -> String {
-    if depth == 0 || r.chance(1, 3) {
-        return match r.below(4) {
-            0 => r.range_i32(-100, 99).to_string(),
-            1 => "a".to_string(),
-            2 => "b".to_string(),
-            _ => "c".to_string(),
-        };
-    }
-    let l = expr(r, depth - 1);
-    let rhs = expr(r, depth - 1);
-    let op = ["+", "-", "*", "&", "|", "^", "<", "<=", "==", "!=", ">>"][r.below(11) as usize];
-    match op {
-        ">>" => format!("(({l}) >> (({rhs}) & 7))"),
-        "*" => format!("(({l}) * (({rhs}) % 13))"),
-        _ => format!("(({l}) {op} ({rhs}))"),
-    }
-}
-
-fn program(r: &mut SplitMix64) -> String {
-    let e1 = expr(r, 3);
-    let e2 = expr(r, 3);
-    let cond = expr(r, 2);
-    let iters = 1 + r.below(11);
-    let branch = if r.chance(1, 2) {
-        format!("if (({cond}) % 3 == 0) b = b + a; else c = c ^ i;")
-    } else {
-        format!("if ((a ^ i) % 2) a = a - c; else b = {e2};")
-    };
-    format!(
-        "int helper(int a, int b, int c) {{ return {e2}; }}
-         int main() {{
-             int a = 3;
-             int b = -7;
-             int c = 11;
-             int i;
-             for (i = 0; i < {iters}; i++) {{
-                 a = {e1};
-                 {branch}
-                 c = c + helper(a, b, i);
-             }}
-             print_int(a); print_int(b); print_int(c);
-             return (a ^ b ^ c) & 255;
-         }}"
-    )
-}
+use straight_tests::{check_differential, random_program};
 
 /// The whole pyramid agrees on random programs.
 #[test]
 fn random_programs_agree_everywhere() {
     for seed in 0..24u64 {
         let mut r = SplitMix64::new(0xd1ff_0000 + seed);
-        let src = program(&mut r);
+        let src = random_program(&mut r);
         check_differential(&src);
     }
 }

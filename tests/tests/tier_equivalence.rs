@@ -3,83 +3,31 @@
 //! (decoded-trace) tier must be observably identical to the reference
 //! interpreter tier — same `EmuExit`, same retirement statistics, same
 //! stdout, and a byte-identical final architectural checkpoint — for
-//! both ISAs. Each program also exercises lockstep mode (which traps
-//! on any divergence), a checkpoint round-trip at a random mid-run
-//! snapshot point, resumed on *both* tiers, and a backward restore of
-//! that snapshot (and of the initial state) into an emulator that
-//! already ran to completion. STRAIGHT programs are also run with
-//! Figure 16 distance profiling on every tier.
+//! both ISAs. Each program also exercises a checkpoint round-trip at a
+//! random mid-run snapshot point, resumed on *both* tiers, and a
+//! backward restore of that snapshot (and of the initial state) into
+//! an emulator that already ran to completion. STRAIGHT programs are
+//! also run with Figure 16 distance profiling on both tiers.
 //!
-//! Programs come from the in-repo deterministic PRNG
-//! (`straight_isa::rng`), so every run covers the same corpus and a
-//! failure reproduces from its seed alone.
+//! Programs come from the shared generator
+//! (`straight_tests::random_program`) driven by the in-repo
+//! deterministic PRNG (`straight_isa::rng`), so every run covers the
+//! same corpus and a failure reproduces from its seed alone. The five
+//! `--quick` images behind Figures 15 and 16 (the emulator-bound
+//! figures the lab runs on the fast tier) go through the same checks.
 
 use straight_compiler::StraightOptions;
+use straight_core::experiment::{RunParams, WorkloadKind, EVAL_MAX_DISTANCE};
+use straight_core::{build, Target};
 use straight_isa::rng::SplitMix64;
 use straight_sim::emu::{EmuExit, ExecBackend, RiscvEmu, StraightEmu, TierConfig};
-use straight_tests::{build_ir, build_riscv, build_straight};
+use straight_tests::{build_ir, build_riscv, build_straight, random_program};
 
 /// Programs per ISA.
 const PROGRAMS: u64 = 100;
 /// Generous absolute step budget; every generated program terminates
 /// far below this.
 const BUDGET: u64 = 50_000_000;
-
-/// A random arithmetic expression over the in-scope variables
-/// `a`, `b`, `c` and small constants (same shape as the end-to-end
-/// property suite, here aimed at tier equivalence).
-fn expr(r: &mut SplitMix64, depth: u32) -> String {
-    if depth == 0 || r.chance(1, 3) {
-        return match r.below(4) {
-            0 => r.range_i32(-100, 99).to_string(),
-            1 => "a".to_string(),
-            2 => "b".to_string(),
-            _ => "c".to_string(),
-        };
-    }
-    let l = expr(r, depth - 1);
-    let rhs = expr(r, depth - 1);
-    let op = ["+", "-", "*", "/", "%", "&", "|", "^", "<", ">=", "==", ">>", "<<"]
-        [r.below(13) as usize];
-    match op {
-        ">>" | "<<" => format!("(({l}) {op} (({rhs}) & 7))"),
-        "*" => format!("(({l}) * (({rhs}) % 13))"),
-        "/" | "%" => format!("(({l}) {op} ((({rhs}) & 15) + 1))"),
-        _ => format!("(({l}) {op} ({rhs}))"),
-    }
-}
-
-fn program(r: &mut SplitMix64) -> String {
-    let e1 = expr(r, 3);
-    let e2 = expr(r, 3);
-    let cond = expr(r, 2);
-    let iters = 2 + r.below(14);
-    let branch = if r.chance(1, 2) {
-        format!("if (({cond}) % 3 == 0) b = b + a; else c = c ^ i;")
-    } else {
-        format!("if ((a ^ i) % 2) a = a - c; else b = {e2};")
-    };
-    // The global `g` lives in the data segment: a restore that left a
-    // later run's value there would change the output.
-    format!(
-        "int g = 11;
-         int helper(int a, int b, int c) {{ return {e2}; }}
-         int main() {{
-             int a = 5;
-             int b = -9;
-             int c = 13;
-             int i;
-             for (i = 0; i < {iters}; i++) {{
-                 a = {e1};
-                 {branch}
-                 c = c + helper(a, b, i);
-                 g = g + c;
-             }}
-             print_int(a); print_int(b); print_int(c); print_int(g);
-             return (a ^ b ^ c) & 255;
-         }}"
-    )
-}
 
 /// Runs one program on both tiers of one backend and asserts complete
 /// observable equivalence, then round-trips a checkpoint taken at a
@@ -102,14 +50,6 @@ fn check_tiers<E: ExecBackend>(what: &str, seed: u64, mut fresh: impl FnMut() ->
     assert_eq!(fast.stdout(), interp.stdout(), "{what} seed {seed}: stdout diverged");
     let fast_cp = fast.checkpoint();
     assert_eq!(fast_cp, interp_cp, "{what} seed {seed}: final state diverged");
-
-    // Lockstep mode cross-checks state every sync window and turns
-    // any divergence into a trap, so completing cleanly is itself an
-    // assertion.
-    let mut lock = fresh();
-    let lock_exit = lock.run_with(BUDGET, TierConfig::fast_lockstep());
-    assert_eq!(lock_exit, interp_exit, "{what} seed {seed}: lockstep exit diverged");
-    assert_eq!(lock.checkpoint(), interp_cp, "{what} seed {seed}: lockstep state diverged");
 
     // Checkpoint round-trip at a random snapshot point: restoring
     // must be byte-identical, and resuming on either tier must land
@@ -171,8 +111,9 @@ fn check_tiers<E: ExecBackend>(what: &str, seed: u64, mut fresh: impl FnMut() ->
 }
 
 /// Runs one STRAIGHT program with distance profiling on the
-/// interpreter, fast and fast-lockstep tiers: statistics (the distance
-/// histogram included) and final checkpoints must be identical.
+/// interpreter and fast tiers: exits, statistics (the distance
+/// histogram included), output and final checkpoints must be
+/// identical.
 fn check_profiled_tiers(what: &str, seed: u64, fresh: impl Fn() -> StraightEmu) {
     let run = |tier| {
         let mut emu = fresh();
@@ -185,23 +126,15 @@ fn check_profiled_tiers(what: &str, seed: u64, fresh: impl Fn() -> StraightEmu) 
         interp.stats().dist_hist.iter().any(|&n| n > 0),
         "{what} seed {seed}: profiling recorded no distances"
     );
-    let interp_cp = interp.checkpoint();
-    for (tier_name, tier) in
-        [("fast", TierConfig::fast()), ("fast-lockstep", TierConfig::fast_lockstep())]
-    {
-        let (exit, emu) = run(tier);
-        assert_eq!(exit, interp_exit, "{what} seed {seed}: profiled {tier_name} exit diverged");
-        assert_eq!(
-            emu.stats(),
-            interp.stats(),
-            "{what} seed {seed}: profiled {tier_name} stats diverged"
-        );
-        assert_eq!(
-            emu.checkpoint(),
-            interp_cp,
-            "{what} seed {seed}: profiled {tier_name} checkpoint diverged"
-        );
-    }
+    let (exit, fast) = run(TierConfig::fast());
+    assert_eq!(exit, interp_exit, "{what} seed {seed}: profiled exit diverged");
+    assert_eq!(fast.stats(), interp.stats(), "{what} seed {seed}: profiled stats diverged");
+    assert_eq!(fast.stdout(), interp.stdout(), "{what} seed {seed}: profiled stdout diverged");
+    assert_eq!(
+        fast.checkpoint(),
+        interp.checkpoint(),
+        "{what} seed {seed}: profiled checkpoint diverged"
+    );
 }
 
 /// 100 random programs per ISA: the fast tier is observationally
@@ -210,7 +143,7 @@ fn check_profiled_tiers(what: &str, seed: u64, fresh: impl Fn() -> StraightEmu) 
 fn tiers_agree_on_random_programs() {
     for seed in 0..PROGRAMS {
         let mut r = SplitMix64::new(0x7133_0000 + seed);
-        let src = program(&mut r);
+        let src = random_program(&mut r);
         let module = build_ir(&src);
 
         let st = build_straight(&module, &StraightOptions::default());
@@ -225,5 +158,35 @@ fn tiers_agree_on_random_programs() {
 
         let rv = build_riscv(&module);
         check_tiers("riscv", seed, || RiscvEmu::new(rv.clone()), &mut r);
+    }
+}
+
+/// The `--quick` images of the emulator-bound figures agree on both
+/// tiers: the Figure 15 instruction-mix images (CoreMark on RV32IM,
+/// STRAIGHT RAW and RE+ at the evaluation distance bound) and the
+/// profiled Figure 16 images (Dhrystone and CoreMark, RE+ at 1023).
+#[test]
+fn tiers_agree_on_the_emulator_figure_images() {
+    let params = RunParams::quick();
+    let image = |workload: WorkloadKind, target| {
+        build(&workload.source(&params), target).expect("workload builds")
+    };
+    let mut r = SplitMix64::new(0xf15f_1600);
+
+    let cm = WorkloadKind::Coremark;
+    let rv = image(cm, Target::Riscv);
+    check_tiers("fig15 Coremark SS", 0, || RiscvEmu::new(rv.clone()), &mut r);
+    for (what, target) in [
+        ("fig15 Coremark RAW", Target::StraightRaw { max_distance: EVAL_MAX_DISTANCE }),
+        ("fig15 Coremark RE+", Target::StraightRePlus { max_distance: EVAL_MAX_DISTANCE }),
+    ] {
+        let st = image(cm, target);
+        check_tiers(what, 0, || StraightEmu::new(st.clone()), &mut r);
+    }
+
+    for workload in [WorkloadKind::Dhrystone, cm] {
+        let what = format!("fig16 {} RE+ d=1023", workload.name());
+        let st = image(workload, Target::StraightRePlus { max_distance: 1023 });
+        check_profiled_tiers(&what, 0, || StraightEmu::new(st.clone()));
     }
 }
