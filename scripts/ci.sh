@@ -9,6 +9,12 @@ set -eux
 cd "$(dirname "$0")/.."
 
 cargo build --release --workspace
+
+# The README examples must run to a clean exit, not only compile.
+for example in quickstart rapid_recovery straight_assembly distance_profile; do
+    cargo run --release -q -p straight-core --example "$example" > /dev/null
+done
+
 cargo test --workspace -q
 cargo clippy --workspace --all-targets -- -D warnings
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace

@@ -1,19 +1,21 @@
 //! Differential tests: every MinC program must behave identically on
 //! the IR interpreter, the RV32IM baseline, and STRAIGHT in all four
-//! compilation configurations (RAW/RE+ × max distance 1023/31).
+//! compilation configurations (RAW/RE+ × max distance 1023/31), on
+//! both emulator tiers and, at distance 31, on every cycle-accurate
+//! core (`straight_tests::check_chain`).
 
-use straight_tests::check_differential;
+use straight_tests::check_chain;
 
 #[test]
 fn arithmetic_constants() {
-    let b = check_differential("int main() { print_int(6 * 7); print_int(-13 / 4); print_int(-13 % 4); return 1; }");
+    let b = check_chain("int main() { print_int(6 * 7); print_int(-13 / 4); print_int(-13 % 4); return 1; }");
     assert_eq!(b.stdout, "42\n-3\n-1\n");
-    assert_eq!(b.exit_code, 1);
+    assert_eq!(b.exit_code, Some(1));
 }
 
 #[test]
 fn parameters_and_expressions() {
-    check_differential(
+    check_chain(
         "int mix(int a, int b, int c) { return (a + b) * c - (a ^ b) + (a << 2) - (b >> 1); }
          int main() { print_int(mix(11, 4, 3)); print_int(mix(-5, 9, -2)); return 0; }",
     );
@@ -21,7 +23,7 @@ fn parameters_and_expressions() {
 
 #[test]
 fn counted_loop_sum() {
-    let b = check_differential(
+    let b = check_chain(
         "int main() {
              int s = 0;
              int i;
@@ -35,7 +37,7 @@ fn counted_loop_sum() {
 
 #[test]
 fn nested_loops_and_breaks() {
-    check_differential(
+    check_chain(
         "int main() {
              int total = 0;
              int i;
@@ -55,7 +57,7 @@ fn nested_loops_and_breaks() {
 
 #[test]
 fn while_and_do_while() {
-    check_differential(
+    check_chain(
         "int main() {
              int n = 27;
              int steps = 0;
@@ -75,7 +77,7 @@ fn while_and_do_while() {
 
 #[test]
 fn recursion_fibonacci() {
-    let b = check_differential(
+    let b = check_chain(
         "int fib(int n) { if (n < 2) return n; return fib(n - 1) + fib(n - 2); }
          int main() { print_int(fib(15)); return 0; }",
     );
@@ -84,7 +86,7 @@ fn recursion_fibonacci() {
 
 #[test]
 fn mutual_recursion() {
-    check_differential(
+    check_chain(
         "int is_even(int n) { if (n == 0) return 1; return is_odd(n - 1); }
          int is_odd(int n) { if (n == 0) return 0; return is_even(n - 1); }
          int main() { print_int(is_even(10)); print_int(is_odd(7)); return 0; }",
@@ -93,7 +95,7 @@ fn mutual_recursion() {
 
 #[test]
 fn globals_and_arrays() {
-    check_differential(
+    check_chain(
         "int acc = 3;
          int tab[16];
          int main() {
@@ -109,7 +111,7 @@ fn globals_and_arrays() {
 
 #[test]
 fn local_arrays_and_pointers() {
-    check_differential(
+    check_chain(
         "void fill(int* p, int n) { int i; for (i = 0; i < n; i++) p[i] = n - i; }
          int main() {
              int a[8];
@@ -125,7 +127,7 @@ fn local_arrays_and_pointers() {
 
 #[test]
 fn addr_of_and_swap() {
-    check_differential(
+    check_chain(
         "void swap(int* x, int* y) { int t = *x; *x = *y; *y = t; }
          int main() {
              int a = 3;
@@ -139,7 +141,7 @@ fn addr_of_and_swap() {
 
 #[test]
 fn strings_and_bytes() {
-    let b = check_differential(
+    let b = check_chain(
         "int strlen_(byte* s) { int n = 0; while (s[n]) n++; return n; }
          byte buf[32];
          int main() {
@@ -158,7 +160,7 @@ fn strings_and_bytes() {
 
 #[test]
 fn short_circuit_evaluation() {
-    check_differential(
+    check_chain(
         "int calls = 0;
          int bump(int v) { calls++; return v; }
          int main() {
@@ -173,7 +175,7 @@ fn short_circuit_evaluation() {
 #[test]
 fn many_live_values_across_merges() {
     // Stresses distance fixing: many values live across an if-else.
-    check_differential(
+    check_chain(
         "int main() {
              int a = 1; int b = 2; int c = 3; int d = 4; int e = 5;
              int f = 6; int g = 7; int h = 8;
@@ -193,7 +195,7 @@ fn many_live_values_across_merges() {
 fn loop_live_through_value_re_plus() {
     // `secret` transits the loop untouched: the RE+ stack-storage rule
     // (Figure 10c) applies to it.
-    check_differential(
+    check_chain(
         "int main() {
              int secret = 12345;
              int s = 0;
@@ -207,7 +209,7 @@ fn loop_live_through_value_re_plus() {
 
 #[test]
 fn call_inside_loop_spills() {
-    check_differential(
+    check_chain(
         "int id(int x) { return x; }
          int main() {
              int s = 0;
@@ -222,7 +224,7 @@ fn call_inside_loop_spills() {
 
 #[test]
 fn division_corner_cases() {
-    check_differential(
+    check_chain(
         "int main() {
              int zero = 0;
              int big = -2147483647 - 1;
@@ -237,7 +239,7 @@ fn division_corner_cases() {
 
 #[test]
 fn byte_arithmetic_wraps() {
-    check_differential(
+    check_chain(
         "int main() {
              byte b = 250;
              int i;
@@ -250,7 +252,7 @@ fn byte_arithmetic_wraps() {
 
 #[test]
 fn large_constants() {
-    check_differential(
+    check_chain(
         "int main() {
              int big = 0x12345678;
              int neg = -123456789;
@@ -264,14 +266,14 @@ fn large_constants() {
 
 #[test]
 fn exit_mid_program() {
-    let b = check_differential("int main() { print_int(1); exit(42); print_int(2); return 0; }");
+    let b = check_chain("int main() { print_int(1); exit(42); print_int(2); return 0; }");
     assert_eq!(b.stdout, "1\n");
-    assert_eq!(b.exit_code, 42);
+    assert_eq!(b.exit_code, Some(42));
 }
 
 #[test]
 fn deep_expression_pressure() {
-    check_differential(
+    check_chain(
         "int main() {
              int a = 1; int b = 2; int c = 3; int d = 4;
              int r = ((a + b) * (c + d) - (a * c - b * d)) * ((a - d) * (b - c) + (a + d) * (b + c));
@@ -283,7 +285,7 @@ fn deep_expression_pressure() {
 
 #[test]
 fn many_arguments() {
-    check_differential(
+    check_chain(
         "int sum8(int a, int b, int c, int d, int e, int f, int g, int h) {
              return a + 2*b + 3*c + 4*d + 5*e + 6*f + 7*g + 8*h;
          }

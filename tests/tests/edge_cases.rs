@@ -3,9 +3,8 @@
 //! calling convention, and the frame shuffles.
 
 use straight_compiler::StraightOptions;
-use straight_sim::emu::ExecBackend;
-use straight_sim::pipeline::{simulate, MachineConfig};
-use straight_tests::{build_ir, build_riscv, build_straight, check_differential, run_interp, run_straight};
+use straight_ir::interp;
+use straight_tests::{build_ir, check_chain, check_image};
 
 #[test]
 fn long_straightline_block_forces_relays() {
@@ -23,12 +22,12 @@ fn long_straightline_block_forces_relays() {
         body.push_str(&format!("acc = acc + t{i};\n"));
     }
     let src = format!("int main() {{ {body} print_int(acc); return 0; }}");
-    check_differential(&src);
+    check_chain(&src);
 }
 
 #[test]
 fn deeply_nested_control_flow() {
-    check_differential(
+    check_chain(
         "int main() {
              int s = 0;
              int a;
@@ -60,12 +59,12 @@ fn chain_of_eight_calls_deep() {
         ));
     }
     src.push_str("int main() { print_int(f7(3)); return 0; }");
-    check_differential(&src);
+    check_chain(&src);
 }
 
 #[test]
 fn arguments_survive_interleaved_calls() {
-    check_differential(
+    check_chain(
         "int id(int x) { return x; }
          int combine(int a, int b, int c, int d) {
              return id(a) * 1000 + id(b) * 100 + id(c) * 10 + id(d);
@@ -95,7 +94,7 @@ fn loop_with_wide_live_set_at_distance_31() {
              return 0;
          }}"
     );
-    check_differential(&src);
+    check_chain(&src);
 }
 
 #[test]
@@ -103,42 +102,30 @@ fn raw_mode_relays_retaddr_through_loops() {
     // RAW keeps the return address in the frame of every merge
     // (Figure 10a); make sure a function with a long loop still
     // returns correctly under the tight bound.
-    let src = "int work(int n) {
-                   int s = 0;
-                   int i;
-                   for (i = 0; i < n; i++) s = s * 3 + i;
-                   return s;
-               }
-               int main() { print_int(work(40)); return 0; }";
-    let module = build_ir(src);
-    let expected = run_interp(&module);
-    let raw = run_straight(build_straight(&module, &StraightOptions::raw().with_max_distance(31)));
-    assert_eq!(raw.stdout, expected.stdout);
-    assert_eq!(raw.exit_code(), Some(expected.exit_code));
+    check_chain(
+        "int work(int n) {
+             int s = 0;
+             int i;
+             for (i = 0; i < n; i++) s = s * 3 + i;
+             return s;
+         }
+         int main() { print_int(work(40)); return 0; }",
+    );
 }
 
 #[test]
 fn simulator_handles_tiny_iq_pressure() {
     // The 2-way model's 16-entry scheduler under a dependence chain
     // that cannot issue for a long time (division chains).
-    let src = "int main() {
-                   int d = 1000000;
-                   int i;
-                   for (i = 1; i < 40; i++) d = d / (i % 5 + 1) + i;
-                   print_int(d);
-                   return 0;
-               }";
-    let module = build_ir(src);
-    let expected = run_interp(&module);
-    let r = simulate(build_riscv(&module), MachineConfig::ss_2way(), 10_000_000).unwrap();
-    assert_eq!(r.stdout, expected.stdout);
-    let s = simulate(
-        build_straight(&module, &StraightOptions::default().with_max_distance(31)),
-        MachineConfig::straight_2way(),
-        10_000_000,
-    )
-    .unwrap();
-    assert_eq!(s.stdout, expected.stdout);
+    check_chain(
+        "int main() {
+             int d = 1000000;
+             int i;
+             for (i = 1; i < 40; i++) d = d / (i % 5 + 1) + i;
+             print_int(d);
+             return 0;
+         }",
+    );
 }
 
 #[test]
@@ -167,9 +154,8 @@ fn frame_too_large_reported_not_panicked() {
             // The optimizer may have shrunk the live set enough; then
             // the program must still be correct.
             let image = straight_asm::link_straight(&prog).unwrap();
-            let expected = run_interp(&module);
-            let r = straight_sim::emu::StraightEmu::new(image).run(10_000_000);
-            assert_eq!(r.stdout, expected.stdout);
+            let expected = interp::run_main(&module).expect("interpreter runs");
+            assert_eq!(check_image(&image, "RAW d=8").stdout, expected.stdout);
         }
         Err(e) => {
             let msg = e.to_string();
@@ -180,7 +166,7 @@ fn frame_too_large_reported_not_panicked() {
 
 #[test]
 fn globals_initializers_and_negative_values() {
-    check_differential(
+    check_chain(
         "int big = 2147483647;
          int neg = -2147483647;
          byte small = 200;

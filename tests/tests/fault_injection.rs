@@ -14,11 +14,12 @@ use straight_asm::ImageIsa;
 use straight_compiler::StraightOptions;
 use straight_core::experiment::{RunParams, WorkloadKind};
 use straight_core::{build, Target};
+use straight_ir::interp;
 use straight_isa::rng::SplitMix64;
 use straight_isa::TrapKind;
 use straight_sim::inject::FaultKind;
 use straight_sim::pipeline::{simulate, Core, CoreError, IsaKind, MachineConfig, SimExit, SimResult};
-use straight_tests::{build_ir, build_riscv, build_straight, run_interp};
+use straight_tests::{build_ir, build_riscv, build_straight, check_image};
 
 const MAX: u64 = 20_000_000;
 
@@ -57,34 +58,28 @@ fn completed(r: &SimResult, what: &str) -> (i32, String) {
 
 // -- sanitizer: clean machines pass ---------------------------------
 
-#[test]
-fn sanitizer_passes_clean_straight_machines() {
-    let expected = run_interp(&build_ir(WORKLOAD));
-    let image = straight_image();
-    for cfg in [MachineConfig::straight_2way(), MachineConfig::straight_4way()] {
-        let plain = simulate(image.clone(), cfg.clone(), MAX).unwrap();
-        let cfg = cfg.with_sanitizer();
-        assert!(cfg.name.ends_with("+sanitizer"));
-        let r = simulate(image.clone(), cfg, MAX).unwrap();
-        let (code, stdout) = completed(&r, "sanitized STRAIGHT run");
-        assert_eq!(code, expected.exit_code);
-        assert_eq!(stdout, expected.stdout);
-        // The sanitizer is a zero-cycle retire-time checker: timing is
-        // identical to the unsanitized machine.
-        assert_eq!(r.stats.cycles, plain.stats.cycles);
-    }
+/// The IR interpreter's exit code and output for `WORKLOAD`.
+fn reference() -> (Option<i32>, String) {
+    let r = interp::run_main(&build_ir(WORKLOAD)).expect("interpreter runs");
+    (Some(r.exit_code), r.stdout)
 }
 
+/// `check_image` runs every STRAIGHT core with and without the
+/// sanitizer: sanitized runs must complete with the reference outcome,
+/// and the sanitizer, a zero-cycle retire-time checker, must leave the
+/// cycle count unchanged.
+#[test]
+fn sanitizer_passes_clean_straight_machines() {
+    assert!(MachineConfig::straight_2way().with_sanitizer().name.ends_with("+sanitizer"));
+    let out = check_image(&straight_image(), "STRAIGHT RE+ d=31");
+    assert_eq!((out.exit_code, out.stdout), reference());
+}
+
+/// The same for the SS cores on the RV32IM build.
 #[test]
 fn sanitizer_passes_clean_ss_machines() {
-    let expected = run_interp(&build_ir(WORKLOAD));
-    let image = riscv_image();
-    for cfg in [MachineConfig::ss_2way(), MachineConfig::ss_4way()] {
-        let r = simulate(image.clone(), cfg.with_sanitizer(), MAX).unwrap();
-        let (code, stdout) = completed(&r, "sanitized SS run");
-        assert_eq!(code, expected.exit_code);
-        assert_eq!(stdout, expected.stdout);
-    }
+    let out = check_image(&riscv_image(), "RV32IM");
+    assert_eq!((out.exit_code, out.stdout), reference());
 }
 
 /// A binary compiled for a wider distance bound than the machine's

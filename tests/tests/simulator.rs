@@ -1,46 +1,23 @@
 //! Cycle-accurate simulator validation: the out-of-order cores (with
 //! all their speculation) must produce exactly the same architectural
-//! behaviour as the in-order emulators, and their timing must be
-//! sane.
+//! behaviour as the in-order emulators (`straight_tests::check_chain`),
+//! and their timing must be sane.
 
 use straight_compiler::StraightOptions;
+use straight_ir::interp;
 use straight_sim::pipeline::{simulate, MachineConfig};
-use straight_tests::{build_ir, build_riscv, build_straight, run_interp};
+use straight_tests::{build_ir, build_riscv, build_straight, check_chain};
 
 const MAX_CYCLES: u64 = 50_000_000;
 
-fn check_all_machines(src: &str) {
-    let module = build_ir(src);
-    let expected = run_interp(&module);
-
-    let rv_image = build_riscv(&module);
-    for cfg in [MachineConfig::ss_2way(), MachineConfig::ss_4way()] {
-        let name = cfg.name.clone();
-        let r = simulate(rv_image.clone(), cfg, MAX_CYCLES).unwrap();
-        assert_eq!(r.exit_code, Some(expected.exit_code), "{name}: exit code");
-        assert_eq!(r.stdout, expected.stdout, "{name}: stdout");
-        assert!(r.stats.retired > 0 && r.stats.cycles > 0, "{name}: no progress");
-    }
-
-    let opts = StraightOptions::default().with_max_distance(31);
-    let s_image = build_straight(&module, &opts);
-    for cfg in [MachineConfig::straight_2way(), MachineConfig::straight_4way()] {
-        let name = cfg.name.clone();
-        let r = simulate(s_image.clone(), cfg, MAX_CYCLES).unwrap();
-        assert_eq!(r.exit_code, Some(expected.exit_code), "{name}: exit code");
-        assert_eq!(r.stdout, expected.stdout, "{name}: stdout");
-        assert!(r.stats.retired > 0 && r.stats.cycles > 0, "{name}: no progress");
-    }
-}
-
 #[test]
 fn straight_line_arithmetic() {
-    check_all_machines("int main() { print_int((3 + 4) * (5 + 6) - 7); return 0; }");
+    check_chain("int main() { print_int((3 + 4) * (5 + 6) - 7); return 0; }");
 }
 
 #[test]
 fn loops_with_branches() {
-    check_all_machines(
+    check_chain(
         "int main() {
              int s = 0;
              int i;
@@ -56,7 +33,7 @@ fn loops_with_branches() {
 
 #[test]
 fn memory_traffic_and_forwarding() {
-    check_all_machines(
+    check_chain(
         "int buf[64];
          int main() {
              int i;
@@ -71,7 +48,7 @@ fn memory_traffic_and_forwarding() {
 
 #[test]
 fn function_calls_and_recursion() {
-    check_all_machines(
+    check_chain(
         "int fib(int n) { if (n < 2) return n; return fib(n - 1) + fib(n - 2); }
          int main() { print_int(fib(12)); return 0; }",
     );
@@ -79,7 +56,7 @@ fn function_calls_and_recursion() {
 
 #[test]
 fn division_and_multiplication_units() {
-    check_all_machines(
+    check_chain(
         "int main() {
              int s = 1;
              int i;
@@ -92,7 +69,7 @@ fn division_and_multiplication_units() {
 
 #[test]
 fn data_dependent_branches_stress_predictor() {
-    check_all_machines(
+    check_chain(
         "int lcg = 12345;
          int next() { lcg = lcg * 1103515245 + 12345; return (lcg >> 16) & 32767; }
          int main() {
@@ -107,7 +84,9 @@ fn data_dependent_branches_stress_predictor() {
 
 #[test]
 fn tage_machines_match_too() {
-    let module = build_ir(
+    // The chain runs the TAGE 4-way cores on every program; this one
+    // takes its branch once every 24 iterations.
+    check_chain(
         "int main() {
              int s = 0;
              int i;
@@ -116,14 +95,6 @@ fn tage_machines_match_too() {
              return 0;
          }",
     );
-    let expected = run_interp(&module);
-    let opts = StraightOptions::default().with_max_distance(31);
-    let s_image = build_straight(&module, &opts);
-    let rv_image = build_riscv(&module);
-    let r1 = simulate(rv_image, MachineConfig::ss_4way().with_tage(), MAX_CYCLES).unwrap();
-    let r2 = simulate(s_image, MachineConfig::straight_4way().with_tage(), MAX_CYCLES).unwrap();
-    assert_eq!(r1.stdout, expected.stdout);
-    assert_eq!(r2.stdout, expected.stdout);
 }
 
 #[test]
@@ -139,7 +110,7 @@ fn ideal_recovery_is_not_slower() {
              return 0;
          }",
     );
-    let expected = run_interp(&module);
+    let expected = interp::run_main(&module).expect("interpreter runs");
     let rv_image = build_riscv(&module);
     let base = simulate(rv_image.clone(), MachineConfig::ss_4way(), MAX_CYCLES).unwrap();
     let ideal = simulate(rv_image, MachineConfig::ss_4way().with_ideal_recovery(), MAX_CYCLES).unwrap();

@@ -1,20 +1,21 @@
 //! Fault-path differential tests: a program that faults must produce
-//! the *same typed trap* on the functional emulator (interpreter and
-//! fast tier) and on the cycle-accurate out-of-order cores, sanitized
-//! or not — same [`TrapKind`] (payload included), same faulting PC,
-//! and, because all report the retired instruction count as the index,
-//! the same dynamic instruction index. This pins down trap *precision*:
-//! whatever speculation the core was doing, the architectural fault it
-//! reports is the one the in-order reference sees. The memory-rule
-//! tests also hold every executor to the same exit code and output.
+//! the *same typed trap* on every executor of its ISA
+//! (`straight_tests::check_image`): the emulator's interpreter and
+//! fast tiers and the 2-way, 4-way and TAGE 4-way out-of-order cores,
+//! each plain and sanitized — same [`TrapKind`] (payload included),
+//! same faulting PC, and, because all report the retired instruction
+//! count as the index, the same dynamic instruction index. This pins
+//! down trap *precision*: whatever speculation the core was doing, the
+//! architectural fault it reports is the one the in-order reference
+//! sees. The memory-rule tests also hold every executor to the same
+//! exit code and output.
 
 use straight_asm::{link_riscv, link_straight, parse_straight_asm, Image, RvFunc, RvItem, RvProgram};
 use straight_isa::{AluImmOp, MemWidth, TrapKind};
 use straight_riscv::{Reg, RvInst};
-use straight_sim::emu::{EmuExit, ExecBackend, RiscvEmu, StraightEmu, TierConfig};
+use straight_sim::emu::{EmuExit, ExecBackend, RiscvEmu, StraightEmu};
 use straight_sim::pipeline::{simulate, MachineConfig, SimExit};
-
-const MAX: u64 = 1_000_000;
+use straight_tests::check_image;
 
 fn straight_image(src: &str) -> Image {
     let prog = parse_straight_asm(src).expect("assembles");
@@ -33,65 +34,10 @@ fn riscv_image(items: Vec<RvInst>) -> Image {
     link_riscv(&prog).expect("links")
 }
 
-/// What one executor made of a program: exit code, console output and
-/// trap (kind, PC, dynamic instruction index).
-#[derive(Debug, PartialEq)]
-struct Outcome {
-    exit_code: Option<i32>,
-    stdout: String,
-    trap: Option<(TrapKind, u32, u64)>,
-}
-
-fn emu_outcome(image: &Image, tier: TierConfig) -> Outcome {
-    let r = match image.isa {
-        straight_asm::ImageIsa::Straight => StraightEmu::new(image.clone()).run_tiered(MAX, tier),
-        straight_asm::ImageIsa::Riscv => RiscvEmu::new(image.clone()).run_tiered(MAX, tier),
-    };
-    let trap = match r.exit {
-        EmuExit::Trap(t) => Some((t.kind, t.pc, t.index)),
-        EmuExit::StepLimit => panic!("emulator hit the step limit"),
-        _ => None,
-    };
-    Outcome { exit_code: r.exit_code(), stdout: r.stdout, trap }
-}
-
-fn core_outcome(image: &Image, cfg: MachineConfig) -> Outcome {
-    let name = cfg.name.clone();
-    let r = simulate(image.clone(), cfg, MAX).unwrap();
-    let trap = match r.exit {
-        SimExit::Trap(t) => {
-            assert!(t.cycle.is_some(), "{name}: core traps carry a cycle");
-            Some((t.kind, t.pc, t.index))
-        }
-        SimExit::CycleLimit => panic!("{name} hit the cycle limit"),
-        SimExit::Completed { .. } => None,
-    };
-    Outcome { exit_code: r.exit_code, stdout: r.stdout, trap }
-}
-
-/// The interpreter, the fast tier, both cycle-accurate widths and a
-/// sanitized run must agree on exit code, output and trap. Returns
-/// the interpreter's outcome.
-fn check_executors_agree(image: &Image, what: &str) -> Outcome {
-    let reference = emu_outcome(image, TierConfig::interp());
-    assert_eq!(emu_outcome(image, TierConfig::fast()), reference, "{what}: fast tier");
-    let (two, four) = match image.isa {
-        straight_asm::ImageIsa::Straight => {
-            (MachineConfig::straight_2way(), MachineConfig::straight_4way())
-        }
-        straight_asm::ImageIsa::Riscv => (MachineConfig::ss_2way(), MachineConfig::ss_4way()),
-    };
-    for cfg in [two, four.clone(), four.with_sanitizer()] {
-        let name = cfg.name.clone();
-        assert_eq!(core_outcome(image, cfg), reference, "{what}: {name}");
-    }
-    reference
-}
-
 /// Every executor must report the interpreter's exact trap; returns
 /// its kind and PC.
 fn check_trap_matches(image: &Image, what: &str) -> (TrapKind, u32) {
-    let out = check_executors_agree(image, what);
+    let out = check_image(image, what);
     let Some((kind, pc, _)) = out.trap else { panic!("{what}: no trap, exit {:?}", out.exit_code) };
     (kind, pc)
 }
@@ -299,7 +245,7 @@ fn straight_loads_read_back_a_store_the_same_everywhere() {
             suffix(load),
         ));
         let what = format!("ST{} then LD{}", suffix(store), suffix(load));
-        let out = check_executors_agree(&image, &what);
+        let out = check_image(&image, &what);
         assert_eq!((out.exit_code, out.stdout), (Some(want), format!("{want}\n")));
     }
 }
@@ -320,7 +266,7 @@ fn riscv_loads_read_back_a_store_the_same_everywhere() {
             RvInst::OpImm { op: AluImmOp::Addi, rd: Reg::A0, rs1: Reg::T2, imm: 0 },
             RvInst::Jalr { rd: Reg::ZERO, rs1: Reg::RA, offset: 0 },
         ]);
-        let out = check_executors_agree(&image, &format!("{store:?} store then {load:?} load"));
+        let out = check_image(&image, &format!("{store:?} store then {load:?} load"));
         assert_eq!((out.exit_code, out.stdout), (Some(want), format!("{want}\n")));
     }
 }
