@@ -17,7 +17,7 @@ use straight_bench::serve::{
     read_frame, Client, ClientConfig, ClientError, Daemon, DaemonConfig, Listen, MAX_REQUEST_LINE,
 };
 use straight_core::experiment::{CellKind, ExperimentId, RunParams};
-use straight_core::lab::LabSession;
+use straight_core::lab::{LabSession, IMAGE_CAPACITY};
 use straight_json::{Json, ToJson};
 
 /// Tiny parameters so pipeline cells finish quickly in debug builds.
@@ -205,6 +205,40 @@ fn daemon_records_are_byte_identical_to_in_process_records() {
     // Fetching a second time re-serves the same job (fetch is not
     // consuming).
     daemon.stop();
+}
+
+#[test]
+fn a_daemon_serving_many_iteration_counts_holds_a_bounded_image_cache() {
+    let store = std::env::temp_dir().join(format!("straight-serve-images-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&store);
+    let daemon = TestDaemon::start_with(2, 8, |config| config.store = Some(store.clone()));
+    let mut client = Client::connect(&daemon.addr).unwrap();
+    let session = LabSession::builder().jobs(2).build().unwrap();
+
+    // Every fig16 request builds a Dhrystone image at a count no
+    // earlier request used, one more than the cache can hold.
+    for dhry_iters in 1..=IMAGE_CAPACITY as u32 + 1 {
+        let params = RunParams { dhry_iters, cm_iters: 1, ..RunParams::default() };
+        let job = client.submit_experiment(ExperimentId::Fig16, &params).unwrap();
+        assert_eq!(client.wait_job(job).unwrap(), "done");
+        let remote = client.fetch_experiment(job).unwrap();
+        let local = session.run_experiment(ExperimentId::Fig16, params).unwrap();
+        assert_eq!(
+            remote.normalized().to_json().render_pretty(),
+            local.result.normalized().to_json().render_pretty(),
+            "dhry_iters {dhry_iters}: daemon and in-process records diverged"
+        );
+    }
+
+    let stats = client.stats().unwrap();
+    let cache = stats.get("cache").expect("stats carries cache counters");
+    let held = cache.get("images_held").and_then(Json::as_u64).expect("images_held");
+    let misses = cache.get("image_misses").and_then(Json::as_u64).unwrap();
+    assert!(held <= IMAGE_CAPACITY as u64, "{held} images held");
+    // Each Dhrystone count and the one CoreMark image, built once.
+    assert_eq!(misses, IMAGE_CAPACITY as u64 + 2);
+    daemon.stop();
+    let _ = std::fs::remove_dir_all(&store);
 }
 
 #[test]

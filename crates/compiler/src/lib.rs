@@ -36,7 +36,7 @@ mod riscv;
 mod straight;
 
 pub use riscv::compile_riscv;
-pub use straight::{compile_straight, StraightOptions};
+pub use straight::{compile_straight, StraightOptions, MIN_MAX_DISTANCE};
 
 use std::fmt;
 
@@ -50,6 +50,13 @@ pub enum CodegenError {
         func: String,
         /// Live values at the worst merge.
         live: usize,
+        /// Configured maximum distance.
+        max_distance: u16,
+    },
+    /// The configured maximum distance is below
+    /// [`MIN_MAX_DISTANCE`], the smallest bound the STRAIGHT back end
+    /// can compile any program at.
+    MaxDistanceTooSmall {
         /// Configured maximum distance.
         max_distance: u16,
     },
@@ -69,6 +76,11 @@ impl fmt::Display for CodegenError {
             CodegenError::FrameTooLarge { func, live, max_distance } => write!(
                 f,
                 "`{func}`: {live} live values at a merge exceed max distance {max_distance}"
+            ),
+            CodegenError::MaxDistanceTooSmall { max_distance } => write!(
+                f,
+                "max distance {max_distance} is below {MIN_MAX_DISTANCE}, the smallest bound \
+                 the STRAIGHT back end compiles at"
             ),
             CodegenError::TooManyArgs { func } => write!(f, "`{func}`: too many call arguments"),
             CodegenError::Internal(msg) => write!(f, "internal codegen error: {msg}"),

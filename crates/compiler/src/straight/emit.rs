@@ -93,6 +93,11 @@ pub(crate) struct FnEmitter<'a> {
 
 type CResult<T> = Result<T, CodegenError>;
 
+/// How far below the distance bound the age sweep starts relaying a
+/// value, leaving room for the instructions emitted before the next
+/// sweep.
+pub(super) const SWEEP_HEADROOM: i64 = 10;
+
 fn internal<T>(msg: impl Into<String>) -> CResult<T> {
     Err(CodegenError::Internal(msg.into()))
 }
@@ -367,7 +372,7 @@ impl<'a> FnEmitter<'a> {
     /// relayed (RAW), retired to the stack (RE+), or dropped when no
     /// longer needed.
     fn age_sweep(&mut self) -> CResult<()> {
-        let threshold = self.maxd() - 10;
+        let threshold = self.maxd() - SWEEP_HEADROOM;
         // Relaying diverges when more values are live than the
         // distance window can hold (each relay ages every other value
         // by one). Cap the rounds and report the overflow cleanly.

@@ -8,6 +8,12 @@ use straight_ir::{passes, Module};
 
 use crate::CodegenError;
 
+/// The smallest maximum distance [`compile_straight`] accepts. The
+/// emitter's age sweep relays every value that comes within 10 of the
+/// bound, so at a bound of 10 or less no value is ever young enough to
+/// stay put and even `int main() { return 0; }` cannot compile.
+pub const MIN_MAX_DISTANCE: u16 = emit::SWEEP_HEADROOM as u16 + 1;
+
 /// Options controlling STRAIGHT code generation.
 #[derive(Debug, Clone)]
 pub struct StraightOptions {
@@ -47,10 +53,14 @@ impl StraightOptions {
 ///
 /// # Errors
 ///
-/// Returns [`CodegenError`] when a merge point carries more live
-/// values than the distance bound can express, or on internal
-/// invariant violations.
+/// Returns [`CodegenError`] when the distance bound is below
+/// [`MIN_MAX_DISTANCE`], when a merge point carries more live values
+/// than the distance bound can express, or on internal invariant
+/// violations.
 pub fn compile_straight(module: &Module, opts: &StraightOptions) -> Result<SProgram, CodegenError> {
+    if opts.max_distance < MIN_MAX_DISTANCE {
+        return Err(CodegenError::MaxDistanceTooSmall { max_distance: opts.max_distance });
+    }
     let mut module = module.clone();
     for f in &mut module.funcs {
         passes::split_critical_edges(f);

@@ -8,9 +8,13 @@
 //!   `std::thread` — the container has no rayon) that outlives any
 //!   single run, so a daemon can keep submitting work to warm threads;
 //! * an **image cache** — each (workload, target, iteration-count)
-//!   triple is compiled and linked once, so Dhrystone/CoreMark are
-//!   built once per ISA profile across every request the session ever
-//!   serves;
+//!   triple is compiled and linked once and then shared by every cell
+//!   that runs it. The cache holds at most [`IMAGE_CAPACITY`] images
+//!   and evicts the least recently used one to admit another: the
+//!   workloads bake their iteration count into the source, so a
+//!   daemon answering requests at ever new counts would otherwise keep
+//!   one image per count it ever saw. The whole grid needs 10 images,
+//!   so no in-process run evicts;
 //! * a **run cache** — cells with identical configuration
 //!   fingerprints (e.g. Figure 17's Dhrystone/SS-2way run, which
 //!   Figure 12 also needs, or the same cell submitted by two daemon
@@ -139,6 +143,10 @@ pub fn git_rev() -> String {
 }
 
 type ImageKey = (WorkloadKind, Target, u32);
+/// Images a session keeps resident (about 42 KB each). The full
+/// `--all` grid builds 10 distinct images, so only a daemon serving
+/// many iteration counts ever evicts.
+pub const IMAGE_CAPACITY: usize = 16;
 type ImageSlot = Arc<OnceLock<Result<Arc<Image>, Arc<ExperimentError>>>>;
 type RunSlot = Arc<OnceLock<Result<Arc<TimedRun>, Arc<ExperimentError>>>>;
 type CellOutcome = Result<CellRecord, Arc<ExperimentError>>;
@@ -158,8 +166,11 @@ struct TimedRun {
 pub struct CacheStats {
     /// Image-cache lookups (one per cell that compiles a workload).
     pub image_lookups: u64,
-    /// Image-cache lookups that compiled (first sight of the key).
+    /// Image-cache lookups that compiled (first sight of the key, or
+    /// the key's image was evicted since).
     pub image_misses: u64,
+    /// Images resident now (at most [`IMAGE_CAPACITY`]).
+    pub images_held: u64,
     /// Run-cache lookups (one per pipeline cell).
     pub run_lookups: u64,
     /// Run-cache lookups that simulated (first sight of the
@@ -188,6 +199,7 @@ impl ToJson for CacheStats {
             .field("image_lookups", &self.image_lookups)
             .field("image_hits", &self.image_hits())
             .field("image_misses", &self.image_misses)
+            .field("images_held", &self.images_held)
             .field("run_lookups", &self.run_lookups)
             .field("run_hits", &self.run_hits())
             .field("run_misses", &self.run_misses)
@@ -198,7 +210,9 @@ impl ToJson for CacheStats {
 /// Shared state of one session: both caches plus their counters.
 #[derive(Default)]
 struct Caches {
-    images: Mutex<HashMap<ImageKey, ImageSlot>>,
+    /// Each slot with the `image_lookups` count of its last lookup,
+    /// the stamp that picks the least recently used one to evict.
+    images: Mutex<HashMap<ImageKey, (u64, ImageSlot)>>,
     runs: Mutex<HashMap<String, RunSlot>>,
     image_lookups: AtomicU64,
     image_misses: AtomicU64,
@@ -207,9 +221,23 @@ struct Caches {
 }
 
 impl Caches {
+    /// The slot for `key`, evicting the least recently used slot when
+    /// a new key finds the cache full. A cell already holding an
+    /// evicted slot keeps using it; the next lookup of that key
+    /// builds the image again.
     fn image_slot(&self, key: ImageKey) -> ImageSlot {
-        self.image_lookups.fetch_add(1, Ordering::Relaxed);
-        lock(&self.images).entry(key).or_default().clone()
+        let mut images = lock(&self.images);
+        // Counted under the lock, so the count orders the lookups.
+        let stamp = self.image_lookups.fetch_add(1, Ordering::Relaxed);
+        if images.len() >= IMAGE_CAPACITY && !images.contains_key(&key) {
+            let lru = images.iter().min_by_key(|(_, (used, _))| *used).map(|(k, _)| *k);
+            if let Some(lru) = lru {
+                images.remove(&lru);
+            }
+        }
+        let (used, slot) = images.entry(key).or_default();
+        *used = stamp;
+        slot.clone()
     }
 
     fn run_slot(&self, fingerprint: &str) -> RunSlot {
@@ -221,6 +249,7 @@ impl Caches {
         CacheStats {
             image_lookups: self.image_lookups.load(Ordering::Relaxed),
             image_misses: self.image_misses.load(Ordering::Relaxed),
+            images_held: lock(&self.images).len() as u64,
             run_lookups: self.run_lookups.load(Ordering::Relaxed),
             run_misses: self.run_misses.load(Ordering::Relaxed),
         }
@@ -1224,5 +1253,31 @@ mod tests {
         );
         assert!(after_second.image_hits() > 0);
         assert_eq!(first.result.normalized(), second.result.normalized());
+    }
+
+    #[test]
+    fn image_cache_holds_at_most_its_capacity_and_rebuilds_evicted_images() {
+        let session = session();
+        // Each run builds a Dhrystone image at a new count; the CoreMark
+        // image is looked up by every run, so it is never the LRU one.
+        let params = |dhry_iters| RunParams { dhry_iters, cm_iters: 1, ..RunParams::default() };
+        let run = |dhry_iters| session.run_experiment(ExperimentId::Fig16, params(dhry_iters)).unwrap();
+        let counts = IMAGE_CAPACITY as u32 + 1;
+        let first = run(1);
+        for dhry_iters in 2..=counts {
+            let _ = run(dhry_iters);
+        }
+        let full = session.cache_stats();
+        assert_eq!(full.image_misses, u64::from(counts) + 1, "every distinct image built once");
+        assert_eq!(full.images_held, IMAGE_CAPACITY as u64);
+
+        let again = run(1);
+        let after = session.cache_stats();
+        assert_eq!(after.image_misses, full.image_misses + 1, "the evicted image is rebuilt");
+        assert_eq!(after.images_held, IMAGE_CAPACITY as u64);
+        assert_eq!(
+            first.result.normalized().to_json().render_pretty(),
+            again.result.normalized().to_json().render_pretty()
+        );
     }
 }

@@ -192,6 +192,22 @@ assert stats["jobs_active"] == 0, "finished jobs must leave the active list"
 assert "queue_full_refusals" in stats and "idle_reaped" in stats, stats
 print("crash-recovery stats OK:", json.dumps(store))
 EOF
+
+# Bounded image cache: 20 fig16 requests at new Dhrystone counts build
+# 20 Dhrystone images and one CoreMark image (reused by every request,
+# so never evicted); the daemon must hold at most 16 of them.
+for iters in $(seq 51 70); do
+    STRAIGHT_DHRY_ITERS=$iters STRAIGHT_CM_ITERS=1 target/release/straight-lab \
+        --remote "$SOCK" --figure fig16 --no-write --quiet
+done
+target/release/straight-lab --remote "$SOCK" --stats > "$SMOKE_DIR/stats.json"
+python3 - "$SMOKE_DIR/stats.json" <<'EOF'
+import json, sys
+cache = json.load(open(sys.argv[1]))["cache"]
+assert cache["images_held"] <= 16, cache
+assert cache["image_misses"] == 21, cache
+print("bounded image cache OK:", json.dumps(cache))
+EOF
 kill -TERM "$STRAIGHTD_PID"
 wait "$STRAIGHTD_PID"
 STRAIGHTD_PID=""

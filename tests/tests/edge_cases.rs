@@ -2,7 +2,7 @@
 //! engineered to sit near the limits of the ISA's distance bound, the
 //! calling convention, and the frame shuffles.
 
-use straight_compiler::StraightOptions;
+use straight_compiler::{compile_straight, CodegenError, StraightOptions, MIN_MAX_DISTANCE};
 use straight_ir::interp;
 use straight_tests::{build_ir, check_chain, check_image};
 
@@ -161,6 +161,22 @@ fn frame_too_large_reported_not_panicked() {
             let msg = e.to_string();
             assert!(msg.contains("exceed") || msg.contains("distance"), "unexpected error: {msg}");
         }
+    }
+}
+
+#[test]
+fn bounds_below_the_back_ends_minimum_are_rejected_up_front() {
+    let module = build_ir("int main() { print_int(3); return 0; }");
+    let expected = interp::run_main(&module).expect("interpreter runs").stdout;
+    for opts in [StraightOptions::raw(), StraightOptions::default()] {
+        for d in [8, MIN_MAX_DISTANCE - 1] {
+            let err = compile_straight(&module, &opts.clone().with_max_distance(d)).unwrap_err();
+            assert_eq!(err, CodegenError::MaxDistanceTooSmall { max_distance: d });
+            assert!(err.to_string().contains(&MIN_MAX_DISTANCE.to_string()), "{err}");
+        }
+        let prog = compile_straight(&module, &opts.with_max_distance(MIN_MAX_DISTANCE)).unwrap();
+        let image = straight_asm::link_straight(&prog).unwrap();
+        assert_eq!(check_image(&image, "d=MIN_MAX_DISTANCE").stdout, expected);
     }
 }
 
