@@ -29,18 +29,21 @@
 //!
 //! Jobs land in a bounded queue ([`DaemonConfig::queue_cap`]); when
 //! the bound is hit, submissions are refused with a `queue-full`
-//! error — backpressure the client can retry on. `shutdown` (or
+//! error — backpressure the client can retry on. A `fetch` of a
+//! terminal job retires it once the answer is written, and at most
+//! [`RETAINED_JOBS`] finished jobs wait unfetched; a request naming a
+//! retired job gets an `expired` error. `shutdown` (or
 //! SIGTERM, wired up by the `straightd` binary) stops the accept loop
 //! and drains in-flight jobs before [`Daemon::run`] returns; queued
 //! cells of cancelled jobs resolve without executing.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream, ToSocketAddrs};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use straight_core::experiment::{
@@ -66,6 +69,14 @@ pub const MAX_RESPONSE_LINE: usize = 1 << 28;
 /// Upper bound on how long one `wait` request blocks; a longer
 /// `timeout_ms` is clamped to it.
 pub const MAX_WAIT: Duration = Duration::from_secs(1);
+
+/// Finished jobs that nobody fetched which the daemon keeps at most;
+/// past it the oldest is retired. A fetched job retires at once and
+/// unfinished jobs are bounded by [`DaemonConfig::queue_cap`], so
+/// clients that fetch every job (`straight-lab --remote`) never
+/// reach this bound: only clients that die between submit and fetch
+/// leave jobs behind.
+pub const RETAINED_JOBS: usize = 256;
 
 /// How a daemon listens.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -144,17 +155,49 @@ struct JobEntry {
     batch: Batch,
 }
 
+/// The jobs the daemon still answers for. Ids are issued in order
+/// from 1, so an id below `next` that is not held was retired, and
+/// the first finished entry is the oldest.
+struct JobTable {
+    /// The id the next submission gets.
+    next: u64,
+    /// Unfinished jobs, and finished ones not yet fetched. Handlers
+    /// clone an entry out and release the lock before blocking or
+    /// building a response.
+    held: BTreeMap<u64, Arc<JobEntry>>,
+}
+
+impl JobTable {
+    /// Issues the next id to `entry`.
+    fn insert(&mut self, entry: JobEntry) -> u64 {
+        let job = self.next;
+        self.next += 1;
+        self.held.insert(job, Arc::new(entry));
+        job
+    }
+
+    /// Retires the oldest finished jobs beyond [`RETAINED_JOBS`].
+    fn retire_unfetched(&mut self) {
+        let finished = self.held.values().filter(|entry| entry.batch.is_done()).count();
+        let mut excess = finished.saturating_sub(RETAINED_JOBS);
+        // `retain` visits ids in ascending order: oldest first.
+        self.held.retain(|_, entry| {
+            let retire = excess > 0 && entry.batch.is_done();
+            excess -= usize::from(retire);
+            !retire
+        });
+    }
+}
+
 /// State shared by the accept loop and every connection thread.
 struct DaemonState {
     session: LabSession,
-    /// Every job ever submitted. Handlers clone an entry out and
-    /// release the lock before blocking or building a response.
-    jobs: Mutex<HashMap<u64, Arc<JobEntry>>>,
+    /// Read through [`DaemonState::jobs`], which applies the
+    /// [`RETAINED_JOBS`] bound.
+    jobs: Mutex<JobTable>,
     /// Batches of jobs that may still be unfinished — what the queue
     /// bound counts. Pruned of finished batches whenever it is read.
     active: Mutex<Vec<Batch>>,
-    next_job: AtomicU64,
-    submitted: AtomicU64,
     queue_cap: usize,
     shutdown: AtomicBool,
     /// The on-disk record store, when configured (also wired into the
@@ -171,7 +214,7 @@ struct DaemonState {
     started: Instant,
 }
 
-fn lock<T>(mutex: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
@@ -191,10 +234,18 @@ fn is_timeout(e: &io::Error) -> bool {
 impl DaemonState {
     /// The batches of jobs not yet finished, pruned of those that
     /// finished since the last call.
-    fn active_jobs(&self) -> std::sync::MutexGuard<'_, Vec<Batch>> {
+    fn active_jobs(&self) -> MutexGuard<'_, Vec<Batch>> {
         let mut active = lock(&self.active);
         active.retain(|batch| !batch.is_done());
         active
+    }
+
+    /// The job table, after retiring the finished jobs beyond
+    /// [`RETAINED_JOBS`].
+    fn jobs(&self) -> MutexGuard<'_, JobTable> {
+        let mut jobs = lock(&self.jobs);
+        jobs.retire_unfetched();
+        jobs
     }
 }
 
@@ -336,6 +387,19 @@ pub fn read_frame(
     }
 }
 
+/// One response line, and the job to retire once it is written: a
+/// `fetch` that answered for a terminal job.
+struct Answer {
+    response: Json,
+    retire: Option<u64>,
+}
+
+impl From<Json> for Answer {
+    fn from(response: Json) -> Answer {
+        Answer { response, retire: None }
+    }
+}
+
 fn ok_response() -> JsonBuilder {
     obj().field("ok", &true)
 }
@@ -375,34 +439,41 @@ fn assemble_job(state: &DaemonState, entry: &JobEntry, id: ExperimentId) -> Resu
     state.session.assemble(&spec, entry.params, &entry.batch, outcomes)
 }
 
-fn handle_request(state: &DaemonState, line: &[u8]) -> Json {
+fn handle_request(state: &DaemonState, line: &[u8]) -> Answer {
     let Ok(text) = std::str::from_utf8(line) else {
-        return error_response("malformed", "request is not UTF-8", None);
+        return error_response("malformed", "request is not UTF-8", None).into();
     };
     let request = match Json::parse(text) {
         Ok(v) => v,
-        Err(e) => return error_response("malformed", format!("request is not JSON: {e}"), None),
+        Err(e) => {
+            return error_response("malformed", format!("request is not JSON: {e}"), None).into()
+        }
     };
     let Some(op) = request.get("op").and_then(Json::as_str) else {
-        return error_response("malformed", "missing string field `op`", None);
+        return error_response("malformed", "missing string field `op`", None).into();
     };
-    match op {
+    let response = match op {
         "ping" => ok_response().field("op", "pong").build(),
         "submit-experiment" => submit_experiment(state, &request),
         "submit-cell" => submit_cell(state, &request),
         "status" => with_job(state, &request, |_, job, entry| status_response(job, entry)),
         "wait" => wait_for_job(state, &request),
-        "fetch" => with_job(state, &request, fetch_job),
+        "fetch" => return with_job(state, &request, fetch_job),
         "cancel" => with_job(state, &request, |_, job, entry| {
             entry.batch.cancel();
             ok_response().field("job", &job).field("state", "cancelled").build()
         }),
         "stats" => {
             let active = state.active_jobs().len() as u64;
+            let (submitted, held) = {
+                let jobs = state.jobs();
+                (jobs.next - 1, jobs.held.len() as u64)
+            };
             ok_response()
                 .field("cache", &state.session.cache_stats())
-                .field("jobs_submitted", &state.submitted.load(Ordering::Relaxed))
+                .field("jobs_submitted", &submitted)
                 .field("jobs_active", &active)
+                .field("jobs_held", &held)
                 .field("queue_cap", &(state.queue_cap as u64))
                 .field("workers", &(state.session.jobs() as u64))
                 .field("uptime_ms", &(state.started.elapsed().as_millis() as u64))
@@ -424,7 +495,8 @@ fn handle_request(state: &DaemonState, line: &[u8]) -> Json {
             ),
             None,
         ),
-    }
+    };
+    response.into()
 }
 
 /// Parses the optional `params` field (absent → defaults).
@@ -460,9 +532,7 @@ fn register_job(state: &DaemonState, kind: JobKind, params: RunParams, cells: Ve
         active.push(batch.clone());
         batch
     };
-    let job = state.next_job.fetch_add(1, Ordering::Relaxed);
-    state.submitted.fetch_add(1, Ordering::Relaxed);
-    lock(&state.jobs).insert(job, Arc::new(JobEntry { kind, params, batch }));
+    let job = state.jobs().insert(JobEntry { kind, params, batch });
     ok_response().field("job", &job).field("cells", &total).build()
 }
 
@@ -522,20 +592,35 @@ fn submit_cell(state: &DaemonState, request: &Json) -> Json {
     register_job(state, JobKind::Cell, params, vec![cell])
 }
 
-fn with_job(
+/// Runs `f` on the job the request names, or answers `malformed`,
+/// `expired` (an issued id no longer held) or `unknown-job` (an id
+/// never issued).
+fn with_job<T: From<Json>>(
     state: &DaemonState,
     request: &Json,
-    f: impl FnOnce(&DaemonState, u64, &JobEntry) -> Json,
-) -> Json {
+    f: impl FnOnce(&DaemonState, u64, &JobEntry) -> T,
+) -> T {
     let Some(job) = request.get("job").and_then(Json::as_u64) else {
-        return error_response("malformed", "missing integer field `job`", None);
+        return error_response("malformed", "missing integer field `job`", None).into();
     };
     // Clone the entry out so the global lock is not held while `f`
     // blocks or builds its response.
-    let entry = lock(&state.jobs).get(&job).cloned();
+    let (entry, next) = {
+        let jobs = state.jobs();
+        (jobs.held.get(&job).cloned(), jobs.next)
+    };
     match entry {
         Some(entry) => f(state, job, &entry),
-        None => error_response("unknown-job", format!("no job {job}"), None),
+        None if (1..next).contains(&job) => error_response(
+            "expired",
+            format!(
+                "job {job} was retired: it was fetched, or it finished and was left \
+                 unfetched past the {RETAINED_JOBS} finished jobs the daemon keeps"
+            ),
+            None,
+        )
+        .into(),
+        None => error_response("unknown-job", format!("no job {job}"), None).into(),
     }
 }
 
@@ -570,16 +655,19 @@ fn status_response(job: u64, entry: &JobEntry) -> Json {
         .build()
 }
 
-fn fetch_job(state: &DaemonState, job: u64, entry: &JobEntry) -> Json {
+/// Answers a `fetch`; any answer for a terminal job — record, result
+/// or `job-failed` — retires the job once it is written.
+fn fetch_job(state: &DaemonState, job: u64, entry: &JobEntry) -> Answer {
     if !entry.batch.is_done() {
         let (done, total) = entry.batch.progress();
         return error_response(
             "not-done",
             format!("job {job} has completed {done}/{total} cells; `wait` for it first"),
             None,
-        );
+        )
+        .into();
     }
-    match &entry.kind {
+    let response = match &entry.kind {
         JobKind::Experiment(id) => match assemble_job(state, entry, *id) {
             Ok(run) => ok_response()
                 .field("job", &job)
@@ -597,7 +685,8 @@ fn fetch_job(state: &DaemonState, job: u64, entry: &JobEntry) -> Json {
             Some(Err(e)) => error_response("job-failed", e.to_string(), None),
             None => error_response("job-failed", "job has no cells", None),
         },
-    }
+    };
+    Answer { response, retire: Some(job) }
 }
 
 fn serve_connection(stream: Conn, state: &Arc<DaemonState>) {
@@ -613,9 +702,12 @@ fn serve_connection(stream: Conn, state: &Arc<DaemonState>) {
         match read_frame(&mut reader, MAX_REQUEST_LINE) {
             Ok(None) => return, // client disconnected (possibly mid-job: jobs keep running)
             Ok(Some(line)) => {
-                let response = handle_request(state, &line);
-                if write_json_line(reader.get_mut(), &response).is_err() {
-                    return;
+                let answer = handle_request(state, &line);
+                if write_json_line(reader.get_mut(), &answer.response).is_err() {
+                    return; // a retiring fetch stays fetchable
+                }
+                if let Some(job) = answer.retire {
+                    state.jobs().held.remove(&job);
                 }
             }
             Err(FrameError::Oversized { limit }) => {
@@ -718,10 +810,8 @@ impl Daemon {
         Ok(Daemon {
             state: Arc::new(DaemonState {
                 session,
-                jobs: Mutex::new(HashMap::new()),
+                jobs: Mutex::new(JobTable { next: 1, held: BTreeMap::new() }),
                 active: Mutex::new(Vec::new()),
-                next_job: AtomicU64::new(1),
-                submitted: AtomicU64::new(0),
                 queue_cap: config.queue_cap.max(1),
                 shutdown: AtomicBool::new(false),
                 store,
@@ -1179,7 +1269,8 @@ impl Client {
         }
     }
 
-    /// Fetches a done experiment job's typed result.
+    /// Fetches a done experiment job's typed result. The daemon then
+    /// retires the job: a second fetch gets `expired`.
     ///
     /// # Errors
     ///
@@ -1194,7 +1285,8 @@ impl Client {
             .map_err(|e| ClientError::Protocol(format!("bad result payload: {e}")))
     }
 
-    /// Fetches a done cell job's record.
+    /// Fetches a done cell job's record, retiring the job as
+    /// [`Client::fetch_experiment`] does.
     ///
     /// # Errors
     ///

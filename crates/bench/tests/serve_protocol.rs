@@ -15,6 +15,7 @@ use std::time::Duration;
 
 use straight_bench::serve::{
     read_frame, Client, ClientConfig, ClientError, Daemon, DaemonConfig, Listen, MAX_REQUEST_LINE,
+    RETAINED_JOBS,
 };
 use straight_core::experiment::{CellKind, ExperimentId, RunParams};
 use straight_core::lab::{LabSession, IMAGE_CAPACITY};
@@ -201,9 +202,70 @@ fn daemon_records_are_byte_identical_to_in_process_records() {
         // And the daemon result renders to the same paper-shaped text.
         assert_eq!(id.spec().render(&remote).unwrap(), local.rendered);
     }
+    daemon.stop();
+}
 
-    // Fetching a second time re-serves the same job (fetch is not
-    // consuming).
+fn job_request(op: &str, job: u64) -> Vec<u8> {
+    format!("{{\"op\": \"{op}\", \"job\": {job}}}\n").into_bytes()
+}
+
+fn remote_kind<T: std::fmt::Debug>(result: Result<T, ClientError>) -> String {
+    match result {
+        Err(ClientError::Remote { kind, .. }) => kind,
+        other => panic!("expected a structured error, got {other:?}"),
+    }
+}
+
+#[test]
+fn a_fetched_job_retires_and_later_requests_for_it_expire() {
+    let daemon = TestDaemon::start(1, 4);
+    let mut client = Client::connect(&daemon.addr).unwrap();
+    let job = client.submit_experiment(ExperimentId::Table1, &tiny_params()).unwrap();
+    assert_eq!(client.wait_job(job).unwrap(), "done");
+    assert_eq!(client.fetch_experiment(job).unwrap().experiment, "table1");
+
+    // The first fetch retired the job: every op naming it now expires,
+    // while ids never issued stay unknown.
+    assert_eq!(remote_kind(client.fetch_experiment(job)), "expired");
+    let mut stream = TcpStream::connect(&daemon.addr).unwrap();
+    for op in ["status", "wait", "fetch", "cancel"] {
+        assert_eq!(error_kind(&raw_request(&mut stream, &job_request(op, job))), "expired", "{op}");
+        for never in [0, 12345] {
+            let response = raw_request(&mut stream, &job_request(op, never));
+            assert_eq!(error_kind(&response), "unknown-job", "{op} {never}");
+        }
+    }
+    let stats = client.stats().unwrap();
+    assert_eq!(stats.get("jobs_held").and_then(Json::as_u64), Some(0));
+    assert_eq!(stats.get("jobs_submitted").and_then(Json::as_u64), Some(1));
+    daemon.stop();
+}
+
+#[test]
+fn unfetched_finished_jobs_are_capped_oldest_first() {
+    let daemon = TestDaemon::start(1, 1);
+    let mut client = Client::connect(&daemon.addr).unwrap();
+    let cell = ExperimentId::Table1.spec().cells()[0].id();
+    let request = straight_json::obj().field("op", "submit-cell").field("cell", &cell).build();
+    let jobs: Vec<u64> = (0..RETAINED_JOBS + 8)
+        .map(|_| {
+            let job = client.request(&request).unwrap().get("job").and_then(Json::as_u64).unwrap();
+            assert_eq!(client.wait_job(job).unwrap(), "done");
+            job
+        })
+        .collect();
+    let held = |client: &mut Client| {
+        client.stats().unwrap().get("jobs_held").and_then(Json::as_u64).unwrap()
+    };
+    assert_eq!(held(&mut client), RETAINED_JOBS as u64);
+
+    for &job in &jobs[..8] {
+        assert_eq!(remote_kind(client.fetch_cell(job)), "expired", "job {job}");
+    }
+    for &job in &jobs[8..] {
+        assert_eq!(client.fetch_cell(job).unwrap().id, cell, "job {job}");
+    }
+    assert_eq!(held(&mut client), 0);
     daemon.stop();
 }
 
@@ -374,6 +436,7 @@ fn stats_stay_consistent_after_cancellation() {
     let get = |key: &str| stats.get(key).and_then(Json::as_u64).expect(key);
     assert_eq!(get("jobs_submitted"), 2, "cancelled jobs still count as submitted");
     assert_eq!(get("jobs_active"), 0, "cancellation must not leak an active job");
+    assert_eq!(get("jobs_held"), 2, "finished jobs stay until fetched");
     assert_eq!(get("worker_panics"), 0);
     assert!(matches!(stats.get("store"), Some(Json::Null) | None), "no store configured");
     assert!(get("uptime_ms") >= pause.as_millis() as u64, "uptime {}", get("uptime_ms"));
@@ -493,12 +556,16 @@ fn fetch_before_completion_is_a_not_done_error() {
     // Immediately fetching is (overwhelmingly likely) premature; if
     // the machine is so fast the job already finished, a successful
     // fetch is also correct — only a hang or panic would be a bug.
+    // A successful fetch retires the job, so only a `not-done` answer
+    // leaves it to wait for.
     match client.fetch_experiment(job) {
-        Err(ClientError::Remote { kind, .. }) => assert_eq!(kind, "not-done"),
+        Err(ClientError::Remote { kind, .. }) => {
+            assert_eq!(kind, "not-done");
+            client.wait_job(job).unwrap();
+        }
         Ok(_) => {}
         Err(other) => panic!("unexpected failure: {other}"),
     }
-    client.wait_job(job).unwrap();
     daemon.stop();
 }
 
@@ -608,6 +675,9 @@ fn wait_returns_cancelled_for_a_cancelled_job() {
     };
     assert_eq!(state, "cancelled");
     assert_eq!(client.wait_job(job).unwrap(), "cancelled");
+    // A cancelled job's fetch is a failure, and it retires the job.
+    assert_eq!(remote_kind(client.fetch_experiment(job)), "job-failed");
+    assert_eq!(remote_kind(client.fetch_experiment(job)), "expired");
     client.wait_job(occupant).unwrap();
     daemon.stop();
 }

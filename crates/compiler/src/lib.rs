@@ -43,15 +43,19 @@ use std::fmt;
 /// Code-generation failure.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CodegenError {
-    /// Too many values live at a merge point for the configured
-    /// maximum distance (the frame cannot fit in the distance field).
+    /// Too many values live at a merge point or call for the
+    /// configured maximum distance (the frame cannot fit in the
+    /// distance field).
     FrameTooLarge {
         /// Function name.
         func: String,
-        /// Live values at the worst merge.
+        /// Live values at the worst merge or call.
         live: usize,
         /// Configured maximum distance.
         max_distance: u16,
+        /// The smallest maximum distance the failing check accepts for
+        /// this frame (always above `max_distance`).
+        needs: u16,
     },
     /// The configured maximum distance is below
     /// [`MIN_MAX_DISTANCE`], the smallest bound the STRAIGHT back end
@@ -73,9 +77,10 @@ pub enum CodegenError {
 impl fmt::Display for CodegenError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            CodegenError::FrameTooLarge { func, live, max_distance } => write!(
+            CodegenError::FrameTooLarge { func, live, max_distance, needs } => write!(
                 f,
-                "`{func}`: {live} live values at a merge exceed max distance {max_distance}"
+                "`{func}`: {live} live values need max distance ≥ {needs}, above the \
+                 configured {max_distance}"
             ),
             CodegenError::MaxDistanceTooSmall { max_distance } => write!(
                 f,

@@ -102,6 +102,11 @@ fn internal<T>(msg: impl Into<String>) -> CResult<T> {
     Err(CodegenError::Internal(msg.into()))
 }
 
+/// A [`CodegenError::FrameTooLarge`] bound, saturated to the field.
+fn needs_at_least(d: i64) -> u16 {
+    u16::try_from(d).unwrap_or(u16::MAX)
+}
+
 impl<'a> FnEmitter<'a> {
     /// Compiles one function. Runs the emitter once; if the function
     /// turns out to need no stack frame at all (no IR slots and no
@@ -380,10 +385,14 @@ impl<'a> FnEmitter<'a> {
         loop {
             rounds += 1;
             if rounds > 64 {
+                // Relaying settles only once every kept value fits
+                // under the threshold: d >= live + SWEEP_HEADROOM.
+                let live = self.st.pos.len();
                 return Err(CodegenError::FrameTooLarge {
                     func: self.f.name.clone(),
-                    live: self.st.pos.len(),
+                    live,
                     max_distance: self.opts.max_distance,
+                    needs: needs_at_least(live as i64 + SWEEP_HEADROOM),
                 });
             }
             let mut aged: Vec<Tracked> = self
@@ -881,6 +890,7 @@ impl<'a> FnEmitter<'a> {
                 func: self.f.name.clone(),
                 live: slots.len(),
                 max_distance: self.opts.max_distance,
+                needs: needs_at_least(k + 13),
             });
         }
         // Pre-pass: make every source producible in one instruction.

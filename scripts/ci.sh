@@ -195,7 +195,9 @@ EOF
 
 # Bounded image cache: 20 fig16 requests at new Dhrystone counts build
 # 20 Dhrystone images and one CoreMark image (reused by every request,
-# so never evicted); the daemon must hold at most 16 of them.
+# so never evicted); the daemon must hold at most 16 of them. Bounded
+# job table: `--remote` fetches each of the 21 jobs this daemon served,
+# and a fetched job retires, so the table must be empty.
 for iters in $(seq 51 70); do
     STRAIGHT_DHRY_ITERS=$iters STRAIGHT_CM_ITERS=1 target/release/straight-lab \
         --remote "$SOCK" --figure fig16 --no-write --quiet
@@ -203,10 +205,14 @@ done
 target/release/straight-lab --remote "$SOCK" --stats > "$SMOKE_DIR/stats.json"
 python3 - "$SMOKE_DIR/stats.json" <<'EOF'
 import json, sys
-cache = json.load(open(sys.argv[1]))["cache"]
+stats = json.load(open(sys.argv[1]))
+cache = stats["cache"]
 assert cache["images_held"] <= 16, cache
 assert cache["image_misses"] == 21, cache
+assert stats["jobs_submitted"] == 21, stats
+assert stats["jobs_held"] == 0, "every fetched job must retire"
 print("bounded image cache OK:", json.dumps(cache))
+print("bounded job table OK: 21 jobs submitted, 0 held")
 EOF
 kill -TERM "$STRAIGHTD_PID"
 wait "$STRAIGHTD_PID"

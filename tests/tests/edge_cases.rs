@@ -130,8 +130,9 @@ fn simulator_handles_tiny_iq_pressure() {
 
 #[test]
 fn frame_too_large_reported_not_panicked() {
-    // More live values at a merge than distance 8 can express must be
-    // a clean error.
+    // A frame too large for the smallest accepted bound must be a clean
+    // error that states the bound it needs, and following the stated
+    // bounds must reach one that compiles correctly.
     let mut decls = String::new();
     let mut sum = String::from("0");
     for i in 0..24usize {
@@ -149,18 +150,23 @@ fn frame_too_large_reported_not_panicked() {
          }}"
     );
     let module = build_ir(&src);
-    match straight_compiler::compile_straight(&module, &StraightOptions::raw().with_max_distance(8)) {
-        Ok(prog) => {
-            // The optimizer may have shrunk the live set enough; then
-            // the program must still be correct.
-            let image = straight_asm::link_straight(&prog).unwrap();
-            let expected = interp::run_main(&module).expect("interpreter runs");
-            assert_eq!(check_image(&image, "RAW d=8").stdout, expected.stdout);
-        }
-        Err(e) => {
-            let msg = e.to_string();
-            assert!(msg.contains("exceed") || msg.contains("distance"), "unexpected error: {msg}");
-        }
+    let expected = interp::run_main(&module).expect("interpreter runs").stdout;
+    for opts in [StraightOptions::raw(), StraightOptions::default()] {
+        let mut d = MIN_MAX_DISTANCE;
+        let prog = loop {
+            match compile_straight(&module, &opts.clone().with_max_distance(d)) {
+                Ok(prog) => break prog,
+                Err(CodegenError::FrameTooLarge { max_distance, needs, .. }) => {
+                    assert_eq!(max_distance, d);
+                    assert!(needs > d, "d={d} needs {needs}");
+                    d = needs;
+                }
+                Err(e) => panic!("d={d}: unexpected error: {e}"),
+            }
+        };
+        assert!(d > MIN_MAX_DISTANCE, "the frame must not fit the smallest bound");
+        let image = straight_asm::link_straight(&prog).unwrap();
+        assert_eq!(check_image(&image, &format!("d={d}")).stdout, expected);
     }
 }
 
