@@ -176,6 +176,12 @@ impl JobTable {
         job
     }
 
+    /// The jobs not yet finished: what the queue bound counts and the
+    /// drain waits on.
+    fn unfinished(&self) -> impl Iterator<Item = &Arc<JobEntry>> {
+        self.held.values().filter(|entry| !entry.batch.is_done())
+    }
+
     /// Retires the oldest finished jobs beyond [`RETAINED_JOBS`].
     fn retire_unfetched(&mut self) {
         let finished = self.held.values().filter(|entry| entry.batch.is_done()).count();
@@ -192,12 +198,9 @@ impl JobTable {
 /// State shared by the accept loop and every connection thread.
 struct DaemonState {
     session: LabSession,
-    /// Read through [`DaemonState::jobs`], which applies the
-    /// [`RETAINED_JOBS`] bound.
+    /// The daemon's only job registry. Read through
+    /// [`DaemonState::jobs`], which applies the [`RETAINED_JOBS`] bound.
     jobs: Mutex<JobTable>,
-    /// Batches of jobs that may still be unfinished — what the queue
-    /// bound counts. Pruned of finished batches whenever it is read.
-    active: Mutex<Vec<Batch>>,
     queue_cap: usize,
     shutdown: AtomicBool,
     /// The on-disk record store, when configured (also wired into the
@@ -232,14 +235,6 @@ fn is_timeout(e: &io::Error) -> bool {
 }
 
 impl DaemonState {
-    /// The batches of jobs not yet finished, pruned of those that
-    /// finished since the last call.
-    fn active_jobs(&self) -> MutexGuard<'_, Vec<Batch>> {
-        let mut active = lock(&self.active);
-        active.retain(|batch| !batch.is_done());
-        active
-    }
-
     /// The job table, after retiring the finished jobs beyond
     /// [`RETAINED_JOBS`].
     fn jobs(&self) -> MutexGuard<'_, JobTable> {
@@ -464,10 +459,9 @@ fn handle_request(state: &DaemonState, line: &[u8]) -> Answer {
             ok_response().field("job", &job).field("state", "cancelled").build()
         }),
         "stats" => {
-            let active = state.active_jobs().len() as u64;
-            let (submitted, held) = {
+            let (submitted, active, held) = {
                 let jobs = state.jobs();
-                (jobs.next - 1, jobs.held.len() as u64)
+                (jobs.next - 1, jobs.unfinished().count() as u64, jobs.held.len() as u64)
             };
             ok_response()
                 .field("cache", &state.session.cache_stats())
@@ -510,29 +504,26 @@ fn request_params(request: &Json) -> Result<RunParams, Json> {
 }
 
 /// Admits and submits a job: refuses when draining or when the job
-/// queue is at its bound. Admission holds the active list's lock
-/// through the submit, so concurrent submissions cannot overshoot the
-/// bound and the drain in [`Daemon::run`] sees every admitted batch.
+/// queue is at its bound. Admission holds the job table's lock from
+/// the checks through the insert, so concurrent submissions cannot
+/// overshoot the bound and the drain in [`Daemon::run`] sees every
+/// admitted job.
 fn register_job(state: &DaemonState, kind: JobKind, params: RunParams, cells: Vec<CellSpec>) -> Json {
     let total = cells.len();
-    let batch = {
-        let mut active = state.active_jobs();
-        if state.shutdown.load(Ordering::SeqCst) {
-            return error_response("shutting-down", "daemon is draining; resubmit elsewhere", None);
-        }
-        if active.len() >= state.queue_cap {
-            state.queue_full_refusals.fetch_add(1, Ordering::Relaxed);
-            return error_response(
-                "queue-full",
-                format!("job queue is at its bound ({}); retry later", state.queue_cap),
-                None,
-            );
-        }
-        let batch = state.session.submit(cells, params);
-        active.push(batch.clone());
-        batch
-    };
-    let job = state.jobs().insert(JobEntry { kind, params, batch });
+    let mut jobs = state.jobs();
+    if state.shutdown.load(Ordering::SeqCst) {
+        return error_response("shutting-down", "daemon is draining; resubmit elsewhere", None);
+    }
+    if jobs.unfinished().count() >= state.queue_cap {
+        state.queue_full_refusals.fetch_add(1, Ordering::Relaxed);
+        return error_response(
+            "queue-full",
+            format!("job queue is at its bound ({}); retry later", state.queue_cap),
+            None,
+        );
+    }
+    let batch = state.session.submit(cells, params);
+    let job = jobs.insert(JobEntry { kind, params, batch });
     ok_response().field("job", &job).field("cells", &total).build()
 }
 
@@ -771,11 +762,17 @@ impl Daemon {
     ///
     /// # Errors
     ///
-    /// [`LabError::InvalidJobs`] (as an `InvalidInput` I/O error) when
-    /// `jobs` is 0, [`LabError::Spawn`] (the same way) when the
-    /// operating system refuses a worker thread; otherwise whatever
-    /// binding the listener raised.
+    /// An `InvalidInput` I/O error when `queue_cap` is 0, and
+    /// [`LabError::InvalidJobs`] (so) when `jobs` is 0 or
+    /// [`LabError::Spawn`] (so) when the operating system refuses a
+    /// worker thread; otherwise whatever binding the listener raised.
     pub fn bind(config: &DaemonConfig) -> io::Result<Daemon> {
+        if config.queue_cap == 0 {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                "queue_cap must be at least 1 (0 would admit no job)",
+            ));
+        }
         let mut builder = LabSession::builder().jobs(config.jobs);
         let mut store = None;
         let mut store_report = None;
@@ -811,8 +808,7 @@ impl Daemon {
             state: Arc::new(DaemonState {
                 session,
                 jobs: Mutex::new(JobTable { next: 1, held: BTreeMap::new() }),
-                active: Mutex::new(Vec::new()),
-                queue_cap: config.queue_cap.max(1),
+                queue_cap: config.queue_cap,
                 shutdown: AtomicBool::new(false),
                 store,
                 idle_timeout: config.idle_timeout,
@@ -874,11 +870,12 @@ impl Daemon {
             }
         }
         // Graceful drain: stop accepting, let submitted work finish.
-        // Once the flag is set, admission adds no batch to the list.
+        // Admission checks the flag under the job table's lock, so once
+        // it is set no job joins the table.
         self.state.shutdown.store(true, Ordering::SeqCst);
-        let pending = self.state.active_jobs().clone();
-        for batch in pending {
-            let _ = batch.wait();
+        let pending: Vec<_> = self.state.jobs().unfinished().cloned().collect();
+        for entry in pending {
+            let _ = entry.batch.wait();
         }
         Ok(())
     }
@@ -1026,6 +1023,33 @@ pub fn backoff_delay(config: &ClientConfig, attempt: u32, rng: &mut SplitMix64) 
     Duration::from_millis(exp / 2 + jitter)
 }
 
+/// Runs `attempt` until it returns anything but a `retryable` error,
+/// sleeping [`backoff_delay`] (jitter seeded with `seed`) before each
+/// of at most `config.retries` retries; then [`ClientError::Exhausted`].
+/// Returns the outcome and the number of retries made.
+fn with_retries<T>(
+    config: &ClientConfig,
+    seed: u64,
+    retryable: fn(&ClientError) -> bool,
+    mut attempt: impl FnMut() -> Result<T, ClientError>,
+) -> (Result<T, ClientError>, u32) {
+    let mut rng = SplitMix64::new(seed);
+    let mut tries = 0u32;
+    loop {
+        tries += 1;
+        match attempt() {
+            Err(e) if retryable(&e) => {
+                if tries > config.retries {
+                    let exhausted = ClientError::Exhausted { attempts: tries, last: Box::new(e) };
+                    return (Err(exhausted), tries - 1);
+                }
+                std::thread::sleep(backoff_delay(config, tries, &mut rng));
+            }
+            outcome => return (outcome, tries - 1),
+        }
+    }
+}
+
 /// Whether a connect failure is worth retrying: the daemon may be
 /// restarting (refused / socket file not there yet) or briefly
 /// unresponsive (timeout).
@@ -1105,27 +1129,12 @@ impl Client {
     /// [`ClientError::Exhausted`] once the budget runs out; the first
     /// non-transient failure immediately otherwise.
     pub fn connect_with(addr: &str, config: &ClientConfig) -> Result<Client, ClientError> {
-        let mut rng = SplitMix64::new(config.jitter_seed);
-        let mut attempt = 0u32;
-        loop {
-            attempt += 1;
-            match Client::connect_once(addr, config) {
-                Ok(mut client) => {
-                    client.retries_used = u64::from(attempt - 1);
-                    return Ok(client);
-                }
-                Err(e) => {
-                    let e = ClientError::Io(e);
-                    if !transient_connect(&e) {
-                        return Err(e);
-                    }
-                    if attempt > config.retries {
-                        return Err(ClientError::Exhausted { attempts: attempt, last: Box::new(e) });
-                    }
-                    std::thread::sleep(backoff_delay(config, attempt, &mut rng));
-                }
-            }
-        }
+        let (outcome, retries) = with_retries(config, config.jitter_seed, transient_connect, || {
+            Client::connect_once(addr, config).map_err(ClientError::Io)
+        });
+        let mut client = outcome?;
+        client.retries_used = u64::from(retries);
+        Ok(client)
     }
 
     /// `(retries_used, timeouts_seen)` — how often this client had to
@@ -1221,24 +1230,13 @@ impl Client {
         params: &RunParams,
     ) -> Result<u64, ClientError> {
         let config = self.config.clone();
-        let mut rng = SplitMix64::new(config.jitter_seed ^ 0x9e37_79b9_7f4a_7c15);
-        let mut attempt = 0u32;
-        loop {
-            attempt += 1;
-            match self.submit_experiment(id, params) {
-                Ok(job) => return Ok(job),
-                Err(e @ ClientError::Remote { .. })
-                    if matches!(&e, ClientError::Remote { kind, .. } if kind == "queue-full") =>
-                {
-                    if attempt > config.retries {
-                        return Err(ClientError::Exhausted { attempts: attempt, last: Box::new(e) });
-                    }
-                    self.retries_used += 1;
-                    std::thread::sleep(backoff_delay(&config, attempt, &mut rng));
-                }
-                Err(e) => return Err(e),
-            }
-        }
+        let seed = config.jitter_seed ^ 0x9e37_79b9_7f4a_7c15;
+        let queue_full =
+            |e: &ClientError| matches!(e, ClientError::Remote { kind, .. } if kind == "queue-full");
+        let (outcome, retries) =
+            with_retries(&config, seed, queue_full, || self.submit_experiment(id, params));
+        self.retries_used += u64::from(retries);
+        outcome
     }
 
     /// Blocks until the job leaves the queue/run states, through
@@ -1277,12 +1275,7 @@ impl Client {
     /// As [`Client::request`]; `Protocol` when the payload does not
     /// deserialize as an `ExperimentResult`.
     pub fn fetch_experiment(&mut self, job: u64) -> Result<ExperimentResult, ClientError> {
-        let response = self.request(&obj().field("op", "fetch").field("job", &job).build())?;
-        let payload = response
-            .get("result")
-            .ok_or_else(|| ClientError::Protocol("fetch response lacks `result`".to_string()))?;
-        ExperimentResult::from_json(payload)
-            .map_err(|e| ClientError::Protocol(format!("bad result payload: {e}")))
+        self.fetch(job, "result")
     }
 
     /// Fetches a done cell job's record, retiring the job as
@@ -1293,12 +1286,17 @@ impl Client {
     /// As [`Client::request`]; `Protocol` when the payload does not
     /// deserialize as a `CellRecord`.
     pub fn fetch_cell(&mut self, job: u64) -> Result<CellRecord, ClientError> {
+        self.fetch(job, "record")
+    }
+
+    /// Fetches a done job and deserializes the response's `field`.
+    fn fetch<T: FromJson>(&mut self, job: u64, field: &str) -> Result<T, ClientError> {
         let response = self.request(&obj().field("op", "fetch").field("job", &job).build())?;
         let payload = response
-            .get("record")
-            .ok_or_else(|| ClientError::Protocol("fetch response lacks `record`".to_string()))?;
-        CellRecord::from_json(payload)
-            .map_err(|e| ClientError::Protocol(format!("bad record payload: {e}")))
+            .get(field)
+            .ok_or_else(|| ClientError::Protocol(format!("fetch response lacks `{field}`")))?;
+        T::from_json(payload)
+            .map_err(|e| ClientError::Protocol(format!("bad {field} payload: {e}")))
     }
 
     /// Asks the daemon to drain and exit.

@@ -387,6 +387,58 @@ fn full_queue_pushes_back_with_a_structured_error() {
 }
 
 #[test]
+fn concurrent_submissions_never_overshoot_the_queue_bound() {
+    // One worker and a queue bound of 2; eight clients submit a slow
+    // job at once. Admission must count and insert under one lock, so
+    // exactly two get in however the submissions interleave.
+    let daemon = TestDaemon::start(1, 2);
+    // Slow enough that no admitted job finishes before `stats` reads.
+    let slow = RunParams { dhry_iters: 500, cm_iters: 1, ..RunParams::default() };
+    let start = std::sync::Arc::new(std::sync::Barrier::new(8));
+    let submitters: Vec<_> = (0..8)
+        .map(|_| {
+            let mut client = Client::connect(&daemon.addr).unwrap();
+            let start = std::sync::Arc::clone(&start);
+            std::thread::spawn(move || {
+                start.wait();
+                client.submit_experiment(ExperimentId::Fig17, &slow)
+            })
+        })
+        .collect();
+    let outcomes: Vec<_> = submitters.into_iter().map(|s| s.join().unwrap()).collect();
+    let admitted: Vec<u64> = outcomes.iter().filter_map(|o| o.as_ref().ok().copied()).collect();
+    assert_eq!(admitted.len(), 2, "admitted {admitted:?}");
+    for refused in outcomes.into_iter().filter(Result::is_err) {
+        assert_eq!(remote_kind(refused), "queue-full");
+    }
+
+    let mut client = Client::connect(&daemon.addr).unwrap();
+    let stats = client.stats().unwrap();
+    let get = |key: &str| stats.get(key).and_then(Json::as_u64).expect(key);
+    assert_eq!(get("jobs_active"), 2);
+    assert_eq!(get("jobs_submitted"), 2);
+    assert_eq!(get("queue_full_refusals"), 6);
+    for &job in &admitted {
+        client.request(&straight_json::obj().field("op", "cancel").field("job", &job).build()).unwrap();
+    }
+    daemon.stop();
+}
+
+#[test]
+fn a_zero_queue_bound_is_refused_like_zero_workers() {
+    let mut config = DaemonConfig::new(Listen::Tcp("127.0.0.1:0".to_string()));
+    config.jobs = 1;
+    config.queue_cap = 0;
+    let refused = Daemon::bind(&config).err().expect("queue_cap 0 must be refused, not clamped");
+    assert_eq!(refused.kind(), std::io::ErrorKind::InvalidInput);
+    assert!(refused.to_string().contains("queue_cap"), "{refused}");
+    config.queue_cap = 1;
+    config.jobs = 0;
+    let refused = Daemon::bind(&config).err().expect("jobs 0 must be refused");
+    assert_eq!(refused.kind(), std::io::ErrorKind::InvalidInput);
+}
+
+#[test]
 fn shutdown_with_queued_jobs_drains_them_to_terminal_states() {
     // One worker, several queued jobs, then a shutdown from another
     // connection: the drain must run every queued job to a terminal

@@ -59,8 +59,6 @@ pub(crate) struct FnEmitter<'a> {
     f: &'a Function,
     module: &'a Module,
     opts: &'a StraightOptions,
-    #[allow(dead_code)]
-    cfg: Cfg,
     live: Liveness,
     info: FrameInfo,
     order: Vec<Block>,
@@ -149,7 +147,6 @@ impl<'a> FnEmitter<'a> {
             f,
             module,
             opts,
-            cfg,
             live,
             info,
             order,

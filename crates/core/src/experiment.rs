@@ -671,7 +671,7 @@ impl CellSpec {
 /// One executed cell, in fully serializable form. Optional fields are
 /// `null` for cell kinds they don't apply to, keeping one schema for
 /// the whole grid.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct CellRecord {
     /// `experiment/group/label`.
     pub id: String,

@@ -42,7 +42,6 @@ use std::time::{Duration, Instant};
 use straight_asm::Image;
 use straight_json::{fnv1a64, obj, FromJson, Json, ToJson};
 use straight_sim::emu::{ExecBackend, RiscvEmu, StraightEmu, TierConfig};
-use straight_sim::pipeline::SimResult;
 
 use crate::experiment::{
     build_for, run_checked, run_sampled, target_name, CellKind, CellRecord, CellSpec,
@@ -148,16 +147,10 @@ type ImageKey = (WorkloadKind, Target, u32);
 /// many iteration counts ever evicts.
 pub const IMAGE_CAPACITY: usize = 16;
 type ImageSlot = Arc<OnceLock<Result<Arc<Image>, Arc<ExperimentError>>>>;
-type RunSlot = Arc<OnceLock<Result<Arc<TimedRun>, Arc<ExperimentError>>>>;
+/// A finished simulation's measurement, as a record without identity
+/// fields: cells sharing a fingerprint differ in identity.
+type RunSlot = Arc<OnceLock<Result<Arc<CellRecord>, Arc<ExperimentError>>>>;
 type CellOutcome = Result<CellRecord, Arc<ExperimentError>>;
-
-/// A cached simulation plus how long the simulation itself took on
-/// the host (the profiler's per-run cost; excludes compile time and
-/// record assembly).
-struct TimedRun {
-    result: SimResult,
-    sim_wall_ms: f64,
-}
 
 /// A snapshot of the session's cache activity. Hits minus misses make
 /// the image/run deduplication externally observable (the daemon
@@ -325,17 +318,7 @@ fn exec_cell(spec: &CellSpec, params: &RunParams, shared: &SessionShared) -> Cel
         machine: spec.machine().map(|m| m.name.clone()),
         config_fingerprint: fingerprint.clone(),
         param: spec.param,
-        cycles: 0,
-        retired: 0,
-        ipc: 0.0,
-        stats: None,
-        kinds: None,
-        distances: None,
-        max_distance_used: None,
-        stdout_digest: None,
-        wall_ms: 0.0,
-        sim_wall_ms: None,
-        ksim_cycles_per_sec: None,
+        ..CellRecord::default()
     };
     // Every kind but a configuration dump runs the cell's workload.
     let workload = || {
@@ -351,94 +334,96 @@ fn exec_cell(spec: &CellSpec, params: &RunParams, shared: &SessionShared) -> Cel
             let workload = workload()?;
             // A persisted record for this fingerprint (a previous
             // process's simulation) short-circuits everything,
-            // including the workload build: only the measurement
-            // fields are taken, the identity fields stay this cell's.
-            if let Some(stored) = shared.record_cache.as_ref().and_then(|c| c.get(&fingerprint)) {
-                record.cycles = stored.cycles;
-                record.retired = stored.retired;
-                record.ipc = stored.ipc;
-                record.stats = stored.stats;
-                record.stdout_digest = stored.stdout_digest;
-                record.sim_wall_ms = stored.sim_wall_ms;
-                record.ksim_cycles_per_sec = stored.ksim_cycles_per_sec;
+            // including the workload build, and is not offered back.
+            let stored = shared.record_cache.as_ref().and_then(|c| c.get(&fingerprint));
+            let from_store = stored.is_some();
+            let measured = if let Some(stored) = stored {
+                Arc::new(stored)
+            } else {
+                let image = image_for(caches, workload, *target, params)?;
+                // Identical (workload, target, machine, iters) cells — the
+                // same point appearing in several figures, or the same
+                // cell submitted by several daemon clients — simulate
+                // once.
+                let slot = caches.run_slot(&fingerprint);
+                slot.get_or_init(|| {
+                    caches.run_misses.fetch_add(1, Ordering::Relaxed);
+                    let sim_started = Instant::now();
+                    let result =
+                        run_checked(workload.name(), &image, machine.clone(), params.max_cycles)
+                            .map_err(Arc::new)?;
+                    // The simulation alone: no compile time, no record assembly.
+                    let sim_wall_ms = sim_started.elapsed().as_secs_f64() * 1e3;
+                    let cycles = result.stats.cycles;
+                    Ok(Arc::new(CellRecord {
+                        cycles,
+                        retired: result.stats.retired,
+                        ipc: result.stats.ipc(),
+                        stdout_digest: Some(hex_digest(&result.stdout)),
+                        stats: Some(result.stats),
+                        sim_wall_ms: Some(sim_wall_ms),
+                        // cycles per millisecond ≡ kilo-cycles per second.
+                        ksim_cycles_per_sec: (sim_wall_ms > 0.0)
+                            .then(|| cycles as f64 / sim_wall_ms),
+                        ..CellRecord::default()
+                    }))
+                })
+                .clone()?
+            };
+            // Only the measurement fields are taken; the identity
+            // fields stay this cell's.
+            record.cycles = measured.cycles;
+            record.retired = measured.retired;
+            record.ipc = measured.ipc;
+            record.stats = measured.stats.clone();
+            record.stdout_digest = measured.stdout_digest.clone();
+            record.sim_wall_ms = measured.sim_wall_ms;
+            record.ksim_cycles_per_sec = measured.ksim_cycles_per_sec;
+            if from_store {
                 record.wall_ms = started.elapsed().as_secs_f64() * 1e3;
                 return Ok(record);
             }
-            let image = image_for(caches, workload, *target, params)?;
-            // Identical (workload, target, machine, iters) cells — the
-            // same point appearing in several figures, or the same
-            // cell submitted by several daemon clients — simulate
-            // once.
-            let slot = caches.run_slot(&fingerprint);
-            let timed = slot
-                .get_or_init(|| {
-                    caches.run_misses.fetch_add(1, Ordering::Relaxed);
-                    let sim_started = Instant::now();
-                    run_checked(workload.name(), &image, machine.clone(), params.max_cycles)
-                        .map(|result| {
-                            let sim_wall_ms = sim_started.elapsed().as_secs_f64() * 1e3;
-                            Arc::new(TimedRun { result, sim_wall_ms })
-                        })
-                        .map_err(Arc::new)
-                })
-                .clone()?;
-            let result = &timed.result;
-            record.cycles = result.stats.cycles;
-            record.retired = result.stats.retired;
-            record.ipc = result.stats.ipc();
-            record.stats = Some(result.stats.clone());
-            record.stdout_digest = Some(hex_digest(&result.stdout));
-            record.sim_wall_ms = Some(timed.sim_wall_ms);
-            // cycles per millisecond ≡ kilo-cycles per second.
-            if timed.sim_wall_ms > 0.0 {
-                record.ksim_cycles_per_sec =
-                    Some(result.stats.cycles as f64 / timed.sim_wall_ms);
-            }
         }
-        CellKind::EmuMix { target } => {
+        CellKind::EmuMix { target } | CellKind::EmuDistance { target } => {
             let workload = workload()?;
             let image = image_for(caches, workload, *target, params)?;
+            let profile = matches!(spec.kind, CellKind::EmuDistance { .. });
             let result = match target {
                 Target::Riscv => {
                     RiscvEmu::new((*image).clone()).run_tiered(u64::MAX, TierConfig::fast())
                 }
-                _ => StraightEmu::new((*image).clone()).run_tiered(u64::MAX, TierConfig::fast()),
+                _ => {
+                    let mut emu = StraightEmu::new((*image).clone());
+                    emu.profile_distances = profile;
+                    emu.run_tiered(u64::MAX, TierConfig::fast())
+                }
             };
             if result.exit_code().is_none() {
                 return Err(Arc::new(ExperimentError::Abnormal {
                     workload: workload.name().to_string(),
-                    machine: format!("{} emulator", spec.label),
+                    machine: if profile {
+                        "STRAIGHT emulator".to_string()
+                    } else {
+                        format!("{} emulator", spec.label)
+                    },
                     exit: format!("{:?}", result.exit),
                 }));
             }
             record.retired = result.stats.retired;
-            record.kinds = Some(result.stats.kinds);
             record.stdout_digest = Some(hex_digest(&result.stdout));
-        }
-        CellKind::EmuDistance { target } => {
-            let workload = workload()?;
-            let image = image_for(caches, workload, *target, params)?;
-            let mut emu = StraightEmu::new((*image).clone());
-            emu.profile_distances = true;
-            let result = emu.run_tiered(u64::MAX, TierConfig::fast());
-            if result.exit_code().is_none() {
-                return Err(Arc::new(ExperimentError::Abnormal {
-                    workload: workload.name().to_string(),
-                    machine: "STRAIGHT emulator".to_string(),
-                    exit: format!("{:?}", result.exit),
-                }));
+            if profile {
+                record.distances = Some(
+                    (0..=10)
+                        .map(|k| {
+                            let d = 1u32 << k;
+                            (d, result.stats.cumulative_fraction(d as usize))
+                        })
+                        .collect(),
+                );
+                record.max_distance_used = Some(result.stats.max_distance_used() as u64);
+            } else {
+                record.kinds = Some(result.stats.kinds);
             }
-            record.retired = result.stats.retired;
-            record.distances = Some(
-                (0..=10)
-                    .map(|k| {
-                        let d = 1u32 << k;
-                        (d, result.stats.cumulative_fraction(d as usize))
-                    })
-                    .collect(),
-            );
-            record.max_distance_used = Some(result.stats.max_distance_used() as u64);
-            record.stdout_digest = Some(hex_digest(&result.stdout));
         }
         CellKind::ConfigDump { .. } => {}
         // Sampled cells bypass both the run cache and the record cache:

@@ -19,6 +19,11 @@ cargo test --workspace -q
 cargo clippy --workspace --all-targets -- -D warnings
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 
+# The benchmark harness is its own workspace on path dependencies into
+# crates/: a change to a `pub` item it uses must fail here, not only in
+# the benchmark run.
+cargo check --locked --manifest-path perfbench/Cargo.toml --all-targets
+
 # The opt-in per-stage host profiler must keep compiling and passing.
 cargo test -p straight-tests --features stage-profile -q --test stage_profile
 
