@@ -24,25 +24,27 @@
 //! into place — a SIGKILL (or power cut) mid-write leaves either the
 //! old state or a `.tmp` leftover, never a half-visible entry. Every
 //! entry ends in a footer recording the payload length and an FNV-1a
-//! checksum; on boot the store scans its directory, loads entries
-//! that validate end to end (footer, checksum, JSON shape,
-//! fingerprint match), and moves everything else into
-//! `quarantine/` with a structured [`StoreReport`] — a corrupt or
-//! truncated entry is never served and never silently deleted.
+//! checksum; on boot the store scans its directory, validates every
+//! entry end to end (footer, checksum, JSON shape, fingerprint match),
+//! and moves everything else into `quarantine/` with a structured
+//! [`StoreReport`] — a corrupt or truncated entry is never served and
+//! never silently deleted.
+//! [`RecordCache::get`] reads and validates an entry again by the same
+//! rule: the store keeps no records in memory (the session's run cache
+//! does), and an entry corrupted after boot is quarantined, not served.
 //!
 //! ## Degradation
 //!
 //! The store is infallible at its API boundary: if the directory
 //! cannot be created, or a write fails mid-run (disk full, permission
 //! flip), it logs one structured warning and degrades to memory-only
-//! mode — the daemon keeps serving, it just stops persisting. The
-//! flip is observable through [`StoreStats::memory_only`].
+//! mode — the daemon keeps serving, it just stops persisting, and
+//! remembers only what its run cache holds. The flip is observable
+//! through [`StoreStats::memory_only`].
 
-use std::collections::HashMap;
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Mutex, PoisonError};
 
 use straight_core::experiment::{CellRecord, SCHEMA_VERSION};
 use straight_core::lab::RecordCache;
@@ -57,11 +59,7 @@ const ENTRY_EXT: &str = "rec";
 /// File extension of an in-flight (not yet renamed) write.
 const TMP_EXT: &str = "tmp";
 
-fn lock<T>(mutex: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    mutex.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// One entry the boot scan refused to load, and why.
+/// One entry the store refused to serve, and why.
 #[derive(Debug, Clone)]
 pub struct Quarantined {
     /// File name of the rejected entry (now under `quarantine/`).
@@ -73,7 +71,7 @@ pub struct Quarantined {
 /// What [`RecordStore::open`] found on disk.
 #[derive(Debug, Clone, Default)]
 pub struct StoreReport {
-    /// Entries that validated and were loaded.
+    /// Entries that validated.
     pub loaded: usize,
     /// Entries that failed validation and were quarantined.
     pub quarantined: Vec<Quarantined>,
@@ -105,10 +103,10 @@ impl StoreReport {
 /// `stats` op.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StoreStats {
-    /// Records currently held (loaded at boot plus added since,
-    /// including memory-only additions).
+    /// Entries on disk now.
     pub entries: u64,
-    /// Entries quarantined by the boot scan.
+    /// Entries quarantined, by the boot scan or by a lookup that found
+    /// the entry corrupt.
     pub quarantined: u64,
     /// Lookups answered from the store.
     pub hits: u64,
@@ -140,7 +138,6 @@ impl ToJson for StoreStats {
 pub struct RecordStore {
     entries_dir: PathBuf,
     quarantine_dir: PathBuf,
-    mem: Mutex<HashMap<String, CellRecord>>,
     memory_only: AtomicBool,
     quarantined: AtomicU64,
     hits: AtomicU64,
@@ -211,7 +208,6 @@ impl RecordStore {
         let store = RecordStore {
             entries_dir: entries_dir.clone(),
             quarantine_dir: quarantine_dir.clone(),
-            mem: Mutex::new(HashMap::new()),
             memory_only: AtomicBool::new(false),
             quarantined: AtomicU64::new(0),
             hits: AtomicU64::new(0),
@@ -232,7 +228,7 @@ impl RecordStore {
         (store, report)
     }
 
-    /// Loads every valid entry into memory; quarantines the rest.
+    /// Validates every entry; quarantines the rest.
     fn scan(&self, report: &mut StoreReport) {
         let entries = match std::fs::read_dir(&self.entries_dir) {
             Ok(entries) => entries,
@@ -243,14 +239,12 @@ impl RecordStore {
                 return;
             }
         };
-        let mut mem = lock(&self.mem);
         for entry in entries.flatten() {
             let path = entry.path();
             if !path.is_file() {
                 continue;
             }
             let name = entry.file_name().to_string_lossy().into_owned();
-            let stem = path.file_stem().map(|s| s.to_string_lossy().into_owned());
             let ext = path.extension().map(|s| s.to_string_lossy().into_owned());
             if ext.as_deref() == Some(TMP_EXT) {
                 // A write the previous process never committed; the
@@ -259,33 +253,39 @@ impl RecordStore {
                 report.removed_temps += 1;
                 continue;
             }
-            let reason = if ext.as_deref() != Some(ENTRY_EXT) {
-                format!("unrecognized file `{name}` in store directory")
-            } else {
-                let fingerprint = stem.unwrap_or_default();
-                match std::fs::read(&path) {
-                    Err(e) => format!("unreadable: {e}"),
-                    Ok(bytes) => match decode_entry(&bytes, &fingerprint) {
-                        Ok(record) => {
-                            mem.insert(fingerprint, record);
-                            report.loaded += 1;
-                            continue;
-                        }
-                        Err(reason) => reason,
-                    },
+            let checked = match (ext.as_deref(), path.file_stem()) {
+                (Some(ENTRY_EXT), Some(stem)) => self.check(&path, &stem.to_string_lossy()),
+                _ => {
+                    self.quarantine(&path);
+                    Err(format!("unrecognized file `{name}` in store directory"))
                 }
             };
-            self.quarantine(&path, &name);
-            report.quarantined.push(Quarantined { file: name, reason });
+            match checked {
+                Ok(_) => report.loaded += 1,
+                Err(reason) => report.quarantined.push(Quarantined { file: name, reason }),
+            }
         }
-        self.quarantined.store(report.quarantined.len() as u64, Ordering::Relaxed);
+    }
+
+    /// Reads and validates the entry at `path`, quarantining it when it
+    /// is unreadable or invalid.
+    fn check(&self, path: &Path, fingerprint: &str) -> Result<CellRecord, String> {
+        let checked = std::fs::read(path)
+            .map_err(|e| format!("unreadable: {e}"))
+            .and_then(|bytes| decode_entry(&bytes, fingerprint));
+        if checked.is_err() {
+            self.quarantine(path);
+        }
+        checked
     }
 
     /// Moves a rejected entry aside (never deletes it: the bytes may
-    /// matter for a post-mortem). Name collisions get a numeric
-    /// suffix.
-    fn quarantine(&self, path: &Path, name: &str) {
-        let mut target = self.quarantine_dir.join(name);
+    /// matter for a post-mortem) and counts it. Name collisions get a
+    /// numeric suffix.
+    fn quarantine(&self, path: &Path) {
+        self.quarantined.fetch_add(1, Ordering::Relaxed);
+        let name = path.file_name().unwrap_or_default().to_string_lossy();
+        let mut target = self.quarantine_dir.join(&*name);
         let mut attempt = 1;
         while target.exists() {
             target = self.quarantine_dir.join(format!("{name}.{attempt}"));
@@ -310,7 +310,11 @@ impl RecordStore {
     #[must_use]
     pub fn stats(&self) -> StoreStats {
         StoreStats {
-            entries: lock(&self.mem).len() as u64,
+            entries: std::fs::read_dir(&self.entries_dir).map_or(0, |dir| {
+                dir.flatten()
+                    .filter(|e| e.path().extension().is_some_and(|x| x == ENTRY_EXT))
+                    .count() as u64
+            }),
             quarantined: self.quarantined.load(Ordering::Relaxed),
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
@@ -320,17 +324,15 @@ impl RecordStore {
         }
     }
 
-    /// Whether the store has degraded to memory-only mode.
-    #[must_use]
-    pub fn memory_only(&self) -> bool {
-        self.memory_only.load(Ordering::SeqCst)
+    fn entry_path(&self, fingerprint: &str) -> PathBuf {
+        self.entries_dir.join(format!("{fingerprint}.{ENTRY_EXT}"))
     }
 
     /// Writes one entry durably: temp file, fsync, atomic rename,
     /// directory fsync (best effort).
     fn write_entry(&self, fingerprint: &str, record: &CellRecord) -> std::io::Result<()> {
         let tmp = self.entries_dir.join(format!("{fingerprint}.{TMP_EXT}"));
-        let committed = self.entries_dir.join(format!("{fingerprint}.{ENTRY_EXT}"));
+        let committed = self.entry_path(fingerprint);
         let bytes = encode_entry(record);
         let mut file = std::fs::File::create(&tmp)?;
         file.write_all(&bytes)?;
@@ -345,8 +347,11 @@ impl RecordStore {
 }
 
 impl RecordCache for RecordStore {
+    /// A missing entry is a miss, and so is one that fails validation
+    /// and is quarantined: the cell simulates again and puts it anew.
     fn get(&self, fingerprint: &str) -> Option<CellRecord> {
-        let found = lock(&self.mem).get(fingerprint).cloned();
+        let path = self.entry_path(fingerprint);
+        let found = path.is_file().then(|| self.check(&path, fingerprint)).and_then(Result::ok);
         match &found {
             Some(_) => self.hits.fetch_add(1, Ordering::Relaxed),
             None => self.misses.fetch_add(1, Ordering::Relaxed),
@@ -355,14 +360,7 @@ impl RecordCache for RecordStore {
     }
 
     fn put(&self, fingerprint: &str, record: &CellRecord) {
-        {
-            let mut mem = lock(&self.mem);
-            if mem.contains_key(fingerprint) {
-                return;
-            }
-            mem.insert(fingerprint.to_string(), record.clone());
-        }
-        if self.memory_only.load(Ordering::SeqCst) {
+        if self.memory_only.load(Ordering::SeqCst) || self.entry_path(fingerprint).exists() {
             return;
         }
         match self.write_entry(fingerprint, record) {
@@ -371,10 +369,7 @@ impl RecordCache for RecordStore {
             }
             Err(e) => {
                 self.write_failures.fetch_add(1, Ordering::Relaxed);
-                self.degrade(&format!(
-                    "writing {}: {e}",
-                    self.entries_dir.join(format!("{fingerprint}.{ENTRY_EXT}")).display()
-                ));
+                self.degrade(&format!("writing {}: {e}", self.entry_path(fingerprint).display()));
             }
         }
     }

@@ -14,6 +14,8 @@
 //! * a restarted daemon answers the same submission with
 //!   byte-identical normalized records, from the store, without
 //!   re-simulating;
+//! * an entry corrupted after boot is quarantined on lookup, never
+//!   served, and rewritten from a fresh simulation;
 //! * an unusable store root degrades to memory-only mode and the
 //!   session keeps serving;
 //! * an injected worker panic surfaces as a structured job failure
@@ -190,6 +192,44 @@ fn every_single_bit_flip_is_caught_by_the_footer() {
 }
 
 #[test]
+fn an_entry_corrupted_after_boot_is_quarantined_resimulated_and_rewritten() {
+    let root = scratch("after-boot");
+    let run = |cache: Option<Arc<RecordStore>>| {
+        let mut builder = LabSession::builder().jobs(2);
+        if let Some(cache) = cache {
+            builder = builder.record_cache(cache as Arc<dyn RecordCache>);
+        }
+        let run = builder.build().unwrap().run_experiment(ExperimentId::Fig17, tiny_params());
+        run.unwrap().result.normalized().to_json().render_pretty()
+    };
+    let in_process = run(None);
+    let _ = run(Some(Arc::new(RecordStore::open(&root).0)));
+    let files = entry_files(&root);
+
+    // The boot scan validates every entry; the corruption comes after.
+    let (store, report) = RecordStore::open(&root);
+    assert_eq!(report.loaded, files.len());
+    let mut bytes = std::fs::read(&files[0]).unwrap();
+    bytes[0] ^= 0xff;
+    std::fs::write(&files[0], bytes).unwrap();
+
+    let store = Arc::new(store);
+    assert_eq!(run(Some(Arc::clone(&store))), in_process, "a corrupt entry was served");
+    let stats = store.stats();
+    assert_eq!(stats.quarantined, 1);
+    assert_eq!(stats.writes, 1, "the re-simulated record is written anew");
+    assert_eq!(stats.entries, files.len() as u64);
+    assert_eq!(std::fs::read_dir(root.join("quarantine")).unwrap().count(), 1);
+
+    let (reopened, report) = RecordStore::open(&root);
+    assert_eq!(report.loaded, files.len(), "the next boot loads the rewritten entry");
+    assert!(report.quarantined.is_empty());
+    let fingerprint = files[0].file_stem().unwrap().to_string_lossy();
+    assert!(reopened.get(&fingerprint).is_some());
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+#[test]
 fn unusable_store_root_degrades_to_memory_only_and_keeps_serving() {
     // The root is a regular file, so the store cannot create its
     // directories — even running as root, this fails structurally.
@@ -199,7 +239,7 @@ fn unusable_store_root_degrades_to_memory_only_and_keeps_serving() {
 
     let (store, report) = RecordStore::open(&root);
     assert!(report.memory_only.is_some(), "report must carry the degradation reason");
-    assert!(store.memory_only());
+    assert!(store.stats().memory_only);
     assert!(report.summary().contains("MEMORY-ONLY"));
 
     // The degraded store still serves through a full session run.
@@ -209,9 +249,16 @@ fn unusable_store_root_degrades_to_memory_only_and_keeps_serving() {
         .record_cache(Arc::clone(&store) as Arc<dyn RecordCache>)
         .build()
         .unwrap();
-    session.run_experiment(ExperimentId::Fig17, tiny_params()).unwrap();
+    let first = session.run_experiment(ExperimentId::Fig17, tiny_params()).unwrap();
+    // The session's run cache still remembers what the store cannot.
+    let simulated = session.cache_stats().run_misses;
+    let second = session.run_experiment(ExperimentId::Fig17, tiny_params()).unwrap();
+    assert_eq!(session.cache_stats().run_misses, simulated, "the rerun must not re-simulate");
+    assert_eq!(
+        first.result.normalized().to_json().render_pretty(),
+        second.result.normalized().to_json().render_pretty()
+    );
     let stats = store.stats();
-    assert!(stats.entries > 0, "memory-only puts still cache in RAM");
     assert_eq!(stats.writes, 0, "nothing may touch the unusable path");
     assert!(stats.memory_only);
     let _ = std::fs::remove_dir_all(&dir);
@@ -310,9 +357,9 @@ fn sigkill_mid_run_then_restart_serves_byte_identical_records_from_the_store() {
         assert!(store_stat(&after, "hits") > 0, "the rerun must be served from the store");
         let cache = after.get("cache").unwrap();
         assert_eq!(
-            cache.get("run_lookups").and_then(Json::as_u64),
+            cache.get("run_misses").and_then(Json::as_u64),
             Some(0),
-            "store hits must short-circuit before the run cache, i.e. no re-simulation"
+            "store hits must fill the run cache without simulating, i.e. no re-simulation"
         );
         client.shutdown().unwrap();
     }

@@ -17,8 +17,8 @@ use straight_bench::serve::{
     read_frame, Client, ClientConfig, ClientError, Daemon, DaemonConfig, Listen, MAX_REQUEST_LINE,
     RETAINED_JOBS,
 };
-use straight_core::experiment::{CellKind, ExperimentId, RunParams};
-use straight_core::lab::{LabSession, IMAGE_CAPACITY};
+use straight_core::experiment::{CellKind, CellRecord, ExperimentId, RunParams};
+use straight_core::lab::{LabSession, IMAGE_CAPACITY, RUN_CAPACITY};
 use straight_json::{Json, ToJson};
 
 /// Tiny parameters so pipeline cells finish quickly in debug builds.
@@ -752,4 +752,66 @@ fn admission_tracks_only_unfinished_jobs() {
     assert_eq!(get("jobs_active"), 0);
     assert_eq!(get("queue_full_refusals"), 0);
     daemon.stop();
+}
+
+/// A cell record without its run-dependent timing fields, as text.
+fn normalized(record: CellRecord) -> String {
+    let record =
+        CellRecord { wall_ms: 0.0, sim_wall_ms: None, ksim_cycles_per_sec: None, ..record };
+    record.to_json().render_pretty()
+}
+
+#[test]
+fn a_store_backed_daemon_holds_a_bounded_run_cache_and_reloads_evicted_records() {
+    let store = std::env::temp_dir().join(format!("straight-serve-runs-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&store);
+    let daemon = TestDaemon::start_with(2, 8, |config| config.store = Some(store.clone()));
+    let mut client = Client::connect(&daemon.addr).unwrap();
+    let session = LabSession::builder().jobs(2).build().unwrap();
+    let cell = ExperimentId::Fig17
+        .spec()
+        .cells()
+        .into_iter()
+        .find(|c| c.label == "SS")
+        .expect("fig17 has an SS cell");
+    let params = |dhry_iters| RunParams { dhry_iters, cm_iters: 1, ..RunParams::default() };
+    let remote = |client: &mut Client, dhry_iters| {
+        let request = straight_json::obj()
+            .field("op", "submit-cell")
+            .field("cell", &cell.id())
+            .field("params", &params(dhry_iters))
+            .build();
+        let job = client.request(&request).unwrap().get("job").and_then(Json::as_u64).unwrap();
+        assert_eq!(client.wait_job(job).unwrap(), "done");
+        normalized(client.fetch_cell(job).unwrap())
+    };
+    let stat = |client: &mut Client, section: &str, key: &str| {
+        let stats = client.stats().unwrap();
+        stats.get(section).and_then(|s| s.get(key)).and_then(Json::as_u64).expect(key)
+    };
+
+    // Every request is a cold cell at a Dhrystone count no earlier one
+    // used, eight more than the run cache holds.
+    let mut first = String::new();
+    for dhry_iters in 1..=RUN_CAPACITY as u32 + 8 {
+        let served = remote(&mut client, dhry_iters);
+        let local = session.submit(vec![cell.clone()], params(dhry_iters)).wait().remove(0);
+        assert_eq!(served, normalized(local.unwrap()), "dhry_iters {dhry_iters}");
+        if dhry_iters == 1 {
+            first = served;
+        }
+    }
+    let held = stat(&mut client, "cache", "runs_held");
+    assert!(held <= RUN_CAPACITY as u64, "{held} run records held");
+    let simulated = stat(&mut client, "cache", "run_misses");
+    assert_eq!(simulated, RUN_CAPACITY as u64 + 8);
+
+    // The first count was evicted: the store serves it again without a
+    // simulation.
+    let hits = stat(&mut client, "store", "hits");
+    assert_eq!(remote(&mut client, 1), first);
+    assert_eq!(stat(&mut client, "store", "hits"), hits + 1, "an evicted record is a store hit");
+    assert_eq!(stat(&mut client, "cache", "run_misses"), simulated, "and is not simulated again");
+    daemon.stop();
+    let _ = std::fs::remove_dir_all(&store);
 }

@@ -18,7 +18,9 @@
 //! * a **run cache** — cells with identical configuration
 //!   fingerprints (e.g. Figure 17's Dhrystone/SS-2way run, which
 //!   Figure 12 also needs, or the same cell submitted by two daemon
-//!   clients) simulate once and share the result;
+//!   clients) simulate once and share the result. A slot is filled from
+//!   the persistent [`RecordCache`], if any, before simulating; at most
+//!   [`RUN_CAPACITY`] stay resident, least recently used out first;
 //! * **cache counters** ([`CacheStats`]) making the deduplication
 //!   observable.
 //!
@@ -146,6 +148,10 @@ type ImageKey = (WorkloadKind, Target, u32);
 /// `--all` grid builds 10 distinct images, so only a daemon serving
 /// many iteration counts ever evicts.
 pub const IMAGE_CAPACITY: usize = 16;
+/// Run-cache records a session keeps resident (a few KB each). The
+/// full `--all` grid runs 23 distinct simulations, so no in-process
+/// run evicts.
+pub const RUN_CAPACITY: usize = 64;
 type ImageSlot = Arc<OnceLock<Result<Arc<Image>, Arc<ExperimentError>>>>;
 /// A finished simulation's measurement, as a record without identity
 /// fields: cells sharing a fingerprint differ in identity.
@@ -166,9 +172,11 @@ pub struct CacheStats {
     pub images_held: u64,
     /// Run-cache lookups (one per pipeline cell).
     pub run_lookups: u64,
-    /// Run-cache lookups that simulated (first sight of the
-    /// fingerprint).
+    /// Run-slot initialisations that simulated (the record cache, if
+    /// any, counts the ones it served).
     pub run_misses: u64,
+    /// Run-cache records resident now (at most [`RUN_CAPACITY`]).
+    pub runs_held: u64,
 }
 
 impl CacheStats {
@@ -178,8 +186,7 @@ impl CacheStats {
         self.image_lookups - self.image_misses
     }
 
-    /// Run-cache lookups served from the cache (deduplicated
-    /// simulations).
+    /// Run-cache lookups that did not simulate.
     #[must_use]
     pub fn run_hits(&self) -> u64 {
         self.run_lookups - self.run_misses
@@ -196,17 +203,39 @@ impl ToJson for CacheStats {
             .field("run_lookups", &self.run_lookups)
             .field("run_hits", &self.run_hits())
             .field("run_misses", &self.run_misses)
+            .field("runs_held", &self.runs_held)
             .build()
     }
+}
+
+/// The slot for `key`, evicting the slot with the oldest `lookups`
+/// stamp when a new key finds the table full. A cell already holding
+/// an evicted slot keeps using it; the next lookup fills a new one.
+fn lru_slot<K: Eq + std::hash::Hash + Clone, S: Clone + Default>(
+    table: &Mutex<HashMap<K, (u64, S)>>,
+    lookups: &AtomicU64,
+    capacity: usize,
+    key: K,
+) -> S {
+    let mut table = lock(table);
+    // Counted under the lock, so the count orders the lookups.
+    let stamp = lookups.fetch_add(1, Ordering::Relaxed);
+    if table.len() >= capacity && !table.contains_key(&key) {
+        let lru = table.iter().min_by_key(|(_, (used, _))| *used).map(|(k, _)| k.clone());
+        if let Some(lru) = lru {
+            table.remove(&lru);
+        }
+    }
+    let (used, slot) = table.entry(key).or_default();
+    *used = stamp;
+    slot.clone()
 }
 
 /// Shared state of one session: both caches plus their counters.
 #[derive(Default)]
 struct Caches {
-    /// Each slot with the `image_lookups` count of its last lookup,
-    /// the stamp that picks the least recently used one to evict.
     images: Mutex<HashMap<ImageKey, (u64, ImageSlot)>>,
-    runs: Mutex<HashMap<String, RunSlot>>,
+    runs: Mutex<HashMap<String, (u64, RunSlot)>>,
     image_lookups: AtomicU64,
     image_misses: AtomicU64,
     run_lookups: AtomicU64,
@@ -214,30 +243,6 @@ struct Caches {
 }
 
 impl Caches {
-    /// The slot for `key`, evicting the least recently used slot when
-    /// a new key finds the cache full. A cell already holding an
-    /// evicted slot keeps using it; the next lookup of that key
-    /// builds the image again.
-    fn image_slot(&self, key: ImageKey) -> ImageSlot {
-        let mut images = lock(&self.images);
-        // Counted under the lock, so the count orders the lookups.
-        let stamp = self.image_lookups.fetch_add(1, Ordering::Relaxed);
-        if images.len() >= IMAGE_CAPACITY && !images.contains_key(&key) {
-            let lru = images.iter().min_by_key(|(_, (used, _))| *used).map(|(k, _)| *k);
-            if let Some(lru) = lru {
-                images.remove(&lru);
-            }
-        }
-        let (used, slot) = images.entry(key).or_default();
-        *used = stamp;
-        slot.clone()
-    }
-
-    fn run_slot(&self, fingerprint: &str) -> RunSlot {
-        self.run_lookups.fetch_add(1, Ordering::Relaxed);
-        lock(&self.runs).entry(fingerprint.to_string()).or_default().clone()
-    }
-
     fn stats(&self) -> CacheStats {
         CacheStats {
             image_lookups: self.image_lookups.load(Ordering::Relaxed),
@@ -245,6 +250,7 @@ impl Caches {
             images_held: lock(&self.images).len() as u64,
             run_lookups: self.run_lookups.load(Ordering::Relaxed),
             run_misses: self.run_misses.load(Ordering::Relaxed),
+            runs_held: lock(&self.runs).len() as u64,
         }
     }
 }
@@ -254,11 +260,12 @@ fn hex_digest(text: &str) -> String {
 }
 
 /// A persistent cache of completed cell records, keyed by
-/// configuration fingerprint. The session consults it before running
-/// a cycle-accurate (pipeline) cell and offers every freshly computed
-/// pipeline record back to it, so an implementation backed by disk
-/// (the bench crate's `RecordStore`) survives process restarts and
-/// lets a rebooted daemon answer `fetch` without re-simulating.
+/// configuration fingerprint. The session consults it when a pipeline
+/// cell's fingerprint has no run-cache slot (first sight, or evicted)
+/// and offers every record it simulates back to it, so an
+/// implementation backed by disk (the bench crate's `RecordStore`)
+/// survives process restarts and lets a rebooted daemon answer
+/// `fetch` without re-simulating. The run cache is the in-memory copy.
 ///
 /// Only pipeline cells go through the cache: their fingerprint
 /// captures everything that determines the measurement, and they are
@@ -276,9 +283,21 @@ pub trait RecordCache: Send + Sync {
     /// measurement fields.
     fn get(&self, fingerprint: &str) -> Option<CellRecord>;
 
-    /// Offers a freshly computed record. Implementations deduplicate
-    /// by fingerprint.
+    /// Offers a freshly simulated record, identity fields included.
+    /// Implementations deduplicate by fingerprint.
     fn put(&self, fingerprint: &str, record: &CellRecord);
+}
+
+/// Copies the measurement fields of `from` into `into`; the identity
+/// fields (`id`, `config_fingerprint`, ...) stay `into`'s.
+fn copy_measurement(into: &mut CellRecord, from: &CellRecord) {
+    into.cycles = from.cycles;
+    into.retired = from.retired;
+    into.ipc = from.ipc;
+    into.stats = from.stats.clone();
+    into.stdout_digest = from.stdout_digest.clone();
+    into.sim_wall_ms = from.sim_wall_ms;
+    into.ksim_cycles_per_sec = from.ksim_cycles_per_sec;
 }
 
 /// Compiles (or fetches) the image for a cell's workload/target.
@@ -288,7 +307,8 @@ fn image_for(
     target: Target,
     params: &RunParams,
 ) -> Result<Arc<Image>, Arc<ExperimentError>> {
-    let slot = caches.image_slot((workload, target, workload.iters(params)));
+    let key = (workload, target, workload.iters(params));
+    let slot = lru_slot(&caches.images, &caches.image_lookups, IMAGE_CAPACITY, key);
     slot.get_or_init(|| {
         caches.image_misses.fetch_add(1, Ordering::Relaxed);
         build_for(workload.name(), &workload.source(params), target)
@@ -332,21 +352,21 @@ fn exec_cell(spec: &CellSpec, params: &RunParams, shared: &SessionShared) -> Cel
     match &spec.kind {
         CellKind::Pipeline { target, machine } => {
             let workload = workload()?;
-            // A persisted record for this fingerprint (a previous
-            // process's simulation) short-circuits everything,
-            // including the workload build, and is not offered back.
-            let stored = shared.record_cache.as_ref().and_then(|c| c.get(&fingerprint));
-            let from_store = stored.is_some();
-            let measured = if let Some(stored) = stored {
-                Arc::new(stored)
-            } else {
-                let image = image_for(caches, workload, *target, params)?;
-                // Identical (workload, target, machine, iters) cells — the
-                // same point appearing in several figures, or the same
-                // cell submitted by several daemon clients — simulate
-                // once.
-                let slot = caches.run_slot(&fingerprint);
-                slot.get_or_init(|| {
+            // Identical (workload, target, machine, iters) cells — the
+            // same point appearing in several figures, or the same
+            // cell submitted by several daemon clients — share one
+            // slot, filled from the record cache or by one simulation.
+            let slot =
+                lru_slot(&caches.runs, &caches.run_lookups, RUN_CAPACITY, fingerprint.clone());
+            let measured = slot
+                .get_or_init(|| {
+                    let record_cache = shared.record_cache.as_deref();
+                    if let Some(stored) = record_cache.and_then(|c| c.get(&fingerprint)) {
+                        let mut measured = CellRecord::default();
+                        copy_measurement(&mut measured, &stored);
+                        return Ok(Arc::new(measured));
+                    }
+                    let image = image_for(caches, workload, *target, params)?;
                     caches.run_misses.fetch_add(1, Ordering::Relaxed);
                     let sim_started = Instant::now();
                     let result =
@@ -355,7 +375,7 @@ fn exec_cell(spec: &CellSpec, params: &RunParams, shared: &SessionShared) -> Cel
                     // The simulation alone: no compile time, no record assembly.
                     let sim_wall_ms = sim_started.elapsed().as_secs_f64() * 1e3;
                     let cycles = result.stats.cycles;
-                    Ok(Arc::new(CellRecord {
+                    let measured = CellRecord {
                         cycles,
                         retired: result.stats.retired,
                         ipc: result.stats.ipc(),
@@ -366,23 +386,16 @@ fn exec_cell(spec: &CellSpec, params: &RunParams, shared: &SessionShared) -> Cel
                         ksim_cycles_per_sec: (sim_wall_ms > 0.0)
                             .then(|| cycles as f64 / sim_wall_ms),
                         ..CellRecord::default()
-                    }))
+                    };
+                    if let Some(cache) = record_cache {
+                        copy_measurement(&mut record, &measured);
+                        record.wall_ms = started.elapsed().as_secs_f64() * 1e3;
+                        cache.put(&fingerprint, &record);
+                    }
+                    Ok(Arc::new(measured))
                 })
-                .clone()?
-            };
-            // Only the measurement fields are taken; the identity
-            // fields stay this cell's.
-            record.cycles = measured.cycles;
-            record.retired = measured.retired;
-            record.ipc = measured.ipc;
-            record.stats = measured.stats.clone();
-            record.stdout_digest = measured.stdout_digest.clone();
-            record.sim_wall_ms = measured.sim_wall_ms;
-            record.ksim_cycles_per_sec = measured.ksim_cycles_per_sec;
-            if from_store {
-                record.wall_ms = started.elapsed().as_secs_f64() * 1e3;
-                return Ok(record);
-            }
+                .clone()?;
+            copy_measurement(&mut record, &measured);
         }
         CellKind::EmuMix { target } | CellKind::EmuDistance { target } => {
             let workload = workload()?;
@@ -426,7 +439,7 @@ fn exec_cell(spec: &CellSpec, params: &RunParams, shared: &SessionShared) -> Cel
             }
         }
         CellKind::ConfigDump { .. } => {}
-        // Sampled cells bypass both the run cache and the record cache:
+        // Sampled cells bypass the run cache and so the record cache:
         // their estimate is cheap relative to a full simulation, and
         // intentionally re-derived every run.
         CellKind::Sampled { target, machine } => {
@@ -442,9 +455,6 @@ fn exec_cell(spec: &CellSpec, params: &RunParams, shared: &SessionShared) -> Cel
         }
     }
     record.wall_ms = started.elapsed().as_secs_f64() * 1e3;
-    if let (CellKind::Pipeline { .. }, Some(cache)) = (&spec.kind, shared.record_cache.as_ref()) {
-        cache.put(&fingerprint, &record);
-    }
     Ok(record)
 }
 
@@ -759,12 +769,6 @@ impl LabSession {
     #[must_use]
     pub fn jobs(&self) -> usize {
         self.jobs
-    }
-
-    /// The git revision stamped into this session's records.
-    #[must_use]
-    pub fn git_rev(&self) -> &str {
-        &self.shared.git_rev
     }
 
     /// A snapshot of the cache counters.
@@ -1218,7 +1222,7 @@ mod tests {
         // ...and neither a build nor a simulation happened.
         let stats = session.cache_stats();
         assert_eq!(stats.image_lookups, 0);
-        assert_eq!(stats.run_lookups, 0);
+        assert_eq!(stats.run_misses, 0);
         assert_eq!(cache.puts.load(Ordering::Relaxed), 0, "a hit is not re-offered");
     }
 
@@ -1264,5 +1268,43 @@ mod tests {
             first.result.normalized().to_json().render_pretty(),
             again.result.normalized().to_json().render_pretty()
         );
+    }
+
+    #[test]
+    fn run_cache_holds_at_most_its_capacity_and_resimulates_evicted_records() {
+        let session = session();
+        let cell = pipeline_cell();
+        // The cycle budget is part of the fingerprint, so each budget is
+        // a distinct simulation of one cheap image.
+        let params = |extra: u64| RunParams {
+            dhry_iters: 1,
+            cm_iters: 1,
+            max_cycles: RunParams::default().max_cycles + extra,
+        };
+        let normalized = |extra| {
+            let outcomes = session.submit(vec![cell.clone()], params(extra)).wait();
+            let record = outcomes[0].as_ref().expect("the cell runs");
+            CellRecord {
+                wall_ms: 0.0,
+                sim_wall_ms: None,
+                ksim_cycles_per_sec: None,
+                ..record.clone()
+            }
+            .to_json()
+            .render_pretty()
+        };
+        let first = normalized(0);
+        for extra in 1..=RUN_CAPACITY as u64 {
+            let _ = normalized(extra);
+        }
+        let full = session.cache_stats();
+        assert_eq!(full.run_misses, RUN_CAPACITY as u64 + 1, "every fingerprint simulated once");
+        assert_eq!(full.runs_held, RUN_CAPACITY as u64);
+
+        let again = normalized(0);
+        let after = session.cache_stats();
+        assert_eq!(after.run_misses, full.run_misses + 1, "the evicted record is simulated again");
+        assert_eq!(after.runs_held, RUN_CAPACITY as u64);
+        assert_eq!(first, again);
     }
 }

@@ -170,8 +170,9 @@ target/release/straight-lab --normalize "$SMOKE_DIR/recovered/BENCH_fig11.json" 
 cmp "$SMOKE_DIR/local.norm" "$SMOKE_DIR/recovered.norm"
 
 # Restart once more: the rerun must be answered from the warm store
-# (store hits, zero run-cache lookups), the stats op must carry the
-# durability counters, and no finished job may still count as active.
+# (store hits, zero simulations), the run cache must stay within its
+# bound, the stats op must carry the durability counters, and no
+# finished job may still count as active.
 kill -TERM "$STRAIGHTD_PID"
 wait "$STRAIGHTD_PID"
 target/release/straightd --listen "$SOCK" --jobs 2 --store "$STORE" &
@@ -182,7 +183,8 @@ for _ in $(seq 1 100); do
 done
 target/release/straight-lab --remote "$SOCK" --figure fig11 --quick --quiet --no-write
 target/release/straight-lab --remote "$SOCK" --stats > "$SMOKE_DIR/stats.json"
-python3 - "$SMOKE_DIR/stats.json" <<'EOF'
+RUN_CAPACITY=$(sed -n 's/^pub const RUN_CAPACITY: usize = \([0-9]*\);$/\1/p' crates/core/src/lab.rs)
+python3 - "$SMOKE_DIR/stats.json" "$RUN_CAPACITY" <<'EOF'
 import json, sys
 stats = json.load(open(sys.argv[1]))
 store = stats["store"]
@@ -191,7 +193,8 @@ assert store["entries"] > 0, store
 assert store["quarantined"] == 0, store
 assert store["hits"] > 0, "warm boot must serve the rerun from the store"
 assert not store["memory_only"], store
-assert stats["cache"]["run_lookups"] == 0, "store hits must skip simulation"
+assert stats["cache"]["run_misses"] == 0, "store hits must skip simulation"
+assert stats["cache"]["runs_held"] <= int(sys.argv[2]), "RUN_CAPACITY bounds the run cache"
 assert stats["worker_panics"] == 0, stats
 assert stats["jobs_active"] == 0, "finished jobs must leave the active list"
 assert "queue_full_refusals" in stats and "idle_reaped" in stats, stats
