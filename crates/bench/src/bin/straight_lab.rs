@@ -427,28 +427,31 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
+    // Every requested action runs, in this order, until one fails.
     if opts.list {
         list_grid();
-        if !opts.all && opts.figures.is_empty() && opts.validate.is_empty() {
-            return ExitCode::SUCCESS;
-        }
     }
     if !opts.normalize.is_empty() {
         let code = normalize(&opts.normalize);
-        if code != ExitCode::SUCCESS || (!opts.all && opts.figures.is_empty()) {
+        if code != ExitCode::SUCCESS {
             return code;
         }
     }
     if !opts.validate.is_empty() {
         let code = validate(&opts.validate);
-        if code != ExitCode::SUCCESS || (!opts.all && opts.figures.is_empty()) {
+        if code != ExitCode::SUCCESS {
             return code;
         }
     }
-
     if opts.stats {
         let Some(addr) = &opts.remote else { unreachable!("parse_args enforces --remote") };
-        return run_stats(&opts, addr);
+        let code = run_stats(&opts, addr);
+        if code != ExitCode::SUCCESS {
+            return code;
+        }
+    }
+    if !opts.all && opts.figures.is_empty() {
+        return ExitCode::SUCCESS;
     }
 
     let ids: Vec<ExperimentId> = if opts.all {

@@ -130,3 +130,24 @@ fn normalize_rejects_corrupt_files_nonzero() {
     assert!(String::from_utf8_lossy(&out.stderr).contains("INVALID"));
     let _ = std::fs::remove_file(&path);
 }
+
+/// A committed record that `--normalize` accepts.
+const GOLDEN_TABLE1: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/golden/BENCH_table1_quick.json");
+
+#[test]
+fn validate_still_runs_after_normalize() {
+    let missing = std::env::temp_dir().join(format!("straight_cli_missing_{}.json", std::process::id()));
+    let missing = missing.to_str().unwrap();
+    let out = straight_lab(&["--normalize", GOLDEN_TABLE1, "--validate", missing]);
+    assert!(!out.status.success(), "a missing --validate file must fail the run");
+    assert!(String::from_utf8_lossy(&out.stderr).contains(missing), "stderr must name {missing}");
+}
+
+#[test]
+fn list_and_normalize_both_print() {
+    let out = straight_lab(&["--list", "--normalize", GOLDEN_TABLE1]);
+    assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("NAME") && stdout.contains("fig11"), "--list output missing:\n{stdout}");
+    assert!(stdout.contains("\"experiment\""), "--normalize output missing:\n{stdout}");
+}

@@ -2,35 +2,39 @@
 //!
 //! The emitter walks blocks in reverse postorder, tracking for every
 //! live value the *virtual dynamic position* of its most recent
-//! producer. Reading an operand turns into a distance (`current
-//! position - producer position`), which is exactly the ISA's operand
-//! model. The pieces of the paper's algorithm map onto this machinery
-//! as follows:
+//! producer (`def` records it). Reading an operand turns into a
+//! distance (`current position - producer position`, checked against
+//! the bound in `dist_to`), which is exactly the ISA's operand model.
+//! The pieces of the paper's algorithm map onto this machinery, and
+//! onto the helpers that emit their instructions, as follows:
 //!
 //! * **Distance fixing (IV-C2)** — every merge block gets a *frame*
 //!   (ordered live-in values + phis); each predecessor ends with a
-//!   shuffle producing the frame in order, then exactly one control
-//!   instruction (`J`, `BEZ`/`BNZ`, or a padding `NOP` on fall-through
-//!   paths), so entry distances are path-independent.
+//!   shuffle producing the frame in order (`emit_slot_sequence`), then
+//!   exactly one control instruction (`J`, `BEZ`/`BNZ`, or a padding
+//!   `NOP` on fall-through paths, from `emit_terminator`), so entry
+//!   distances are path-independent.
 //! * **Distance bounding (IV-C3)** — an aging sweep relays values
-//!   about to exceed the bound with `RMOV` (RAW) or retires them to
-//!   the stack frame (RE+).
-//! * **Calling convention (IV-B)** — argument producers are arranged
-//!   immediately before `JAL`; values live across a call are stored
-//!   to the stack frame (their distances after the callee returns are
-//!   statically unknowable); `retval0` is produced immediately before
-//!   `JR`.
+//!   about to exceed the bound with `RMOV` (`relay`), in both modes;
+//!   values with a stack copy, constants and addresses are dropped
+//!   instead and come back through `reload` or `rematerialize`.
+//! * **Calling convention (IV-B)** — values live across a call are
+//!   stored to the stack frame (`spill`; their distances after the
+//!   callee returns are statically unknowable) and read back with
+//!   `reload`; argument producers are arranged immediately before
+//!   `JAL` (`emit_slot_sequence`); `retval0` is produced immediately
+//!   before `JR`.
 //! * **RE+ (IV-D)** — single-instruction producers with no local uses
 //!   are sunk into the shuffle zone instead of being `RMOV`-copied
-//!   (Figure 10b), and loop-live-through values stay in the stack
-//!   frame (Figure 10c).
+//!   (Figure 10b, `emit_slot_sequence`), and loop-live-through values
+//!   stay in the stack frame (Figure 10c, `spill`/`reload`).
 
 use std::collections::{HashMap, HashSet};
 
 use straight_asm::{SFunc, SItem, SReloc};
 use straight_isa::{AluImmOp, AluOp, Dist, Inst, MemWidth};
 use straight_ir::analysis::{Cfg, Dominators, Liveness, Loops};
-use straight_ir::{BinOp, Block, Function, InstData, Module, Terminator, Value};
+use straight_ir::{BinOp, Block, Function, InstData, Module, SlotId, Terminator, Value};
 
 use super::frames::{self, FrameInfo, SlotSrc};
 use super::StraightOptions;
@@ -43,6 +47,20 @@ enum Tracked {
     RetAddr,
     FrameBase,
 }
+
+impl From<SlotSrc> for Tracked {
+    fn from(slot: SlotSrc) -> Tracked {
+        match slot {
+            SlotSrc::Val(v) => Tracked::Val(v),
+            SlotSrc::RetAddr => Tracked::RetAddr,
+        }
+    }
+}
+
+/// One producer of a slot sequence: the position it refreshes (`None`
+/// for a call argument, which the callee consumes) and the value it
+/// copies.
+type Slot = (Option<Tracked>, Tracked);
 
 /// Per-path emission state: where on the virtual dynamic timeline each
 /// live value was last produced, and which values have valid stack
@@ -68,7 +86,6 @@ pub(crate) struct FnEmitter<'a> {
     labels: Vec<(String, usize)>,
     spill_off: HashMap<Tracked, u32>,
     next_spill: u32,
-    ir_frame: u32,
     spadd_fixups: Vec<(usize, i32)>,
     st: PathState,
     in_states: HashMap<Block, PathState>,
@@ -111,24 +128,22 @@ impl<'a> FnEmitter<'a> {
     /// spills), re-runs it with the frame `SPADD`s omitted — leaf
     /// functions then carry zero frame overhead.
     pub(crate) fn compile(f: &'a Function, module: &'a Module, opts: &'a StraightOptions) -> CResult<SFunc> {
-        let first = Self::compile_pass(f, module, opts, false)?;
-        match first {
-            (sfunc, 0, 0) if f.frame_size() == 0 => {
-                let (sfunc2, spills2, _) = Self::compile_pass(f, module, opts, true)?;
-                debug_assert_eq!(spills2, 0, "frameless rerun must not spill");
-                let _ = sfunc;
-                Ok(sfunc2)
-            }
-            (sfunc, ..) => Ok(sfunc),
+        let (sfunc, spills) = Self::compile_pass(f, module, opts, false)?;
+        if spills > 0 || f.frame_size() > 0 {
+            return Ok(sfunc);
         }
+        let (sfunc, spills) = Self::compile_pass(f, module, opts, true)?;
+        debug_assert_eq!(spills, 0, "frameless rerun must not spill");
+        Ok(sfunc)
     }
 
+    /// One emitter run; returns the function and its spill-slot count.
     fn compile_pass(
         f: &'a Function,
         module: &'a Module,
         opts: &'a StraightOptions,
         skip_frame: bool,
-    ) -> CResult<(SFunc, u32, u32)> {
+    ) -> CResult<(SFunc, u32)> {
         let cfg = Cfg::compute(f);
         let live = Liveness::compute(f, &cfg);
         let dom = Dominators::compute(f, &cfg);
@@ -156,7 +171,6 @@ impl<'a> FnEmitter<'a> {
             labels: Vec::new(),
             spill_off: HashMap::new(),
             next_spill: 0,
-            ir_frame: f.frame_size(),
             spadd_fixups: Vec::new(),
             st: PathState::default(),
             in_states: HashMap::new(),
@@ -172,13 +186,13 @@ impl<'a> FnEmitter<'a> {
         };
         e.run()?;
         // Patch frame-size SPADDs now the spill count is known.
-        let total = (e.ir_frame + 4 * e.next_spill) as i32;
-        for (idx, sign) in e.spadd_fixups.clone() {
+        let total = (f.frame_size() + 4 * e.next_spill) as i32;
+        for &(idx, sign) in &e.spadd_fixups {
             let imm = i16::try_from(sign * total)
                 .map_err(|_| CodegenError::Internal("frame larger than 32 KiB".into()))?;
             e.items[idx].inst = Inst::SpAdd { imm };
         }
-        Ok((SFunc { name: f.name.clone(), items: e.items, labels: e.labels }, e.next_spill, e.ir_frame))
+        Ok((SFunc { name: f.name.clone(), items: e.items, labels: e.labels }, e.next_spill))
     }
 
     // ---------------------------------------------------------------
@@ -200,14 +214,29 @@ impl<'a> FnEmitter<'a> {
         self.labels.push((format!("{b}"), self.items.len()));
     }
 
-    fn label_name(b: Block) -> String {
-        format!("{b}")
+    /// Emits a control instruction targeting block `b`.
+    fn push_branch(&mut self, inst: Inst, b: Block) {
+        self.push_reloc(inst, Some(SReloc::BranchTo(format!("{b}"))));
+    }
+
+    /// Emits `inst` as `t`'s new producer.
+    fn def(&mut self, t: Tracked, inst: Inst) {
+        let p = self.push(inst);
+        self.st.pos.insert(t, p);
     }
 
     fn maxd(&self) -> i64 {
         i64::from(self.opts.max_distance)
     }
 
+    /// True when `t` is tracked and readable at a distance of at most
+    /// `max_distance - margin`.
+    fn within(&self, t: Tracked, margin: i64) -> bool {
+        self.st.pos.get(&t).is_some_and(|&p| self.st.cur - p <= self.maxd() - margin)
+    }
+
+    /// The distance from the next instruction back to `t`'s producer,
+    /// checked against the ISA's `1..=max_distance`.
     fn dist_to(&self, t: Tracked) -> CResult<Dist> {
         let p = match self.st.pos.get(&t) {
             Some(p) => *p,
@@ -220,6 +249,16 @@ impl<'a> FnEmitter<'a> {
         Ok(Dist::of(d as u32))
     }
 
+    /// The operand distance of `v`: the constant 0 reads the zero
+    /// register (distance 0).
+    fn operand(&self, v: Value) -> CResult<Dist> {
+        if self.is_zero_const(v) {
+            Ok(Dist::ZERO)
+        } else {
+            self.dist_to(Tracked::Val(v))
+        }
+    }
+
     fn is_zero_const(&self, v: Value) -> bool {
         matches!(self.f.inst(v), InstData::Const(0))
     }
@@ -228,7 +267,7 @@ impl<'a> FnEmitter<'a> {
         if let Some(&off) = self.spill_off.get(&t) {
             return off;
         }
-        let off = self.ir_frame + 4 * self.next_spill;
+        let off = self.f.frame_size() + 4 * self.next_spill;
         self.next_spill += 1;
         self.spill_off.insert(t, off);
         off
@@ -239,14 +278,10 @@ impl<'a> FnEmitter<'a> {
         if self.skip_frame {
             return internal("frame base requested in a frameless function");
         }
-        match self.st.pos.get(&Tracked::FrameBase) {
-            Some(&p) if self.st.cur - p <= self.maxd() - margin => Ok(()),
-            _ => {
-                let p = self.push(Inst::SpAdd { imm: 0 });
-                self.st.pos.insert(Tracked::FrameBase, p);
-                Ok(())
-            }
+        if !self.within(Tracked::FrameBase, margin) {
+            self.def(Tracked::FrameBase, Inst::SpAdd { imm: 0 });
         }
+        Ok(())
     }
 
     /// Stores `t` to its stack slot (idempotent: SSA values never
@@ -258,30 +293,33 @@ impl<'a> FnEmitter<'a> {
         let off = self.spill_slot(t);
         self.ensure_fb(6)?;
         // Address: frame base + offset (ADDi when nonzero).
-        if off == 0 {
-            let dv = self.dist_to(t)?;
-            let da = self.dist_to(Tracked::FrameBase)?;
-            self.push(Inst::St { width: MemWidth::W, val: dv, addr: da });
+        let dfb = self.dist_to(Tracked::FrameBase)?;
+        let addr = if off == 0 {
+            dfb
         } else {
-            let dfb = self.dist_to(Tracked::FrameBase)?;
             self.push(Inst::AluImm { op: AluImmOp::Addi, s1: dfb, imm: off as i16 });
-            let dv = self.dist_to(t)?;
-            self.push(Inst::St { width: MemWidth::W, val: dv, addr: Dist::of(1) });
-        }
+            Dist::of(1)
+        };
+        let val = self.dist_to(t)?;
+        self.push(Inst::St { width: MemWidth::W, val, addr });
         self.st.spilled.insert(t);
         Ok(())
     }
 
+    /// The `LD` that reads `t` back from its stack slot.
+    fn load(&self, t: Tracked) -> CResult<Inst> {
+        let Some(&off) = self.spill_off.get(&t) else {
+            return internal(format!("reload of unspilled {t:?}"));
+        };
+        let dfb = self.dist_to(Tracked::FrameBase)?;
+        Ok(Inst::Ld { width: MemWidth::W, addr: dfb, offset: off as i16 })
+    }
+
     /// Reloads `t` from its stack slot.
     fn reload(&mut self, t: Tracked) -> CResult<()> {
-        let off = *self
-            .spill_off
-            .get(&t)
-            .ok_or_else(|| CodegenError::Internal(format!("reload of unspilled {t:?}")))?;
         self.ensure_fb(4)?;
-        let dfb = self.dist_to(Tracked::FrameBase)?;
-        let p = self.push(Inst::Ld { width: MemWidth::W, addr: dfb, offset: off as i16 });
-        self.st.pos.insert(t, p);
+        let inst = self.load(t)?;
+        self.def(t, inst);
         Ok(())
     }
 
@@ -289,8 +327,7 @@ impl<'a> FnEmitter<'a> {
     /// bounding of Section IV-C3).
     fn relay(&mut self, t: Tracked) -> CResult<()> {
         let d = self.dist_to(t)?;
-        let p = self.push(Inst::Rmov { s: d });
-        self.st.pos.insert(t, p);
+        self.def(t, Inst::Rmov { s: d });
         Ok(())
     }
 
@@ -302,60 +339,34 @@ impl<'a> FnEmitter<'a> {
             return Ok(());
         }
         let t = Tracked::Val(v);
-        if let Some(&p) = self.st.pos.get(&t) {
-            if self.st.cur - p <= self.maxd() - margin {
-                return Ok(());
-            }
-            // Too old to guarantee the margin; refresh.
-            if self.st.cur - p <= self.maxd() {
-                return self.relay(t);
-            }
-            self.st.pos.remove(&t);
+        if self.within(t, margin) {
+            return Ok(());
         }
+        // Too old to guarantee the margin; refresh.
+        if self.within(t, 0) {
+            return self.relay(t);
+        }
+        self.st.pos.remove(&t);
         if self.st.spilled.contains(&t) {
             return self.reload(t);
         }
-        // Re-materializable?
-        match self.f.inst(v).clone() {
-            InstData::Const(c) => {
-                self.materialize_const(v, c)?;
-                Ok(())
-            }
-            InstData::GlobalAddr(g) => {
-                self.materialize_global(v, g)?;
-                Ok(())
-            }
-            InstData::SlotAddr(s) => {
-                self.materialize_slot_addr(v, s)?;
-                Ok(())
-            }
-            other => internal(format!("lost value {v} ({other:?}) in {}", self.f.name)),
-        }
+        self.rematerialize(v)
     }
 
     /// Reads an IR operand, returning its distance; consumes one use.
     fn read1(&mut self, v: Value) -> CResult<Dist> {
         self.consume_use(v);
-        if self.is_zero_const(v) {
-            return Ok(Dist::ZERO);
-        }
         self.ensure_val(v, 2)?;
-        self.dist_to(Tracked::Val(v))
+        self.operand(v)
     }
 
     /// Reads two operands with a safe margin between the ensures.
     fn read2(&mut self, a: Value, b: Value) -> CResult<(Dist, Dist)> {
         self.consume_use(a);
         self.consume_use(b);
-        if !self.is_zero_const(a) {
-            self.ensure_val(a, 6)?;
-        }
-        if !self.is_zero_const(b) {
-            self.ensure_val(b, 2)?;
-        }
-        let da = if self.is_zero_const(a) { Dist::ZERO } else { self.dist_to(Tracked::Val(a))? };
-        let db = if self.is_zero_const(b) { Dist::ZERO } else { self.dist_to(Tracked::Val(b))? };
-        Ok((da, db))
+        self.ensure_val(a, 6)?;
+        self.ensure_val(b, 2)?;
+        Ok((self.operand(a)?, self.operand(b)?))
     }
 
     fn consume_use(&mut self, v: Value) {
@@ -371,8 +382,8 @@ impl<'a> FnEmitter<'a> {
     }
 
     /// The distance-bounding sweep: values nearing the bound are
-    /// relayed (RAW), retired to the stack (RE+), or dropped when no
-    /// longer needed.
+    /// relayed, or dropped when no longer needed or when a stack copy
+    /// or re-materialization can bring them back.
     fn age_sweep(&mut self) -> CResult<()> {
         let threshold = self.maxd() - SWEEP_HEADROOM;
         // Relaying diverges when more values are live than the
@@ -442,39 +453,54 @@ impl<'a> FnEmitter<'a> {
     // ---------------------------------------------------------------
     // Value materialization.
 
-    fn materialize_const(&mut self, v: Value, c: i32) -> CResult<i64> {
-        let p = if (-32768..=32767).contains(&c) {
-            self.push(Inst::AluImm { op: AluImmOp::Addi, s1: Dist::ZERO, imm: c as i16 })
-        } else {
-            self.push(Inst::Lui { imm: ((c as u32) >> 16) as u16 });
-            self.push(Inst::AluImm {
-                op: AluImmOp::Ori,
-                s1: Dist::of(1),
-                imm: ((c as u32) & 0xffff) as u16 as i16,
-            })
+    /// The immediate of a constant that one `ADDi` can produce.
+    fn imm_const(&self, v: Value) -> Option<i16> {
+        match *self.f.inst(v) {
+            InstData::Const(c) => i16::try_from(c).ok(),
+            _ => None,
+        }
+    }
+
+    /// Re-emits the constant or address `v` rather than keeping it
+    /// live.
+    fn rematerialize(&mut self, v: Value) -> CResult<()> {
+        let inst = match *self.f.inst(v) {
+            InstData::Const(c) => match i16::try_from(c) {
+                Ok(imm) => Inst::AluImm { op: AluImmOp::Addi, s1: Dist::ZERO, imm },
+                Err(_) => {
+                    self.push(Inst::Lui { imm: ((c as u32) >> 16) as u16 });
+                    Inst::AluImm {
+                        op: AluImmOp::Ori,
+                        s1: Dist::of(1),
+                        imm: ((c as u32) & 0xffff) as u16 as i16,
+                    }
+                }
+            },
+            InstData::GlobalAddr(g) => {
+                // The one producer that carries a relocation.
+                let name = self.module.global(g).name.clone();
+                self.push_reloc(Inst::Lui { imm: 0 }, Some(SReloc::AbsHi(name.clone())));
+                let p = self.push_reloc(
+                    Inst::AluImm { op: AluImmOp::Ori, s1: Dist::of(1), imm: 0 },
+                    Some(SReloc::AbsLo(name)),
+                );
+                self.st.pos.insert(Tracked::Val(v), p);
+                return Ok(());
+            }
+            InstData::SlotAddr(s) => {
+                self.ensure_fb(2)?;
+                self.slot_addr(s)?
+            }
+            ref other => return internal(format!("lost value {v} ({other:?}) in {}", self.f.name)),
         };
-        self.st.pos.insert(Tracked::Val(v), p);
-        Ok(p)
+        self.def(Tracked::Val(v), inst);
+        Ok(())
     }
 
-    fn materialize_global(&mut self, v: Value, g: straight_ir::GlobalId) -> CResult<i64> {
-        let name = self.module.global(g).name.clone();
-        self.push_reloc(Inst::Lui { imm: 0 }, Some(SReloc::AbsHi(name.clone())));
-        let p = self.push_reloc(
-            Inst::AluImm { op: AluImmOp::Ori, s1: Dist::of(1), imm: 0 },
-            Some(SReloc::AbsLo(name)),
-        );
-        self.st.pos.insert(Tracked::Val(v), p);
-        Ok(p)
-    }
-
-    fn materialize_slot_addr(&mut self, v: Value, s: straight_ir::SlotId) -> CResult<i64> {
-        self.ensure_fb(2)?;
+    /// The `ADDi` computing a stack slot's address from the frame base.
+    fn slot_addr(&self, s: SlotId) -> CResult<Inst> {
         let dfb = self.dist_to(Tracked::FrameBase)?;
-        let off = self.f.slot_offset(s);
-        let p = self.push(Inst::AluImm { op: AluImmOp::Addi, s1: dfb, imm: off as i16 });
-        self.st.pos.insert(Tracked::Val(v), p);
-        Ok(p)
+        Ok(Inst::AluImm { op: AluImmOp::Addi, s1: dfb, imm: self.f.slot_offset(s) as i16 })
     }
 
     // ---------------------------------------------------------------
@@ -558,63 +584,45 @@ impl<'a> FnEmitter<'a> {
     }
 
     fn lower_bin(&mut self, v: Value, op: BinOp, a: Value, b: Value) -> CResult<()> {
-        if let Some(plan) = self.bin_single_plan(op, a, b) {
-            let p = match plan {
-                BinPlan::Imm { op: iop, a: pa, imm } => {
-                    let da = self.read1(pa)?;
-                    // The folded constant operand's IR use must still
-                    // be consumed for liveness bookkeeping.
-                    for orig in [a, b] {
-                        if orig != pa {
-                            self.consume_use(orig);
-                        }
+        let inst = match self.bin_single_plan(op, a, b) {
+            Some(BinPlan::Imm { op: iop, a: pa, imm }) => {
+                let da = self.read1(pa)?;
+                // The folded constant operand's IR use must still
+                // be consumed for liveness bookkeeping.
+                for orig in [a, b] {
+                    if orig != pa {
+                        self.consume_use(orig);
                     }
-                    self.push(Inst::AluImm { op: iop, s1: da, imm })
                 }
-                BinPlan::Reg { op: rop, a: pa, b: pb } => {
-                    let (da, db) = self.read2(pa, pb)?;
-                    self.push(Inst::Alu { op: rop, s1: da, s2: db })
+                Inst::AluImm { op: iop, s1: da, imm }
+            }
+            Some(BinPlan::Reg { op: rop, a: pa, b: pb }) => {
+                let (da, db) = self.read2(pa, pb)?;
+                Inst::Alu { op: rop, s1: da, s2: db }
+            }
+            // Two-instruction comparisons: one compare, then a fix-up
+            // turning its result into the 0/1 answer.
+            None => {
+                use BinOp::*;
+                let (cmp, swap) = match op {
+                    Eq | Ne => (AluOp::Xor, false),
+                    SLe => (AluOp::Slt, true),
+                    SGe => (AluOp::Slt, false),
+                    ULe => (AluOp::Sltu, true),
+                    UGe => (AluOp::Sltu, false),
+                    _ => return internal(format!("unexpected two-inst op {op}")),
+                };
+                let (da, db) = self.read2(a, b)?;
+                let (s1, s2) = if swap { (db, da) } else { (da, db) };
+                self.push(Inst::Alu { op: cmp, s1, s2 });
+                match op {
+                    Eq => Inst::AluImm { op: AluImmOp::Sltiu, s1: Dist::of(1), imm: 1 }, // x == 0
+                    Ne => Inst::Alu { op: AluOp::Sltu, s1: Dist::ZERO, s2: Dist::of(1) }, // 0 <u x
+                    _ => Inst::AluImm { op: AluImmOp::Xori, s1: Dist::of(1), imm: 1 },   // !x
                 }
-            };
-            self.st.pos.insert(Tracked::Val(v), p);
-            return Ok(());
-        }
-        // Two-instruction comparisons.
-        use BinOp::*;
-        let p = match op {
-            Eq => {
-                let (da, db) = self.read2(a, b)?;
-                self.push(Inst::Alu { op: AluOp::Xor, s1: da, s2: db });
-                self.push(Inst::AluImm { op: AluImmOp::Sltiu, s1: Dist::of(1), imm: 1 })
             }
-            Ne => {
-                let (da, db) = self.read2(a, b)?;
-                self.push(Inst::Alu { op: AluOp::Xor, s1: da, s2: db });
-                self.push(Inst::Alu { op: AluOp::Sltu, s1: Dist::ZERO, s2: Dist::of(1) })
-            }
-            SLe => {
-                let (da, db) = self.read2(a, b)?;
-                self.push(Inst::Alu { op: AluOp::Slt, s1: db, s2: da });
-                self.push(Inst::AluImm { op: AluImmOp::Xori, s1: Dist::of(1), imm: 1 })
-            }
-            SGe => {
-                let (da, db) = self.read2(a, b)?;
-                self.push(Inst::Alu { op: AluOp::Slt, s1: da, s2: db });
-                self.push(Inst::AluImm { op: AluImmOp::Xori, s1: Dist::of(1), imm: 1 })
-            }
-            ULe => {
-                let (da, db) = self.read2(a, b)?;
-                self.push(Inst::Alu { op: AluOp::Sltu, s1: db, s2: da });
-                self.push(Inst::AluImm { op: AluImmOp::Xori, s1: Dist::of(1), imm: 1 })
-            }
-            UGe => {
-                let (da, db) = self.read2(a, b)?;
-                self.push(Inst::Alu { op: AluOp::Sltu, s1: da, s2: db });
-                self.push(Inst::AluImm { op: AluImmOp::Xori, s1: Dist::of(1), imm: 1 })
-            }
-            _ => return internal(format!("unexpected two-inst op {op}")),
         };
-        self.st.pos.insert(Tracked::Val(v), p);
+        self.def(Tracked::Val(v), inst);
         Ok(())
     }
 
@@ -642,7 +650,7 @@ impl<'a> FnEmitter<'a> {
                 self.lower_value(v, &inst)?;
                 self.age_sweep()?;
             }
-            self.emit_terminator(b, i)?;
+            self.emit_terminator(b)?;
         }
         Ok(())
     }
@@ -669,10 +677,8 @@ impl<'a> FnEmitter<'a> {
         }
         // Frame allocation (size patched once spills are known).
         if !self.skip_frame {
-            let idx = self.items.len();
-            let p = self.push(Inst::SpAdd { imm: 0 });
-            self.spadd_fixups.push((idx, -1));
-            self.st.pos.insert(Tracked::FrameBase, p);
+            self.spadd_fixups.push((self.items.len(), -1));
+            self.def(Tracked::FrameBase, Inst::SpAdd { imm: 0 });
         }
         // RE+ keeps the return address in the stack from the start
         // (Figure 10c stores _RETADDR in the prologue).
@@ -717,12 +723,12 @@ impl<'a> FnEmitter<'a> {
         let sources = self.resolve_slots(b, succ, frame)?;
         let mut occurrence: HashMap<Value, u32> = HashMap::new();
         for (_, src) in &sources {
-            if let ResolvedSrc::Val(u) = src {
+            if let Tracked::Val(u) = src {
                 *occurrence.entry(*u).or_insert(0) += 1;
             }
         }
         for (_, src) in &sources {
-            let ResolvedSrc::Val(u) = src else { continue };
+            let Tracked::Val(u) = src else { continue };
             let u = *u;
             if occurrence[&u] != 1 {
                 continue;
@@ -746,62 +752,41 @@ impl<'a> FnEmitter<'a> {
     }
 
     fn lower_value(&mut self, v: Value, inst: &InstData) -> CResult<()> {
-        match inst {
-            InstData::Param(_) => Ok(()), // positions preset in the prologue
-            InstData::Const(0) => Ok(()), // the zero register
-            InstData::Const(c) => {
-                self.materialize_const(v, *c)?;
-                Ok(())
+        let inst = match *inst {
+            InstData::Param(_) => return Ok(()), // positions preset in the prologue
+            InstData::Const(0) => return Ok(()), // the zero register
+            InstData::Const(_) | InstData::GlobalAddr(_) | InstData::SlotAddr(_) => {
+                return self.rematerialize(v)
             }
-            InstData::Bin { op, a, b } => self.lower_bin(v, *op, *a, *b),
-            InstData::Load { width, addr } => {
-                let da = self.read1(*addr)?;
-                let p = self.push(Inst::Ld { width: *width, addr: da, offset: 0 });
-                self.st.pos.insert(Tracked::Val(v), p);
-                Ok(())
-            }
+            InstData::Bin { op, a, b } => return self.lower_bin(v, op, a, b),
+            InstData::Load { width, addr } => Inst::Ld { width, addr: self.read1(addr)?, offset: 0 },
             InstData::Store { width, val, addr } => {
-                let (dv, da) = self.read2(*val, *addr)?;
-                let p = self.push(Inst::St { width: *width, val: dv, addr: da });
-                self.st.pos.insert(Tracked::Val(v), p);
-                Ok(())
+                let (dv, da) = self.read2(val, addr)?;
+                Inst::St { width, val: dv, addr: da }
             }
-            InstData::Call { callee, args } => self.lower_call(v, callee, args),
-            InstData::Sys { op, args } => {
-                let da = self.read1(args[0])?;
-                let p = self.push(Inst::Sys { code: op.code(), s: da });
-                self.st.pos.insert(Tracked::Val(v), p);
-                Ok(())
-            }
-            InstData::GlobalAddr(g) => {
-                self.materialize_global(v, *g)?;
-                Ok(())
-            }
-            InstData::SlotAddr(s) => {
-                self.materialize_slot_addr(v, *s)?;
-                Ok(())
-            }
-            InstData::Phi(_) => internal("phi reached lower_value"),
-            InstData::Copy(_) => internal("unresolved copy in codegen"),
-        }
+            InstData::Call { ref callee, ref args } => return self.lower_call(v, callee, args),
+            InstData::Sys { op, ref args } => Inst::Sys { code: op.code(), s: self.read1(args[0])? },
+            InstData::Phi(_) => return internal("phi reached lower_value"),
+            InstData::Copy(_) => return internal("unresolved copy in codegen"),
+        };
+        self.def(Tracked::Val(v), inst);
+        Ok(())
     }
 
     /// Calls: spill live values (their post-call distances are
     /// unknowable), arrange argument producers immediately before
     /// `JAL`, then resume with only the return value tracked.
     fn lower_call(&mut self, v: Value, callee: &str, args: &[Value]) -> CResult<()> {
-        // 1. Values needed after the call on this path must be in the
-        //    stack frame.
+        // 1. Values still needed on this path must be in the stack
+        //    frame. This call's own uses of its arguments are consumed
+        //    only after the shuffle below, so every argument counts as
+        //    needed: each one that is not re-materializable is stored
+        //    too, whether or not it is used after the call.
         let mut to_spill: Vec<Tracked> = Vec::new();
         for (&t, _) in self.st.pos.clone().iter() {
             match t {
                 Tracked::Val(u) => {
-                    let needed_after = self.needed(u) || args.contains(&u);
-                    // Arguments are consumed by the shuffle below, so
-                    // only spill them if used again later.
-                    let needed_later = self.needed(u);
-                    if needed_after && needed_later && !self.st.spilled.contains(&t) && !self.is_rematerializable(u)
-                    {
+                    if self.needed(u) && !self.st.spilled.contains(&t) && !self.is_rematerializable(u) {
                         to_spill.push(t);
                     }
                 }
@@ -824,8 +809,7 @@ impl<'a> FnEmitter<'a> {
         }
         // 2. Argument producers in convention order: arg0 first, the
         //    last argument immediately before JAL.
-        let slots: Vec<(SlotKey, ResolvedSrc)> =
-            args.iter().map(|&a| (SlotKey::ArgCopy, ResolvedSrc::Val(a))).collect();
+        let slots: Vec<Slot> = args.iter().map(|&a| (None, Tracked::Val(a))).collect();
         self.emit_slot_sequence(&slots)?;
         for &a in args {
             self.consume_use(a);
@@ -845,30 +829,26 @@ impl<'a> FnEmitter<'a> {
     // ---------------------------------------------------------------
     // Frames / shuffles.
 
-    fn resolve_slots(
-        &self,
-        pred: Block,
-        succ: Block,
-        frame: &[SlotSrc],
-    ) -> CResult<Vec<(SlotKey, ResolvedSrc)>> {
+    /// The slots the edge `pred -> succ` fills: each frame member,
+    /// copied from itself or, for a phi of `succ`, from its input on
+    /// this edge.
+    fn resolve_slots(&self, pred: Block, succ: Block, frame: &[SlotSrc]) -> CResult<Vec<Slot>> {
         let mut out = Vec::with_capacity(frame.len());
-        for slot in frame {
-            match *slot {
-                SlotSrc::RetAddr => out.push((SlotKey::Tracked(Tracked::RetAddr), ResolvedSrc::RetAddr)),
-                SlotSrc::Val(v) => {
-                    if let InstData::Phi(phi_args) = self.f.inst(v) {
-                        if self.def_block.get(&v) == Some(&succ) {
-                            let (_, u) = phi_args
-                                .iter()
-                                .find(|(p, _)| *p == pred)
-                                .ok_or_else(|| CodegenError::Internal(format!("phi {v} missing edge {pred}")))?;
-                            out.push((SlotKey::Tracked(Tracked::Val(v)), ResolvedSrc::Val(*u)));
-                            continue;
-                        }
+        for &slot in frame {
+            let key = Tracked::from(slot);
+            let mut src = key;
+            if let SlotSrc::Val(v) = slot {
+                if let InstData::Phi(phi_args) = self.f.inst(v) {
+                    if self.def_block.get(&v) == Some(&succ) {
+                        let (_, u) = phi_args
+                            .iter()
+                            .find(|(p, _)| *p == pred)
+                            .ok_or_else(|| CodegenError::Internal(format!("phi {v} missing edge {pred}")))?;
+                        src = Tracked::Val(*u);
                     }
-                    out.push((SlotKey::Tracked(Tracked::Val(v)), ResolvedSrc::Val(v)));
                 }
             }
+            out.push((Some(key), src));
         }
         Ok(out)
     }
@@ -877,10 +857,10 @@ impl<'a> FnEmitter<'a> {
     /// one per slot (a merge-frame shuffle or a call-argument
     /// arrangement). Performs the pre-pass that guarantees every
     /// source is producible by exactly one instruction within the
-    /// distance bound, then emits with snapshot positions (slot
-    /// producers read pre-shuffle values, which makes phi permutations
-    /// correct).
-    fn emit_slot_sequence(&mut self, slots: &[(SlotKey, ResolvedSrc)]) -> CResult<()> {
+    /// distance bound, then emits them; positions are updated only
+    /// after the whole sequence, so slot producers read pre-shuffle
+    /// values (which makes phi permutations correct).
+    fn emit_slot_sequence(&mut self, slots: &[Slot]) -> CResult<()> {
         let k = slots.len() as i64;
         if k >= self.maxd() - 12 {
             return Err(CodegenError::FrameTooLarge {
@@ -890,160 +870,101 @@ impl<'a> FnEmitter<'a> {
                 needs: needs_at_least(k + 13),
             });
         }
-        // Pre-pass: make every source producible in one instruction.
+        // Pre-pass: make every source producible in one instruction
+        // that still reaches its input from the last slot.
+        let reach = k + 2;
         for round in 0..16 {
             let len_before = self.items.len();
-            let mut emitted = false;
-            for (_, src) in slots {
-                match *src {
-                    ResolvedSrc::RetAddr => {
-                        let t = Tracked::RetAddr;
-                        if let Some(&p) = self.st.pos.get(&t) {
-                            if self.st.cur + k - p > self.maxd() - 2 {
-                                self.relay(t)?;
-                                emitted = true;
+            for &(_, src) in slots {
+                match src {
+                    Tracked::Val(u) if self.is_zero_const(u) => {}
+                    Tracked::Val(u) if self.sink_set.contains(&u) => {
+                        // Operands of the sunk producer must be close.
+                        for op in self.operands_of(u) {
+                            if self.is_zero_const(op) {
+                                continue;
                             }
-                        } else if self.st.spilled.contains(&t) {
-                            // LD in slot needs the frame base close.
-                            if self.fb_needs_refresh(k) {
-                                self.ensure_fb(k + 4)?;
-                                emitted = true;
+                            self.ensure_val(op, 4)?;
+                            if !self.within(Tracked::Val(op), reach) {
+                                self.relay(Tracked::Val(op))?;
                             }
-                        } else {
-                            return internal("return address neither tracked nor spilled");
+                        }
+                        if matches!(self.f.inst(u), InstData::SlotAddr(_))
+                            && !self.within(Tracked::FrameBase, reach)
+                        {
+                            self.ensure_fb(k + 4)?;
                         }
                     }
-                    ResolvedSrc::Val(u) => {
-                        if self.is_zero_const(u) {
-                            continue;
-                        }
-                        if self.sink_set.contains(&u) {
-                            // Operands of the sunk producer must be close.
-                            let ops = self.operands_of(u);
-                            for op in ops {
-                                if self.is_zero_const(op) {
-                                    continue;
-                                }
-                                self.ensure_val(op, 4)?;
-                                if let Some(&p) = self.st.pos.get(&Tracked::Val(op)) {
-                                    if self.st.cur + k - p > self.maxd() - 2 {
-                                        self.relay(Tracked::Val(op))?;
-                                        emitted = true;
-                                    }
-                                }
-                            }
-                            if matches!(self.f.inst(u), InstData::SlotAddr(_)) && self.fb_needs_refresh(k) {
-                                self.ensure_fb(k + 4)?;
-                                emitted = true;
-                            }
-                            continue;
-                        }
-                        let t = Tracked::Val(u);
-                        if let Some(&p) = self.st.pos.get(&t) {
-                            if self.st.cur + k - p > self.maxd() - 2 {
-                                self.relay(t)?;
-                                emitted = true;
-                            }
-                        } else if self.st.spilled.contains(&t) {
-                            if self.fb_needs_refresh(k) {
-                                self.ensure_fb(k + 4)?;
-                                emitted = true;
-                            }
-                        } else if let InstData::Const(c) = self.f.inst(u) {
-                            if !(-32768..=32767).contains(c) {
-                                self.materialize_const(u, *c)?;
-                                emitted = true;
-                            }
-                        } else if self.is_rematerializable(u) {
-                            self.ensure_val(u, k + 4)?;
-                            emitted = true;
-                        } else {
-                            return internal(format!("slot source {u} unavailable in {}", self.f.name));
+                    _ if self.st.pos.contains_key(&src) => {
+                        if !self.within(src, reach) {
+                            self.relay(src)?;
                         }
                     }
+                    // LD in slot needs the frame base close.
+                    _ if self.st.spilled.contains(&src) => {
+                        if !self.within(Tracked::FrameBase, reach) {
+                            self.ensure_fb(k + 4)?;
+                        }
+                    }
+                    // Re-emit constants and addresses ahead of the
+                    // sequence, except a small constant: its slot's
+                    // `ADDi` produces it.
+                    Tracked::Val(u) if self.is_rematerializable(u) => {
+                        if self.imm_const(u).is_none() {
+                            self.rematerialize(u)?;
+                        }
+                    }
+                    _ => return internal(format!("slot source {src:?} unavailable in {}", self.f.name)),
                 }
             }
-            emitted = emitted || self.items.len() != len_before;
-            if !emitted {
+            if self.items.len() == len_before {
                 break;
             }
             if round == 15 {
                 return internal("slot pre-pass did not converge");
             }
         }
-        // Snapshot and emit exactly one instruction per slot.
-        let maxd = self.maxd();
-        let snap_cur = self.st.cur;
-        let snap_pos = self.st.pos.clone();
-        let dist_from = move |pos_map: &HashMap<Tracked, i64>, t: Tracked, at: i64| -> CResult<Dist> {
-            let p = pos_map
-                .get(&t)
-                .copied()
-                .ok_or_else(|| CodegenError::Internal(format!("snapshot missing {t:?}")))?;
-            let d = at - p;
-            if d < 1 || d > maxd {
-                return internal(format!("slot distance {d} out of range"));
-            }
-            Ok(Dist::of(d as u32))
-        };
-        let mut updates: Vec<(SlotKey, i64)> = Vec::new();
-        for (i, (key, src)) in slots.iter().enumerate() {
-            let at = snap_cur + i as i64;
-            debug_assert_eq!(at, self.st.cur);
-            match *src {
-                ResolvedSrc::RetAddr => {
-                    let t = Tracked::RetAddr;
-                    if snap_pos.contains_key(&t) {
-                        let d = dist_from(&snap_pos, t, at)?;
-                        self.push(Inst::Rmov { s: d });
-                    } else {
-                        let off = self.spill_off[&t];
-                        let dfb = dist_from(&snap_pos, Tracked::FrameBase, at)?;
-                        self.push(Inst::Ld { width: MemWidth::W, addr: dfb, offset: off as i16 });
-                    }
-                }
-                ResolvedSrc::Val(u) => {
-                    if self.is_zero_const(u) {
-                        self.push(Inst::Rmov { s: Dist::ZERO });
-                    } else if self.sink_set.contains(&u) {
-                        self.emit_sunk_single(u, &snap_pos, at)?;
-                        updates.push((SlotKey::Tracked(Tracked::Val(u)), at));
-                    } else if snap_pos.contains_key(&Tracked::Val(u)) {
-                        let d = dist_from(&snap_pos, Tracked::Val(u), at)?;
-                        self.push(Inst::Rmov { s: d });
-                    } else if self.st.spilled.contains(&Tracked::Val(u)) {
-                        let off = self.spill_off[&Tracked::Val(u)];
-                        let dfb = dist_from(&snap_pos, Tracked::FrameBase, at)?;
-                        self.push(Inst::Ld { width: MemWidth::W, addr: dfb, offset: off as i16 });
-                    } else if let InstData::Const(c) = self.f.inst(u) {
-                        self.push(Inst::AluImm { op: AluImmOp::Addi, s1: Dist::ZERO, imm: *c as i16 });
-                    } else {
-                        return internal(format!("slot {u} not producible"));
-                    }
+        // Emit exactly one instruction per slot.
+        let mut updates: Vec<(Tracked, i64)> = Vec::new();
+        for &(key, src) in slots {
+            let p = self.push(self.slot_inst(src)?);
+            if let Tracked::Val(u) = src {
+                if self.sink_set.remove(&u) {
+                    updates.push((src, p));
                 }
             }
-            updates.push((*key, at));
-        }
-        for (key, p) in updates {
-            match key {
-                SlotKey::Tracked(t) => {
-                    self.st.pos.insert(t, p);
-                }
-                SlotKey::ArgCopy => {}
+            if let Some(key) = key {
+                updates.push((key, p));
             }
         }
-        for (_, src) in slots {
-            if let ResolvedSrc::Val(u) = src {
-                self.sink_set.remove(u);
-            }
+        for (t, p) in updates {
+            self.st.pos.insert(t, p);
         }
         Ok(())
     }
 
-    fn fb_needs_refresh(&self, k: i64) -> bool {
-        match self.st.pos.get(&Tracked::FrameBase) {
-            Some(&p) => self.st.cur + k - p > self.maxd() - 2,
-            None => true,
+    /// The one instruction that produces `src` in its slot.
+    fn slot_inst(&self, src: Tracked) -> CResult<Inst> {
+        if let Tracked::Val(u) = src {
+            if self.is_zero_const(u) {
+                return Ok(Inst::Rmov { s: Dist::ZERO });
+            }
+            if self.sink_set.contains(&u) {
+                return self.sunk_inst(u);
+            }
+        }
+        if self.st.pos.contains_key(&src) {
+            return Ok(Inst::Rmov { s: self.dist_to(src)? });
+        }
+        if self.st.spilled.contains(&src) {
+            return self.load(src);
+        }
+        match src {
+            Tracked::Val(u) => match self.imm_const(u) {
+                Some(imm) => Ok(Inst::AluImm { op: AluImmOp::Addi, s1: Dist::ZERO, imm }),
+                None => internal(format!("slot {u} not producible")),
+            },
+            _ => internal(format!("slot {src:?} not producible")),
         }
     }
 
@@ -1053,47 +974,19 @@ impl<'a> FnEmitter<'a> {
         ops
     }
 
-    /// Emits the (single) real producer instruction for a sunk value,
-    /// reading operands via snapshot positions.
-    fn emit_sunk_single(&mut self, u: Value, snap: &HashMap<Tracked, i64>, at: i64) -> CResult<()> {
-        let maxd = self.maxd();
-        let sdist = |t: Tracked| -> CResult<Dist> {
-            let p = snap
-                .get(&t)
-                .copied()
-                .ok_or_else(|| CodegenError::Internal(format!("sunk operand {t:?} missing")))?;
-            let d = at - p;
-            if d < 1 || d > maxd {
-                return internal(format!("sunk operand distance {d} out of range"));
-            }
-            Ok(Dist::of(d as u32))
-        };
-        let inst = match self.f.inst(u).clone() {
-            InstData::Bin { op, a, b } => {
-                let plan = self
-                    .bin_single_plan(op, a, b)
-                    .ok_or_else(|| CodegenError::Internal("sunk value lost its single plan".into()))?;
-                let vdist = |v: Value| -> CResult<Dist> {
-                    if matches!(self.f.inst(v), InstData::Const(0)) {
-                        Ok(Dist::ZERO)
-                    } else {
-                        sdist(Tracked::Val(v))
-                    }
-                };
-                match plan {
-                    BinPlan::Imm { op, a, imm } => Inst::AluImm { op, s1: vdist(a)?, imm },
-                    BinPlan::Reg { op, a, b } => Inst::Alu { op, s1: vdist(a)?, s2: vdist(b)? },
+    /// The (single) real producer instruction of a sunk value.
+    fn sunk_inst(&self, u: Value) -> CResult<Inst> {
+        match *self.f.inst(u) {
+            InstData::Bin { op, a, b } => match self.bin_single_plan(op, a, b) {
+                Some(BinPlan::Imm { op, a, imm }) => Ok(Inst::AluImm { op, s1: self.operand(a)?, imm }),
+                Some(BinPlan::Reg { op, a, b }) => {
+                    Ok(Inst::Alu { op, s1: self.operand(a)?, s2: self.operand(b)? })
                 }
-            }
-            InstData::SlotAddr(s) => {
-                let dfb = sdist(Tracked::FrameBase)?;
-                let off = self.f.slot_offset(s);
-                Inst::AluImm { op: AluImmOp::Addi, s1: dfb, imm: off as i16 }
-            }
-            other => return internal(format!("cannot sink {other:?}")),
-        };
-        self.push(inst);
-        Ok(())
+                None => internal("sunk value lost its single plan"),
+            },
+            InstData::SlotAddr(s) => self.slot_addr(s),
+            ref other => internal(format!("cannot sink {other:?}")),
+        }
     }
 
     /// Entry state of a merge block, defined purely by its frame: the
@@ -1110,12 +1003,8 @@ impl<'a> FnEmitter<'a> {
         let cur = self.vhigh + 16;
         self.vhigh = cur;
         let mut pos = HashMap::new();
-        for (i, slot) in frame.iter().enumerate() {
-            let p = cur - (k - i as i64 + 1);
-            match slot {
-                SlotSrc::RetAddr => pos.insert(Tracked::RetAddr, p),
-                SlotSrc::Val(v) => pos.insert(Tracked::Val(*v), p),
-            };
+        for (i, &slot) in frame.iter().enumerate() {
+            pos.insert(Tracked::from(slot), cur - (k - i as i64 + 1));
         }
         let mut spilled: HashSet<Tracked> = self.merge_spills.get(&b).cloned().unwrap_or_default();
         if self.prologue_spilled_retaddr {
@@ -1136,86 +1025,73 @@ impl<'a> FnEmitter<'a> {
         self.order_idx.get(&b).and_then(|i| self.order.get(i + 1)) == Some(&t)
     }
 
-    fn emit_terminator(&mut self, b: Block, _idx: usize) -> CResult<()> {
+    /// Ends `b` with a `J` to `t` unless `t` is laid out next; returns
+    /// whether it emitted the `J`.
+    fn jump(&mut self, b: Block, t: Block) -> bool {
+        let far = !self.next_in_layout(b, t);
+        if far {
+            self.push_branch(Inst::J { offset: 0 }, t);
+        }
+        far
+    }
+
+    fn emit_terminator(&mut self, b: Block) -> CResult<()> {
         match self.f.block(b).term.clone() {
             Terminator::Br(t) => {
-                if let Some(frame) = self.info.frames.get(&t).cloned() {
-                    // Spill values that become stack-resident in the
-                    // target region (loop entry edges).
-                    if let Some(res) = self.info.stack_resident.get(&t).cloned() {
-                        let mut vs: Vec<Value> = res
-                            .into_iter()
-                            .filter(|v| self.live.live_out(b).contains(v))
-                            .collect();
-                        vs.sort_unstable();
-                        for v in vs {
-                            if self.is_zero_const(v) || self.is_rematerializable(v) {
-                                continue;
-                            }
-                            if !self.st.spilled.contains(&Tracked::Val(v)) {
-                                self.ensure_val(v, 8)?;
-                                self.spill(Tracked::Val(v))?;
-                                self.age_sweep()?;
-                            }
-                        }
-                    }
-                    let slots = self.resolve_slots(b, t, &frame)?;
-                    self.emit_slot_sequence(&slots)?;
-                    // Record the spill facts this edge provides; the
-                    // merge keeps the intersection over its edges.
-                    match self.merge_spills.entry(t) {
-                        std::collections::hash_map::Entry::Occupied(mut o) => {
-                            let inter: HashSet<Tracked> =
-                                o.get().intersection(&self.st.spilled).copied().collect();
-                            *o.get_mut() = inter;
-                        }
-                        std::collections::hash_map::Entry::Vacant(v) => {
-                            v.insert(self.st.spilled.clone());
-                        }
-                    }
-                    // Exactly one trailing control instruction.
-                    if self.next_in_layout(b, t) {
-                        self.push(Inst::Nop);
-                    } else {
-                        self.push_reloc(Inst::J { offset: 0 }, Some(SReloc::BranchTo(Self::label_name(t))));
-                    }
-                } else {
+                let Some(frame) = self.info.frames.get(&t).cloned() else {
                     // Single-predecessor target: pass the state along.
-                    if !self.next_in_layout(b, t) {
-                        self.push_reloc(Inst::J { offset: 0 }, Some(SReloc::BranchTo(Self::label_name(t))));
-                    }
+                    self.jump(b, t);
                     self.in_states.insert(t, self.st.clone());
+                    return Ok(());
+                };
+                // Spill values that become stack-resident in the
+                // target region (loop entry edges).
+                if let Some(res) = self.info.stack_resident.get(&t).cloned() {
+                    let mut vs: Vec<Value> =
+                        res.into_iter().filter(|v| self.live.live_out(b).contains(v)).collect();
+                    vs.sort_unstable();
+                    for v in vs {
+                        if self.is_zero_const(v) || self.is_rematerializable(v) {
+                            continue;
+                        }
+                        if !self.st.spilled.contains(&Tracked::Val(v)) {
+                            self.ensure_val(v, 8)?;
+                            self.spill(Tracked::Val(v))?;
+                            self.age_sweep()?;
+                        }
+                    }
+                }
+                let slots = self.resolve_slots(b, t, &frame)?;
+                self.emit_slot_sequence(&slots)?;
+                // Record the spill facts this edge provides; the
+                // merge keeps the intersection over its edges.
+                let spilled = &self.st.spilled;
+                self.merge_spills
+                    .entry(t)
+                    .and_modify(|s| s.retain(|x| spilled.contains(x)))
+                    .or_insert_with(|| spilled.clone());
+                // Exactly one trailing control instruction.
+                if !self.jump(b, t) {
+                    self.push(Inst::Nop);
                 }
                 Ok(())
             }
             Terminator::CondBr { cond, then_bb, else_bb } => {
                 let d = self.read1(cond)?;
                 // After critical-edge splitting both successors have a
-                // single predecessor: no shuffles on these edges.
-                if self.next_in_layout(b, else_bb) {
-                    self.push_reloc(
-                        Inst::Bnz { s: d, offset: 0 },
-                        Some(SReloc::BranchTo(Self::label_name(then_bb))),
-                    );
-                    self.in_states.insert(then_bb, self.st.clone());
-                    self.in_states.insert(else_bb, self.st.clone());
-                } else if self.next_in_layout(b, then_bb) {
-                    self.push_reloc(
-                        Inst::Bez { s: d, offset: 0 },
-                        Some(SReloc::BranchTo(Self::label_name(else_bb))),
-                    );
-                    self.in_states.insert(then_bb, self.st.clone());
-                    self.in_states.insert(else_bb, self.st.clone());
+                // single predecessor: no shuffles on these edges. The
+                // branch targets one successor; the other is reached
+                // by falling through or by a `J` after the branch, and
+                // each path sees only the instructions it executes.
+                let (branch, taken, fall) = if self.next_in_layout(b, else_bb) {
+                    (Inst::Bnz { s: d, offset: 0 }, then_bb, else_bb)
                 } else {
-                    self.push_reloc(
-                        Inst::Bez { s: d, offset: 0 },
-                        Some(SReloc::BranchTo(Self::label_name(else_bb))),
-                    );
-                    // Taken path sees only the BEZ.
-                    self.in_states.insert(else_bb, self.st.clone());
-                    self.push_reloc(Inst::J { offset: 0 }, Some(SReloc::BranchTo(Self::label_name(then_bb))));
-                    self.in_states.insert(then_bb, self.st.clone());
-                }
+                    (Inst::Bez { s: d, offset: 0 }, else_bb, then_bb)
+                };
+                self.push_branch(branch, taken);
+                self.in_states.insert(taken, self.st.clone());
+                self.jump(b, fall);
+                self.in_states.insert(fall, self.st.clone());
                 Ok(())
             }
             Terminator::Ret(v) => {
@@ -1228,24 +1104,21 @@ impl<'a> FnEmitter<'a> {
                     }
                 }
                 if let Some(v) = v {
-                    if !self.is_zero_const(v) {
-                        self.ensure_val(v, 6)?;
-                    }
+                    self.ensure_val(v, 6)?;
                     self.consume_use(v);
                 }
                 // Restore SP.
                 if !self.skip_frame {
-                    let idx = self.items.len();
+                    self.spadd_fixups.push((self.items.len(), 1));
                     self.push(Inst::SpAdd { imm: 0 });
-                    self.spadd_fixups.push((idx, 1));
                 }
                 // retval0 immediately before JR.
                 if self.f.returns_value {
-                    let d = match v {
-                        Some(v) if !self.is_zero_const(v) => self.dist_to(Tracked::Val(v))?,
-                        _ => Dist::ZERO,
+                    let s = match v {
+                        Some(v) => self.operand(v)?,
+                        None => Dist::ZERO,
                     };
-                    self.push(Inst::Rmov { s: d });
+                    self.push(Inst::Rmov { s });
                 }
                 let dra = self.dist_to(Tracked::RetAddr)?;
                 self.push(Inst::Jr { s: dra });
@@ -1256,27 +1129,9 @@ impl<'a> FnEmitter<'a> {
     }
 }
 
-/// How a slot's new producer position is recorded.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum SlotKey {
-    /// A frame member: refresh this tracked position.
-    Tracked(Tracked),
-    /// A call argument: the copy is consumed by the callee, nothing to
-    /// track.
-    ArgCopy,
-}
-
-/// Where a slot's value comes from on the current edge.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum ResolvedSrc {
-    Val(Value),
-    RetAddr,
-}
-
 /// A single-instruction plan for a binary operation.
 #[derive(Debug, Clone, Copy)]
 enum BinPlan {
     Imm { op: AluImmOp, a: Value, imm: i16 },
     Reg { op: AluOp, a: Value, b: Value },
 }
-

@@ -622,7 +622,6 @@ impl Batch {
 pub struct LabSessionBuilder {
     jobs: usize,
     out_dir: Option<PathBuf>,
-    git_rev: Option<String>,
     record_cache: Option<Arc<dyn RecordCache>>,
     chaos_panic_cell: Option<String>,
 }
@@ -642,13 +641,6 @@ impl LabSessionBuilder {
     #[must_use]
     pub fn out_dir(mut self, dir: Option<PathBuf>) -> LabSessionBuilder {
         self.out_dir = dir;
-        self
-    }
-
-    /// Overrides the recorded git revision (defaults to [`git_rev`]).
-    #[must_use]
-    pub fn git_rev(mut self, rev: impl Into<String>) -> LabSessionBuilder {
-        self.git_rev = Some(rev.into());
         self
     }
 
@@ -691,7 +683,7 @@ impl LabSessionBuilder {
                 shutdown: false,
             }),
             available: Condvar::new(),
-            git_rev: self.git_rev.unwrap_or_else(git_rev),
+            git_rev: git_rev(),
             record_cache: self.record_cache,
             panics: AtomicU64::new(0),
             chaos_panic_cell: self.chaos_panic_cell,
@@ -759,7 +751,6 @@ impl LabSession {
         LabSessionBuilder {
             jobs: default_jobs(),
             out_dir: None,
-            git_rev: None,
             record_cache: None,
             chaos_panic_cell: None,
         }

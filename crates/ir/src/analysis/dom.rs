@@ -7,7 +7,6 @@ pub struct Dominators {
     /// Immediate dominator per block; `idom[entry] == entry`;
     /// `None` for unreachable blocks.
     idom: Vec<Option<Block>>,
-    rpo_index: Vec<usize>,
 }
 
 impl Dominators {
@@ -44,7 +43,7 @@ impl Dominators {
                 }
             }
         }
-        Dominators { idom, rpo_index }
+        Dominators { idom }
     }
 
     fn intersect(idom: &[Option<Block>], rpo_index: &[usize], mut a: Block, mut b: Block) -> Block {
@@ -77,12 +76,6 @@ impl Dominators {
                 _ => return false,
             }
         }
-    }
-
-    /// RPO position of a block (`usize::MAX` when unreachable).
-    #[must_use]
-    pub fn rpo_index(&self, b: Block) -> usize {
-        self.rpo_index[b.index()]
     }
 }
 

@@ -15,6 +15,8 @@ for example in quickstart rapid_recovery straight_assembly distance_profile; do
     cargo run --release -q -p straight-core --example "$example" > /dev/null
 done
 
+# Includes straight-bench's seeded chaos suite (store corruption,
+# SIGKILL restarts, panic injection).
 cargo test --workspace -q
 cargo clippy --workspace --all-targets -- -D warnings
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
@@ -110,13 +112,18 @@ EOF
 # through `straight-lab --remote`, and require the fetched record to be
 # byte-identical (after normalization) to the in-process one above.
 SOCK="$SMOKE_DIR/straightd.sock"
+# Waits up to 10 s for a starting daemon's socket; fails if it never
+# appears.
+wait_for_socket() {
+    for _ in $(seq 1 100); do
+        [ -S "$1" ] && return 0
+        sleep 0.1
+    done
+    test -S "$1"
+}
 target/release/straightd --listen "$SOCK" --jobs 2 &
 STRAIGHTD_PID=$!
-for _ in $(seq 1 100); do
-    [ -S "$SOCK" ] && break
-    sleep 0.1
-done
-test -S "$SOCK"
+wait_for_socket "$SOCK"
 target/release/straight-lab --remote "$SOCK" --figure fig11 --quick --quiet \
     --out "$SMOKE_DIR/remote"
 target/release/straight-lab --normalize "$SMOKE_DIR/BENCH_fig11.json" \
@@ -140,10 +147,7 @@ STRAIGHTD_PID=""
 STORE="$SMOKE_DIR/store"
 target/release/straightd --listen "$SOCK" --jobs 2 --store "$STORE" &
 STRAIGHTD_PID=$!
-for _ in $(seq 1 100); do
-    [ -S "$SOCK" ] && break
-    sleep 0.1
-done
+wait_for_socket "$SOCK"
 # Kick off work, then SIGKILL the daemon mid-run; the client is
 # expected to fail — only the store's integrity matters here.
 target/release/straight-lab --remote "$SOCK" --figure fig11 --quiet --no-write \
@@ -159,10 +163,7 @@ STRAIGHTD_PID=""
 # torn (typically nothing: writes are atomic), then serve the figure.
 target/release/straightd --listen "$SOCK" --jobs 2 --store "$STORE" &
 STRAIGHTD_PID=$!
-for _ in $(seq 1 100); do
-    [ -S "$SOCK" ] && break
-    sleep 0.1
-done
+wait_for_socket "$SOCK"
 target/release/straight-lab --remote "$SOCK" --figure fig11 --quick --quiet \
     --remote-retries 6 --out "$SMOKE_DIR/recovered"
 target/release/straight-lab --normalize "$SMOKE_DIR/recovered/BENCH_fig11.json" \
@@ -177,10 +178,7 @@ kill -TERM "$STRAIGHTD_PID"
 wait "$STRAIGHTD_PID"
 target/release/straightd --listen "$SOCK" --jobs 2 --store "$STORE" &
 STRAIGHTD_PID=$!
-for _ in $(seq 1 100); do
-    [ -S "$SOCK" ] && break
-    sleep 0.1
-done
+wait_for_socket "$SOCK"
 target/release/straight-lab --remote "$SOCK" --figure fig11 --quick --quiet --no-write
 target/release/straight-lab --remote "$SOCK" --stats > "$SMOKE_DIR/stats.json"
 RUN_CAPACITY=$(sed -n 's/^pub const RUN_CAPACITY: usize = \([0-9]*\);$/\1/p' crates/core/src/lab.rs)
@@ -225,7 +223,3 @@ EOF
 kill -TERM "$STRAIGHTD_PID"
 wait "$STRAIGHTD_PID"
 STRAIGHTD_PID=""
-
-# The seeded chaos suite (store corruption, SIGKILL restarts, panic
-# injection) must pass deterministically.
-cargo test -p straight-bench --test chaos -q
