@@ -5,11 +5,14 @@
 //! linker, and a cycle-accurate simulator"; this crate is the
 //! assembler + linker).
 //!
-//! The compiler back-ends emit symbolic [`SProgram`]/[`RvProgram`]
-//! objects (instructions with pending [`SReloc`]/[`RvReloc`]
-//! relocations); [`link_straight`]/[`link_riscv`] lay out code and
-//! data, synthesize the `_start` stub, resolve relocations, and encode
-//! an executable [`Image`] the emulators and cycle simulators load.
+//! The compiler back-ends emit symbolic objects: one [`Program`] shape
+//! over an ISA's instruction and relocation types, named
+//! [`SProgram`]/[`RvProgram`] (instructions with pending
+//! [`SReloc`]/[`RvReloc`] relocations). [`link_straight`] and
+//! [`link_riscv`] run one link driver with the ISA's `_start` stub,
+//! relocation patcher and encoder: it lays out code and data, resolves
+//! relocations, and encodes an executable [`Image`] the emulators and
+//! cycle simulators load.
 //! A textual STRAIGHT assembler ([`parse_straight_asm`]) accepts the
 //! paper's syntax (`ADD [1] [2]`, `BEZ [1] label`, ...).
 //!
@@ -39,5 +42,7 @@ mod text;
 
 pub use image::{Image, ImageIsa, CODE_BASE, MEM_SIZE, STACK_TOP};
 pub use link::{abi, link_riscv, link_straight, LinkError};
-pub use object::{DataItem, RvFunc, RvItem, RvProgram, RvReloc, SFunc, SItem, SProgram, SReloc};
+pub use object::{
+    DataItem, Func, Item, Program, RvFunc, RvItem, RvProgram, RvReloc, SFunc, SItem, SProgram, SReloc,
+};
 pub use text::{parse_straight_asm, AsmError};

@@ -8,7 +8,7 @@ use straight_riscv::{Reg, RvInst};
 
 use crate::{
     image::{Image, ImageIsa, CODE_BASE},
-    object::{RvFunc, RvItem, RvProgram, RvReloc, SFunc, SItem, SProgram, SReloc},
+    object::{Func, Program, RvFunc, RvItem, RvProgram, RvReloc, SFunc, SItem, SProgram, SReloc},
 };
 
 /// Environment-service codes shared by both ISAs (`SYS code` /
@@ -90,57 +90,9 @@ fn riscv_start_stub() -> RvFunc {
     }
 }
 
-struct Layout {
-    symbols: HashMap<String, u32>,
-    func_bases: Vec<u32>,
-    data_base: u32,
-    data: Vec<u8>,
-}
-
-fn layout(
-    func_names: &[&str],
-    func_lens: &[usize],
-    func_labels: &[&[(String, usize)]],
-    data: &[crate::DataItem],
-) -> Result<Layout, LinkError> {
-    let mut symbols = HashMap::new();
-    let mut func_bases = Vec::with_capacity(func_lens.len());
-    let mut cursor = CODE_BASE;
-    for ((name, len), labels) in func_names.iter().zip(func_lens).zip(func_labels) {
-        if symbols.insert((*name).to_string(), cursor).is_some() {
-            return Err(LinkError::Duplicate((*name).to_string()));
-        }
-        func_bases.push(cursor);
-        for (label, idx) in labels.iter() {
-            let addr = cursor + (*idx as u32) * 4;
-            if symbols.insert(format!("{name}.{label}"), addr).is_some() {
-                return Err(LinkError::Duplicate(format!("{name}.{label}")));
-            }
-        }
-        cursor += (*len as u32) * 4;
-    }
-    let data_base = cursor.next_multiple_of(0x100);
-    let mut bytes = Vec::new();
-    for d in data {
-        let pad = (data_base + bytes.len() as u32).next_multiple_of(d.align.max(1)) - (data_base + bytes.len() as u32);
-        bytes.extend(std::iter::repeat_n(0, pad as usize));
-        let addr = data_base + bytes.len() as u32;
-        if symbols.insert(d.name.clone(), addr).is_some() {
-            return Err(LinkError::Duplicate(d.name.clone()));
-        }
-        bytes.extend_from_slice(&d.init);
-        bytes.extend(std::iter::repeat_n(0, (d.size as usize).saturating_sub(d.init.len())));
-    }
-    Ok(Layout { symbols, func_bases, data_base, data: bytes })
-}
-
-fn resolve(symbols: &HashMap<String, u32>, func: &str, target: &str) -> Result<u32, LinkError> {
-    symbols
-        .get(&format!("{func}.{target}"))
-        .or_else(|| symbols.get(target))
-        .copied()
-        .ok_or_else(|| LinkError::Undefined(target.to_string()))
-}
+/// Resolves a relocation's symbol to its address: a label of the
+/// function being linked first, then a global symbol.
+type Resolve<'a> = dyn Fn(&str) -> Result<u32, LinkError> + 'a;
 
 /// Links a STRAIGHT program into an executable image.
 ///
@@ -149,70 +101,7 @@ fn resolve(symbols: &HashMap<String, u32>, func: &str, target: &str) -> Result<u
 /// Returns [`LinkError`] on undefined/duplicate symbols, missing
 /// `main`, or out-of-range branch offsets.
 pub fn link_straight(prog: &SProgram) -> Result<Image, LinkError> {
-    if !prog.funcs.iter().any(|f| f.name == "main") {
-        return Err(LinkError::NoMain);
-    }
-    let stub = straight_start_stub();
-    let funcs: Vec<&SFunc> = std::iter::once(&stub).chain(prog.funcs.iter()).collect();
-    let names: Vec<&str> = funcs.iter().map(|f| f.name.as_str()).collect();
-    let lens: Vec<usize> = funcs.iter().map(|f| f.items.len()).collect();
-    let labels: Vec<&[(String, usize)]> = funcs.iter().map(|f| f.labels.as_slice()).collect();
-    let lo = layout(&names, &lens, &labels, &prog.data)?;
-
-    let mut code = Vec::new();
-    for (fi, f) in funcs.iter().enumerate() {
-        for (i, item) in f.items.iter().enumerate() {
-            let pc = lo.func_bases[fi] + (i as u32) * 4;
-            let mut inst = item.inst;
-            if let Some(reloc) = &item.reloc {
-                match reloc {
-                    SReloc::BranchTo(target) => {
-                        let addr = resolve(&lo.symbols, &f.name, target)?;
-                        let woff = (i64::from(addr) - i64::from(pc)) / 4;
-                        let fail = || LinkError::OutOfRange { symbol: target.clone(), offset: woff };
-                        match &mut inst {
-                            Inst::Bez { offset, .. } | Inst::Bnz { offset, .. } => {
-                                *offset = i16::try_from(woff).map_err(|_| fail())?;
-                            }
-                            Inst::J { offset } | Inst::Jal { offset } => {
-                                if !(-(1i64 << 25)..(1i64 << 25)).contains(&woff) {
-                                    return Err(fail());
-                                }
-                                *offset = woff as i32;
-                            }
-                            other => panic!("BranchTo reloc on non-branch {other}"),
-                        }
-                    }
-                    SReloc::AbsHi(target) => {
-                        let addr = resolve(&lo.symbols, &f.name, target)?;
-                        match &mut inst {
-                            Inst::Lui { imm } => *imm = (addr >> 16) as u16,
-                            other => panic!("AbsHi reloc on non-LUI {other}"),
-                        }
-                    }
-                    SReloc::AbsLo(target) => {
-                        let addr = resolve(&lo.symbols, &f.name, target)?;
-                        match &mut inst {
-                            Inst::AluImm { op: AluImmOp::Ori, imm, .. } => {
-                                *imm = (addr & 0xffff) as u16 as i16;
-                            }
-                            other => panic!("AbsLo reloc on non-ORi {other}"),
-                        }
-                    }
-                }
-            }
-            code.push(straight_isa::encode(&inst));
-        }
-    }
-    Ok(Image {
-        isa: ImageIsa::Straight,
-        entry: CODE_BASE,
-        code_base: CODE_BASE,
-        code,
-        data_base: lo.data_base,
-        data: lo.data,
-        symbols: lo.symbols,
-    })
+    link(prog, ImageIsa::Straight, straight_start_stub(), patch_straight, straight_isa::encode)
 }
 
 /// Links an RV32 program into an executable image.
@@ -221,87 +110,147 @@ pub fn link_straight(prog: &SProgram) -> Result<Image, LinkError> {
 ///
 /// See [`link_straight`].
 pub fn link_riscv(prog: &RvProgram) -> Result<Image, LinkError> {
+    link(prog, ImageIsa::Riscv, riscv_start_stub(), patch_riscv, straight_riscv::encode)
+}
+
+/// The one link driver: checks for `main`, puts `stub` first, lays out
+/// code from [`CODE_BASE`] and data from the next 256-byte boundary,
+/// then patches each relocated instruction at its PC and encodes it.
+fn link<I: Copy, R>(
+    prog: &Program<I, R>,
+    isa: ImageIsa,
+    stub: Func<I, R>,
+    patch: fn(&mut I, &R, u32, &Resolve) -> Result<(), LinkError>,
+    encode: fn(&I) -> u32,
+) -> Result<Image, LinkError> {
     if !prog.funcs.iter().any(|f| f.name == "main") {
         return Err(LinkError::NoMain);
     }
-    let stub = riscv_start_stub();
-    let funcs: Vec<&RvFunc> = std::iter::once(&stub).chain(prog.funcs.iter()).collect();
-    let names: Vec<&str> = funcs.iter().map(|f| f.name.as_str()).collect();
-    let lens: Vec<usize> = funcs.iter().map(|f| f.items.len()).collect();
-    let labels: Vec<&[(String, usize)]> = funcs.iter().map(|f| f.labels.as_slice()).collect();
-    let lo = layout(&names, &lens, &labels, &prog.data)?;
+    let funcs: Vec<&Func<I, R>> = std::iter::once(&stub).chain(&prog.funcs).collect();
+    let mut symbols = HashMap::new();
+    let mut define = |name: String, addr: u32| match symbols.insert(name.clone(), addr) {
+        Some(_) => Err(LinkError::Duplicate(name)),
+        None => Ok(()),
+    };
+    let mut cursor = CODE_BASE;
+    for f in &funcs {
+        define(f.name.clone(), cursor)?;
+        for (label, idx) in &f.labels {
+            define(format!("{}.{label}", f.name), cursor + (*idx as u32) * 4)?;
+        }
+        cursor += (f.items.len() as u32) * 4;
+    }
+    let data_base = cursor.next_multiple_of(0x100);
+    let mut data = Vec::new();
+    for d in &prog.data {
+        let addr = (data_base + data.len() as u32).next_multiple_of(d.align.max(1));
+        data.resize((addr - data_base) as usize, 0);
+        define(d.name.clone(), addr)?;
+        data.extend_from_slice(&d.init);
+        data.resize(data.len().max((addr - data_base + d.size) as usize), 0);
+    }
 
-    let mut code = Vec::new();
-    for (fi, f) in funcs.iter().enumerate() {
-        for (i, item) in f.items.iter().enumerate() {
-            let pc = lo.func_bases[fi] + (i as u32) * 4;
+    let mut code = Vec::with_capacity(((cursor - CODE_BASE) / 4) as usize);
+    let mut pc = CODE_BASE;
+    for f in &funcs {
+        let resolve = |target: &str| {
+            symbols
+                .get(&format!("{}.{target}", f.name))
+                .or_else(|| symbols.get(target))
+                .copied()
+                .ok_or_else(|| LinkError::Undefined(target.to_string()))
+        };
+        for item in &f.items {
             let mut inst = item.inst;
             if let Some(reloc) = &item.reloc {
-                match reloc {
-                    RvReloc::BranchTo(target) => {
-                        let addr = resolve(&lo.symbols, &f.name, target)?;
-                        let boff = i64::from(addr) - i64::from(pc);
-                        let fail = || LinkError::OutOfRange { symbol: target.clone(), offset: boff / 4 };
-                        match &mut inst {
-                            RvInst::Branch { offset, .. } => {
-                                if !(-4096..4096).contains(&boff) {
-                                    return Err(fail());
-                                }
-                                *offset = boff as i32;
-                            }
-                            other => panic!("BranchTo reloc on non-branch {other}"),
-                        }
-                    }
-                    RvReloc::JalTo(target) => {
-                        let addr = resolve(&lo.symbols, &f.name, target)?;
-                        let boff = i64::from(addr) - i64::from(pc);
-                        if !(-(1i64 << 20)..(1i64 << 20)).contains(&boff) {
-                            return Err(LinkError::OutOfRange { symbol: target.clone(), offset: boff / 4 });
-                        }
-                        match &mut inst {
-                            RvInst::Jal { offset, .. } => *offset = boff as i32,
-                            other => panic!("JalTo reloc on non-jal {other}"),
-                        }
-                    }
-                    RvReloc::Hi20(target) => {
-                        let addr = resolve(&lo.symbols, &f.name, target)?;
-                        let hi = addr.wrapping_add(0x800) & 0xffff_f000;
-                        match &mut inst {
-                            RvInst::Lui { imm, .. } => *imm = hi,
-                            other => panic!("Hi20 reloc on non-lui {other}"),
-                        }
-                    }
-                    RvReloc::Lo12(target) => {
-                        let addr = resolve(&lo.symbols, &f.name, target)?;
-                        let lo12 = ((addr & 0xfff) as i32) << 20 >> 20;
-                        match &mut inst {
-                            RvInst::OpImm { imm, .. } => *imm = lo12,
-                            RvInst::Load { offset, .. } | RvInst::Store { offset, .. } | RvInst::Jalr { offset, .. } => {
-                                *offset = lo12;
-                            }
-                            other => panic!("Lo12 reloc on {other}"),
-                        }
-                    }
-                }
+                patch(&mut inst, reloc, pc, &resolve)?;
             }
-            code.push(straight_riscv::encode(&inst));
+            code.push(encode(&inst));
+            pc += 4;
         }
     }
-    Ok(Image {
-        isa: ImageIsa::Riscv,
-        entry: CODE_BASE,
-        code_base: CODE_BASE,
-        code,
-        data_base: lo.data_base,
-        data: lo.data,
-        symbols: lo.symbols,
-    })
+    Ok(Image { isa, entry: CODE_BASE, code_base: CODE_BASE, code, data_base, data, symbols })
+}
+
+/// Applies a STRAIGHT relocation to the instruction at `pc`.
+fn patch_straight(inst: &mut Inst, reloc: &SReloc, pc: u32, resolve: &Resolve) -> Result<(), LinkError> {
+    match reloc {
+        SReloc::BranchTo(target) => {
+            let woff = (i64::from(resolve(target)?) - i64::from(pc)) / 4;
+            let fail = || LinkError::OutOfRange { symbol: target.clone(), offset: woff };
+            match inst {
+                Inst::Bez { offset, .. } | Inst::Bnz { offset, .. } => {
+                    *offset = i16::try_from(woff).map_err(|_| fail())?;
+                }
+                Inst::J { offset } | Inst::Jal { offset } => {
+                    if !(-(1i64 << 25)..(1i64 << 25)).contains(&woff) {
+                        return Err(fail());
+                    }
+                    *offset = woff as i32;
+                }
+                other => panic!("BranchTo reloc on non-branch {other}"),
+            }
+        }
+        SReloc::AbsHi(target) => {
+            let addr = resolve(target)?;
+            match inst {
+                Inst::Lui { imm } => *imm = (addr >> 16) as u16,
+                other => panic!("AbsHi reloc on non-LUI {other}"),
+            }
+        }
+        SReloc::AbsLo(target) => {
+            let addr = resolve(target)?;
+            match inst {
+                Inst::AluImm { op: AluImmOp::Ori, imm, .. } => *imm = (addr & 0xffff) as u16 as i16,
+                other => panic!("AbsLo reloc on non-ORi {other}"),
+            }
+        }
+    }
+    Ok(())
+}
+
+/// Applies an RV32 relocation to the instruction at `pc`.
+fn patch_riscv(inst: &mut RvInst, reloc: &RvReloc, pc: u32, resolve: &Resolve) -> Result<(), LinkError> {
+    match reloc {
+        RvReloc::BranchTo(target) | RvReloc::JalTo(target) => {
+            let boff = i64::from(resolve(target)?) - i64::from(pc);
+            let (offset, reach) = match (reloc, inst) {
+                (RvReloc::BranchTo(_), RvInst::Branch { offset, .. }) => (offset, 1i64 << 12),
+                (RvReloc::JalTo(_), RvInst::Jal { offset, .. }) => (offset, 1i64 << 20),
+                (_, other) => panic!("{reloc:?} reloc on {other}"),
+            };
+            if !(-reach..reach).contains(&boff) {
+                return Err(LinkError::OutOfRange { symbol: target.clone(), offset: boff / 4 });
+            }
+            *offset = boff as i32;
+        }
+        RvReloc::Hi20(target) => {
+            let hi = resolve(target)?.wrapping_add(0x800) & 0xffff_f000;
+            match inst {
+                RvInst::Lui { imm, .. } => *imm = hi,
+                other => panic!("Hi20 reloc on non-lui {other}"),
+            }
+        }
+        RvReloc::Lo12(target) => {
+            let lo12 = ((resolve(target)? & 0xfff) as i32) << 20 >> 20;
+            match inst {
+                RvInst::OpImm { imm, .. } => *imm = lo12,
+                RvInst::Load { offset, .. } | RvInst::Store { offset, .. } | RvInst::Jalr { offset, .. } => {
+                    *offset = lo12;
+                }
+                other => panic!("Lo12 reloc on {other}"),
+            }
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
+    use straight_riscv::BranchOp;
+
     use super::*;
-    use crate::DataItem;
+    use crate::{DataItem, Item};
 
     fn minimal_straight() -> SProgram {
         SProgram {
@@ -420,6 +369,51 @@ mod tests {
             data: vec![],
         };
         assert_eq!(link_straight(&p).unwrap_err(), LinkError::Undefined("ghost".into()));
+    }
+
+    /// A `main` whose first instruction `first` is relocated against
+    /// the label `far`, `words` instructions later.
+    fn far_branch<I: Clone, R: Clone>(first: Item<I, R>, filler: I, words: usize) -> Program<I, R> {
+        let mut items = vec![first];
+        items.resize(words + 1, Item::plain(filler));
+        Program { funcs: vec![Func { name: "main".into(), items, labels: vec![("far".into(), words)] }], data: vec![] }
+    }
+
+    fn out_of_range(offset: i64) -> LinkError {
+        LinkError::OutOfRange { symbol: "far".into(), offset }
+    }
+
+    #[test]
+    fn straight_conditional_branch_reach_is_the_i16_word_range() {
+        let bez = SItem {
+            inst: Inst::Bez { s: Dist::of(1), offset: 0 },
+            reloc: Some(SReloc::BranchTo("far".into())),
+        };
+        let img = link_straight(&far_branch(bez.clone(), Inst::Nop, 32767)).unwrap();
+        assert_eq!(straight_isa::decode(img.code[3]).unwrap(), Inst::Bez { s: Dist::of(1), offset: 32767 });
+        assert_eq!(link_straight(&far_branch(bez, Inst::Nop, 32768)).unwrap_err(), out_of_range(32768));
+    }
+
+    #[test]
+    fn riscv_branch_reach_is_4_kib() {
+        let beq = RvItem {
+            inst: RvInst::Branch { op: BranchOp::Beq, rs1: Reg::A0, rs2: Reg::A1, offset: 0 },
+            reloc: Some(RvReloc::BranchTo("far".into())),
+        };
+        let nop = RvInst::OpImm { op: AluImmOp::Addi, rd: Reg::ZERO, rs1: Reg::ZERO, imm: 0 };
+        let img = link_riscv(&far_branch(beq.clone(), nop, 1023)).unwrap();
+        assert!(matches!(straight_riscv::decode(img.code[4]).unwrap(), RvInst::Branch { offset: 4092, .. }));
+        assert_eq!(link_riscv(&far_branch(beq, nop, 1024)).unwrap_err(), out_of_range(1024));
+    }
+
+    #[test]
+    fn riscv_jal_reach_is_1_mib() {
+        let jal = RvItem { inst: RvInst::Jal { rd: Reg::ZERO, offset: 0 }, reloc: Some(RvReloc::JalTo("far".into())) };
+        let nop = RvInst::OpImm { op: AluImmOp::Addi, rd: Reg::ZERO, rs1: Reg::ZERO, imm: 0 };
+        let img = link_riscv(&far_branch(jal.clone(), nop, (1 << 18) - 1)).unwrap();
+        let reach = (1 << 20) - 4;
+        assert!(matches!(straight_riscv::decode(img.code[4]).unwrap(), RvInst::Jal { offset, .. } if offset == reach));
+        assert_eq!(link_riscv(&far_branch(jal, nop, 1 << 18)).unwrap_err(), out_of_range(1 << 18));
     }
 
     #[test]

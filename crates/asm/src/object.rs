@@ -1,4 +1,6 @@
-//! Symbolic object format produced by the compiler back-ends.
+//! Symbolic object format produced by the compiler back-ends: one
+//! [`Item`]/[`Func`]/[`Program`] shape, instantiated per ISA with its
+//! instruction and relocation types.
 
 use straight_isa::Inst;
 use straight_riscv::RvInst;
@@ -30,62 +32,40 @@ pub enum RvReloc {
     Lo12(String),
 }
 
-/// One STRAIGHT instruction with an optional relocation.
+/// One instruction with an optional relocation.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SItem {
+pub struct Item<I, R> {
     /// The instruction; offset/immediate fields covered by `reloc`
     /// hold 0 until link time.
-    pub inst: Inst,
+    pub inst: I,
     /// Pending relocation.
-    pub reloc: Option<SReloc>,
+    pub reloc: Option<R>,
 }
 
-impl SItem {
+impl<I, R> Item<I, R> {
     /// An item with no relocation.
     #[must_use]
-    pub fn plain(inst: Inst) -> SItem {
-        SItem { inst, reloc: None }
+    pub fn plain(inst: I) -> Item<I, R> {
+        Item { inst, reloc: None }
     }
 }
 
-/// A STRAIGHT function body.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct SFunc {
+/// A function body.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Func<I, R> {
     /// Global symbol name.
     pub name: String,
     /// Instructions in layout order.
-    pub items: Vec<SItem>,
+    pub items: Vec<Item<I, R>>,
     /// Local labels: `(name, item index)`. Resolved function-locally
     /// first, then against global symbols.
     pub labels: Vec<(String, usize)>,
 }
 
-/// One RV32 instruction with an optional relocation.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RvItem {
-    /// The instruction.
-    pub inst: RvInst,
-    /// Pending relocation.
-    pub reloc: Option<RvReloc>,
-}
-
-impl RvItem {
-    /// An item with no relocation.
-    #[must_use]
-    pub fn plain(inst: RvInst) -> RvItem {
-        RvItem { inst, reloc: None }
+impl<I, R> Default for Func<I, R> {
+    fn default() -> Func<I, R> {
+        Func { name: String::new(), items: Vec::new(), labels: Vec::new() }
     }
-}
-
-/// An RV32 function body.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct RvFunc {
-    /// Global symbol name.
-    pub name: String,
-    /// Instructions in layout order.
-    pub items: Vec<RvItem>,
-    /// Local labels.
-    pub labels: Vec<(String, usize)>,
 }
 
 /// A named, initialized data object (global variable or string).
@@ -101,20 +81,30 @@ pub struct DataItem {
     pub init: Vec<u8>,
 }
 
-/// A linkable STRAIGHT program.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct SProgram {
+/// A linkable program.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Program<I, R> {
     /// Functions; `main` must exist for linking.
-    pub funcs: Vec<SFunc>,
+    pub funcs: Vec<Func<I, R>>,
     /// Data objects.
     pub data: Vec<DataItem>,
 }
 
-/// A linkable RV32 program.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct RvProgram {
-    /// Functions; `main` must exist for linking.
-    pub funcs: Vec<RvFunc>,
-    /// Data objects.
-    pub data: Vec<DataItem>,
+impl<I, R> Default for Program<I, R> {
+    fn default() -> Program<I, R> {
+        Program { funcs: Vec::new(), data: Vec::new() }
+    }
 }
+
+/// One STRAIGHT instruction with an optional relocation.
+pub type SItem = Item<Inst, SReloc>;
+/// A STRAIGHT function body.
+pub type SFunc = Func<Inst, SReloc>;
+/// A linkable STRAIGHT program.
+pub type SProgram = Program<Inst, SReloc>;
+/// One RV32 instruction with an optional relocation.
+pub type RvItem = Item<RvInst, RvReloc>;
+/// An RV32 function body.
+pub type RvFunc = Func<RvInst, RvReloc>;
+/// A linkable RV32 program.
+pub type RvProgram = Program<RvInst, RvReloc>;

@@ -40,6 +40,29 @@ pub use straight::{compile_straight, StraightOptions, MIN_MAX_DISTANCE};
 
 use std::fmt;
 
+use straight_asm::{DataItem, Func, Program};
+use straight_ir::{passes, Function, Module};
+
+/// The driver both back ends share: clones `module`, splits its
+/// critical edges, emits its globals as data and lowers each function
+/// with `lower`.
+fn compile_module<I, R>(
+    module: &Module,
+    lower: impl Fn(&Function, &Module) -> Result<Func<I, R>, CodegenError>,
+) -> Result<Program<I, R>, CodegenError> {
+    let mut module = module.clone();
+    for f in &mut module.funcs {
+        passes::split_critical_edges(f);
+    }
+    let data = module
+        .globals
+        .iter()
+        .map(|g| DataItem { name: g.name.clone(), size: g.size, align: g.align, init: g.init.clone() })
+        .collect();
+    let funcs = module.funcs.iter().map(|f| lower(f, &module)).collect::<Result<_, _>>()?;
+    Ok(Program { funcs, data })
+}
+
 /// Code-generation failure.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CodegenError {

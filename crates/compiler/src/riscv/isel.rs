@@ -7,7 +7,7 @@ use straight_riscv::BranchOp;
 use straight_ir::analysis::Cfg;
 use straight_ir::{BinOp, Block, Function, InstData, Module, Terminator, Value};
 
-use super::{MBlock, MFunc, MInst, VReg};
+use super::{sequence_parallel_moves, MBlock, MFunc, MInst, VReg};
 use crate::CodegenError;
 
 type CResult<T> = Result<T, CodegenError>;
@@ -15,9 +15,11 @@ type CResult<T> = Result<T, CodegenError>;
 pub(crate) struct Isel<'a> {
     f: &'a Function,
     module: &'a Module,
-    order: Vec<Block>,
     next_vreg: VReg,
     use_counts: HashMap<Value, u32>,
+    /// Compares lowered into their block's branch, with the branch
+    /// they become.
+    fused: HashMap<Value, (BranchOp, VReg, VReg)>,
     out: Vec<MBlock>,
     cur: Vec<MInst>,
 }
@@ -25,7 +27,6 @@ pub(crate) struct Isel<'a> {
 /// Lowers one function to MIR.
 pub(crate) fn lower_function(f: &Function, module: &Module) -> CResult<MFunc> {
     let cfg = Cfg::compute(f);
-    let order: Vec<Block> = cfg.rpo().to_vec();
     let mut use_counts: HashMap<Value, u32> = HashMap::new();
     for b in f.block_ids() {
         for &v in &f.block(b).insts {
@@ -33,17 +34,24 @@ pub(crate) fn lower_function(f: &Function, module: &Module) -> CResult<MFunc> {
         }
         f.block(b).term.for_each_operand(|op| *use_counts.entry(op).or_insert(0) += 1);
     }
-    let mut isel = Isel {
-        f,
-        module,
-        order: order.clone(),
-        next_vreg: f.insts.len() as VReg,
-        use_counts,
-        out: Vec::new(),
-        cur: Vec::new(),
-    };
-    isel.run()?;
-    Ok(MFunc { name: f.name.clone(), blocks: isel.out, ir_frame: f.frame_size(), next_vreg: isel.next_vreg })
+    // A compare used only by the branch of its own block becomes that
+    // branch.
+    let mut fused = HashMap::new();
+    for b in f.block_ids() {
+        let Terminator::CondBr { cond, .. } = f.block(b).term else { continue };
+        if let &InstData::Bin { op, a, b: rb } = f.inst(cond) {
+            if let Some((bop, swap)) = compare_branch(op) {
+                if use_counts[&cond] == 1 && f.block(b).insts.contains(&cond) {
+                    let (va, vb) = (a.index() as VReg, rb.index() as VReg);
+                    fused.insert(cond, if swap { (bop, vb, va) } else { (bop, va, vb) });
+                }
+            }
+        }
+    }
+    let mut isel =
+        Isel { f, module, next_vreg: f.insts.len() as VReg, use_counts, fused, out: Vec::new(), cur: Vec::new() };
+    isel.run(cfg.rpo())?;
+    Ok(MFunc { name: f.name.clone(), blocks: isel.out, ir_frame: f.frame_size() })
 }
 
 impl<'a> Isel<'a> {
@@ -65,11 +73,11 @@ impl<'a> Isel<'a> {
         format!("{b}")
     }
 
-    fn run(&mut self) -> CResult<()> {
+    fn run(&mut self, order: &[Block]) -> CResult<()> {
         if self.f.num_params > 8 {
             return Err(CodegenError::TooManyArgs { func: self.f.name.clone() });
         }
-        for (i, b) in self.order.clone().into_iter().enumerate() {
+        for (i, &b) in order.iter().enumerate() {
             self.cur = Vec::new();
             if i == 0 {
                 // Bind incoming argument registers to their vregs.
@@ -79,13 +87,13 @@ impl<'a> Isel<'a> {
                     }
                 }
             }
-            let next = self.order.get(i + 1).copied();
+            let next = order.get(i + 1).copied();
             for v in self.f.block(b).insts.clone() {
                 let inst = self.f.inst(v).clone();
                 if inst.is_phi() {
                     continue;
                 }
-                self.lower_inst(v, &inst, b)?;
+                self.lower_inst(v, &inst)?;
             }
             self.lower_terminator(b, next)?;
             let label = if i == 0 { self.f.name.clone() } else { Self::label(b) };
@@ -102,7 +110,7 @@ impl<'a> Isel<'a> {
         }
     }
 
-    fn lower_inst(&mut self, v: Value, inst: &InstData, _b: Block) -> CResult<()> {
+    fn lower_inst(&mut self, v: Value, inst: &InstData) -> CResult<()> {
         let rd = self.vreg(v);
         match inst {
             InstData::Param(_) => Ok(()), // bound by the prologue
@@ -110,13 +118,8 @@ impl<'a> Isel<'a> {
                 self.emit(MInst::Li { rd, imm: *c });
                 Ok(())
             }
-            InstData::Bin { op, a, b } => {
-                // Fused into the branch? Then skip here.
-                if self.branch_fusable(v) {
-                    return Ok(());
-                }
-                self.lower_bin(rd, *op, *a, *b)
-            }
+            InstData::Bin { .. } if self.fused.contains_key(&v) => Ok(()), // lowered by the branch
+            InstData::Bin { op, a, b } => self.lower_bin(rd, *op, *a, *b),
             InstData::Load { width, addr } => {
                 self.emit(MInst::Load { width: *width, rd, rs1: self.vreg(*addr), offset: 0 });
                 Ok(())
@@ -188,13 +191,10 @@ impl<'a> Isel<'a> {
                 self.emit(MInst::OpImm { op: iop, rd, rs1: va, imm });
                 return Ok(());
             }
-            if cb == 0 && op == Eq {
-                self.emit(MInst::OpImm { op: AluImmOp::Sltiu, rd, rs1: va, imm: 1 });
-                return Ok(());
-            }
-            if cb == 0 && op == Ne {
-                let zero = self.zero();
-                self.emit(MInst::Op { op: AluOp::Sltu, rd, rs1: zero, rs2: va });
+            if let (0, (AluOp::Xor, _, Some(fix))) = (cb, alu_lowering(op)) {
+                // `a == 0` / `a != 0`: the fix-up alone.
+                let fix = self.fix_up(fix, rd, va);
+                self.emit(fix);
                 return Ok(());
             }
         }
@@ -204,106 +204,37 @@ impl<'a> Isel<'a> {
             // materializes both.)
             return self.lower_bin(rd, op, b, a);
         }
-        let reg = |isel: &mut Self, aop: AluOp, x: VReg, y: VReg| {
-            isel.emit(MInst::Op { op: aop, rd, rs1: x, rs2: y });
+        let (aop, swap, fix) = alu_lowering(op);
+        let (x, y) = if swap { (vb, va) } else { (va, vb) };
+        let Some(fix) = fix else {
+            self.emit(MInst::Op { op: aop, rd, rs1: x, rs2: y });
+            return Ok(());
         };
-        match op {
-            Add => reg(self, AluOp::Add, va, vb),
-            Sub => reg(self, AluOp::Sub, va, vb),
-            Mul => reg(self, AluOp::Mul, va, vb),
-            Div => reg(self, AluOp::Div, va, vb),
-            Rem => reg(self, AluOp::Rem, va, vb),
-            DivU => reg(self, AluOp::Divu, va, vb),
-            RemU => reg(self, AluOp::Remu, va, vb),
-            And => reg(self, AluOp::And, va, vb),
-            Or => reg(self, AluOp::Or, va, vb),
-            Xor => reg(self, AluOp::Xor, va, vb),
-            Shl => reg(self, AluOp::Sll, va, vb),
-            ShrA => reg(self, AluOp::Sra, va, vb),
-            ShrL => reg(self, AluOp::Srl, va, vb),
-            SLt => reg(self, AluOp::Slt, va, vb),
-            ULt => reg(self, AluOp::Sltu, va, vb),
-            SGt => reg(self, AluOp::Slt, vb, va),
-            UGt => reg(self, AluOp::Sltu, vb, va),
-            Eq => {
-                let t = self.temp();
-                self.emit(MInst::Op { op: AluOp::Xor, rd: t, rs1: va, rs2: vb });
-                self.emit(MInst::OpImm { op: AluImmOp::Sltiu, rd, rs1: t, imm: 1 });
-            }
-            Ne => {
-                let t = self.temp();
-                let zero = self.zero();
-                self.emit(MInst::Op { op: AluOp::Xor, rd: t, rs1: va, rs2: vb });
-                self.emit(MInst::Op { op: AluOp::Sltu, rd, rs1: zero, rs2: t });
-            }
-            SLe => {
-                let t = self.temp();
-                self.emit(MInst::Op { op: AluOp::Slt, rd: t, rs1: vb, rs2: va });
-                self.emit(MInst::OpImm { op: AluImmOp::Xori, rd, rs1: t, imm: 1 });
-            }
-            SGe => {
-                let t = self.temp();
-                self.emit(MInst::Op { op: AluOp::Slt, rd: t, rs1: va, rs2: vb });
-                self.emit(MInst::OpImm { op: AluImmOp::Xori, rd, rs1: t, imm: 1 });
-            }
-            ULe => {
-                let t = self.temp();
-                self.emit(MInst::Op { op: AluOp::Sltu, rd: t, rs1: vb, rs2: va });
-                self.emit(MInst::OpImm { op: AluImmOp::Xori, rd, rs1: t, imm: 1 });
-            }
-            UGe => {
-                let t = self.temp();
-                self.emit(MInst::Op { op: AluOp::Sltu, rd: t, rs1: va, rs2: vb });
-                self.emit(MInst::OpImm { op: AluImmOp::Xori, rd, rs1: t, imm: 1 });
-            }
-        }
+        let t = self.temp();
+        let fix = self.fix_up(fix, rd, t);
+        self.emit(MInst::Op { op: aop, rd: t, rs1: x, rs2: y });
+        self.emit(fix);
         Ok(())
     }
 
-    /// A vreg holding constant zero (`x0` is materialized by `Li 0`;
-    /// the allocator rewrites `Li {imm: 0}` to reads of `zero`).
+    /// The instruction that turns `src` into `rd`'s 0/1 result. For
+    /// `Snez` this emits the zero operand's `Li` now, so the caller
+    /// builds the fix-up before it emits anything else.
+    fn fix_up(&mut self, fix: FixUp, rd: VReg, src: VReg) -> MInst {
+        match fix {
+            FixUp::Seqz => MInst::OpImm { op: AluImmOp::Sltiu, rd, rs1: src, imm: 1 },
+            FixUp::Snez => MInst::Op { op: AluOp::Sltu, rd, rs1: self.zero(), rs2: src },
+            FixUp::Not => MInst::OpImm { op: AluImmOp::Xori, rd, rs1: src, imm: 1 },
+        }
+    }
+
+    /// A fresh vreg loaded with `Li 0`. The register allocator gives it
+    /// a register like any other vreg, so every use costs an
+    /// `addi rX, zero, 0`; nothing rewrites it to a read of `x0`.
     fn zero(&mut self) -> VReg {
         let t = self.temp();
         self.emit(MInst::Li { rd: t, imm: 0 });
         t
-    }
-
-    /// True when `v` is a comparison used exactly once, by this
-    /// block's conditional branch — lowered directly to a fused
-    /// RISC-V branch.
-    fn branch_fusable(&self, v: Value) -> bool {
-        if self.use_counts.get(&v).copied().unwrap_or(0) != 1 {
-            return false;
-        }
-        let Some(b) = self.block_of_branch_user(v) else { return false };
-        let InstData::Bin { op, .. } = self.f.inst(v) else { return false };
-        let _ = b;
-        matches!(
-            op,
-            BinOp::Eq
-                | BinOp::Ne
-                | BinOp::SLt
-                | BinOp::SLe
-                | BinOp::SGt
-                | BinOp::SGe
-                | BinOp::ULt
-                | BinOp::ULe
-                | BinOp::UGt
-                | BinOp::UGe
-        )
-    }
-
-    /// If `v`'s single use is the CondBr of its own block, return that
-    /// block.
-    fn block_of_branch_user(&self, v: Value) -> Option<Block> {
-        for b in self.f.block_ids() {
-            if let Terminator::CondBr { cond, .. } = &self.f.block(b).term {
-                if *cond == v && self.f.block(b).insts.contains(&v) {
-                    return Some(b);
-                }
-            }
-        }
-        None
     }
 
     /// Lowers phi moves for the edge `b -> succ` as a parallel copy.
@@ -319,15 +250,12 @@ impl<'a> Isel<'a> {
                 }
             }
         }
-        if moves.is_empty() {
-            return;
-        }
-        let seq = sequence_parallel_moves(&moves, || self.next_vreg);
-        for step in seq {
-            match step {
-                MoveStep::Copy { dst, src } => self.emit(MInst::Mv { rd: dst, rs: src }),
-                MoveStep::UsedTemp => self.next_vreg += 1,
-            }
+        // Every cycle of this copy goes through the same temporary, and
+        // the vreg counter still advances once per cycle.
+        let temp = self.next_vreg;
+        for (rd, rs) in sequence_parallel_moves(moves, temp) {
+            self.next_vreg += VReg::from(rd == temp);
+            self.emit(MInst::Mv { rd, rs });
         }
     }
 
@@ -343,7 +271,7 @@ impl<'a> Isel<'a> {
             Terminator::CondBr { cond, then_bb, else_bb } => {
                 // After critical-edge splitting, CondBr successors have
                 // one predecessor and therefore no phis.
-                let (bop, rs1, rs2) = self.branch_condition(cond, b)?;
+                let (bop, rs1, rs2) = self.branch_condition(cond);
                 if next == Some(then_bb) {
                     // Invert so the branch exits to else.
                     let (iop, rs1, rs2) = invert_branch(bop, rs1, rs2);
@@ -364,32 +292,75 @@ impl<'a> Isel<'a> {
         }
     }
 
-    /// Condition of a branch, fusing a single-use comparison.
-    fn branch_condition(&mut self, cond: Value, b: Block) -> CResult<(BranchOp, VReg, VReg)> {
-        if self.branch_fusable(cond) && self.f.block(b).insts.contains(&cond) {
-            if let InstData::Bin { op, a, b: rb } = self.f.inst(cond).clone() {
-                let (va, vb) = (self.vreg(a), self.vreg(rb));
-                let fused = match op {
-                    BinOp::Eq => Some((BranchOp::Beq, va, vb)),
-                    BinOp::Ne => Some((BranchOp::Bne, va, vb)),
-                    BinOp::SLt => Some((BranchOp::Blt, va, vb)),
-                    BinOp::SGe => Some((BranchOp::Bge, va, vb)),
-                    BinOp::SLe => Some((BranchOp::Bge, vb, va)),
-                    BinOp::SGt => Some((BranchOp::Blt, vb, va)),
-                    BinOp::ULt => Some((BranchOp::Bltu, va, vb)),
-                    BinOp::UGe => Some((BranchOp::Bgeu, va, vb)),
-                    BinOp::ULe => Some((BranchOp::Bgeu, vb, va)),
-                    BinOp::UGt => Some((BranchOp::Bltu, vb, va)),
-                    _ => None,
-                };
-                if let Some(f) = fused {
-                    return Ok(f);
-                }
-            }
+    /// Condition of a branch: its fused compare, or `cond != 0`.
+    fn branch_condition(&mut self, cond: Value) -> (BranchOp, VReg, VReg) {
+        if let Some(&fused) = self.fused.get(&cond) {
+            return fused;
         }
         let zero = self.zero();
-        Ok((BranchOp::Bne, self.vreg(cond), zero))
+        (BranchOp::Bne, self.vreg(cond), zero)
     }
+}
+
+/// The instruction that turns an ALU result into a compare's 0/1.
+#[derive(Clone, Copy)]
+enum FixUp {
+    /// `sltiu rd, t, 1`.
+    Seqz,
+    /// `sltu rd, zero, t`.
+    Snez,
+    /// `xori rd, t, 1`.
+    Not,
+}
+
+/// The register-register lowering of `op`: an ALU op, whether its
+/// operands swap, and the fix-up of its result.
+fn alu_lowering(op: BinOp) -> (AluOp, bool, Option<FixUp>) {
+    use BinOp::*;
+    match op {
+        Add => (AluOp::Add, false, None),
+        Sub => (AluOp::Sub, false, None),
+        Mul => (AluOp::Mul, false, None),
+        Div => (AluOp::Div, false, None),
+        Rem => (AluOp::Rem, false, None),
+        DivU => (AluOp::Divu, false, None),
+        RemU => (AluOp::Remu, false, None),
+        And => (AluOp::And, false, None),
+        Or => (AluOp::Or, false, None),
+        Xor => (AluOp::Xor, false, None),
+        Shl => (AluOp::Sll, false, None),
+        ShrA => (AluOp::Sra, false, None),
+        ShrL => (AluOp::Srl, false, None),
+        SLt => (AluOp::Slt, false, None),
+        ULt => (AluOp::Sltu, false, None),
+        SGt => (AluOp::Slt, true, None),
+        UGt => (AluOp::Sltu, true, None),
+        Eq => (AluOp::Xor, false, Some(FixUp::Seqz)),
+        Ne => (AluOp::Xor, false, Some(FixUp::Snez)),
+        SLe => (AluOp::Slt, true, Some(FixUp::Not)),
+        SGe => (AluOp::Slt, false, Some(FixUp::Not)),
+        ULe => (AluOp::Sltu, true, Some(FixUp::Not)),
+        UGe => (AluOp::Sltu, false, Some(FixUp::Not)),
+    }
+}
+
+/// The branch a compare fuses into, and whether its operands swap;
+/// `None` for an op that is not a compare.
+fn compare_branch(op: BinOp) -> Option<(BranchOp, bool)> {
+    use BinOp::*;
+    Some(match op {
+        Eq => (BranchOp::Beq, false),
+        Ne => (BranchOp::Bne, false),
+        SLt => (BranchOp::Blt, false),
+        SGe => (BranchOp::Bge, false),
+        SLe => (BranchOp::Bge, true),
+        SGt => (BranchOp::Blt, true),
+        ULt => (BranchOp::Bltu, false),
+        UGe => (BranchOp::Bgeu, false),
+        ULe => (BranchOp::Bgeu, true),
+        UGt => (BranchOp::Bltu, true),
+        _ => return None,
+    })
 }
 
 fn invert_branch(op: BranchOp, rs1: VReg, rs2: VReg) -> (BranchOp, VReg, VReg) {
@@ -400,92 +371,5 @@ fn invert_branch(op: BranchOp, rs1: VReg, rs2: VReg) -> (BranchOp, VReg, VReg) {
         BranchOp::Bge => (BranchOp::Blt, rs1, rs2),
         BranchOp::Bltu => (BranchOp::Bgeu, rs1, rs2),
         BranchOp::Bgeu => (BranchOp::Bltu, rs1, rs2),
-    }
-}
-
-/// One step of a sequenced parallel copy.
-pub(crate) enum MoveStep {
-    /// Emit `dst <- src`.
-    Copy { dst: VReg, src: VReg },
-    /// The sequencer consumed the fresh temporary it was given.
-    UsedTemp,
-}
-
-/// Orders a parallel copy so no source is clobbered before it is
-/// read, breaking cycles with (at most one) temporary.
-pub(crate) fn sequence_parallel_moves(moves: &[(VReg, VReg)], temp: impl Fn() -> VReg) -> Vec<MoveStep> {
-    let mut pending: Vec<(VReg, VReg)> = moves.to_vec();
-    let mut out = Vec::new();
-    while !pending.is_empty() {
-        let ready = pending
-            .iter()
-            .position(|(dst, _)| !pending.iter().any(|(_, src)| src == dst));
-        match ready {
-            Some(i) => {
-                let (dst, src) = pending.remove(i);
-                out.push(MoveStep::Copy { dst, src });
-            }
-            None => {
-                // Cycle: rotate through the temporary.
-                let t = temp();
-                out.push(MoveStep::UsedTemp);
-                let (dst, src) = pending[0];
-                out.push(MoveStep::Copy { dst: t, src });
-                // Redirect any reader of `src`... the cycle member
-                // reading `dst`'s old value keeps reading `src`'s copy.
-                for (_, s) in pending.iter_mut() {
-                    if *s == src {
-                        *s = t;
-                    }
-                }
-                pending[0] = (dst, pending[0].1);
-            }
-        }
-    }
-    out
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn apply(moves: &[(VReg, VReg)], init: &mut HashMap<VReg, i32>) {
-        let next = 1000;
-        let seq = sequence_parallel_moves(moves, || next);
-        for step in seq {
-            match step {
-                MoveStep::UsedTemp => {}
-                MoveStep::Copy { dst, src } => {
-                    let v = init[&src];
-                    init.insert(dst, v);
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_moves_simple_chain() {
-        // 1 <- 2, 2 <- 3
-        let mut state: HashMap<VReg, i32> = [(1, 10), (2, 20), (3, 30)].into();
-        apply(&[(1, 2), (2, 3)], &mut state);
-        assert_eq!(state[&1], 20);
-        assert_eq!(state[&2], 30);
-    }
-
-    #[test]
-    fn parallel_moves_swap_cycle() {
-        let mut state: HashMap<VReg, i32> = [(1, 10), (2, 20)].into();
-        apply(&[(1, 2), (2, 1)], &mut state);
-        assert_eq!(state[&1], 20);
-        assert_eq!(state[&2], 10);
-    }
-
-    #[test]
-    fn parallel_moves_three_cycle() {
-        let mut state: HashMap<VReg, i32> = [(1, 10), (2, 20), (3, 30)].into();
-        apply(&[(1, 2), (2, 3), (3, 1)], &mut state);
-        assert_eq!(state[&1], 20);
-        assert_eq!(state[&2], 30);
-        assert_eq!(state[&3], 10);
     }
 }

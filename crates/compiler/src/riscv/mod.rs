@@ -9,8 +9,8 @@
 mod isel;
 mod regalloc;
 
-use straight_asm::{DataItem, RvProgram};
-use straight_ir::{passes, Module};
+use straight_asm::RvProgram;
+use straight_ir::Module;
 
 use crate::CodegenError;
 
@@ -112,8 +112,29 @@ pub(crate) struct MFunc {
     pub name: String,
     pub blocks: Vec<MBlock>,
     pub ir_frame: u32,
-    #[allow(dead_code)]
-    pub next_vreg: VReg,
+}
+
+/// Orders the parallel copy `pending` (`(dst, src)` pairs, distinct
+/// destinations) so no source is overwritten before it is read. A cycle
+/// is broken by copying one source into `temp` and redirecting its
+/// readers there. The cycle then drains completely before any other
+/// cycle is broken, so one `temp` serves every cycle.
+pub(crate) fn sequence_parallel_moves<R: Copy + PartialEq>(mut pending: Vec<(R, R)>, temp: R) -> Vec<(R, R)> {
+    let mut out = Vec::with_capacity(pending.len());
+    while !pending.is_empty() {
+        if let Some(i) = pending.iter().position(|(dst, _)| !pending.iter().any(|(_, src)| src == dst)) {
+            out.push(pending.remove(i));
+        } else {
+            let (_, src) = pending[0];
+            out.push((temp, src));
+            for (_, s) in &mut pending {
+                if *s == src {
+                    *s = temp;
+                }
+            }
+        }
+    }
+    out
 }
 
 /// Compiles an IR module to a linkable RV32IM program.
@@ -123,18 +144,69 @@ pub(crate) struct MFunc {
 /// Returns [`CodegenError`] on unsupported shapes (e.g. more than 8
 /// call arguments) or internal invariant violations.
 pub fn compile_riscv(module: &Module) -> Result<RvProgram, CodegenError> {
-    let mut module = module.clone();
-    for f in &mut module.funcs {
-        passes::split_critical_edges(f);
+    crate::compile_module(module, |f, module| regalloc::allocate_and_finalize(isel::lower_function(f, module)?))
+}
+
+#[cfg(test)]
+mod tests {
+    use std::collections::HashMap;
+
+    use straight_riscv::Reg;
+
+    use super::*;
+
+    /// Runs the sequenced copy on `state`, with `temp` as the cycle
+    /// breaker.
+    fn apply<R: Copy + Eq + std::hash::Hash>(moves: &[(R, R)], temp: R, state: &mut HashMap<R, i32>) {
+        for (dst, src) in sequence_parallel_moves(moves.to_vec(), temp) {
+            state.insert(dst, state[&src]);
+        }
     }
-    let mut prog = RvProgram::default();
-    for g in &module.globals {
-        prog.data.push(DataItem { name: g.name.clone(), size: g.size, align: g.align, init: g.init.clone() });
+
+    #[test]
+    fn parallel_moves_simple_chain() {
+        // 1 <- 2, 2 <- 3
+        let mut state: HashMap<VReg, i32> = [(1, 10), (2, 20), (3, 30)].into();
+        apply(&[(1, 2), (2, 3)], 1000, &mut state);
+        assert_eq!(state[&1], 20);
+        assert_eq!(state[&2], 30);
     }
-    for f in &module.funcs {
-        let mfunc = isel::lower_function(f, &module)?;
-        let rvfunc = regalloc::allocate_and_finalize(mfunc)?;
-        prog.funcs.push(rvfunc);
+
+    #[test]
+    fn parallel_moves_swap_cycle() {
+        let mut state: HashMap<VReg, i32> = [(1, 10), (2, 20)].into();
+        apply(&[(1, 2), (2, 1)], 1000, &mut state);
+        assert_eq!(state[&1], 20);
+        assert_eq!(state[&2], 10);
     }
-    Ok(prog)
+
+    #[test]
+    fn parallel_moves_three_cycle() {
+        let mut state: HashMap<VReg, i32> = [(1, 10), (2, 20), (3, 30)].into();
+        apply(&[(1, 2), (2, 3), (3, 1)], 1000, &mut state);
+        assert_eq!(state[&1], 20);
+        assert_eq!(state[&2], 30);
+        assert_eq!(state[&3], 10);
+    }
+
+    #[test]
+    fn one_temporary_serves_two_disjoint_cycles() {
+        // a0 <-> a1 and a2 -> a3 -> a4 -> a2, with a5 <- a0 hanging off
+        // the first cycle: two cycle breaks through the one scratch.
+        let moves = [
+            (Reg::A0, Reg::A1),
+            (Reg::A1, Reg::A0),
+            (Reg::A5, Reg::A0),
+            (Reg::A2, Reg::A4),
+            (Reg::A3, Reg::A2),
+            (Reg::A4, Reg::A3),
+        ];
+        let seq = sequence_parallel_moves(moves.to_vec(), Reg::T6);
+        assert_eq!(seq.iter().filter(|(dst, _)| *dst == Reg::T6).count(), 2);
+        let mut state: HashMap<Reg, i32> = (0..6).map(|i| (Reg::a(i), i32::from(Reg::a(i).num()))).collect();
+        apply(&moves, Reg::T6, &mut state);
+        for (dst, src) in moves {
+            assert_eq!(state[&dst], i32::from(src.num()));
+        }
+    }
 }

@@ -12,7 +12,7 @@ use straight_asm::{RvFunc, RvItem, RvReloc};
 use straight_isa::{AluImmOp, MemWidth};
 use straight_riscv::{Reg, RvInst};
 
-use super::{MFunc, MInst, VReg};
+use super::{sequence_parallel_moves, MFunc, MInst, VReg};
 use crate::CodegenError;
 
 type CResult<T> = Result<T, CodegenError>;
@@ -354,25 +354,21 @@ impl Finalizer {
                 }
             }
         }
-        self.reg_parallel_move(pending);
+        self.parallel_move(pending);
         Ok(())
     }
 
-    fn reg_parallel_move(&mut self, mut pending: Vec<(Reg, Reg)>) {
-        while !pending.is_empty() {
-            if let Some(i) = pending.iter().position(|(d, _)| !pending.iter().any(|(_, s)| s == d)) {
-                let (d, s) = pending.remove(i);
-                self.emit(RvInst::OpImm { op: AluImmOp::Addi, rd: d, rs1: s, imm: 0 });
-            } else {
-                // Cycle: break with SCRATCH2.
-                let (_, s0) = pending[0];
-                self.emit(RvInst::OpImm { op: AluImmOp::Addi, rd: SCRATCH2, rs1: s0, imm: 0 });
-                for (_, s) in pending.iter_mut() {
-                    if *s == s0 {
-                        *s = SCRATCH2;
-                    }
-                }
-            }
+    /// A parallel register copy; cycles go through `SCRATCH2`.
+    fn parallel_move(&mut self, pending: Vec<(Reg, Reg)>) {
+        for (rd, rs) in sequence_parallel_moves(pending, SCRATCH2) {
+            self.mv(rd, rs);
+        }
+    }
+
+    /// `mv rd, rs`, unless `rd` already is `rs`.
+    fn mv(&mut self, rd: Reg, rs: Reg) {
+        if rd != rs {
+            self.emit(RvInst::OpImm { op: AluImmOp::Addi, rd, rs1: rs, imm: 0 });
         }
     }
 
@@ -431,9 +427,7 @@ impl Finalizer {
             MInst::Mv { rd, rs } => {
                 let r = self.read(*rs, SCRATCH1)?;
                 let d = self.def_reg(*rd)?;
-                if d != r {
-                    self.emit(RvInst::OpImm { op: AluImmOp::Addi, rd: d, rs1: r, imm: 0 });
-                }
+                self.mv(d, r);
                 self.writeback(*rd)
             }
             MInst::Branch { op, rs1, rs2, target } => {
@@ -469,39 +463,31 @@ impl Finalizer {
                 // that loads would clobber), then loads.
                 // A load's destination may be a source of a move, so
                 // order: moves (parallel), then loads.
-                self.reg_parallel_move(moves);
+                self.parallel_move(moves);
                 for (dst, off) in loads {
                     self.emit(RvInst::Load { width: MemWidth::W, rd: dst, rs1: Reg::SP, offset: off as i32 });
                 }
                 self.emit_reloc(RvInst::Jal { rd: Reg::RA, offset: 0 }, RvReloc::JalTo(symbol.clone()));
                 if let Some(d) = dst {
                     let dr = self.def_reg(*d)?;
-                    if dr != Reg::A0 {
-                        self.emit(RvInst::OpImm { op: AluImmOp::Addi, rd: dr, rs1: Reg::A0, imm: 0 });
-                    }
+                    self.mv(dr, Reg::A0);
                     self.writeback(*d)?;
                 }
                 Ok(())
             }
             MInst::Sys { code, arg, dst } => {
                 let r = self.read(*arg, SCRATCH1)?;
-                if r != Reg::A0 {
-                    self.emit(RvInst::OpImm { op: AluImmOp::Addi, rd: Reg::A0, rs1: r, imm: 0 });
-                }
+                self.mv(Reg::A0, r);
                 self.emit(RvInst::OpImm { op: AluImmOp::Addi, rd: Reg::A7, rs1: Reg::ZERO, imm: i32::from(*code) });
                 self.emit(RvInst::Ecall);
                 let dr = self.def_reg(*dst)?;
-                if dr != Reg::A0 {
-                    self.emit(RvInst::OpImm { op: AluImmOp::Addi, rd: dr, rs1: Reg::A0, imm: 0 });
-                }
+                self.mv(dr, Reg::A0);
                 self.writeback(*dst)
             }
             MInst::Ret { val } => {
                 if let Some(v) = val {
                     let r = self.read(*v, SCRATCH1)?;
-                    if r != Reg::A0 {
-                        self.emit(RvInst::OpImm { op: AluImmOp::Addi, rd: Reg::A0, rs1: r, imm: 0 });
-                    }
+                    self.mv(Reg::A0, r);
                 }
                 for &(r, off) in saved_offsets {
                     self.emit(RvInst::Load { width: MemWidth::W, rd: r, rs1: Reg::SP, offset: off as i32 });

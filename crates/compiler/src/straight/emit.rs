@@ -148,7 +148,7 @@ impl<'a> FnEmitter<'a> {
         let live = Liveness::compute(f, &cfg);
         let dom = Dominators::compute(f, &cfg);
         let loops = Loops::compute(f, &cfg, &dom);
-        let info = frames::compute(f, &cfg, &live, &loops, &dom, opts.redundancy_elimination);
+        let info = frames::compute(f, &cfg, &live, &loops, opts.redundancy_elimination);
         let order: Vec<Block> = cfg.rpo().to_vec();
         let order_idx: HashMap<Block, usize> = order.iter().enumerate().map(|(i, b)| (*b, i)).collect();
         let mut def_block = HashMap::new();

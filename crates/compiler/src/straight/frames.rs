@@ -6,7 +6,7 @@
 
 use std::collections::{HashMap, HashSet};
 
-use straight_ir::analysis::{Cfg, Dominators, Liveness, Loops};
+use straight_ir::analysis::{Cfg, Liveness, Loops};
 use straight_ir::{Block, Function, Value};
 
 /// One entry in a block frame: a value every predecessor must have
@@ -29,10 +29,6 @@ pub struct FrameInfo {
     /// RE+ only: values that stay in the stack frame while control is
     /// inside the given block (excluded from its frame).
     pub stack_resident: HashMap<Block, HashSet<Value>>,
-    /// Values resident anywhere (need a spill slot and a store when
-    /// entering the region).
-    #[allow(dead_code)] // consumed by analysis tests and diagnostics
-    pub any_resident: HashSet<Value>,
 }
 
 /// Computes frames for every merge block.
@@ -41,17 +37,8 @@ pub struct FrameInfo {
 /// value id, then the block's phis by value id. Any deterministic
 /// order works; this one keeps loop-carried phis nearest to the block
 /// entry, matching the paper's Figure 9 shape.
-pub fn compute(
-    f: &Function,
-    cfg: &Cfg,
-    live: &Liveness,
-    loops: &Loops,
-    dom: &Dominators,
-    redundancy_elimination: bool,
-) -> FrameInfo {
-    let _ = dom;
+pub fn compute(f: &Function, cfg: &Cfg, live: &Liveness, loops: &Loops, redundancy_elimination: bool) -> FrameInfo {
     let mut stack_resident: HashMap<Block, HashSet<Value>> = HashMap::new();
-    let mut any_resident: HashSet<Value> = HashSet::new();
 
     if redundancy_elimination {
         // A value live into a loop header, neither defined nor used
@@ -86,7 +73,6 @@ pub fn compute(
                     for &b in &l.blocks {
                         stack_resident.entry(b).or_default().insert(v);
                     }
-                    any_resident.insert(v);
                 }
             }
         }
@@ -116,12 +102,13 @@ pub fn compute(
         members.extend(phis.into_iter().map(SlotSrc::Val));
         frames.insert(b, members);
     }
-    FrameInfo { frames, stack_resident, any_resident }
+    FrameInfo { frames, stack_resident }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use straight_ir::analysis::Dominators;
     use straight_ir::compile_source;
 
     fn analyse(src: &str, re: bool) -> (Function, FrameInfo) {
@@ -134,7 +121,7 @@ mod tests {
         let live = Liveness::compute(&f, &cfg);
         let dom = Dominators::compute(&f, &cfg);
         let loops = Loops::compute(&f, &cfg, &dom);
-        let info = compute(&f, &cfg, &live, &loops, &dom, re);
+        let info = compute(&f, &cfg, &live, &loops, re);
         (f, info)
     }
 
@@ -177,7 +164,7 @@ mod tests {
              }",
             true,
         );
-        assert!(!info.any_resident.is_empty(), "expected a resident value: {f}");
+        assert!(!info.stack_resident.is_empty(), "expected a resident value: {f}");
         // Resident values never appear in frames of their region.
         for (b, frame) in &info.frames {
             if let Some(res) = info.stack_resident.get(b) {
@@ -202,6 +189,6 @@ mod tests {
              }",
             false,
         );
-        assert!(info.any_resident.is_empty());
+        assert!(info.stack_resident.is_empty());
     }
 }

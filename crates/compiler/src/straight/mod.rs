@@ -3,8 +3,8 @@
 mod emit;
 mod frames;
 
-use straight_asm::{DataItem, SProgram};
-use straight_ir::{passes, Module};
+use straight_asm::SProgram;
+use straight_ir::Module;
 
 use crate::CodegenError;
 
@@ -61,17 +61,5 @@ pub fn compile_straight(module: &Module, opts: &StraightOptions) -> Result<SProg
     if opts.max_distance < MIN_MAX_DISTANCE {
         return Err(CodegenError::MaxDistanceTooSmall { max_distance: opts.max_distance });
     }
-    let mut module = module.clone();
-    for f in &mut module.funcs {
-        passes::split_critical_edges(f);
-    }
-    let mut prog = SProgram::default();
-    for g in &module.globals {
-        prog.data.push(DataItem { name: g.name.clone(), size: g.size, align: g.align, init: g.init.clone() });
-    }
-    for f in &module.funcs {
-        let sfunc = emit::FnEmitter::compile(f, &module, opts)?;
-        prog.funcs.push(sfunc);
-    }
-    Ok(prog)
+    crate::compile_module(module, |f, module| emit::FnEmitter::compile(f, module, opts))
 }
