@@ -24,15 +24,19 @@
 //! the target/machine involved, instead of panicking mid-sweep.
 
 use std::str::FromStr;
+use std::sync::Arc;
 
+use straight_asm::Image;
 use straight_json::{fnv1a64, json_record};
 use straight_sim::emu::{Checkpoint, EmuExit, ExecBackend, RiscvEmu, StraightEmu, TierConfig};
-use straight_sim::pipeline::{Core, CoreError, MachineConfig, SimExit, SimResult, SimStats};
+use straight_sim::pipeline::{
+    simulate, Core, CoreError, MachineConfig, SimExit, SimResult, SimStats,
+};
 use straight_sim::KindCounts;
 use straight_workloads::{coremark, dhrystone};
 
 use crate::report;
-use crate::{build, run_on, BuildError, Target};
+use crate::{build, BuildError, Target};
 
 /// Cycle budget for experiment runs.
 pub const MAX_CYCLES: u64 = 20_000_000_000;
@@ -298,7 +302,7 @@ pub(crate) fn build_for(
     workload: &str,
     src: &str,
     target: Target,
-) -> Result<straight_asm::Image, ExperimentError> {
+) -> Result<Image, ExperimentError> {
     build(src, target).map_err(|source| ExperimentError::Build {
         workload: workload.to_string(),
         target: target_name(target),
@@ -309,16 +313,17 @@ pub(crate) fn build_for(
 /// Runs an image within `max_cycles` and requires normal completion.
 pub(crate) fn run_checked(
     workload: &str,
-    image: &straight_asm::Image,
+    image: &Arc<Image>,
     cfg: MachineConfig,
     max_cycles: u64,
 ) -> Result<SimResult, ExperimentError> {
     let machine = cfg.name.clone();
-    let result = run_on(image, cfg, max_cycles).map_err(|source| ExperimentError::Machine {
-        workload: workload.to_string(),
-        machine: machine.clone(),
-        source,
-    })?;
+    let result =
+        simulate(Arc::clone(image), cfg, max_cycles).map_err(|source| ExperimentError::Machine {
+            workload: workload.to_string(),
+            machine: machine.clone(),
+            source,
+        })?;
     if result.exit_code.is_none() {
         return Err(ExperimentError::Abnormal {
             workload: workload.to_string(),
@@ -372,23 +377,24 @@ const MAX_CHECKPOINTS: usize = 64;
 /// cycles.
 pub(crate) fn run_sampled(
     workload: &str,
-    image: &straight_asm::Image,
+    image: &Arc<Image>,
     cfg: MachineConfig,
     max_cycles: u64,
     target: Target,
 ) -> Result<SampledOutcome, ExperimentError> {
     let spacing = CHECKPOINT_SPACING;
+    let emu_image = Arc::clone(image);
     match target {
         Target::Riscv => {
-            sample_on(workload, image, cfg, max_cycles, RiscvEmu::new(image.clone()), spacing)
+            sample_on(workload, image, cfg, max_cycles, RiscvEmu::new(emu_image), spacing)
         }
-        _ => sample_on(workload, image, cfg, max_cycles, StraightEmu::new(image.clone()), spacing),
+        _ => sample_on(workload, image, cfg, max_cycles, StraightEmu::new(emu_image), spacing),
     }
 }
 
 fn sample_on<E: ExecBackend>(
     workload: &str,
-    image: &straight_asm::Image,
+    image: &Arc<Image>,
     cfg: MachineConfig,
     max_cycles: u64,
     mut emu: E,
@@ -410,7 +416,9 @@ fn sample_on<E: ExecBackend>(
             EmuExit::Done { .. } => break,
             exit => return Err(abnormal(format!("emulator fast-forward: {exit:?}"))),
         }
-        grid.push(emu.checkpoint());
+        // Pages unchanged since the previous checkpoint share its copy.
+        let cp = grid.last().map_or_else(|| emu.checkpoint(), |last| emu.checkpoint_after(last));
+        grid.push(cp);
         if grid.len() == MAX_CHECKPOINTS {
             let mut keep = false;
             grid.retain(|_| {
@@ -436,7 +444,8 @@ fn sample_on<E: ExecBackend>(
         if point >= total {
             break; // The program ended before this sample point.
         }
-        if let Some(near) = grid.iter().rfind(|cp| cp.executed() <= point) {
+        let near = grid.iter().rfind(|cp| cp.executed() <= point);
+        if let Some(near) = near {
             if near.executed() > emu.executed() || emu.executed() > point {
                 emu.restore(near).map_err(|e| abnormal(format!("restore: {e}")))?;
             }
@@ -445,8 +454,8 @@ fn sample_on<E: ExecBackend>(
         {
             return Err(abnormal(format!("emulator did not stop at sample point {point}")));
         }
-        let cp = emu.checkpoint();
-        let mut core = Core::resume_from(image.clone(), cfg.clone(), &cp).map_err(|source| {
+        let cp = near.map_or_else(|| emu.checkpoint(), |near| emu.checkpoint_after(near));
+        let mut core = Core::resume_from(Arc::clone(image), cfg.clone(), &cp).map_err(|source| {
             ExperimentError::Machine {
                 workload: workload.to_string(),
                 machine: cfg.name.clone(),
@@ -1193,7 +1202,7 @@ mod tests {
     fn one_pass_matches_reference(what: &str, src: &str, first_spacing: u64) -> [u64; 2] {
         fn check<E: ExecBackend>(
             what: &str,
-            image: &straight_asm::Image,
+            image: &Arc<Image>,
             cfg: MachineConfig,
             fresh: impl Fn() -> E,
             first_spacing: u64,
@@ -1207,15 +1216,21 @@ mod tests {
             assert_eq!(one.stdout, reference.stdout, "{what}: stdout");
             one.retired
         }
-        let rv = build_for(what, src, Target::Riscv).unwrap();
-        let st = build_for(what, src, re_plus(EVAL_MAX_DISTANCE)).unwrap();
+        let rv = Arc::new(build_for(what, src, Target::Riscv).unwrap());
+        let st = Arc::new(build_for(what, src, re_plus(EVAL_MAX_DISTANCE)).unwrap());
         [
-            check(what, &rv, MachineConfig::ss_2way(), || RiscvEmu::new(rv.clone()), first_spacing),
+            check(
+                what,
+                &rv,
+                MachineConfig::ss_2way(),
+                || RiscvEmu::new(Arc::clone(&rv)),
+                first_spacing,
+            ),
             check(
                 what,
                 &st,
                 MachineConfig::straight_2way(),
-                || StraightEmu::new(st.clone()),
+                || StraightEmu::new(Arc::clone(&st)),
                 first_spacing,
             ),
         ]
@@ -1261,13 +1276,13 @@ mod tests {
         // runs like a fresh one: a budget one cycle past its warm-up
         // cuts the measured half of the first window short.
         let src = WorkloadKind::Dhrystone.source(&RunParams::quick());
-        let image = build_for("Dhrystone", &src, Target::Riscv).unwrap();
+        let image = Arc::new(build_for("Dhrystone", &src, Target::Riscv).unwrap());
         let cfg = MachineConfig::ss_2way();
-        let total = RiscvEmu::new(image.clone()).run(u64::MAX).stats.retired;
+        let total = RiscvEmu::new(Arc::clone(&image)).run(u64::MAX).stats.retired;
         let window = (total / SAMPLE_COUNT).min(SAMPLE_WINDOW);
-        let mut core = Core::new(image.clone(), cfg.clone()).unwrap();
+        let mut core = Core::new(Arc::clone(&image), cfg.clone()).unwrap();
         let budget = core.run_retired(window / 2, MAX_CYCLES).stats.cycles + 1;
-        let emu = RiscvEmu::new(image.clone());
+        let emu = RiscvEmu::new(Arc::clone(&image));
         match sample_on("Dhrystone", &image, cfg, budget, emu, CHECKPOINT_SPACING).err() {
             Some(ExperimentError::Abnormal { exit, .. }) => {
                 assert!(exit.contains("cycle budget"), "{exit}");

@@ -403,10 +403,10 @@ fn exec_cell(spec: &CellSpec, params: &RunParams, shared: &SessionShared) -> Cel
             let profile = matches!(spec.kind, CellKind::EmuDistance { .. });
             let result = match target {
                 Target::Riscv => {
-                    RiscvEmu::new((*image).clone()).run_tiered(u64::MAX, TierConfig::fast())
+                    RiscvEmu::new(image).run_tiered(u64::MAX, TierConfig::fast())
                 }
                 _ => {
-                    let mut emu = StraightEmu::new((*image).clone());
+                    let mut emu = StraightEmu::new(image);
                     emu.profile_distances = profile;
                     emu.run_tiered(u64::MAX, TierConfig::fast())
                 }

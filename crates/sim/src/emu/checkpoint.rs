@@ -13,6 +13,17 @@
 //! the checkpoint are rewritten, each from the checkpoint or else from
 //! the pristine image.
 //!
+//! Checkpoints share unchanged pages:
+//! [`checkpoint_after`](super::ExecBackend::checkpoint_after) takes
+//! the checkpoint before it, and each dirty page whose bytes equal
+//! that checkpoint's copy shares its buffer (an `Arc`) instead of
+//! copying it again. Nothing writes through a checkpoint, so sharing
+//! is invisible: an executor's live memory keeps its own pages, and a
+//! restore copies the saved bytes into them. A sampled cell keeps a
+//! grid of checkpoints of one run, where many dirty pages (data that a
+//! phase of the program no longer writes) stay the same from one
+//! checkpoint to the next.
+//!
 //! Two checkpoints are the same state exactly when they are `==` (the
 //! dirty pages are kept in canonical ascending order). Checkpoints are
 //! the hand-off format for sampled simulation: the cycle-accurate
@@ -20,17 +31,20 @@
 //! `Memory::restore_pages` the emulators use and seeds its physical
 //! register file and RP/RMT state from one.
 
+use std::sync::Arc;
+
 use straight_asm::ImageIsa;
 
-use super::memops::Page;
+use super::memops::PAGE_SIZE;
 use super::sys::SysState;
 use super::EmuStats;
 
-/// One dirtied page: its index and its full contents at snapshot time.
+/// One dirtied page: its index and its full contents at snapshot time,
+/// possibly shared with other checkpoints (see the module docs).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct DirtyPage {
     pub(crate) index: u32,
-    pub(crate) bytes: Page,
+    pub(crate) bytes: Arc<[u8; PAGE_SIZE]>,
 }
 
 /// ISA-specific register state of a checkpoint.
@@ -180,13 +194,13 @@ mod tests {
         memops::store(&mut mem, MemWidth::B, 5000, 0xab).unwrap();
         memops::store(&mut mem, MemWidth::B, MEM_SIZE - 1, 0xcd).unwrap();
         memops::load(&mem, MemWidth::W, 0x2_0000).unwrap();
-        let pages = mem.collect_pages();
+        let pages = mem.collect_pages(&[]);
         assert_eq!(pages.len(), 2, "loads mark nothing");
         assert_eq!(pages[0].index, 1);
         assert_eq!(pages[0].bytes[5000 - PAGE_SIZE], 0xab);
         assert_eq!(pages[1].index as usize, PAGE_COUNT - 1);
         assert_eq!(pages[1].bytes[PAGE_SIZE - 1], 0xcd);
-        assert!(Memory::from_image(&straddling_image()).collect_pages().is_empty());
+        assert!(Memory::from_image(&straddling_image()).collect_pages(&[]).is_empty());
     }
 
     #[test]
@@ -202,7 +216,39 @@ mod tests {
         mem.restore_pages(&image, &[]);
         assert_pages_match(&mem, &loaded(&image));
         assert_eq!(mem.resident_pages(), resident, "pages outside the image are dropped");
-        assert!(mem.collect_pages().is_empty());
+        assert!(mem.collect_pages(&[]).is_empty());
+    }
+
+    /// Pages 1 and 3 of `image` stored to as `stores` lists, from a
+    /// fresh load: the reference a checkpoint's state is checked
+    /// against.
+    fn replayed(image: &straight_asm::Image, stores: &[(u32, u32)]) -> Memory {
+        let mut mem = Memory::from_image(image);
+        for &(addr, val) in stores {
+            memops::store(&mut mem, MemWidth::W, addr, val).unwrap();
+        }
+        mem
+    }
+
+    #[test]
+    fn consecutive_checkpoints_share_untouched_pages() {
+        let image = straddling_image();
+        let (a, b) = (PAGE_SIZE as u32 + 8, 3 * PAGE_SIZE as u32 + 8);
+        let mut mem = replayed(&image, &[(a, 1), (b, 2)]);
+        let first = mem.collect_pages(&[]);
+        memops::store(&mut mem, MemWidth::W, b, 3).unwrap();
+        let second = mem.collect_pages(&first);
+        assert!(Arc::ptr_eq(&first[0].bytes, &second[0].bytes), "untouched page copied");
+        assert!(!Arc::ptr_eq(&first[1].bytes, &second[1].bytes), "stored page shared");
+        assert_eq!(second, mem.collect_pages(&[]), "sharing changes no byte");
+
+        // A store to a page restored from a shared buffer writes the
+        // live page only: both checkpoints still describe their states.
+        mem.restore_pages(&image, &second);
+        memops::store(&mut mem, MemWidth::W, a, 4).unwrap();
+        assert_eq!(first, replayed(&image, &[(a, 1), (b, 2)]).collect_pages(&[]));
+        assert_eq!(second, replayed(&image, &[(a, 1), (b, 3)]).collect_pages(&[]));
+        assert_eq!(mem.collect_pages(&[]), replayed(&image, &[(a, 4), (b, 3)]).collect_pages(&[]));
     }
 
     #[test]

@@ -8,7 +8,8 @@
 //! holds the pages its program touches (a handful for Dhrystone and
 //! CoreMark), not a zero-filled copy of the whole 4 MiB space.
 //! `Memory` also keeps the set of pages stored to, which a
-//! `Checkpoint` carries ([`Memory::collect_pages`]) and which bounds
+//! `Checkpoint` carries ([`Memory::collect_pages`], sharing each page
+//! that equals the previous checkpoint's copy) and which bounds
 //! the work of a restore ([`Memory::restore_pages`]).
 //!
 //! The fast tiers resolve the width when a block is translated and
@@ -21,6 +22,8 @@
 //! forwarded store value through [`forwarded`]. So every executor
 //! shares one alignment rule, one set of trap values, one sub-word
 //! extension and one little-endian byte order.
+
+use std::sync::Arc;
 
 use straight_asm::{Image, MEM_SIZE};
 use straight_isa::{MemWidth, TrapKind};
@@ -102,11 +105,23 @@ impl Memory {
         self.dirty[index / 64] & (1 << (index % 64)) != 0
     }
 
-    /// The dirty pages, in canonical (ascending) order.
-    pub(crate) fn collect_pages(&self) -> Vec<DirtyPage> {
+    /// The dirty pages, in canonical (ascending) order. A page whose
+    /// bytes equal `prev`'s copy of the same page (`prev` ascending,
+    /// typically the previous checkpoint's pages) shares that copy's
+    /// buffer; every other page gets a new one.
+    pub(crate) fn collect_pages(&self, prev: &[DirtyPage]) -> Vec<DirtyPage> {
+        let mut prev = prev.iter().peekable();
         (0..PAGE_COUNT)
             .filter(|&index| self.is_dirty(index))
-            .map(|index| DirtyPage { index: index as u32, bytes: Box::new(*self.page(index)) })
+            .map(|index| {
+                let live = self.page(index);
+                while prev.next_if(|p| (p.index as usize) < index).is_some() {}
+                let bytes = match prev.next_if(|p| p.index as usize == index) {
+                    Some(p) if *p.bytes == *live => Arc::clone(&p.bytes),
+                    _ => Arc::new(*live),
+                };
+                DirtyPage { index: index as u32, bytes }
+            })
             .collect()
     }
 
@@ -114,8 +129,9 @@ impl Memory {
     /// carrying the dirty pages `saved` (ascending) describes, and
     /// makes those pages the dirty set. Only pages dirty on either
     /// side are rewritten: to the saved bytes where `saved` carries
-    /// the page, else to the pristine image page. Every other page
-    /// already holds the image on both sides.
+    /// the page (copied into the live page when there is one), else
+    /// to the pristine image page. Every other page already holds the
+    /// image on both sides.
     pub(crate) fn restore_pages(&mut self, image: &Image, saved: &[DirtyPage]) {
         let mut target = [0u64; PAGE_COUNT / 64];
         for page in saved {
@@ -128,10 +144,12 @@ impl Memory {
             while bits != 0 {
                 let index = word * 64 + bits.trailing_zeros() as usize;
                 bits &= bits - 1;
-                self.pages[index] = match saved.next_if(|p| p.index as usize == index) {
-                    Some(p) => Some(p.bytes.clone()),
-                    None => pristine_page(image, index),
-                };
+                let page = &mut self.pages[index];
+                match (saved.next_if(|p| p.index as usize == index), page.as_deref_mut()) {
+                    (Some(p), Some(live)) => *live = *p.bytes,
+                    (Some(p), None) => *page = Some(Box::new(*p.bytes)),
+                    (None, _) => *page = pristine_page(image, index),
+                }
             }
         }
         self.dirty = target;
@@ -305,7 +323,7 @@ pub(crate) mod tests {
     use straight_compiler::{compile_riscv, compile_straight, StraightOptions};
 
     use super::*;
-    use crate::emu::{EmuExit, EmuIsa, ExecBackend, RiscvEmu, StraightEmu, TierConfig};
+    use crate::emu::{Checkpoint, EmuExit, EmuIsa, ExecBackend, RiscvEmu, StraightEmu, TierConfig};
     use crate::pipeline::{Core, MachineConfig};
 
     const WIDTHS: [MemWidth; 5] =
@@ -392,7 +410,7 @@ pub(crate) mod tests {
             }
         }
         assert_eq!(mem.resident_pages(), 0);
-        assert!(mem.collect_pages().is_empty(), "nothing marked dirty");
+        assert!(mem.collect_pages(&[]).is_empty(), "nothing marked dirty");
     }
 
     #[test]
@@ -462,5 +480,46 @@ pub(crate) mod tests {
                 assert!(count <= LIMIT, "{name} on {executor}: {count} pages resident");
             }
         }
+    }
+
+    /// Footprint gate for checkpoint page sharing: the first pass of a
+    /// sampled Dhrystone SS cell (the RV32IM emulator on the fast tier,
+    /// checkpointing every 65,536 instructions against the previous
+    /// checkpoint into a grid that halves and doubles its spacing at 64
+    /// entries, as `straight_core`'s sampler does) at 4,000 iterations,
+    /// where the grid doubles once. Measured: 160 page copies across
+    /// the grid's 41 checkpoints, in 65 distinct buffers. Without
+    /// sharing every copy is its own buffer.
+    #[test]
+    fn sampled_checkpoint_grid_shares_unchanged_pages() {
+        const SPACING: u64 = 65_536;
+        const MAX_CHECKPOINTS: usize = 64;
+        const LIMIT: usize = 65;
+        let module = straight_ir::compile_source(&straight_workloads::dhrystone(4000)).unwrap();
+        let image = link_riscv(&compile_riscv(&module).unwrap()).unwrap();
+        let mut emu = RiscvEmu::new(image);
+        let mut spacing = SPACING;
+        let mut grid: Vec<Checkpoint> = Vec::new();
+        while emu.run_with(grid.len() as u64 * spacing, TierConfig::fast()) == EmuExit::StepLimit {
+            let cp =
+                grid.last().map_or_else(|| emu.checkpoint(), |last| emu.checkpoint_after(last));
+            grid.push(cp);
+            if grid.len() == MAX_CHECKPOINTS {
+                let mut keep = false;
+                grid.retain(|_| {
+                    keep = !keep;
+                    keep
+                });
+                spacing *= 2;
+            }
+        }
+        assert!(spacing > SPACING, "the grid never doubled");
+        let pages: Vec<&DirtyPage> = grid.iter().flat_map(|cp| &cp.pages).collect();
+        let mut buffers: Vec<*const [u8; PAGE_SIZE]> =
+            pages.iter().map(|page| Arc::as_ptr(&page.bytes)).collect();
+        buffers.sort_unstable();
+        buffers.dedup();
+        assert!(buffers.len() < pages.len(), "no page shared: {} buffers", buffers.len());
+        assert!(buffers.len() <= LIMIT, "{} distinct page buffers, limit {LIMIT}", buffers.len());
     }
 }

@@ -38,11 +38,13 @@ pub use checkpoint::{Checkpoint, CheckpointError};
 pub use riscv::RiscvEmu;
 pub use straight::StraightEmu;
 
+use std::sync::Arc;
+
 use straight_asm::Image;
 use straight_isa::{InstKind, Trap, TrapKind};
 
 use crate::KindCounts;
-use checkpoint::ArchSnap;
+use checkpoint::{ArchSnap, DirtyPage};
 use memops::Memory;
 use sys::SysState;
 
@@ -75,7 +77,8 @@ pub struct EmuStats {
     /// Retired counts per category (Figure 15).
     pub kinds: KindCounts,
     /// Histogram of source-operand distances (STRAIGHT only; index =
-    /// distance, Figure 16).
+    /// distance, Figure 16). Empty until a profiled run counts its
+    /// first operand, then `MAX_DISTANCE + 1` entries.
     pub dist_hist: Vec<u64>,
 }
 
@@ -189,6 +192,12 @@ pub trait ExecBackend {
     /// memory page that differs from the pristine image.
     fn checkpoint(&self) -> Checkpoint;
 
+    /// [`ExecBackend::checkpoint`], with every memory page whose bytes
+    /// equal `prev`'s copy sharing that copy instead of a new one.
+    /// Equal to `checkpoint()` whatever `prev` is; smaller when `prev`
+    /// is an earlier checkpoint of the same run.
+    fn checkpoint_after(&self, prev: &Checkpoint) -> Checkpoint;
+
     /// Restores a snapshot taken by [`ExecBackend::checkpoint`] (on
     /// this emulator or any emulator of the same image and ISA), at an
     /// earlier or a later point than the current one. Memory costs
@@ -223,13 +232,13 @@ pub trait ExecBackend {
     }
 }
 
-/// The ISA-independent state of an emulator: image, memory (with its
-/// dirty pages), counters, console state, statistics, and the fast
-/// tier's trace cache. Each ISA's emulator embeds one next to its
-/// register state.
+/// The ISA-independent state of an emulator: image (shared, never
+/// copied), memory (with its dirty pages), counters, console state,
+/// statistics, and the fast tier's trace cache. Each ISA's emulator
+/// embeds one next to its register state.
 #[derive(Debug, Clone)]
 pub(crate) struct EmuCore<B> {
-    image: Image,
+    image: Arc<Image>,
     mem: Memory,
     /// Dynamic instructions executed.
     count: u64,
@@ -243,7 +252,7 @@ pub(crate) struct EmuCore<B> {
 
 impl<B> EmuCore<B> {
     /// Loads `image` into a fresh memory, with the PC at its entry.
-    fn new(image: Image, stats: EmuStats) -> EmuCore<B> {
+    fn new(image: Arc<Image>, stats: EmuStats) -> EmuCore<B> {
         let mem = Memory::from_image(&image);
         let pc = image.entry;
         EmuCore {
@@ -398,6 +407,8 @@ fn run_fast_cached<I: EmuIsa>(
     max_steps: u64,
     blocks: &mut [Option<Box<I::Block>>],
 ) -> EmuExit {
+    // Read once: the image sits behind a shared pointer.
+    let (code_base, code_end) = (emu.core().image.code_base, emu.core().image.code_end());
     loop {
         let core = emu.core();
         if core.stats.retired >= max_steps {
@@ -405,11 +416,10 @@ fn run_fast_cached<I: EmuIsa>(
         }
         let budget = max_steps - core.stats.retired;
         let pc = core.pc;
-        let image = &core.image;
         // Outside the code segment the interpreter raises the fetch
         // fault with the proper context.
-        if pc >= image.code_base && pc < image.code_end() && pc.is_multiple_of(4) {
-            let slot = ((pc - image.code_base) / 4) as usize;
+        if pc >= code_base && pc < code_end && pc.is_multiple_of(4) {
+            let slot = ((pc - code_base) / 4) as usize;
             let block = blocks[slot].get_or_insert_with(|| Box::new(emu.translate(pc)));
             // Single-step when the trace cannot run unchecked or would
             // overshoot the step budget (exact StepLimit semantics).
@@ -423,6 +433,19 @@ fn run_fast_cached<I: EmuIsa>(
         if let Some(exit) = emu.step() {
             return exit;
         }
+    }
+}
+
+/// A checkpoint of `emu` whose pages share `prev`'s equal ones.
+fn snapshot<I: EmuIsa>(emu: &I, prev: &[DirtyPage]) -> Checkpoint {
+    let core = emu.core();
+    Checkpoint {
+        pc: core.pc,
+        executed: core.count,
+        arch: emu.arch_snap(),
+        sys: core.sys.clone(),
+        stats: core.stats.clone(),
+        pages: core.mem.collect_pages(prev),
     }
 }
 
@@ -458,15 +481,11 @@ impl<I: EmuIsa> ExecBackend for I {
     }
 
     fn checkpoint(&self) -> Checkpoint {
-        let core = self.core();
-        Checkpoint {
-            pc: core.pc,
-            executed: core.count,
-            arch: self.arch_snap(),
-            sys: core.sys.clone(),
-            stats: core.stats.clone(),
-            pages: core.mem.collect_pages(),
-        }
+        snapshot(self, &[])
+    }
+
+    fn checkpoint_after(&self, prev: &Checkpoint) -> Checkpoint {
+        snapshot(self, &prev.pages)
     }
 
     fn restore(&mut self, cp: &Checkpoint) -> Result<(), CheckpointError> {

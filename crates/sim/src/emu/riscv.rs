@@ -10,6 +10,8 @@
 //! and unconditional `JAL`s fused *through* (the trace continues into
 //! the static target) — with statistics batched per trace.
 
+use std::sync::Arc;
+
 use straight_asm::{Image, STACK_TOP};
 use straight_isa::{AluOp, InstKind, TrapKind};
 use straight_riscv::{decode, MemWidth, Reg, RvInst};
@@ -122,12 +124,13 @@ fn wreg(rd: Reg) -> u8 {
 }
 
 impl RiscvEmu {
-    /// Prepares an emulator for a linked image.
+    /// Prepares an emulator for a linked image (shared, not copied,
+    /// when passed as an `Arc`).
     #[must_use]
-    pub fn new(image: Image) -> RiscvEmu {
+    pub fn new(image: impl Into<Arc<Image>>) -> RiscvEmu {
         let mut regs = [0u32; 64];
         regs[Reg::SP.num() as usize] = STACK_TOP;
-        RiscvEmu { core: EmuCore::new(image, EmuStats::default()), regs }
+        RiscvEmu { core: EmuCore::new(image.into(), EmuStats::default()), regs }
     }
 
     /// Architectural value of `reg`.

@@ -30,6 +30,8 @@
 //! raises the exact trap. Code is immutable (fetch reads the image,
 //! not memory), so translated traces never need invalidation.
 
+use std::sync::Arc;
+
 use straight_asm::{Image, STACK_TOP};
 use straight_isa::{decode, AluImmOp, AluOp, Dist, Inst, InstKind, MemWidth, TrapKind, MAX_DISTANCE};
 
@@ -170,15 +172,26 @@ fn src(ring: &[u32; RING], count: u64, d: u16) -> u32 {
     }
 }
 
+/// A Figure 16 histogram about to take a count, sized on its first
+/// one: it stays empty until then, so an emulator that never profiles
+/// (and each of its checkpoints) carries none.
+#[inline]
+fn distance_hist(hist: &mut Vec<u64>) -> &mut [u64] {
+    if hist.is_empty() {
+        hist.resize(MAX_DISTANCE as usize + 1, 0);
+    }
+    hist
+}
+
 impl StraightEmu {
-    /// Prepares an emulator for a linked image.
+    /// Prepares an emulator for a linked image (shared, not copied,
+    /// when passed as an `Arc`).
     #[must_use]
-    pub fn new(image: Image) -> StraightEmu {
+    pub fn new(image: impl Into<Arc<Image>>) -> StraightEmu {
+        let image = image.into();
         let stack_floor = image.data_base.saturating_add(image.data.len() as u32);
-        let stats =
-            EmuStats { dist_hist: vec![0; MAX_DISTANCE as usize + 1], ..EmuStats::default() };
         StraightEmu {
-            core: EmuCore::new(image, stats),
+            core: EmuCore::new(image, EmuStats::default()),
             ring: Box::new([0; RING]),
             sp: STACK_TOP,
             stack_floor,
@@ -229,7 +242,7 @@ impl StraightEmu {
     fn profile(&mut self, inst: &Inst) {
         for s in inst.sources().into_iter().flatten() {
             if !s.is_zero() {
-                self.core.stats.dist_hist[s.get() as usize] += 1;
+                distance_hist(&mut self.core.stats.dist_hist)[s.get() as usize] += 1;
             }
         }
     }
@@ -662,9 +675,10 @@ impl EmuIsa for StraightEmu {
             self.ring[(count & RING_MASK) as usize] = v;
             count += 1;
         }
-        if self.profile_distances {
+        if self.profile_distances && !b.dist_counts.is_empty() {
+            let hist = distance_hist(&mut self.core.stats.dist_hist);
             for &(d, n) in &b.dist_counts {
-                self.core.stats.dist_hist[d as usize] += n;
+                hist[d as usize] += n;
             }
         }
         self.core.retire_trace(count - entry, next_pc, &b.kinds, b.ends_halt)
@@ -775,9 +789,14 @@ mod tests {
                 RMOV [2]
                 JR [4]",
         );
-        let mut emu = StraightEmu::new(image);
+        let mut emu = StraightEmu::new(image.clone());
+        assert!(emu.stats().dist_hist.is_empty(), "a new emulator holds no histogram");
+        let unprofiled = StraightEmu::new(image).run(1000);
+        assert!(unprofiled.stats.dist_hist.is_empty(), "only profiling sizes it");
+        assert_eq!(unprofiled.stats.cumulative_fraction(8), 0.0);
         emu.profile_distances = true;
         let r = emu.run(1000);
+        assert_eq!(r.stats.dist_hist.len(), MAX_DISTANCE as usize + 1);
         assert!(r.stats.dist_hist[1] >= 2);
         assert!(r.stats.cumulative_fraction(8) > 0.9);
     }

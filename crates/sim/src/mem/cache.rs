@@ -44,16 +44,21 @@ pub struct Cache {
     line_shift: u32,
     /// `sets - 1` — line numbers mask to the set index.
     set_mask: u32,
-    /// `tags[set * ways + way]` = line tag; `u64::MAX` = invalid.
-    tags: Vec<u64>,
+    /// `tags[set * ways + way]` = the resident line's number;
+    /// `u32::MAX` = invalid. Lines are at least 2 bytes, so a line
+    /// number is at most `u32::MAX >> 1` and never collides with it.
+    tags: Vec<u32>,
     /// Last-use stamp per way (larger = more recent; 0 = never used).
     /// Stamp LRU keeps `touch` to a single store instead of aging the
-    /// whole set on every access; `tick` is monotonic so stamps of
-    /// valid ways are unique and the min-stamp way is exactly the
-    /// least recently used one.
-    stamp: Vec<u64>,
+    /// whole set on every access. Stamps of a set's valid ways are
+    /// unique, so its min-stamp way is exactly the least recently used
+    /// one. Replacement only ever compares stamps within one set, so
+    /// when `tick` reaches `u32::MAX` [`Cache::renumber`] rewrites each
+    /// set's stamps to their ranks and the decisions stay exact at
+    /// any run length.
+    stamp: Vec<u32>,
     /// Next stamp value; starts at 1 so 0 marks never-touched ways.
-    tick: u64,
+    tick: u32,
     /// Accesses and misses.
     pub accesses: u64,
     /// Misses.
@@ -66,17 +71,18 @@ impl Cache {
     /// # Panics
     ///
     /// Panics if the geometry is inconsistent (size not divisible by
-    /// `ways * line`, or line size / set count not a power of two).
+    /// `ways * line`, line size / set count not a power of two, or a
+    /// line of one byte).
     #[must_use]
     pub fn new(cfg: CacheCfg) -> Cache {
         let sets = cfg.size / (cfg.ways * cfg.line);
         assert!(sets > 0 && sets.is_power_of_two(), "bad cache geometry {cfg:?}");
-        assert!(cfg.line.is_power_of_two(), "bad cache line size {cfg:?}");
+        assert!(cfg.line >= 2 && cfg.line.is_power_of_two(), "bad cache line size {cfg:?}");
         Cache {
             cfg,
             line_shift: cfg.line.trailing_zeros(),
             set_mask: sets - 1,
-            tags: vec![u64::MAX; (sets * cfg.ways) as usize],
+            tags: vec![u32::MAX; (sets * cfg.ways) as usize],
             stamp: vec![0; (sets * cfg.ways) as usize],
             tick: 1,
             accesses: 0,
@@ -90,9 +96,9 @@ impl Cache {
         self.cfg
     }
 
-    fn set_and_tag(&self, addr: u32) -> (u32, u64) {
+    fn set_and_tag(&self, addr: u32) -> (u32, u32) {
         let line_addr = addr >> self.line_shift;
-        (line_addr & self.set_mask, u64::from(line_addr))
+        (line_addr & self.set_mask, line_addr)
     }
 
     /// Looks up `addr`, updating LRU; returns true on hit. Misses
@@ -111,7 +117,7 @@ impl Cache {
             None => {
                 self.misses += 1;
                 // Minimum stamp = least recently used. Stamps of valid
-                // ways are unique (monotonic tick), so ties only occur
+                // ways are unique within a set, so ties only occur
                 // among never-touched ways (stamp 0), where the choice
                 // cannot change the resident tag set.
                 let victim = (0..ways).min_by_key(|&w| self.stamp[base + w]).unwrap_or(0);
@@ -131,8 +137,28 @@ impl Cache {
     }
 
     fn touch(&mut self, way_index: usize) {
+        if self.tick == u32::MAX {
+            self.renumber();
+        }
         self.stamp[way_index] = self.tick;
         self.tick += 1;
+    }
+
+    /// Rewrites each set's stamps to their ranks, keeping their order:
+    /// never-used ways stay 0 and the valid ways get `1..=ways`. The
+    /// next stamp, `ways + 1`, is then above every stamp again.
+    fn renumber(&mut self) {
+        let ways = self.cfg.ways as usize;
+        let mut order: Vec<usize> = Vec::with_capacity(ways);
+        for set in self.stamp.chunks_exact_mut(ways) {
+            order.clear();
+            order.extend((0..ways).filter(|&w| set[w] != 0));
+            order.sort_unstable_by_key(|&w| set[w]);
+            for (rank, &w) in (1..).zip(&order) {
+                set[w] = rank;
+            }
+        }
+        self.tick = self.cfg.ways + 1;
     }
 
     /// Line size in bytes.
@@ -199,6 +225,32 @@ mod tests {
         assert!(c.access(0x000));
         assert!(c.access(0x020));
         assert_eq!(c.misses, 2);
+    }
+
+    /// The hit/miss sequence of `accesses` random addresses over a
+    /// few sets' worth of lines, from a cache whose stamps start at
+    /// `tick`.
+    fn hit_sequence(tick: u32, accesses: usize) -> Vec<bool> {
+        // 4 sets, 4 ways, 16 B lines; 64 lines compete for 16 ways.
+        let mut c = Cache::new(CacheCfg { size: 256, ways: 4, line: 16, hit_latency: 1 });
+        c.tick = tick;
+        let mut rng = straight_isa::rng::SplitMix64::new(0x5eed);
+        (0..accesses).map(|_| c.access(rng.below(64) as u32 * 16)).collect()
+    }
+
+    #[test]
+    fn stamp_renumbering_keeps_lru_exact() {
+        // The tick wraps after 5,000 accesses, when every set is full,
+        // so each set's order must survive the renumbering.
+        let wrapped = hit_sequence(u32::MAX - 5_000, 10_000);
+        assert_eq!(wrapped, hit_sequence(1, 10_000));
+        assert!(wrapped.contains(&true) && wrapped.contains(&false));
+    }
+
+    #[test]
+    #[should_panic(expected = "bad cache line size")]
+    fn one_byte_lines_are_rejected() {
+        let _ = Cache::new(CacheCfg { size: 64, ways: 2, line: 1, hit_latency: 1 });
     }
 
     #[test]

@@ -25,6 +25,7 @@
 
 use std::collections::VecDeque;
 use std::fmt;
+use std::sync::Arc;
 
 use super::lsq::LsqSlab;
 use super::rob::{RState, RobSlab};
@@ -126,7 +127,9 @@ impl Shadow {
 /// The cycle-accurate core.
 pub struct Core {
     cfg: MachineConfig,
-    image: Image,
+    /// The image, shared with the shadow emulator and any other core
+    /// or emulator given the same `Arc`.
+    image: Arc<Image>,
     /// The code segment decoded once up front, one entry per code slot
     /// plus a last one for fetches outside the image: fetch re-reads
     /// the same words millions of times, and decoding, control
@@ -193,15 +196,17 @@ pub struct Core {
 pub const STAGE_NAMES: [&str; 5] = ["commit", "complete", "issue", "rename", "fetch"];
 
 impl Core {
-    /// Builds a core for a linked image, validating that the machine
-    /// can actually execute it.
+    /// Builds a core for a linked image (shared, not copied, when
+    /// passed as an `Arc`), validating that the machine can actually
+    /// execute it.
     ///
     /// # Errors
     ///
     /// Returns [`CoreError`] when the image's ISA does not match the
     /// machine's front-end or the register file is too small for the
     /// architectural state.
-    pub fn new(image: Image, cfg: MachineConfig) -> Result<Core, CoreError> {
+    pub fn new(image: impl Into<Arc<Image>>, cfg: MachineConfig) -> Result<Core, CoreError> {
+        let image = image.into();
         let compatible = matches!(
             (cfg.isa, image.isa),
             (IsaKind::Straight, ImageIsa::Straight) | (IsaKind::Ss, ImageIsa::Riscv)
@@ -308,7 +313,7 @@ impl Core {
     /// and the checkpoint do not all agree on the ISA, and the same
     /// construction errors as [`Core::new`] otherwise.
     pub fn resume_from(
-        image: Image,
+        image: impl Into<Arc<Image>>,
         cfg: MachineConfig,
         cp: &Checkpoint,
     ) -> Result<Core, CoreError> {
@@ -490,13 +495,13 @@ impl Core {
                     // bound (an operand reaching past it would read a
                     // register already reallocated, §III-B) and the
                     // stack region.
-                    let mut emu = StraightEmu::new(self.image.clone());
+                    let mut emu = StraightEmu::new(Arc::clone(&self.image));
                     let bound = u16::try_from(self.cfg.max_distance).unwrap_or(u16::MAX);
                     emu.distance_bound = Some(bound);
                     emu.check_sp = true;
                     Shadow::S(Box::new(emu))
                 }
-                IsaKind::Ss => Shadow::R(Box::new(RiscvEmu::new(self.image.clone()))),
+                IsaKind::Ss => Shadow::R(Box::new(RiscvEmu::new(Arc::clone(&self.image)))),
             });
         }
         let committed = uop.dst.map(|d| self.prf[d as usize]);
@@ -1097,6 +1102,7 @@ impl Core {
             return;
         }
         let delay = if self.cfg.ideal_recovery { 1 } else { u64::from(self.cfg.frontend_latency) };
+        let code_base = self.image.code_base;
         for _ in 0..self.cfg.fetch_width {
             if self.front_q.len() >= capacity {
                 break;
@@ -1106,10 +1112,10 @@ impl Core {
             // until a recovery redirects it (on the correct path the
             // fault commits and ends the simulation).
             let fault_slot = self.decoded.len() - 1;
-            let slot = if pc < self.image.code_base || !pc.is_multiple_of(4) {
+            let slot = if pc < code_base || !pc.is_multiple_of(4) {
                 fault_slot
             } else {
-                (((pc - self.image.code_base) / 4) as usize).min(fault_slot)
+                (((pc - code_base) / 4) as usize).min(fault_slot)
             };
             let info = self.decoded[slot].control;
             let faulted = self.decoded[slot].uop.is_trap();
@@ -1361,7 +1367,11 @@ impl Core {
 ///
 /// Returns [`CoreError`] when the machine cannot execute the image at
 /// all (ISA mismatch, undersized register file).
-pub fn simulate(image: Image, cfg: MachineConfig, max_cycles: u64) -> Result<SimResult, CoreError> {
+pub fn simulate(
+    image: impl Into<Arc<Image>>,
+    cfg: MachineConfig,
+    max_cycles: u64,
+) -> Result<SimResult, CoreError> {
     Ok(Core::new(image, cfg)?.run(max_cycles))
 }
 

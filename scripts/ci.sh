@@ -26,6 +26,23 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 # the benchmark run.
 cargo check --locked --manifest-path perfbench/Cargo.toml --all-targets
 
+# End-to-end smoke of the emulator and checkpoint path: perfbench's
+# `emulate` workload runs the sampled, fig15 and fig16 cells and checks
+# each record against its expected output, so the last line it prints
+# must say every check passed. It writes `.perfbench/` under the working
+# directory, so it runs in a temporary one.
+PERFBENCH_DIR=$(mktemp -d)
+REPO=$(pwd)
+(cd "$PERFBENCH_DIR" && cargo run --release -q --manifest-path "$REPO/perfbench/Cargo.toml" -- \
+    --workload emulate --seed 1 --seconds 2 --trace 0 --scale tiny) > "$PERFBENCH_DIR/out.txt"
+python3 - "$PERFBENCH_DIR/out.txt" <<'EOF'
+import json, sys
+last = json.loads(open(sys.argv[1]).read().splitlines()[-1])
+assert last["correct"] is True and last["failed"] == 0, last
+print(f"perfbench emulate smoke OK: {last['attempted']} checks")
+EOF
+rm -rf "$PERFBENCH_DIR"
+
 # The opt-in per-stage host profiler must keep compiling and passing.
 cargo test -p straight-tests --features stage-profile -q --test stage_profile
 
