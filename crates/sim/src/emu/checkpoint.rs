@@ -2,26 +2,36 @@
 //!
 //! A [`Checkpoint`] captures everything needed to resume execution of
 //! an image mid-stream: PC, dynamic instruction count, the ISA's
-//! register state (the STRAIGHT result ring + SP, or the 32 RV32
-//! registers), console/exit state, statistics, and — instead of the
-//! whole 4 MiB address space — only the memory pages stored to since
-//! the image was loaded. Every executor's memory is a sparse
-//! `memops::Memory` that keeps its own dirty-page set as it stores, so
-//! snapshotting (`Memory::collect_pages`) is proportional to the
-//! touched working set. Restoring (`Memory::restore_pages`) is
+//! register state (SP and the live tail of the STRAIGHT result ring,
+//! or the 32 RV32 registers), console/exit state, statistics, and —
+//! instead of the whole 4 MiB address space — only the memory pages
+//! stored to since the image was loaded. Every executor's memory is a
+//! sparse `memops::Memory` that keeps its own dirty-page set as it
+//! stores, so snapshotting (`Memory::collect_pages`) is proportional to
+//! the touched working set. Restoring (`Memory::restore_pages`) is
 //! proportional to it too: only pages dirty in the live memory or in
 //! the checkpoint are rewritten, each from the checkpoint or else from
 //! the pristine image.
 //!
-//! Checkpoints share unchanged pages:
+//! A STRAIGHT operand names its producer by distance, and no word of
+//! an image's code reads further back than the image's *reach*, its
+//! largest source distance (at most 31 for a d=31 build). A result
+//! older than that is dead, so a STRAIGHT checkpoint keeps only the
+//! last `min(reach, executed)` results instead of the emulator's whole
+//! 1024-slot ring. A restore puts them back at their ring slots, and
+//! refuses ([`CheckpointError::RingTooShort`]) a checkpoint that
+//! carries fewer results than the restoring image can read.
+//!
+//! Checkpoints share unchanged bytes:
 //! [`checkpoint_after`](super::ExecBackend::checkpoint_after) takes
-//! the checkpoint before it, and each dirty page whose bytes equal
-//! that checkpoint's copy shares its buffer (an `Arc`) instead of
-//! copying it again. Nothing writes through a checkpoint, so sharing
-//! is invisible: an executor's live memory keeps its own pages, and a
-//! restore copies the saved bytes into them. A sampled cell keeps a
-//! grid of checkpoints of one run, where many dirty pages (data that a
-//! phase of the program no longer writes) stay the same from one
+//! the checkpoint before it, and each 256-byte block (`BLOCK`) of a
+//! dirty page whose bytes equal that checkpoint's copy shares its
+//! buffer (an `Arc`) instead of copying it again. Nothing writes through a
+//! checkpoint, so sharing is invisible: an executor's live memory
+//! keeps its own 4 KiB pages, and a restore copies the saved blocks
+//! into them. A sampled cell keeps a grid of checkpoints of one run,
+//! where most of each dirty page (data that a phase of the program no
+//! longer writes, stack below the live frames) stays the same from one
 //! checkpoint to the next.
 //!
 //! Two checkpoints are the same state exactly when they are `==` (the
@@ -39,19 +49,35 @@ use super::memops::PAGE_SIZE;
 use super::sys::SysState;
 use super::EmuStats;
 
+/// Copy-on-write granule of a saved page: a checkpoint shares each
+/// `BLOCK`-byte block that equals the previous checkpoint's copy.
+pub(crate) const BLOCK: usize = 256;
+
 /// One dirtied page: its index and its full contents at snapshot time,
-/// possibly shared with other checkpoints (see the module docs).
+/// in [`BLOCK`]-byte blocks, each possibly shared with other
+/// checkpoints (see the module docs).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct DirtyPage {
     pub(crate) index: u32,
-    pub(crate) bytes: Arc<[u8; PAGE_SIZE]>,
+    pub(crate) blocks: [Arc<[u8; BLOCK]>; PAGE_SIZE / BLOCK],
+}
+
+impl DirtyPage {
+    /// Copies the saved bytes into `page`.
+    pub(crate) fn copy_to(&self, page: &mut [u8; PAGE_SIZE]) {
+        for (dst, block) in page.chunks_exact_mut(BLOCK).zip(&self.blocks) {
+            dst.copy_from_slice(&block[..]);
+        }
+    }
 }
 
 /// ISA-specific register state of a checkpoint.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) enum ArchSnap {
-    /// STRAIGHT: the stack pointer and the full result ring (indexed
-    /// by executed count modulo the ring size).
+    /// STRAIGHT: the stack pointer and the last `ring.len()` results,
+    /// oldest first, so `ring[ring.len() - d]` is the value at distance
+    /// `d`. The length is `min(reach, executed)` for the image's reach
+    /// (see the module docs).
     Straight {
         sp: u32,
         ring: Vec<u32>,
@@ -67,6 +93,16 @@ pub(crate) enum ArchSnap {
 pub enum CheckpointError {
     /// The checkpoint was taken on the other ISA's emulator.
     IsaMismatch,
+    /// The STRAIGHT checkpoint carries fewer results than the restoring
+    /// image's code can read back (a checkpoint of an image with a
+    /// shorter reach).
+    RingTooShort {
+        /// Results the checkpoint carries.
+        carried: u32,
+        /// Results the restoring image can read: its reach, or the
+        /// executed count when that is smaller.
+        needed: u32,
+    },
 }
 
 impl std::fmt::Display for CheckpointError {
@@ -75,11 +111,26 @@ impl std::fmt::Display for CheckpointError {
             CheckpointError::IsaMismatch => {
                 write!(f, "checkpoint ISA does not match this emulator")
             }
+            CheckpointError::RingTooShort { carried, needed } => write!(
+                f,
+                "checkpoint carries {carried} STRAIGHT results, the image reads {needed} back"
+            ),
         }
     }
 }
 
 impl std::error::Error for CheckpointError {}
+
+/// Checks that a STRAIGHT ring snapshot `ring` taken after `executed`
+/// instructions holds every result an image of reach `reach` can read.
+pub(crate) fn check_ring(ring: &[u32], reach: u16, executed: u64) -> Result<(), CheckpointError> {
+    let needed = u64::from(reach).min(executed);
+    if (ring.len() as u64) < needed {
+        let (carried, needed) = (ring.len() as u32, needed as u32);
+        return Err(CheckpointError::RingTooShort { carried, needed });
+    }
+    Ok(())
+}
 
 /// A complete architectural snapshot (see the module docs).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -173,7 +224,9 @@ impl Checkpoint {
         out.extend_from_slice(&(self.pages.len() as u32).to_le_bytes());
         for page in &self.pages {
             out.extend_from_slice(&page.index.to_le_bytes());
-            out.extend_from_slice(&page.bytes[..]);
+            for block in &page.blocks {
+                out.extend_from_slice(&block[..]);
+            }
         }
         out
     }
@@ -188,6 +241,20 @@ mod tests {
     use crate::emu::memops::tests::{assert_pages_match, empty, loaded, straddling_image};
     use crate::emu::memops::{self, Memory, PAGE_COUNT, PAGE_SIZE};
 
+    const BLOCKS: usize = PAGE_SIZE / BLOCK;
+
+    /// The page a checkpoint saved, reassembled from its blocks.
+    fn saved(page: &DirtyPage) -> [u8; PAGE_SIZE] {
+        let mut bytes = [0; PAGE_SIZE];
+        page.copy_to(&mut bytes);
+        bytes
+    }
+
+    /// How many of `page`'s blocks share `prev`'s buffer.
+    fn shared_blocks(prev: &DirtyPage, page: &DirtyPage) -> usize {
+        prev.blocks.iter().zip(&page.blocks).filter(|(a, b)| Arc::ptr_eq(a, b)).count()
+    }
+
     #[test]
     fn dirty_map_marks_and_collects() {
         let mut mem = empty();
@@ -197,9 +264,9 @@ mod tests {
         let pages = mem.collect_pages(&[]);
         assert_eq!(pages.len(), 2, "loads mark nothing");
         assert_eq!(pages[0].index, 1);
-        assert_eq!(pages[0].bytes[5000 - PAGE_SIZE], 0xab);
+        assert_eq!(saved(&pages[0])[5000 - PAGE_SIZE], 0xab);
         assert_eq!(pages[1].index as usize, PAGE_COUNT - 1);
-        assert_eq!(pages[1].bytes[PAGE_SIZE - 1], 0xcd);
+        assert_eq!(saved(&pages[1])[PAGE_SIZE - 1], 0xcd);
         assert!(Memory::from_image(&straddling_image()).collect_pages(&[]).is_empty());
     }
 
@@ -238,8 +305,8 @@ mod tests {
         let first = mem.collect_pages(&[]);
         memops::store(&mut mem, MemWidth::W, b, 3).unwrap();
         let second = mem.collect_pages(&first);
-        assert!(Arc::ptr_eq(&first[0].bytes, &second[0].bytes), "untouched page copied");
-        assert!(!Arc::ptr_eq(&first[1].bytes, &second[1].bytes), "stored page shared");
+        assert_eq!(shared_blocks(&first[0], &second[0]), BLOCKS, "untouched page copied");
+        assert_eq!(shared_blocks(&first[1], &second[1]), BLOCKS - 1, "stored block shared");
         assert_eq!(second, mem.collect_pages(&[]), "sharing changes no byte");
 
         // A store to a page restored from a shared buffer writes the
@@ -249,6 +316,34 @@ mod tests {
         assert_eq!(first, replayed(&image, &[(a, 1), (b, 2)]).collect_pages(&[]));
         assert_eq!(second, replayed(&image, &[(a, 1), (b, 3)]).collect_pages(&[]));
         assert_eq!(mem.collect_pages(&[]), replayed(&image, &[(a, 4), (b, 3)]).collect_pages(&[]));
+    }
+
+    #[test]
+    fn one_byte_store_copies_one_block() {
+        let image = straddling_image();
+        let word = 3 * PAGE_SIZE as u32 + 8;
+        let byte = 3 * PAGE_SIZE as u32 + 5 * BLOCK as u32 + 17;
+        let stores = |last: u8| {
+            let mut mem = replayed(&image, &[(word, 0x0102_0304)]);
+            memops::store(&mut mem, MemWidth::B, byte, u32::from(last)).unwrap();
+            mem
+        };
+        let mut mem = stores(0x11);
+        let first = mem.collect_pages(&[]);
+        memops::store(&mut mem, MemWidth::B, byte, 0x22).unwrap();
+        let second = mem.collect_pages(&first);
+        assert_eq!(shared_blocks(&first[0], &second[0]), BLOCKS - 1);
+        assert!(!Arc::ptr_eq(&first[0].blocks[5], &second[0].blocks[5]), "stored block shared");
+        assert_eq!(first, stores(0x11).collect_pages(&[]), "first checkpoint changed");
+        assert_eq!(second, stores(0x22).collect_pages(&[]), "second checkpoint wrong");
+
+        // Restoring either one brings back every byte of its memory.
+        for (cp, last) in [(&first, 0x11), (&second, 0x22)] {
+            mem.restore_pages(&image, cp);
+            assert_eq!(memops::load(&mem, MemWidth::Bu, byte), Ok(u32::from(last)));
+            let want = stores(last);
+            assert!((0..PAGE_COUNT).all(|i| mem.page(i) == want.page(i)), "restore to {last:#x}");
+        }
     }
 
     #[test]

@@ -8,9 +8,9 @@
 //! holds the pages its program touches (a handful for Dhrystone and
 //! CoreMark), not a zero-filled copy of the whole 4 MiB space.
 //! `Memory` also keeps the set of pages stored to, which a
-//! `Checkpoint` carries ([`Memory::collect_pages`], sharing each page
-//! that equals the previous checkpoint's copy) and which bounds
-//! the work of a restore ([`Memory::restore_pages`]).
+//! `Checkpoint` carries ([`Memory::collect_pages`], sharing each
+//! 256-byte block that equals the previous checkpoint's copy) and
+//! which bounds the work of a restore ([`Memory::restore_pages`]).
 //!
 //! The fast tiers resolve the width when a block is translated and
 //! call the width-specialized helpers directly, each of which performs
@@ -28,7 +28,7 @@ use std::sync::Arc;
 use straight_asm::{Image, MEM_SIZE};
 use straight_isa::{MemWidth, TrapKind};
 
-use super::checkpoint::DirtyPage;
+use super::checkpoint::{DirtyPage, BLOCK};
 
 /// Page granule. Aligned accesses never straddle a page (the widest
 /// access is 4 bytes, alignment-checked before the bounds), so an
@@ -105,22 +105,23 @@ impl Memory {
         self.dirty[index / 64] & (1 << (index % 64)) != 0
     }
 
-    /// The dirty pages, in canonical (ascending) order. A page whose
-    /// bytes equal `prev`'s copy of the same page (`prev` ascending,
+    /// The dirty pages, in canonical (ascending) order. A block whose
+    /// bytes equal `prev`'s copy of the same block (`prev` ascending,
     /// typically the previous checkpoint's pages) shares that copy's
-    /// buffer; every other page gets a new one.
+    /// buffer; every other block gets a new one.
     pub(crate) fn collect_pages(&self, prev: &[DirtyPage]) -> Vec<DirtyPage> {
         let mut prev = prev.iter().peekable();
         (0..PAGE_COUNT)
             .filter(|&index| self.is_dirty(index))
             .map(|index| {
-                let live = self.page(index);
+                let (live, _) = self.page(index).as_chunks::<BLOCK>();
                 while prev.next_if(|p| (p.index as usize) < index).is_some() {}
-                let bytes = match prev.next_if(|p| p.index as usize == index) {
-                    Some(p) if *p.bytes == *live => Arc::clone(&p.bytes),
-                    _ => Arc::new(*live),
-                };
-                DirtyPage { index: index as u32, bytes }
+                let old = prev.next_if(|p| p.index as usize == index);
+                let blocks = std::array::from_fn(|i| match old {
+                    Some(p) if *p.blocks[i] == live[i] => Arc::clone(&p.blocks[i]),
+                    _ => Arc::new(live[i]),
+                });
+                DirtyPage { index: index as u32, blocks }
             })
             .collect()
     }
@@ -129,9 +130,9 @@ impl Memory {
     /// carrying the dirty pages `saved` (ascending) describes, and
     /// makes those pages the dirty set. Only pages dirty on either
     /// side are rewritten: to the saved bytes where `saved` carries
-    /// the page (copied into the live page when there is one), else
-    /// to the pristine image page. Every other page already holds the
-    /// image on both sides.
+    /// the page (copied into the live page, materialized if absent),
+    /// else to the pristine image page. Every other page already holds
+    /// the image on both sides.
     pub(crate) fn restore_pages(&mut self, image: &Image, saved: &[DirtyPage]) {
         let mut target = [0u64; PAGE_COUNT / 64];
         for page in saved {
@@ -145,10 +146,9 @@ impl Memory {
                 let index = word * 64 + bits.trailing_zeros() as usize;
                 bits &= bits - 1;
                 let page = &mut self.pages[index];
-                match (saved.next_if(|p| p.index as usize == index), page.as_deref_mut()) {
-                    (Some(p), Some(live)) => *live = *p.bytes,
-                    (Some(p), None) => *page = Some(Box::new(*p.bytes)),
-                    (None, _) => *page = pristine_page(image, index),
+                match saved.next_if(|p| p.index as usize == index) {
+                    Some(p) => p.copy_to(page.get_or_insert_with(|| Box::new([0; PAGE_SIZE]))),
+                    None => *page = pristine_page(image, index),
                 }
             }
         }
@@ -482,22 +482,14 @@ pub(crate) mod tests {
         }
     }
 
-    /// Footprint gate for checkpoint page sharing: the first pass of a
-    /// sampled Dhrystone SS cell (the RV32IM emulator on the fast tier,
-    /// checkpointing every 65,536 instructions against the previous
-    /// checkpoint into a grid that halves and doubles its spacing at 64
-    /// entries, as `straight_core`'s sampler does) at 4,000 iterations,
-    /// where the grid doubles once. Measured: 160 page copies across
-    /// the grid's 41 checkpoints, in 65 distinct buffers. Without
-    /// sharing every copy is its own buffer.
-    #[test]
-    fn sampled_checkpoint_grid_shares_unchanged_pages() {
+    /// The first pass of a sampled cell as `straight_core`'s sampler
+    /// runs it: `emu` on the fast tier, checkpointing every 65,536
+    /// instructions against the previous checkpoint into a grid that
+    /// halves and doubles its spacing at 64 entries. Returns the grid
+    /// and the number of times it doubled.
+    fn sampled_grid(mut emu: impl ExecBackend) -> (Vec<Checkpoint>, u32) {
         const SPACING: u64 = 65_536;
         const MAX_CHECKPOINTS: usize = 64;
-        const LIMIT: usize = 65;
-        let module = straight_ir::compile_source(&straight_workloads::dhrystone(4000)).unwrap();
-        let image = link_riscv(&compile_riscv(&module).unwrap()).unwrap();
-        let mut emu = RiscvEmu::new(image);
         let mut spacing = SPACING;
         let mut grid: Vec<Checkpoint> = Vec::new();
         while emu.run_with(grid.len() as u64 * spacing, TierConfig::fast()) == EmuExit::StepLimit {
@@ -513,13 +505,36 @@ pub(crate) mod tests {
                 spacing *= 2;
             }
         }
-        assert!(spacing > SPACING, "the grid never doubled");
-        let pages: Vec<&DirtyPage> = grid.iter().flat_map(|cp| &cp.pages).collect();
-        let mut buffers: Vec<*const [u8; PAGE_SIZE]> =
-            pages.iter().map(|page| Arc::as_ptr(&page.bytes)).collect();
-        buffers.sort_unstable();
-        buffers.dedup();
-        assert!(buffers.len() < pages.len(), "no page shared: {} buffers", buffers.len());
-        assert!(buffers.len() <= LIMIT, "{} distinct page buffers, limit {LIMIT}", buffers.len());
+        (grid, (spacing / SPACING).trailing_zeros())
+    }
+
+    /// Footprint gate for checkpoint block sharing: the first pass of
+    /// the sampled Dhrystone SS and STRAIGHT RE+ (d=31) cells at 4,000
+    /// iterations, where each grid doubles once, must hold fewer
+    /// distinct 256-byte block buffers than block copies, and at most
+    /// the measured count. Measured: SS 2,560 block copies across 41
+    /// checkpoints in 148 buffers (37 KB; 4 KiB pages took 65 page
+    /// buffers, 260 KB); RE+ 2,816 copies across 45 checkpoints in 188
+    /// buffers. Without sharing every copy is its own buffer.
+    #[test]
+    fn sampled_checkpoint_grid_shares_unchanged_pages() {
+        let module = straight_ir::compile_source(&straight_workloads::dhrystone(4000)).unwrap();
+        let riscv = link_riscv(&compile_riscv(&module).unwrap()).unwrap();
+        let opts = StraightOptions::default().with_max_distance(31);
+        let straight = link_straight(&compile_straight(&module, &opts).unwrap()).unwrap();
+        for (name, limit, (grid, doublings)) in [
+            ("SS", 148, sampled_grid(RiscvEmu::new(riscv))),
+            ("RE+", 188, sampled_grid(StraightEmu::new(straight))),
+        ] {
+            assert_eq!(doublings, 1, "{name}: the grid doubled {doublings} times");
+            let blocks: Vec<&Arc<[u8; BLOCK]>> =
+                grid.iter().flat_map(|cp| &cp.pages).flat_map(|page| &page.blocks).collect();
+            let mut buffers: Vec<*const [u8; BLOCK]> = blocks.iter().map(|b| Arc::as_ptr(b)).collect();
+            buffers.sort_unstable();
+            buffers.dedup();
+            let (copies, distinct) = (blocks.len(), buffers.len());
+            assert!(distinct < copies, "{name}: no block shared: {distinct} buffers");
+            assert!(distinct <= limit, "{name}: {distinct} distinct block buffers, limit {limit}");
+        }
     }
 }

@@ -36,6 +36,7 @@ pub mod sys;
 
 pub use checkpoint::{Checkpoint, CheckpointError};
 pub use riscv::RiscvEmu;
+pub(crate) use straight::distance_reach;
 pub use straight::StraightEmu;
 
 use std::sync::Arc;
@@ -188,11 +189,12 @@ pub trait ExecBackend {
     fn stdout(&self) -> &str;
 
     /// Snapshots the complete architectural state: PC, executed count,
-    /// ISA register state, console/exit state, statistics, and every
+    /// ISA register state (for STRAIGHT, the results the image's code
+    /// can still read), console/exit state, statistics, and every
     /// memory page that differs from the pristine image.
     fn checkpoint(&self) -> Checkpoint;
 
-    /// [`ExecBackend::checkpoint`], with every memory page whose bytes
+    /// [`ExecBackend::checkpoint`], with every memory block whose bytes
     /// equal `prev`'s copy sharing that copy instead of a new one.
     /// Equal to `checkpoint()` whatever `prev` is; smaller when `prev`
     /// is an earlier checkpoint of the same run.
@@ -208,7 +210,10 @@ pub trait ExecBackend {
     /// # Errors
     ///
     /// [`CheckpointError::IsaMismatch`] when the checkpoint was taken
-    /// on the other ISA's emulator.
+    /// on the other ISA's emulator, and
+    /// [`CheckpointError::RingTooShort`] when a STRAIGHT checkpoint
+    /// carries fewer results than this image's code can read back. The
+    /// emulator is unchanged on an error.
     fn restore(&mut self, cp: &Checkpoint) -> Result<(), CheckpointError>;
 
     /// Consuming interpreter-tier run (the historical call shape:
@@ -372,9 +377,10 @@ pub(crate) trait EmuIsa {
     /// The ISA register state, for a checkpoint.
     fn arch_snap(&self) -> ArchSnap;
 
-    /// Restores the ISA register state of a checkpoint, changing
-    /// nothing when it belongs to the other ISA.
-    fn restore_arch(&mut self, arch: &ArchSnap) -> Result<(), CheckpointError>;
+    /// Restores the ISA register state of a checkpoint taken after
+    /// `executed` instructions, changing nothing when it belongs to the
+    /// other ISA or cannot hold the state this image can read.
+    fn restore_arch(&mut self, arch: &ArchSnap, executed: u64) -> Result<(), CheckpointError>;
 }
 
 fn run_interp<I: EmuIsa>(emu: &mut I, max_steps: u64) -> EmuExit {
@@ -489,7 +495,7 @@ impl<I: EmuIsa> ExecBackend for I {
     }
 
     fn restore(&mut self, cp: &Checkpoint) -> Result<(), CheckpointError> {
-        self.restore_arch(&cp.arch)?;
+        self.restore_arch(&cp.arch, cp.executed)?;
         let core = self.core_mut();
         core.pc = cp.pc;
         core.count = cp.executed;
@@ -573,7 +579,7 @@ mod tests {
                 if let ArchSnap::Straight { sp, .. } = &mut arch {
                     *sp ^= 4;
                 }
-                self.emu.restore_arch(&arch).unwrap();
+                self.emu.restore_arch(&arch, self.emu.executed()).unwrap();
                 self.corrupted_at = Some(self.emu.executed());
             }
             exit
@@ -587,8 +593,8 @@ mod tests {
             self.emu.arch_snap()
         }
 
-        fn restore_arch(&mut self, arch: &ArchSnap) -> Result<(), CheckpointError> {
-            self.emu.restore_arch(arch)
+        fn restore_arch(&mut self, arch: &ArchSnap, executed: u64) -> Result<(), CheckpointError> {
+            self.emu.restore_arch(arch, executed)
         }
     }
 

@@ -569,7 +569,7 @@ impl EmuIsa for RiscvEmu {
         ArchSnap::Riscv { regs }
     }
 
-    fn restore_arch(&mut self, arch: &ArchSnap) -> Result<(), CheckpointError> {
+    fn restore_arch(&mut self, arch: &ArchSnap, _executed: u64) -> Result<(), CheckpointError> {
         let ArchSnap::Riscv { regs } = arch else {
             return Err(CheckpointError::IsaMismatch);
         };

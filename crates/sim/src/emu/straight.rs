@@ -35,7 +35,7 @@ use std::sync::Arc;
 use straight_asm::{Image, STACK_TOP};
 use straight_isa::{decode, AluImmOp, AluOp, Dist, Inst, InstKind, MemWidth, TrapKind, MAX_DISTANCE};
 
-use super::checkpoint::{ArchSnap, CheckpointError};
+use super::checkpoint::{check_ring, ArchSnap, CheckpointError};
 use super::{memops, EmuCore, EmuExit, EmuIsa, EmuStats, BLOCK_CAP};
 use crate::KindCounts;
 
@@ -144,6 +144,9 @@ pub struct StraightEmu {
     /// count masked by `RING - 1` (fixed size so indexing needs no
     /// bounds check in the fast tier).
     ring: Box<[u32; RING]>,
+    /// The image's [`distance_reach`]: a checkpoint keeps this many of
+    /// the newest results.
+    reach: u16,
     sp: u32,
     /// Lowest address the sanitizer accepts for SP (end of the data
     /// segment — everything above it up to [`STACK_TOP`] is stack).
@@ -183,6 +186,16 @@ fn distance_hist(hist: &mut Vec<u64>) -> &mut [u64] {
     hist
 }
 
+/// The image's reach: the largest source distance any word of its
+/// code segment reads (0 when none reads one). No execution of the
+/// image, on the right path or a wrong one, reads a result further
+/// back, so that many newest results are the whole live register
+/// state.
+pub(crate) fn distance_reach(image: &Image) -> u16 {
+    let insts = image.code.iter().filter_map(|&word| decode(word).ok());
+    insts.flat_map(|inst| inst.sources()).flatten().map(Dist::get).max().unwrap_or(0)
+}
+
 impl StraightEmu {
     /// Prepares an emulator for a linked image (shared, not copied,
     /// when passed as an `Arc`).
@@ -190,9 +203,11 @@ impl StraightEmu {
     pub fn new(image: impl Into<Arc<Image>>) -> StraightEmu {
         let image = image.into();
         let stack_floor = image.data_base.saturating_add(image.data.len() as u32);
+        let reach = distance_reach(&image);
         StraightEmu {
             core: EmuCore::new(image, EmuStats::default()),
             ring: Box::new([0; RING]),
+            reach,
             sp: STACK_TOP,
             stack_floor,
             profile_distances: false,
@@ -696,17 +711,24 @@ impl EmuIsa for StraightEmu {
         unchecked.then_some(u64::from(b.len_insts))
     }
 
+    /// The stack pointer and the last `min(reach, executed)` results.
     fn arch_snap(&self) -> ArchSnap {
-        ArchSnap::Straight { sp: self.sp, ring: self.ring.to_vec() }
+        let n = self.core.count;
+        let oldest = n - u64::from(self.reach).min(n);
+        let ring = (oldest..n).map(|i| self.ring[(i & RING_MASK) as usize]).collect();
+        ArchSnap::Straight { sp: self.sp, ring }
     }
 
-    fn restore_arch(&mut self, arch: &ArchSnap) -> Result<(), CheckpointError> {
+    fn restore_arch(&mut self, arch: &ArchSnap, executed: u64) -> Result<(), CheckpointError> {
         let ArchSnap::Straight { sp, ring } = arch else {
             return Err(CheckpointError::IsaMismatch);
         };
+        check_ring(ring, self.reach, executed)?;
         self.sp = *sp;
-        for (dst, v) in self.ring.iter_mut().zip(ring) {
-            *dst = *v;
+        // A checkpoint carries at most `executed` results.
+        let oldest = executed - ring.len() as u64;
+        for (i, &v) in (oldest..).zip(ring) {
+            self.ring[(i & RING_MASK) as usize] = v;
         }
         Ok(())
     }
@@ -999,6 +1021,119 @@ mod tests {
         );
         assert_eq!(r.exit_code(), Some(0));
         assert!(r.stats.dist_hist[2] >= 100, "{:?}", &r.stats.dist_hist[..4]);
+    }
+
+    /// Instructions between the producer of [`far_operand_src`]'s
+    /// printed value and the `SYS` that prints it.
+    const FAR: usize = 400;
+
+    /// A program that prints 1234, computed [`FAR`] instructions
+    /// before, and returns 34 computed from it; its `JR` reads the
+    /// `_start` stub's link `FAR + 3` back, the program's reach.
+    fn far_operand_src() -> String {
+        let nops = "NOP\n".repeat(FAR - 1);
+        format!(
+            ".text
+             func main:
+                ADDi [0] 1234
+                {nops}
+                SYS 1 [{FAR}]
+                ADDi [{}] -1200
+                JR [{}]",
+            FAR + 1,
+            FAR + 3
+        )
+    }
+
+    /// The 4-way STRAIGHT core with a register file that holds
+    /// distance 1023.
+    fn far_reaching_core() -> crate::pipeline::MachineConfig {
+        let mut cfg = crate::pipeline::MachineConfig::straight_4way();
+        cfg.max_distance = u32::from(MAX_DISTANCE);
+        cfg.phys_regs = cfg.max_distance + cfg.rob_capacity;
+        cfg
+    }
+
+    #[test]
+    fn far_operand_is_read_across_a_checkpoint_on_every_executor() {
+        use crate::pipeline::Core;
+
+        let image = Arc::new(image_for(&far_operand_src()));
+        let full = StraightEmu::new(Arc::clone(&image)).run(1_000_000);
+        assert_eq!((full.exit_code(), full.stdout.as_str()), (Some(34), "1234\n"));
+        let mut emu = StraightEmu::new(Arc::clone(&image));
+        assert_eq!(emu.run_with(FAR as u64 / 2, TierConfig::interp()), EmuExit::StepLimit);
+        let cp = emu.checkpoint();
+        assert!(matches!(&cp.arch, ArchSnap::Straight { ring, .. } if ring.len() == FAR / 2));
+
+        // Restored into a fresh emulator and into one that ran past the
+        // point, on both tiers.
+        emu.run_with(u64::MAX, TierConfig::interp());
+        for (mut resumed, tier) in [
+            (StraightEmu::new(Arc::clone(&image)), TierConfig::interp()),
+            (StraightEmu::new(Arc::clone(&image)), TierConfig::fast()),
+            (emu.clone(), TierConfig::interp()),
+            (emu, TierConfig::fast()),
+        ] {
+            resumed.restore(&cp).expect("same image");
+            assert_eq!(resumed.run_with(u64::MAX, tier), full.exit, "{tier:?}");
+            assert_eq!(resumed.stdout(), full.stdout, "{tier:?}");
+            assert_eq!(resumed.stats().retired, full.stats.retired, "{tier:?}");
+        }
+
+        let run = Core::resume_from(image, far_reaching_core(), &cp).expect("resumes").run(1_000_000);
+        assert_eq!((run.exit_code, run.stdout.as_str()), (full.exit_code(), full.stdout.as_str()));
+        assert_eq!(cp.executed() + run.stats.retired, full.stats.retired);
+    }
+
+    #[test]
+    fn a_ring_shorter_than_the_image_reach_is_refused() {
+        use crate::pipeline::{Core, CoreError};
+
+        // A checkpoint of a reach-2 loop after 50 instructions carries
+        // 2 results; the far-operand image reads 50 back from there.
+        let mut short = StraightEmu::new(image_for(
+            ".text
+             func main:
+                ADDi [0] 100
+                NOP
+             loop:
+                ADDi [2] -1
+                BNZ [1] loop
+                HALT",
+        ));
+        assert_eq!(short.run_with(50, TierConfig::interp()), EmuExit::StepLimit);
+        let cp = short.checkpoint();
+        let refused = CheckpointError::RingTooShort { carried: 2, needed: 50 };
+
+        let far = Arc::new(image_for(&far_operand_src()));
+        let mut emu = StraightEmu::new(Arc::clone(&far));
+        emu.run_with(10, TierConfig::interp());
+        let before = emu.checkpoint();
+        assert_eq!(emu.restore(&cp), Err(refused));
+        assert_eq!(emu.checkpoint(), before, "a refused restore changes nothing");
+
+        let resumed = Core::resume_from(far, far_reaching_core(), &cp).map(|_| ());
+        assert_eq!(resumed, Err(CoreError::Checkpoint(refused)));
+    }
+
+    #[test]
+    fn a_d31_checkpoint_carries_at_most_31_results() {
+        use straight_compiler::{compile_straight, StraightOptions};
+
+        let module = straight_ir::compile_source(&straight_workloads::dhrystone(50)).unwrap();
+        let opts = StraightOptions::default().with_max_distance(31);
+        let image = link_straight(&compile_straight(&module, &opts).unwrap()).unwrap();
+        let reach = distance_reach(&image);
+        assert!((2..=31).contains(&reach), "reach {reach}");
+        let mut emu = StraightEmu::new(image);
+        for point in [0, 1, 20, 1_000, 10_000] {
+            assert_eq!(emu.run_with(point, TierConfig::fast()), EmuExit::StepLimit);
+            let cp = emu.checkpoint();
+            let ArchSnap::Straight { ring, .. } = &cp.arch else { panic!("a STRAIGHT checkpoint") };
+            assert_eq!(ring.len() as u64, u64::from(reach).min(point), "at {point}");
+            assert_eq!(ring.last().copied().unwrap_or(0), emu.last_result(), "at {point}");
+        }
     }
 
     #[test]

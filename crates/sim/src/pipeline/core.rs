@@ -37,10 +37,10 @@ use straight_asm::{Image, ImageIsa, STACK_TOP};
 use straight_isa::{Trap, TrapKind};
 use straight_riscv::Reg;
 
-use crate::emu::checkpoint::ArchSnap;
+use crate::emu::checkpoint::{check_ring, ArchSnap};
 use crate::emu::memops::{self, Memory};
 use crate::emu::sys::SysState;
-use crate::emu::{Checkpoint, EmuExit, ExecBackend, RiscvEmu, StraightEmu};
+use crate::emu::{distance_reach, Checkpoint, CheckpointError, EmuExit, ExecBackend, RiscvEmu, StraightEmu};
 use crate::inject::FaultKind;
 use crate::mem::Hierarchy;
 use crate::predict::{build, DirectionPredictor, Ras, RasCheckpoint, StoreSets};
@@ -71,6 +71,9 @@ pub enum CoreError {
         /// The configured register-file size.
         phys_regs: u32,
     },
+    /// [`Core::resume_from`] was given a checkpoint the image cannot
+    /// resume from (its STRAIGHT result ring is too short).
+    Checkpoint(CheckpointError),
 }
 
 impl fmt::Display for CoreError {
@@ -82,6 +85,7 @@ impl fmt::Display for CoreError {
             CoreError::TooFewPhysRegs { phys_regs } => {
                 write!(f, "{phys_regs} physical registers (need at least 33)")
             }
+            CoreError::Checkpoint(e) => write!(f, "cannot resume: {e}"),
         }
     }
 }
@@ -296,8 +300,8 @@ impl Core {
     /// starts at the checkpoint PC, commit sequence numbers continue
     /// from the checkpoint's executed count, and the register state is
     /// seeded ISA-appropriately — the RMT-mapped physical registers
-    /// for SS, the RP position plus the reachable tail of the result
-    /// ring for STRAIGHT (distance `d` resolves to physical register
+    /// for SS, the RP position plus the results the checkpoint carries
+    /// for STRAIGHT (distance `d` resolves to physical register
     /// `(rp + phys − d) mod phys`, exactly what the RP adders will
     /// compute for the first resumed instructions).
     ///
@@ -310,7 +314,9 @@ impl Core {
     /// # Errors
     ///
     /// Returns [`CoreError::IsaMismatch`] when the machine, the image,
-    /// and the checkpoint do not all agree on the ISA, and the same
+    /// and the checkpoint do not all agree on the ISA,
+    /// [`CoreError::Checkpoint`] when a STRAIGHT checkpoint carries
+    /// fewer results than the image's code can read back, and the same
     /// construction errors as [`Core::new`] otherwise.
     pub fn resume_from(
         image: impl Into<Arc<Image>>,
@@ -327,19 +333,21 @@ impl Core {
         core.sys = cp.sys.clone();
         match &cp.arch {
             ArchSnap::Straight { sp, ring } => {
-                let phys = u64::from(core.cfg.phys_regs);
                 let n = cp.executed();
+                check_ring(ring, distance_reach(&core.image), n).map_err(CoreError::Checkpoint)?;
+                let phys = u64::from(core.cfg.phys_regs);
                 let rp = (n % phys) as u32;
                 core.rp_state = RpState { rp, sp: *sp };
                 core.arch_rp = RpState { rp, sp: *sp };
                 // Seed every physical register a resumed distance can
-                // reach: producer `n - d` lives in ring slot
-                // `(n - d) mod RING` and must appear in physical
-                // register `(rp + phys - d) mod phys`.
-                let reach = (phys - 1).min(n).min(ring.len() as u64);
-                for d in 1..=reach {
+                // reach: producer `n - d`, carried at `ring[len - d]`,
+                // must appear in physical register
+                // `(rp + phys - d) mod phys`. The ring covers the
+                // image's reach, and the static distances of wrong-path
+                // instructions are the image's too.
+                for (d, &v) in (1..phys).zip(ring.iter().rev()) {
                     let p = ((u64::from(rp) + phys - d) % phys) as usize;
-                    core.prf[p] = ring[((n - d) % ring.len() as u64) as usize];
+                    core.prf[p] = v;
                 }
             }
             ArchSnap::Riscv { regs } => {

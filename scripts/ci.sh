@@ -105,6 +105,20 @@ for live in "$SMOKE_DIR"/golden-live/BENCH_*.json; do
 done
 test "$(ls "$SMOKE_DIR"/golden-live/BENCH_*.json | wc -l)" -eq 10
 
+# Golden gate at a scale where the sampled grid thins: at 4000/40 each
+# Dhrystone cell's first pass fills its 64-checkpoint grid and halves
+# it, so checkpoint block sharing and the bounded STRAIGHT result ring
+# run across many checkpoints and restores (a `--quick` sampled cell
+# keeps at most two checkpoints). The record must be byte-identical
+# after --normalize to the committed one.
+STRAIGHT_GIT_REV=golden STRAIGHT_DHRY_ITERS=4000 STRAIGHT_CM_ITERS=40 \
+    target/release/straight-lab --figure sampled --quiet --out "$SMOKE_DIR/golden-sampled"
+target/release/straight-lab --normalize tests/golden/BENCH_sampled_4000_40.json \
+    > "$SMOKE_DIR/golden.norm"
+target/release/straight-lab --normalize "$SMOKE_DIR/golden-sampled/BENCH_sampled.json" \
+    > "$SMOKE_DIR/golden-live.norm"
+cmp "$SMOKE_DIR/golden.norm" "$SMOKE_DIR/golden-live.norm"
+
 # Sampled-simulation smoke: the checkpoint-sampled methodology record
 # the golden gate above produced must pass its own validator, with
 # paired (full)/(sampled) cells per workload x machine and positive
