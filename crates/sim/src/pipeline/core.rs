@@ -23,14 +23,13 @@
 //! sanitizer cross-validates every retired instruction against a
 //! shadow functional emulator.
 
-use std::collections::VecDeque;
 use std::fmt;
 use std::sync::Arc;
 
 use super::lsq::LsqSlab;
 use super::rob::{RState, RobSlab};
 use super::sched::Scheduler;
-use super::slab::{RingWalk, SlotBits, SlotHandle};
+use super::slab::{Ring, RingWalk, SlotBits, SlotHandle};
 use super::wheel::{CompletionWheel, Inflight, LoadSrc};
 
 use straight_asm::{Image, ImageIsa, STACK_TOP};
@@ -92,7 +91,7 @@ impl fmt::Display for CoreError {
 
 impl std::error::Error for CoreError {}
 
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 struct FrontEntry {
     ready_at: u64,
     pc: u32,
@@ -164,7 +163,9 @@ pub struct Core {
     /// Reused per-cycle buffer for completions due this cycle.
     due_scratch: Vec<Inflight>,
     lsq: LsqSlab,
-    front_q: VecDeque<FrontEntry>,
+    /// Fetched instructions crossing the front-end pipe, bounded by
+    /// `fetch_width × (frontend_latency + 2)`.
+    front_q: Ring<FrontEntry>,
     fetch_pc: u32,
     fetch_stall_until: u64,
     /// Fetch hit a fault (left the image or an undecodable word) and
@@ -190,7 +191,8 @@ pub struct Core {
     pending_faults: Vec<(u64, FaultKind)>,
     faults_applied: u32,
     force_flip_branch: bool,
-    /// Host nanoseconds per pipeline stage, in [`STAGE_NAMES`] order.
+    /// Estimated host nanoseconds per pipeline stage, in
+    /// [`STAGE_NAMES`] order (see [`STAGE_SAMPLE_PERIOD`]).
     #[cfg(feature = "stage-profile")]
     stage_ns: [u64; 5],
 }
@@ -198,6 +200,28 @@ pub struct Core {
 /// Stage labels for [`Core::stage_profile`], in `step()` order.
 #[cfg(feature = "stage-profile")]
 pub const STAGE_NAMES: [&str; 5] = ["commit", "complete", "issue", "rename", "fetch"];
+
+/// The `stage-profile` feature's sampling period in cycles. Every
+/// period one stage is timed, the five taking turns, so each stage is
+/// timed once every `5 × STAGE_SAMPLE_PERIOD` cycles and its time is
+/// scaled by that factor: three clock reads per period instead of ten
+/// per cycle, so the estimate does not mostly measure the clock. A
+/// stage takes tens of nanoseconds, about what a clock read costs, so
+/// the third read, right after the second, times an empty interval,
+/// and that is taken off the sample.
+///
+/// The scaled total runs about 1.2–1.7× the wall time of the same run:
+/// a timed stage cannot overlap its neighbours on the host CPU, as it
+/// does untimed. Read the profile as stage shares.
+#[cfg(feature = "stage-profile")]
+pub const STAGE_SAMPLE_PERIOD: u64 = 64;
+
+/// A sample longer than this is a host interruption (the thread was
+/// descheduled or took a page fault inside the stage), not stage work,
+/// which takes well under a microsecond; scaled up, one such sample
+/// would outweigh thousands of real ones, so it is dropped.
+#[cfg(feature = "stage-profile")]
+const STAGE_SAMPLE_MAX_NS: u64 = 100_000;
 
 impl Core {
     /// Builds a core for a linked image (shared, not copied, when
@@ -224,11 +248,10 @@ impl Core {
         let mem = Memory::from_image(&image);
         let phys = cfg.phys_regs as usize;
         let mut prf = vec![0u32; phys];
-        let mut rmt_state = RmtState::new(cfg.phys_regs);
+        let rmt_state = RmtState::new(cfg.phys_regs);
         // Architectural init: SP (x2 for RV32; the SP register for
         // STRAIGHT lives in the rename stage).
         prf[rmt_state.rmt[2] as usize] = STACK_TOP;
-        rmt_state.freelist.make_contiguous();
         let fetch_pc = image.entry;
         let decoded: Vec<Decoded> = image
             .code
@@ -250,6 +273,7 @@ impl Core {
         }
         let placeholder = UOp::trap(0, TrapKind::FetchFault, 0, 0);
         let rob = RobSlab::new(cfg.rob_capacity as usize, placeholder);
+        let front_q = Ring::with_capacity((cfg.fetch_width * (cfg.frontend_latency + 2)) as usize);
         Ok(Core {
             bp: build(cfg.predictor),
             hier: Hierarchy::new(cfg.hierarchy),
@@ -272,7 +296,7 @@ impl Core {
             next_uid: 0,
             inflight: CompletionWheel::new(),
             due_scratch: Vec::new(),
-            front_q: VecDeque::new(),
+            front_q,
             fetch_pc,
             fetch_stall_until: 0,
             fetch_faulted: false,
@@ -372,7 +396,8 @@ impl Core {
     }
 
     fn srcs_ready(&self, uop: &UOp) -> bool {
-        uop.srcs.iter().flatten().all(|&p| self.prf_ready.get(p as usize))
+        let ready = |src: Option<u16>| src.is_none_or(|p| self.prf_ready.get(p as usize));
+        ready(uop.srcs[0]) && ready(uop.srcs[1])
     }
 
     /// Physical register `p` just became ready: drain its wakeup list,
@@ -381,19 +406,28 @@ impl Core {
     /// generation (the dispatch uid) — sequence numbers and slots are
     /// reused after recovery, generations never are.
     fn wake(&mut self, p: u16) {
-        if self.sched.wakeup[p as usize].is_empty() {
-            return;
-        }
-        let mut waiters = std::mem::take(&mut self.sched.wakeup[p as usize]);
-        for w in waiters.drain(..) {
-            let Some(slot) = self.rob.waiter_slot(w) else { continue };
-            self.rob.pending[slot] = self.rob.pending[slot].saturating_sub(1);
-            if self.rob.pending[slot] == 0 {
-                self.sched.ready.set(slot);
+        // The list drains in place, keeping its allocation.
+        let (rob, ready) = (&mut self.rob, &mut self.sched.ready);
+        for w in self.sched.wakeup[p as usize].drain(..) {
+            let Some(slot) = rob.waiter_slot(w) else { continue };
+            rob.pending[slot] = rob.pending[slot].saturating_sub(1);
+            if rob.pending[slot] == 0 {
+                ready.set(slot);
             }
         }
-        // Hand the drained allocation back to the (now empty) list.
-        self.sched.wakeup[p as usize] = waiters;
+    }
+
+    /// Subscribes ROB `slot` (dispatch identity `uid`) to the wakeup
+    /// list of `src` if that register is not ready yet; returns the
+    /// number of operands this adds to the entry's pending count.
+    fn watch(&mut self, src: Option<u16>, slot: usize, uid: u64) -> u8 {
+        match src {
+            Some(p) if !self.prf_ready.get(p as usize) => {
+                self.sched.wakeup[p as usize].push(SlotHandle { slot: slot as u32, gen: uid });
+                1
+            }
+            _ => 0,
+        }
     }
 
     /// Raises a fatal trap with the current architectural context.
@@ -562,7 +596,7 @@ impl Core {
             self.bp.update(uop.pc, actual_taken);
         }
         if uop.is_store() {
-            if let Some(e) = self.lsq.stores.remove(seq) {
+            if let Some(e) = self.lsq.stores.pop_front(seq) {
                 if let (Some(addr), Some(data)) = (e.addr, e.data) {
                     // A faulting address was recorded on the ROB entry
                     // at address generation and raised before retiring;
@@ -573,7 +607,7 @@ impl Core {
                 }
             }
         } else if uop.is_load() {
-            if let Some(e) = self.lsq.loads.remove(seq) {
+            if let Some(e) = self.lsq.loads.pop_front(seq) {
                 if e.speculative && self.stats.retired.is_multiple_of(64) {
                     // Sparse decay: successful speculation slowly
                     // releases a trained dependence.
@@ -608,14 +642,18 @@ impl Core {
             self.due_scratch = due;
             return;
         }
-        due.sort_by_key(|f| f.seq);
+        // Age order (uid order, for the live entries); a batch is
+        // usually in it already.
+        if !due.is_sorted_by_key(|f| f.uid) {
+            due.sort_by_key(|f| f.uid);
+        }
         for &f in &due {
             // The entry may have been squashed (recovery leaves stale
-            // events in the wheel; the sequence number may even have
-            // been reissued to a different instruction since, which
-            // the generation check rejects).
-            let Some(slot) = self.rob.slot(f.seq) else { continue };
-            if self.rob.gen[slot] != f.uid || self.rob.state[slot] != RState::Issued {
+            // events in the wheel; the slot may even hold a different
+            // instruction since, which the generation check rejects).
+            let slot = f.slot as usize;
+            let live = self.rob.slot_is_live(slot) && self.rob.gen[slot] == f.uid;
+            if !live || self.rob.state[slot] != RState::Issued {
                 continue;
             }
             let uop = self.rob.uop[slot];
@@ -631,8 +669,7 @@ impl Core {
                 FuncOp::Const(v) => v,
                 FuncOp::Copy => s0,
                 FuncOp::Load { width, .. } => {
-                    let addr = self.lsq.loads.addr_of(f.seq).unwrap_or(0);
-                    match memops::load(&self.mem, width, addr) {
+                    match memops::load(&self.mem, width, f.addr) {
                         Err(kind) => {
                             trap = Some(kind);
                             0
@@ -679,23 +716,21 @@ impl Core {
                 self.wake(d);
             }
             self.rob.state[slot] = RState::Done;
-            self.rob.actual_taken[slot] = actual_taken;
             if trap.is_some() {
                 self.rob.trap[slot] = trap;
             }
-            let predicted_next = self.rob.predicted_next[slot];
-            let cp = self.rob.ras_cp[slot];
             if uop.is_control() {
                 if uop.is_cond_branch() {
                     self.stats.branches += 1;
+                    self.rob.actual_taken[slot] = actual_taken;
                 }
-                if actual_next != predicted_next {
+                if actual_next != self.rob.predicted_next[slot] {
                     if uop.is_cond_branch() {
                         self.stats.branch_mispredicts += 1;
                     } else {
                         self.stats.indirect_mispredicts += 1;
                     }
-                    self.recover(f.seq, actual_next, Some(cp));
+                    self.recover(self.rob.seq[slot], actual_next, Some(self.rob.ras_cp[slot]));
                 }
             }
         }
@@ -733,15 +768,13 @@ impl Core {
         let mut walk = RingWalk::new(&self.sched.ready, self.rob.head_slot());
         while budget_total > 0 {
             let Some(slot) = walk.next(&self.sched.ready) else { break };
-            let slot_u = slot as u32;
+            // A ready bit never outlives its entry: recovery clears the
+            // squashed range and issue clears the slot it issues.
+            debug_assert!(
+                self.rob.slot_is_live(slot) && self.rob.state[slot] == RState::Waiting,
+                "ready bit outlived its entry at slot {slot}"
+            );
             let seq = self.rob.seq[slot];
-            // Defensive staleness check, mirroring the old per-seq
-            // revalidation (a ready bit never legitimately outlives
-            // its entry: recovery and issue both clear it).
-            if self.rob.slot(seq) != Some(slot) || self.rob.state[slot] != RState::Waiting {
-                self.sched.ready.clear(slot);
-                continue;
-            }
             // Cheap rejections read single columns; the micro-op
             // payload is only copied out for an entry that passes.
             let ui = unit_idx(self.rob.uop[slot].unit);
@@ -758,12 +791,14 @@ impl Core {
                 }
             }
             let mut load_src = None;
+            let mut load_addr = 0;
             let latency;
             if uop.is_load() {
-                match self.try_issue_load(seq, &uop) {
-                    Some((lat, src)) => {
+                match self.try_issue_load(slot, seq, &uop) {
+                    Some((lat, src, addr)) => {
                         latency = lat;
                         load_src = Some(src);
+                        load_addr = addr;
                     }
                     None => continue, // blocked on the LSQ; retry next cycle
                 }
@@ -773,9 +808,9 @@ impl Core {
                 // in which younger loads see unknown store addresses:
                 // a store enters the ready queue on its base operand
                 // alone and picks up the data operand separately.
-                let addr_known = self.lsq.stores.addr_known(seq);
+                let addr_known = self.lsq.stores.addr_known(self.rob.lsq_idx[slot]);
                 if !addr_known {
-                    let violation = self.issue_store_addr(seq, &uop);
+                    let violation = self.issue_store_addr(slot, seq, &uop);
                     if violation {
                         break; // the recovery consumed this cycle
                     }
@@ -783,41 +818,33 @@ impl Core {
                     budget[ui] -= 1;
                     budget_total -= 1;
                     self.stats.events.fu_ops += 1;
-                    if let Some(p) = uop.srcs[1].filter(|&p| !self.prf_ready.get(p as usize)) {
-                        // Data not ready yet: leave select and wait on
-                        // the data tag alone.
+                    // Data not ready yet: leave select and wait on the
+                    // data tag alone.
+                    if self.watch(uop.srcs[1], slot, self.rob.gen[slot]) == 1 {
                         self.rob.pending[slot] = 1;
                         self.sched.ready.clear(slot);
-                        self.sched.wakeup[p as usize]
-                            .push(SlotHandle { slot: slot_u, gen: self.rob.gen[slot] });
                         continue;
                     }
-                    self.record_store_data(seq, &uop);
+                    self.record_store_data(slot, &uop);
                     self.rob.state[slot] = RState::Issued;
                     self.rob.in_iq.clear(slot);
                     self.sched.ready.clear(slot);
                     self.sched.occupancy -= 1;
                     self.inflight.push(
                         self.cycle,
-                        Inflight {
-                            seq,
-                            uid: self.rob.gen[slot],
-                            done_at: self.cycle + 1,
-                            load_src: None,
-                        },
+                        self.cycle + 1,
+                        Inflight { uid: self.rob.gen[slot], slot: slot as u32, addr: 0, load_src: None },
                     );
                     continue;
                 }
                 // Address already generated (a violation recovery cut
                 // phase A short); the data operand may still be pending.
-                if let Some(p) = uop.srcs[1].filter(|&p| !self.prf_ready.get(p as usize)) {
+                if self.watch(uop.srcs[1], slot, self.rob.gen[slot]) == 1 {
                     self.rob.pending[slot] = 1;
                     self.sched.ready.clear(slot);
-                    self.sched.wakeup[p as usize]
-                        .push(SlotHandle { slot: slot_u, gen: self.rob.gen[slot] });
                     continue;
                 }
-                self.record_store_data(seq, &uop);
+                self.record_store_data(slot, &uop);
                 latency = 1;
             } else {
                 latency = uop.latency;
@@ -828,27 +855,25 @@ impl Core {
             budget[ui] -= 1;
             budget_total -= 1;
             self.stats.events.fu_ops += 1;
-            self.stats.events.prf_reads += uop.srcs.iter().flatten().count() as u64;
+            self.stats.events.prf_reads +=
+                u64::from(uop.srcs[0].is_some()) + u64::from(uop.srcs[1].is_some());
             self.rob.state[slot] = RState::Issued;
             self.rob.in_iq.clear(slot);
             self.sched.ready.clear(slot);
             self.sched.occupancy -= 1;
             self.inflight.push(
                 self.cycle,
-                Inflight {
-                    seq,
-                    uid: self.rob.gen[slot],
-                    done_at: self.cycle + u64::from(latency),
-                    load_src,
-                },
+                self.cycle + u64::from(latency),
+                Inflight { uid: self.rob.gen[slot], slot: slot as u32, addr: load_addr, load_src },
             );
         }
     }
 
-    /// Attempts to issue a load: address generation, LSQ search,
-    /// forwarding, and memory-dependence speculation. Returns the
-    /// latency and value source, or `None` to retry later.
-    fn try_issue_load(&mut self, seq: u64, uop: &UOp) -> Option<(u32, LoadSrc)> {
+    /// Attempts to issue the load in ROB `slot`: address generation,
+    /// LSQ search, forwarding, and memory-dependence speculation.
+    /// Returns the latency, value source and address, or `None` to
+    /// retry later.
+    fn try_issue_load(&mut self, slot: usize, seq: u64, uop: &UOp) -> Option<(u32, LoadSrc, u32)> {
         let FuncOp::Load { width, offset } = uop.func else { unreachable!() };
         let addr = self.src_value(uop.srcs[0]).wrapping_add(offset as u32);
         self.stats.events.lsq_searches += 1;
@@ -864,29 +889,28 @@ impl Core {
             return None;
         }
         // Record the load address for later violation checks.
-        self.lsq.loads.set_load_exec(seq, addr, scan.unknown_older, scan.best.map(|(bs, _)| bs));
+        let fwd_src = scan.best.map(|(bs, _)| bs);
+        self.lsq.loads.set_load_exec(self.rob.lsq_idx[slot], addr, scan.unknown_older, fwd_src);
         match scan.best {
-            Some((_, data)) => Some((2, LoadSrc::Fwd(data))),
+            Some((_, data)) => Some((2, LoadSrc::Fwd(data), addr)),
             None => {
                 let lat = 1 + self.hier.data_access(addr);
-                Some((lat, LoadSrc::Mem))
+                Some((lat, LoadSrc::Mem, addr))
             }
         }
     }
 
-    /// Generates a store's address, detecting memory-order violations
-    /// by younger speculatively-executed loads. Returns true when a
-    /// violation recovery was triggered.
-    fn issue_store_addr(&mut self, seq: u64, uop: &UOp) -> bool {
+    /// Generates the address of the store in ROB `slot`, detecting
+    /// memory-order violations by younger speculatively-executed loads.
+    /// Returns true when a violation recovery was triggered.
+    fn issue_store_addr(&mut self, slot: usize, seq: u64, uop: &UOp) -> bool {
         let FuncOp::Store { width, offset } = uop.func else { unreachable!() };
         let addr = self.src_value(uop.srcs[0]).wrapping_add(offset as u32);
-        self.lsq.stores.set_addr(seq, addr);
+        self.lsq.stores.set_addr(self.rob.lsq_idx[slot], addr);
         // A wild or misaligned store address is recorded on the ROB
         // entry and raised precisely if the store reaches the head.
         if let Some(kind) = memops::check_store(width, addr) {
-            if let Some(slot) = self.rob.slot(seq) {
-                self.rob.trap[slot] = Some(kind);
-            }
+            self.rob.trap[slot] = Some(kind);
         }
         self.stats.events.lsq_searches += 1;
         // A younger load that already executed reading this address
@@ -902,10 +926,11 @@ impl Core {
         false
     }
 
-    /// Records a store's data once its value operand is ready.
-    fn record_store_data(&mut self, seq: u64, uop: &UOp) {
+    /// Records the data of the store in ROB `slot` once its value
+    /// operand is ready.
+    fn record_store_data(&mut self, slot: usize, uop: &UOp) {
         let data = self.src_value(uop.srcs[1]);
-        self.lsq.stores.set_data(seq, data);
+        self.lsq.stores.set_data(self.rob.lsq_idx[slot], data);
     }
 
     // -- recovery ----------------------------------------------------
@@ -913,19 +938,26 @@ impl Core {
     /// Squashes everything younger than `boundary_seq` and refetches
     /// from `new_pc`. This is the mechanism whose cost separates the
     /// two machines.
+    ///
+    /// The Figure 4 recovery is a timing charge (the SS walk's cycles,
+    /// STRAIGHT's one); on the host, only the SS walk visits squashed
+    /// entries one by one, because it restores the RMT from them. The
+    /// rest is word-wide: the squashed ROB range leaves the ready set
+    /// and the issue queue as a bit range, the issue-queue occupancy is
+    /// the popcount of what stays, and STRAIGHT's squashed destinations
+    /// become ready as one range of RP values.
     fn recover(&mut self, boundary_seq: u64, new_pc: u32, ras_cp: Option<RasCheckpoint>) {
         let front_seq = self.rob.front_seq().unwrap_or(boundary_seq + 1);
         let keep = ((boundary_seq + 1).saturating_sub(front_seq) as usize).min(self.rob.len());
-        let n = (self.rob.len() - keep) as u64;
-        self.stats.squashed += n;
+        let n = self.rob.len() - keep;
+        self.stats.squashed += n as u64;
         let squash_begin = front_seq + keep as u64;
         let squash_end = front_seq + self.rob.len() as u64;
-        // The squashed tail is walked in place — no copies — and then
-        // truncated away. Wakeup subscriptions of squashed entries are
-        // deliberately NOT unhooked: a stale waiter is dead weight in
-        // its list until the tag's next completion drains it, and the
-        // ROB rejects it by slot generation (truncation invalidates
-        // the generations of the squashed range).
+        // Wakeup subscriptions of squashed entries are deliberately NOT
+        // unhooked: a stale waiter is dead weight in its list until the
+        // tag's next completion drains it, and the ROB rejects it by
+        // its cleared `in_iq` bit, or by generation once the slot is
+        // reused.
         match self.cfg.isa {
             IsaKind::Ss => {
                 // Walk the squashed entries from the tail, restoring
@@ -942,7 +974,7 @@ impl Core {
                 let walk_cycles = if self.cfg.ideal_recovery {
                     0
                 } else {
-                    n.div_ceil(u64::from(self.cfg.walk_width()))
+                    (n as u64).div_ceil(u64::from(self.cfg.walk_width()))
                 };
                 self.rename_stall_until = self.rename_stall_until.max(self.cycle + walk_cycles);
                 self.stats.recovery_stall_cycles += walk_cycles;
@@ -955,12 +987,23 @@ impl Core {
                 } else {
                     self.arch_rp
                 };
-                self.rp_state = restore;
-                for s in squash_begin..squash_end {
-                    if let Some(d) = self.rob.uop[self.rob.slot_of(s)].dst {
-                        self.prf_ready.set(d as usize);
+                // The squashed entries took the RP values from the
+                // restored RP up to the current one, one each (a trap
+                // micro-op takes none), so their destinations are that
+                // RP range; it is shorter than the register file
+                // whenever fewer entries than registers were squashed.
+                let phys = self.cfg.phys_regs as usize;
+                if n < phys {
+                    let (from, to) = (restore.rp as usize, self.rp_state.rp as usize);
+                    self.prf_ready.set_range(from, (to + phys - from) % phys);
+                } else {
+                    for s in squash_begin..squash_end {
+                        if let Some(d) = self.rob.uop[self.rob.slot_of(s)].dst {
+                            self.prf_ready.set(d as usize);
+                        }
                     }
                 }
+                self.rp_state = restore;
                 let stall = u64::from(!self.cfg.ideal_recovery);
                 self.rename_stall_until = self.rename_stall_until.max(self.cycle + stall);
                 self.stats.recovery_stall_cycles += stall;
@@ -969,22 +1012,16 @@ impl Core {
         // The ROB tail pointer moves back: squashed sequence numbers
         // are reused, keeping ROB sequence numbers contiguous.
         self.next_seq = boundary_seq + 1;
-        // Squashed entries still holding scheduler slots give them
-        // back, and their ready bits are cleared before the slots can
-        // be recycled.
-        for s in squash_begin..squash_end {
-            let slot = self.rob.slot_of(s);
-            if self.rob.in_iq.get(slot) {
-                self.sched.occupancy -= 1;
-            }
-            self.sched.ready.clear(slot);
-        }
+        // The squashed range leaves the ready set and (in `truncate`)
+        // the issue queue a word at a time, before its slots can be
+        // recycled.
+        self.sched.ready.clear_range(self.rob.slot_of(squash_begin), n);
         self.rob.truncate(keep);
+        self.sched.occupancy = self.rob.in_iq.count_ones();
         // Squashed in-flight completions are NOT removed from the
         // timing wheel: their events stay filed and are rejected at
-        // drain time by the generation check (truncate invalidated
-        // the squashed generations), so recovery stays O(squashed)
-        // instead of O(inflight).
+        // drain time, their slots being outside the live window or,
+        // once reused, holding another generation.
         self.lsq.squash_younger(boundary_seq);
         self.front_q.clear();
         self.bp.recover();
@@ -994,6 +1031,34 @@ impl Core {
         self.fetch_pc = new_pc;
         self.fetch_faulted = false;
         self.fetch_stall_until = self.fetch_stall_until.max(self.cycle + 1);
+        #[cfg(debug_assertions)]
+        self.check_after_recovery();
+    }
+
+    /// Recovery's bookkeeping invariants, asserted in debug builds
+    /// after every squash: the issue-queue occupancy is the popcount of
+    /// `in_iq`; no ready or `in_iq` bit lies outside the live ROB
+    /// window; and every live load and store's stored LSQ index holds
+    /// its own sequence number.
+    #[cfg(debug_assertions)]
+    fn check_after_recovery(&self) {
+        debug_assert_eq!(self.sched.occupancy, self.rob.in_iq.count_ones(), "occupancy is not the popcount");
+        for slot in 0..self.rob.slot_capacity() {
+            debug_assert!(
+                self.rob.slot_is_live(slot) || !(self.sched.ready.get(slot) || self.rob.in_iq.get(slot)),
+                "ready/in_iq bit at slot {slot} outside the live window"
+            );
+        }
+        let front = self.rob.front_seq().unwrap_or(0);
+        for seq in front..front + self.rob.len() as u64 {
+            let slot = self.rob.slot_of(seq);
+            let ring = match self.rob.uop[slot].func {
+                FuncOp::Load { .. } => &self.lsq.loads,
+                FuncOp::Store { .. } => &self.lsq.stores,
+                _ => continue,
+            };
+            debug_assert_eq!(ring.seq_at(self.rob.lsq_idx[slot]), Some(seq), "LSQ index of seq {seq}");
+        }
     }
 
     // -- rename / dispatch -------------------------------------------
@@ -1027,56 +1092,59 @@ impl Core {
                 return;
             }
             // Rename: physical registers, RP/SP and the RMT/free-list
-            // changes, worked out as scalars.
-            let Some(r) = d.rename(
+            // changes, written straight into the ROB slot the next
+            // sequence number takes (free: the window is below
+            // capacity).
+            let seq = self.next_seq;
+            let slot = self.rob.slot_of(seq);
+            if !d.rename(
                 self.cfg.isa,
-                self.next_seq,
+                seq,
                 self.cfg.phys_regs,
+                front.pc,
                 &mut self.rp_state,
                 &mut self.rmt_state,
                 &mut self.stats.events,
-            ) else {
+                &mut self.rob.uop[slot],
+            ) {
                 self.stats.freelist_stall_cycles += 1;
                 return;
-            };
+            }
             self.front_q.pop_front();
             self.stats.events.decoded += 1;
-            if let Some(p) = r.dst {
+            let UOp { func, srcs, dst, .. } = self.rob.uop[slot];
+            if let Some(p) = dst {
                 self.prf_ready.clear(p as usize);
             }
-            let seq = self.next_seq;
             self.next_seq += 1;
             let uid = self.next_uid;
             self.next_uid += 1;
-            let trapped = r.trap.is_some() || d.uop.is_trap();
-            if !trapped {
-                match d.uop.func {
-                    FuncOp::Load { width, .. } => self.lsq.loads.push_back(seq, front.pc, width),
-                    FuncOp::Store { width, .. } => self.lsq.stores.push_back(seq, front.pc, width),
-                    _ => {}
-                }
+            self.rob.push(seq, uid);
+            if self.rob.uop[slot].is_control() {
+                self.rob.predicted_next[slot] = front.predicted_next;
+                self.rob.ras_cp[slot] = front.ras_cp;
             }
-            let goes_to_iq = !(trapped || d.uop.is_sys() || d.uop.is_halt());
-            let is_store = d.uop.is_store();
-            // The template and the renamed fields go straight into the
-            // ROB slot.
-            let slot = self.rob.push(seq, uid);
-            r.write(d, front.pc, &mut self.rob.uop[slot]);
-            self.rob.predicted_next[slot] = front.predicted_next;
-            self.rob.ras_cp[slot] = front.ras_cp;
+            // A load or store keeps its LSQ ring index in the ROB. Trap
+            // micro-ops (rename faults included) never enter the LSQ.
+            match func {
+                FuncOp::Load { width, .. } => {
+                    self.rob.lsq_idx[slot] = self.lsq.loads.push_back(seq, front.pc, width);
+                }
+                FuncOp::Store { width, .. } => {
+                    self.rob.lsq_idx[slot] = self.lsq.stores.push_back(seq, front.pc, width);
+                }
+                _ => {}
+            }
             // Subscribe to the wakeup list of each not-yet-ready
             // source; an entry with none gets its ready bit set
             // immediately. Stores watch their base operand only — the
             // split AGU lets the address issue before the data is
             // ready, and the data tag is picked up at that point.
             let mut pending = 0u8;
-            if goes_to_iq {
-                let watched: &[Option<u16>] = if is_store { &r.srcs[..1] } else { &r.srcs[..] };
-                for &p in watched.iter().flatten() {
-                    if !self.prf_ready.get(p as usize) {
-                        self.sched.wakeup[p as usize].push(SlotHandle { slot: slot as u32, gen: uid });
-                        pending += 1;
-                    }
+            if !matches!(func, FuncOp::Trap(_) | FuncOp::Sys { .. } | FuncOp::Halt) {
+                pending = self.watch(srcs[0], slot, uid);
+                if !matches!(func, FuncOp::Store { .. }) {
+                    pending += self.watch(srcs[1], slot, uid);
                 }
                 if pending == 0 {
                     self.sched.ready.set(slot);
@@ -1264,26 +1332,34 @@ impl Core {
 
     // -- driver -------------------------------------------------------
 
-    /// Runs one pipeline stage, charging its host time to `slot` when
-    /// the `stage-profile` feature is enabled.
+    /// Runs one pipeline stage. With the `stage-profile` feature, the
+    /// stage whose turn it is this sampling period is timed and its
+    /// time, less the clock's own cost and scaled by
+    /// `5 × STAGE_SAMPLE_PERIOD`, charged to `slot` (unless the sample
+    /// is a host interruption, see [`STAGE_SAMPLE_MAX_NS`]).
     #[inline]
     fn run_stage(&mut self, slot: usize, f: impl FnOnce(&mut Core)) {
         #[cfg(feature = "stage-profile")]
-        {
-            let t0 = std::time::Instant::now();
-            f(self);
-            self.stage_ns[slot] =
-                self.stage_ns[slot].saturating_add(t0.elapsed().as_nanos() as u64);
+        let t0 = (self.cycle.is_multiple_of(STAGE_SAMPLE_PERIOD)
+            && (self.cycle / STAGE_SAMPLE_PERIOD) % 5 == slot as u64)
+            .then(std::time::Instant::now);
+        f(self);
+        #[cfg(feature = "stage-profile")]
+        if let Some(t0) = t0 {
+            let t1 = std::time::Instant::now();
+            let clock = t1.elapsed().as_nanos() as u64;
+            let ns = (t1 - t0).as_nanos() as u64;
+            if ns <= STAGE_SAMPLE_MAX_NS {
+                let ns = ns.saturating_sub(clock).saturating_mul(5 * STAGE_SAMPLE_PERIOD);
+                self.stage_ns[slot] = self.stage_ns[slot].saturating_add(ns);
+            }
         }
-        #[cfg(not(feature = "stage-profile"))]
-        {
-            let _ = slot;
-            f(self);
-        }
+        let _ = slot;
     }
 
-    /// Host-time nanoseconds spent in each pipeline stage so far,
-    /// labeled by [`STAGE_NAMES`].
+    /// Estimated host nanoseconds spent in each pipeline stage so far,
+    /// labeled by [`STAGE_NAMES`]: a rotating sample, one stage timed
+    /// every [`STAGE_SAMPLE_PERIOD`] cycles, scaled up.
     #[cfg(feature = "stage-profile")]
     #[must_use]
     pub fn stage_profile(&self) -> [(&'static str, u64); 5] {

@@ -1,20 +1,21 @@
 //! The load/store queue as two structure-of-arrays ring slabs.
 //!
 //! Loads and stores live in separate age-ordered rings (both ascending
-//! by sequence number), so occupancy checks are O(1), per-seq lookups
-//! binary-search a handful of entries, and the ordered scans (older
-//! stores for a load, younger loads for a store) walk only the
-//! relevant half with early exit. Unlike the previous
-//! `VecDeque<LsqEntry>` layout, each field is a flat column: the hot
-//! forwarding scan streams over `seq`/`addr` words instead of striding
-//! 40-byte entries, and optional fields (`addr`, `data`, `fwd_src`)
-//! are split into a value column plus a presence flag so the scan
-//! reads no stale payloads.
+//! by sequence number), so occupancy checks are O(1) and the ordered
+//! scans (older stores for a load, younger loads for a store) walk only
+//! the relevant half with early exit. Each field is a flat column: the
+//! hot forwarding scan streams over `seq`/`addr` words instead of
+//! striding 40-byte entries, and optional fields (`addr`, `data`,
+//! `fwd_src`) are split into a value column plus a presence flag so the
+//! scan reads no stale payloads.
 //!
-//! Entries are removed from the front at commit (the common case), by
-//! tail truncation at recovery, and — rarely — from the middle, which
-//! compacts the ring in place (shifting the younger suffix down one
-//! position per column) so age order is preserved.
+//! An entry is found by index, not by sequence number: dispatch keeps
+//! the physical index [`LsqRing::push_back`] returns in the ROB's
+//! `lsq_idx` column, and an index stays valid while its entry lives,
+//! because entries leave only from the front at commit (commit retires
+//! in order, so the committing memory op is always the oldest in its
+//! ring) and by tail truncation at recovery. Nothing is ever removed
+//! from the middle, so no entry moves.
 
 use straight_isa::MemWidth;
 
@@ -46,7 +47,7 @@ pub(crate) struct OlderStoreScan {
 }
 
 /// A borrowed view of one LSQ entry, assembled from the columns.
-/// Returned by [`LsqRing::remove`] for the commit-time drain; the
+/// Returned by [`LsqRing::pop_front`] for the commit-time drain; the
 /// identity fields are read only by the test-gated visitors.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct LsqRef {
@@ -111,9 +112,10 @@ impl LsqRing {
         (self.head + pos) & self.mask
     }
 
-    /// Appends a fresh entry (dispatch). Sequence numbers must arrive
-    /// ascending, which dispatch order guarantees.
-    pub fn push_back(&mut self, seq: u64, pc: u32, width: MemWidth) {
+    /// Appends a fresh entry (dispatch) and returns its physical index,
+    /// which stays valid until the entry leaves the ring. Sequence
+    /// numbers must arrive ascending, which dispatch order guarantees.
+    pub fn push_back(&mut self, seq: u64, pc: u32, width: MemWidth) -> u32 {
         debug_assert!(self.len <= self.mask, "LSQ ring overfull");
         debug_assert!(self.len == 0 || self.seq[self.at(self.len - 1)] < seq);
         let i = self.at(self.len);
@@ -125,33 +127,28 @@ impl LsqRing {
         self.speculative[i] = false;
         self.fwd_known[i] = false;
         self.len += 1;
+        i as u32
     }
 
-    /// Logical position of `seq`, if present (binary search — the ring
-    /// is sorted ascending by construction).
-    fn pos_of(&self, seq: u64) -> Option<usize> {
-        let mut lo = 0usize;
-        let mut hi = self.len;
-        while lo < hi {
-            let mid = (lo + hi) / 2;
-            let s = self.seq[self.at(mid)];
-            if s < seq {
-                lo = mid + 1;
-            } else if s > seq {
-                hi = mid;
-            } else {
-                return Some(mid);
-            }
-        }
-        None
+    /// True when physical index `i` holds a live entry.
+    #[inline]
+    fn is_live(&self, i: usize) -> bool {
+        i.wrapping_sub(self.head) & self.mask < self.len
+    }
+
+    /// Sequence number of the live entry at index `i` (`None` when the
+    /// index is outside the live window): the recovery guard checks a
+    /// ROB entry's stored index against it.
+    #[cfg(any(test, debug_assertions))]
+    pub fn seq_at(&self, i: u32) -> Option<u64> {
+        let i = i as usize;
+        (i <= self.mask && self.is_live(i)).then(|| self.seq[i])
     }
 
     /// Assembles a full view of the entry for `seq`.
     #[cfg(test)]
     pub fn get(&self, seq: u64) -> Option<LsqRef> {
-        let pos = self.pos_of(seq)?;
-        let i = self.at(pos);
-        Some(self.view(i))
+        (0..self.len).map(|pos| self.at(pos)).find(|&i| self.seq[i] == seq).map(|i| self.view(i))
     }
 
     #[inline]
@@ -167,17 +164,11 @@ impl LsqRing {
         }
     }
 
-    /// True when the entry exists and its address is generated.
-    pub fn addr_known(&self, seq: u64) -> bool {
-        self.pos_of(seq).is_some_and(|pos| self.addr_known[self.at(pos)])
-    }
-
-    /// The generated address of the entry for `seq`, if any — the
-    /// writeback stage's load-address lookup, reading two columns
-    /// instead of assembling a full [`LsqRef`].
-    pub fn addr_of(&self, seq: u64) -> Option<u32> {
-        let i = self.at(self.pos_of(seq)?);
-        self.addr_known[i].then(|| self.addr[i])
+    /// True when the entry at index `i` has generated its address.
+    #[inline]
+    pub fn addr_known(&self, i: u32) -> bool {
+        debug_assert!(self.is_live(i as usize), "LSQ index {i} is not live");
+        self.addr_known[i as usize]
     }
 
     /// The forwarding decision for a load of `addr`/`width` with
@@ -242,69 +233,54 @@ impl LsqRing {
         None
     }
 
-    /// Records a generated address.
-    pub fn set_addr(&mut self, seq: u64, addr: u32) {
-        if let Some(pos) = self.pos_of(seq) {
-            let i = self.at(pos);
-            self.addr[i] = addr;
-            self.addr_known[i] = true;
-        }
+    /// Records a store's generated address at index `i`.
+    #[inline]
+    pub fn set_addr(&mut self, i: u32, addr: u32) {
+        let i = i as usize;
+        debug_assert!(self.is_live(i), "LSQ index {i} is not live");
+        self.addr[i] = addr;
+        self.addr_known[i] = true;
     }
 
-    /// Records a store's data once its value operand is ready.
-    pub fn set_data(&mut self, seq: u64, data: u32) {
-        if let Some(pos) = self.pos_of(seq) {
-            let i = self.at(pos);
-            self.data[i] = data;
-            self.data_known[i] = true;
-        }
+    /// Records a store's data at index `i` once its value operand is
+    /// ready.
+    #[inline]
+    pub fn set_data(&mut self, i: u32, data: u32) {
+        let i = i as usize;
+        debug_assert!(self.is_live(i), "LSQ index {i} is not live");
+        self.data[i] = data;
+        self.data_known[i] = true;
     }
 
-    /// Records a load's execution bookkeeping: address, whether older
-    /// store addresses were still unknown, and the forwarding source.
-    pub fn set_load_exec(&mut self, seq: u64, addr: u32, speculative: bool, fwd_src: Option<u64>) {
-        if let Some(pos) = self.pos_of(seq) {
-            let i = self.at(pos);
-            self.addr[i] = addr;
-            self.addr_known[i] = true;
-            self.speculative[i] = speculative;
-            match fwd_src {
-                Some(s) => {
-                    self.fwd_src[i] = s;
-                    self.fwd_known[i] = true;
-                }
-                None => self.fwd_known[i] = false,
+    /// Records a load's execution bookkeeping at index `i`: address,
+    /// whether older store addresses were still unknown, and the
+    /// forwarding source.
+    #[inline]
+    pub fn set_load_exec(&mut self, i: u32, addr: u32, speculative: bool, fwd_src: Option<u64>) {
+        let i = i as usize;
+        debug_assert!(self.is_live(i), "LSQ index {i} is not live");
+        self.addr[i] = addr;
+        self.addr_known[i] = true;
+        self.speculative[i] = speculative;
+        match fwd_src {
+            Some(s) => {
+                self.fwd_src[i] = s;
+                self.fwd_known[i] = true;
             }
+            None => self.fwd_known[i] = false,
         }
     }
 
-    /// Removes the entry for `seq`, returning its view. Commit removes
-    /// in dispatch order, so the front is the common O(1) case;
-    /// mid-ring removal compacts the younger suffix down one position
-    /// (order-preserving, like the old `VecDeque::remove`).
-    pub fn remove(&mut self, seq: u64) -> Option<LsqRef> {
-        if self.len > 0 && self.seq[self.head] == seq {
-            let out = self.view(self.head);
-            self.head = (self.head + 1) & self.mask;
-            self.len -= 1;
-            return Some(out);
+    /// Removes the oldest entry, which must be `seq`'s, and returns its
+    /// view. Commit retires in order, so the committing memory op is
+    /// always at the front; `None` (and a debug assertion) otherwise.
+    pub fn pop_front(&mut self, seq: u64) -> Option<LsqRef> {
+        debug_assert!(self.len > 0 && self.seq[self.head] == seq, "LSQ front is not seq {seq}");
+        if self.len == 0 || self.seq[self.head] != seq {
+            return None;
         }
-        let pos = self.pos_of(seq)?;
-        let out = self.view(self.at(pos));
-        for p in pos + 1..self.len {
-            let from = self.at(p);
-            let to = self.at(p - 1);
-            self.seq[to] = self.seq[from];
-            self.pc[to] = self.pc[from];
-            self.width[to] = self.width[from];
-            self.addr[to] = self.addr[from];
-            self.addr_known[to] = self.addr_known[from];
-            self.data[to] = self.data[from];
-            self.data_known[to] = self.data_known[from];
-            self.speculative[to] = self.speculative[from];
-            self.fwd_src[to] = self.fwd_src[from];
-            self.fwd_known[to] = self.fwd_known[from];
-        }
+        let out = self.view(self.head);
+        self.head = (self.head + 1) & self.mask;
         self.len -= 1;
         Some(out)
     }
@@ -413,48 +389,40 @@ mod tests {
         assert_eq!(r.len(), 3);
         assert_eq!(r.get(5).unwrap().pc, 0x105);
         assert!(r.get(3).is_none());
-        let front = r.remove(2).unwrap();
+        let front = r.pop_front(2).unwrap();
         assert_eq!(front.seq, 2);
         assert_eq!(seqs(&r), vec![5, 9]);
     }
 
     #[test]
-    fn mid_ring_removal_compacts_preserving_order_and_fields() {
-        let mut r = LsqRing::new(8);
-        for s in [1u64, 3, 4, 7, 8] {
-            r.push_back(s, s as u32 * 10, MemWidth::H);
-            r.set_addr(s, s as u32 * 100);
-        }
-        r.set_data(7, 0x77);
-        // Remove from the middle: the younger suffix shifts down.
-        assert_eq!(r.remove(4).unwrap().addr, Some(400));
-        assert_eq!(seqs(&r), vec![1, 3, 7, 8]);
-        // Fields of shifted entries survive compaction intact.
-        let e7 = r.get(7).unwrap();
-        assert_eq!((e7.pc, e7.addr, e7.data), (70, Some(700), Some(0x77)));
-        assert_eq!(r.get(8).unwrap().addr, Some(800));
-        // Binary search still resolves every survivor after the shift.
-        assert!(r.get(4).is_none());
-        assert!(r.addr_known(8));
-    }
-
-    #[test]
-    fn compaction_works_across_ring_wrap() {
+    fn indices_stay_valid_across_ring_wrap() {
         let mut r = LsqRing::new(4); // physical capacity 4, mask 3
         // Advance the head so the live window wraps the ring edge.
         for s in 0..3u64 {
             r.push_back(s, 0, MemWidth::W);
         }
-        r.remove(0);
-        r.remove(1);
-        r.push_back(3, 30, MemWidth::W);
-        r.push_back(4, 40, MemWidth::W);
-        r.push_back(5, 50, MemWidth::W); // window now wraps
+        r.pop_front(0);
+        r.pop_front(1);
+        let idx: Vec<u32> =
+            [3u64, 4, 5].iter().map(|&s| r.push_back(s, s as u32 * 10, MemWidth::W)).collect();
         assert_eq!(seqs(&r), vec![2, 3, 4, 5]);
-        r.remove(3); // mid removal with the suffix crossing the wrap
-        assert_eq!(seqs(&r), vec![2, 4, 5]);
-        assert_eq!(r.get(4).unwrap().pc, 40);
-        assert_eq!(r.get(5).unwrap().pc, 50);
+        assert_eq!(idx, vec![3, 0, 1], "the window wraps the ring edge");
+        // Each index reaches its own entry, on both sides of the wrap,
+        // and keeps doing so while older entries leave the front.
+        for (&i, s) in idx.iter().zip(3u64..) {
+            assert_eq!(r.seq_at(i), Some(s));
+            r.set_addr(i, s as u32 * 100);
+        }
+        r.set_data(idx[1], 0x44);
+        r.pop_front(2);
+        r.pop_front(3);
+        let e4 = r.get(4).unwrap();
+        assert_eq!((e4.pc, e4.addr, e4.data), (40, Some(400), Some(0x44)));
+        assert!(r.addr_known(idx[2]));
+        // Indices of entries that left are no longer live.
+        assert_eq!(r.seq_at(idx[0]), None);
+        assert_eq!(r.seq_at(2), None);
+        assert_eq!(r.pop_front(4).unwrap().addr, Some(400));
     }
 
     #[test]
@@ -524,16 +492,16 @@ mod tests {
         // interesting store states: unknown address, partial overlap,
         // full match with/without data, and a younger full match.
         let mut r = LsqRing::new(8);
-        for s in 1..=5u64 {
-            r.push_back(s, 0, MemWidth::W);
-        }
-        r.set_addr(1, 0x100); // full match, no data yet
+        // `at[s]` is the ring index of seq `s` (1..=5).
+        let at: Vec<u32> =
+            (0..=5u64).map(|s| if s == 0 { 0 } else { r.push_back(s, 0, MemWidth::W) }).collect();
+        r.set_addr(at[1], 0x100); // full match, no data yet
         // seq 2: address unknown
-        r.set_addr(3, 0x200); // disjoint
-        r.set_addr(4, 0x100);
-        r.set_data(4, 0xbeef); // forwardable full match
-        r.set_addr(5, 0x100);
-        r.set_data(5, 0xdead); // younger than the load: out of scope
+        r.set_addr(at[3], 0x200); // disjoint
+        r.set_addr(at[4], 0x100);
+        r.set_data(at[4], 0xbeef); // forwardable full match
+        r.set_addr(at[5], 0x100);
+        r.set_data(at[5], 0xdead); // younger than the load: out of scope
 
         // Load at seq 5 (strictly older stores are 1..=4): seq 1
         // blocks (full match, data pending).
@@ -542,7 +510,7 @@ mod tests {
 
         // Give seq 1 its data: now forwardable, and the youngest
         // match (seq 4) wins; seq 2's unknown address is flagged.
-        r.set_data(1, 0x1111);
+        r.set_data(at[1], 0x1111);
         let scan = r.scan_older_stores(5, 0x100, MemWidth::W);
         assert!(!scan.blocked);
         assert!(scan.unknown_older);
@@ -561,15 +529,14 @@ mod tests {
     #[test]
     fn violation_victim_is_oldest_younger_executed_overlap() {
         let mut r = LsqRing::new(8);
-        for s in [2u64, 4, 6, 8] {
-            r.push_back(s, s as u32 * 10, MemWidth::W);
-        }
+        let at: Vec<u32> =
+            [2u64, 4, 6, 8].iter().map(|&s| r.push_back(s, s as u32 * 10, MemWidth::W)).collect();
         // seq 4: executed at 0x100 (no forwarding).
-        r.set_load_exec(4, 0x100, false, None);
+        r.set_load_exec(at[1], 0x100, false, None);
         // seq 6: executed at 0x100, forwarded from store seq 5.
-        r.set_load_exec(6, 0x100, false, Some(5));
+        r.set_load_exec(at[2], 0x100, false, Some(5));
         // seq 8: executed at 0x100, forwarded from store seq 1.
-        r.set_load_exec(8, 0x100, false, Some(1));
+        r.set_load_exec(at[3], 0x100, false, Some(1));
 
         // A store at seq 3 writing 0x100: the oldest younger executed
         // overlapping load is seq 4.
@@ -585,13 +552,13 @@ mod tests {
     #[test]
     fn optional_fields_default_absent() {
         let mut r = LsqRing::new(8);
-        r.push_back(1, 0, MemWidth::W);
+        let i = r.push_back(1, 0, MemWidth::W);
         let e = r.get(1).unwrap();
         assert_eq!(e.addr, None);
         assert_eq!(e.data, None);
         assert_eq!(e.fwd_src, None);
         assert!(!e.speculative);
-        r.set_load_exec(1, 0x80, true, Some(0));
+        r.set_load_exec(i, 0x80, true, Some(0));
         let e = r.get(1).unwrap();
         assert_eq!(e.addr, Some(0x80));
         assert!(e.speculative);

@@ -15,6 +15,6 @@ mod wheel;
 pub use config::{IsaKind, MachineConfig, UnitCfg};
 pub use core::{simulate, Core, CoreError, DEFAULT_MAX_CYCLES};
 #[cfg(feature = "stage-profile")]
-pub use core::STAGE_NAMES;
+pub use core::{STAGE_NAMES, STAGE_SAMPLE_PERIOD};
 pub use stats::{PowerEvents, SimExit, SimResult, SimStats, WatchdogReport};
 pub use uop::{ControlInfo, ExecUnit, FuncOp, RawInst, UOp};

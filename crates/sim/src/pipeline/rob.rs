@@ -10,13 +10,20 @@
 //! pointer chasing, and each field lives in its own flat column so the
 //! stages touch only the bytes they need: commit reads `state`/`trap`,
 //! the wakeup path reads `gen`/`pending`, select reads `state` and the
-//! `uop` payload, dispatch writes the renamed `uop` in place, and the
-//! recovery walk streams over `uop` columns.
+//! `uop` payload, and the SS recovery walk streams over `uop` columns.
+//! Rename writes the renamed micro-op straight into the free `uop`
+//! slot it is about to push (no intermediate copy), and a load or
+//! store keeps its LSQ ring index in the `lsq_idx` column, so the
+//! memory stages reach their LSQ entry without a search.
 //!
 //! Cross-cycle references into the slab (scheduler wakeup waiters) use
 //! generational [`SlotHandle`]s: `gen` holds the entry's dispatch uid
 //! (never reused, unlike slots and sequence numbers), so a handle
-//! taken before a squash cannot resolve to the slot's next tenant.
+//! taken before a squash cannot resolve to the slot's next tenant. A
+//! waiter also needs the slot's `in_iq` bit, which recovery clears a
+//! word at a time over the squashed range; so truncation writes no
+//! per-slot generation, and a squashed slot's stale generation is
+//! overwritten when dispatch reuses the slot.
 
 use straight_isa::TrapKind;
 
@@ -53,11 +60,14 @@ pub(crate) struct RobSlab {
     pub uop: Box<[UOp]>,
     /// Execution state.
     pub state: Box<[RState]>,
-    /// Fetch-time predicted next PC.
+    /// Fetch-time predicted next PC (written for control instructions
+    /// only, the only ones whose completion reads it).
     pub predicted_next: Box<[u32]>,
-    /// Resolved direction (valid once `state` is `Done`).
+    /// Resolved direction of a conditional branch (written when it
+    /// completes; retire reads it for conditional branches only).
     pub actual_taken: Box<[bool]>,
-    /// RAS checkpoint taken at prediction time.
+    /// RAS checkpoint taken at prediction time (control instructions
+    /// only).
     pub ras_cp: Box<[RasCheckpoint]>,
     /// Execution-time fault, raised precisely when the entry reaches
     /// the ROB head.
@@ -65,6 +75,9 @@ pub(crate) struct RobSlab {
     /// Source operands still outstanding before the entry enters the
     /// scheduler's ready set.
     pub pending: Box<[u8]>,
+    /// Loads and stores: the entry's physical index in its LSQ ring
+    /// (set at dispatch, stable until the entry leaves the ring).
+    pub lsq_idx: Box<[u32]>,
     /// Occupies a scheduler (issue-queue) slot.
     pub in_iq: SlotBits,
 }
@@ -86,6 +99,7 @@ impl RobSlab {
             ras_cp: vec![RasCheckpoint::default(); cap].into_boxed_slice(),
             trap: vec![None; cap].into_boxed_slice(),
             pending: vec![0u8; cap].into_boxed_slice(),
+            lsq_idx: vec![0u32; cap].into_boxed_slice(),
             in_iq: SlotBits::new(cap),
         }
     }
@@ -130,10 +144,17 @@ impl RobSlab {
         (seq as usize) & self.mask
     }
 
+    /// True when `slot` holds a live entry (lies inside the window).
+    #[inline]
+    pub fn slot_is_live(&self, slot: usize) -> bool {
+        slot.wrapping_sub(self.head_slot()) & self.mask < self.len
+    }
+
     /// Slot for `seq` if that sequence number is live, `None` when it
     /// was already committed or squashed (the replacement for relative
-    /// `VecDeque` indexing).
-    #[inline]
+    /// `VecDeque` indexing). The stages hold slots, not sequence
+    /// numbers, so only the tests look entries up this way.
+    #[cfg(test)]
     pub fn slot(&self, seq: u64) -> Option<usize> {
         if seq >= self.head_seq && seq < self.head_seq + self.len as u64 {
             Some((seq as usize) & self.mask)
@@ -154,8 +175,7 @@ impl RobSlab {
         self.gen[slot] = uid;
         self.state[slot] = RState::Waiting;
         self.trap[slot] = None;
-        self.actual_taken[slot] = false;
-        self.in_iq.clear(slot);
+        debug_assert!(!self.in_iq.get(slot), "a free slot holds no issue-queue bit");
         self.len += 1;
         slot
     }
@@ -172,17 +192,16 @@ impl RobSlab {
     }
 
     /// Truncates to the oldest `keep` entries (recovery). The caller
-    /// walks the squashed tail first; this only moves the tail
-    /// pointer. Slot generations of the squashed range are invalidated
-    /// here so stale wakeup handles are rejected even before the slots
-    /// are reused.
+    /// walks the squashed tail first, if it needs to; this moves the
+    /// tail pointer and clears the squashed range's `in_iq` bits a word
+    /// at a time, which is what rejects stale wakeup handles to it (see
+    /// [`RobSlab::waiter_slot`]). Generations are left alone: a reused
+    /// slot gets its new tenant's at `push`.
     pub fn truncate(&mut self, keep: usize) {
-        for seq in self.head_seq + keep as u64..self.head_seq + self.len as u64 {
-            let slot = (seq as usize) & self.mask;
-            self.gen[slot] = u64::MAX;
-            self.in_iq.clear(slot);
-        }
-        self.len = keep.min(self.len);
+        let keep = keep.min(self.len);
+        let first = self.slot_of(self.head_seq + keep as u64);
+        self.in_iq.clear_range(first, self.len - keep);
+        self.len = keep;
     }
 
     /// Resolves a scheduler wakeup handle: the slot is returned only

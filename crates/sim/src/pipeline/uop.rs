@@ -3,13 +3,18 @@
 //! units, commit) is shared between SS and STRAIGHT — mirroring the
 //! paper's methodology ("both simulators can share common codes for
 //! the most part", Section V-A).
-
-use std::collections::VecDeque;
+//!
+//! Each code slot is decoded once per image into a [`Decoded`] entry (a
+//! `UOp` template plus what rename needs), and dispatch renames it
+//! straight into the free ROB slot with [`Decoded::rename`]: the
+//! template is copied in and the physical registers and RP/SP are
+//! written over it there, with no intermediate record.
 
 use straight_isa::{AluImmOp, AluOp, Dist, Inst, InstKind, MemWidth, TrapKind};
 use straight_riscv::{BranchOp, Reg, RvInst};
 
 use super::config::IsaKind;
+use super::slab::Ring;
 use super::stats::PowerEvents;
 
 /// A raw fetched instruction of either ISA.
@@ -319,11 +324,12 @@ pub struct RpState {
 /// SS rename state: the RAM-based register map table and free list.
 #[derive(Debug, Clone)]
 #[cfg_attr(test, derive(PartialEq))]
-pub struct RmtState {
+pub(crate) struct RmtState {
     /// Logical → physical mapping.
     pub rmt: [u16; 32],
-    /// Free physical registers.
-    pub freelist: VecDeque<u16>,
+    /// Free physical registers, a FIFO ring sized for every register
+    /// (no more can ever be free).
+    pub freelist: Ring<u16>,
 }
 
 impl RmtState {
@@ -334,7 +340,11 @@ impl RmtState {
         for (i, m) in rmt.iter_mut().enumerate() {
             *m = i as u16;
         }
-        RmtState { rmt, freelist: (32..phys as u16).collect() }
+        let mut freelist = Ring::with_capacity(phys as usize);
+        for p in 32..phys as u16 {
+            freelist.push_back(p);
+        }
+        RmtState { rmt, freelist }
     }
 }
 
@@ -347,7 +357,8 @@ pub(crate) struct Decoded {
     pub control: ControlInfo,
     /// The micro-op with its rename-independent fields filled in (PC,
     /// func, unit, latency, kind, the SS logical destination); rename
-    /// leaves physical registers and RP/SP to [`Renamed::write`].
+    /// copies it into the ROB slot and fills in physical registers and
+    /// RP/SP there ([`Decoded::rename`]).
     pub uop: UOp,
     /// Source operands in `uop.srcs` order: STRAIGHT distances, RV32IM
     /// logical register numbers. 0 (distance zero, `x0`) reads zero.
@@ -509,46 +520,35 @@ fn decode_riscv(inst: RvInst, pc: u32) -> Decoded {
     }
 }
 
-/// The rename-dependent fields of one micro-op, worked out as scalars
-/// by [`Decoded::rename`] and written over the template in the ROB slot
-/// by [`Renamed::write`].
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct Renamed {
-    /// Physical source registers.
-    pub srcs: [Option<u16>; 2],
-    /// Physical destination.
-    pub dst: Option<u16>,
-    /// SS: the destination's previous mapping.
-    pub prev_phys: Option<u16>,
-    /// STRAIGHT: RP after this instruction (SS: 0; traps: unchanged).
-    pub rp_after: u32,
-    /// STRAIGHT: SP after this instruction (SS: 0; traps: unchanged).
-    pub sp_after: u32,
-    /// The RP adders found a distance reaching before the first
-    /// instruction: the micro-op becomes this trap.
-    pub trap: Option<TrapKind>,
-}
-
 impl Decoded {
-    /// Renames this slot's micro-op, updating the RP/SP (STRAIGHT) or
-    /// the RMT and free list (SS) and counting the rename logic's power
-    /// events. `next_seq` is the dynamic index the instruction will get.
-    /// Returns `None`, changing nothing, when SS needs a destination
-    /// and the free list is empty (rename stalls).
+    /// Renames this slot's micro-op, fetched at `pc`, straight into the
+    /// free ROB slot `out`: the template, then the physical registers
+    /// and RP/SP (a trap micro-op when the RP adders find a distance
+    /// reaching before the first instruction). It updates the RP/SP
+    /// (STRAIGHT) or the RMT and free list (SS) and counts the rename
+    /// logic's power events. `next_seq` is the dynamic index the
+    /// instruction will get. Returns `false`, changing nothing, when SS
+    /// needs a destination and the free list is empty (rename stalls).
+    #[allow(clippy::too_many_arguments)]
+    #[must_use]
     pub fn rename(
         &self,
         isa: IsaKind,
         next_seq: u64,
         phys: u32,
+        pc: u32,
         rp_state: &mut RpState,
         rmt_state: &mut RmtState,
         events: &mut PowerEvents,
-    ) -> Option<Renamed> {
+        out: &mut UOp,
+    ) -> bool {
         let RpState { rp, sp } = *rp_state;
-        let mut r =
-            Renamed { srcs: [None, None], dst: None, prev_phys: None, rp_after: rp, sp_after: sp, trap: None };
         if self.uop.is_trap() {
-            return Some(r);
+            *out = self.uop;
+            out.pc = pc;
+            out.rp_after = rp;
+            out.sp_after = sp;
+            return true;
         }
         match isa {
             IsaKind::Straight => {
@@ -557,65 +557,53 @@ impl Decoded {
                 // that never existed. Trap precisely instead of reading
                 // ring garbage.
                 if let Some(&dist) = self.dists.iter().find(|&&d| u64::from(d) > next_seq) {
-                    r.trap = Some(TrapKind::DistanceOutOfRange { dist, executed: next_seq });
-                    return Some(r);
+                    *out = UOp::trap(pc, TrapKind::DistanceOutOfRange { dist, executed: next_seq }, rp, sp);
+                    return true;
                 }
                 events.rp_adds += 1 + u64::from(self.nsrc);
+                *out = self.uop;
+                out.pc = pc;
                 // `rp < phys` and `1 <= d <= phys` (distance bounding
                 // plus the config invariant `phys >= max_distance`), so
                 // the sum is in `[rp, rp + phys)` and one conditional
                 // subtract is the exact modulo — no divide in rename.
-                r.srcs = self.operands.map(|d| {
+                out.srcs = self.operands.map(|d| {
                     (d != 0).then(|| {
                         let x = rp + phys - u32::from(d);
                         (if x >= phys { x - phys } else { x }) as u16
                     })
                 });
-                r.dst = Some(rp as u16);
+                out.dst = Some(rp as u16);
                 rp_state.rp = if rp + 1 == phys { 0 } else { rp + 1 };
                 if let Some(delta) = self.sp_add {
                     rp_state.sp = sp.wrapping_add(delta);
+                    out.func = FuncOp::Const(rp_state.sp);
                 }
-                r.rp_after = rp_state.rp;
-                r.sp_after = rp_state.sp;
+                out.rp_after = rp_state.rp;
+                out.sp_after = rp_state.sp;
             }
             IsaKind::Ss => {
-                r.srcs = self.operands.map(|l| (l != 0).then(|| rmt_state.rmt[usize::from(l)]));
-                if let Some(l) = self.uop.logical_dst {
-                    let p = rmt_state.freelist.pop_front()?;
-                    r.prev_phys = Some(std::mem::replace(&mut rmt_state.rmt[usize::from(l)], p));
-                    r.dst = Some(p);
-                }
-                let writes = u64::from(r.dst.is_some());
+                let srcs = self.operands.map(|l| (l != 0).then(|| rmt_state.rmt[usize::from(l)]));
+                let (dst, prev_phys) = match self.uop.logical_dst {
+                    Some(l) => {
+                        let Some(p) = rmt_state.freelist.pop_front() else { return false };
+                        (Some(p), Some(std::mem::replace(&mut rmt_state.rmt[usize::from(l)], p)))
+                    }
+                    None => (None, None),
+                };
+                // The template's RP/SP fields are already 0.
+                *out = self.uop;
+                out.pc = pc;
+                out.srcs = srcs;
+                out.dst = dst;
+                out.prev_phys = prev_phys;
+                let writes = u64::from(dst.is_some());
                 events.rmt_reads += u64::from(self.nsrc) + writes;
                 events.rmt_writes += writes;
                 events.freelist_ops += writes;
-                r.rp_after = 0;
-                r.sp_after = 0;
             }
         }
-        Some(r)
-    }
-}
-
-impl Renamed {
-    /// Writes the renamed micro-op for `d` fetched at `pc` into `slot`:
-    /// the template, then the fields rename worked out.
-    pub fn write(&self, d: &Decoded, pc: u32, slot: &mut UOp) {
-        if let Some(kind) = self.trap {
-            *slot = UOp::trap(pc, kind, self.rp_after, self.sp_after);
-            return;
-        }
-        *slot = d.uop;
-        slot.pc = pc;
-        slot.srcs = self.srcs;
-        slot.dst = self.dst;
-        slot.prev_phys = self.prev_phys;
-        slot.rp_after = self.rp_after;
-        slot.sp_after = self.sp_after;
-        if d.sp_add.is_some() {
-            slot.func = FuncOp::Const(self.sp_after);
-        }
+        true
     }
 }
 
@@ -861,8 +849,8 @@ mod tests {
         }
     }
 
-    /// Decode table plus rename plus the in-slot write, as dispatch
-    /// runs them.
+    /// Decode table plus rename into a stale slot, as dispatch runs
+    /// them.
     #[allow(clippy::too_many_arguments)]
     fn table_dispatch(
         d: &Decoded,
@@ -874,10 +862,8 @@ mod tests {
         rmt_state: &mut RmtState,
         events: &mut PowerEvents,
     ) -> Option<UOp> {
-        let r = d.rename(isa, next_seq, phys, rp_state, rmt_state, events)?;
         let mut slot = stale_slot();
-        r.write(d, pc, &mut slot);
-        Some(slot)
+        d.rename(isa, next_seq, phys, pc, rp_state, rmt_state, events, &mut slot).then_some(slot)
     }
 
     fn rename_one(raw: RawInst, pc: u32, isa: IsaKind, phys: u32, rp: &mut RpState, rmt: &mut RmtState) -> Option<UOp> {

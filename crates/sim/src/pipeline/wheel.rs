@@ -23,18 +23,21 @@ pub(crate) enum LoadSrc {
     Fwd(u32),
 }
 
-/// One in-flight operation, filed under its completion cycle.
+/// One in-flight operation, filed under its completion cycle (24
+/// bytes: the wheel holds every issued operation until it completes).
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Inflight {
-    /// ROB sequence number (reused across recoveries).
-    pub seq: u64,
-    /// Dispatch identity of the issuing instruction. Sequence numbers
-    /// rewind on recovery, so a drained event only completes the ROB
-    /// entry whose generation still matches — a stale event for a
-    /// squashed-and-reissued sequence number is dropped.
+    /// Dispatch identity of the issuing instruction. Slots and sequence
+    /// numbers are reused after a recovery, so a drained event only
+    /// completes the live ROB entry whose generation still matches —
+    /// a stale event for a squashed entry is dropped. Among live
+    /// entries, uid order is age order.
     pub uid: u64,
-    /// Cycle the operation's result is available.
-    pub done_at: u64,
+    /// ROB slot of the issuing instruction.
+    pub slot: u32,
+    /// Load address, generated at issue (0 for non-loads): writeback
+    /// reads it here instead of looking the load up in the LSQ.
+    pub addr: u32,
     /// Load value source (`None` for non-loads).
     pub load_src: Option<LoadSrc>,
 }
@@ -48,10 +51,10 @@ const WHEEL_SLOTS: usize = 512;
 pub(crate) struct CompletionWheel {
     /// `buckets[done_at % WHEEL_SLOTS]`, drained once per cycle.
     buckets: Vec<Vec<Inflight>>,
-    /// Events scheduled a full lap or more ahead (none of the modeled
-    /// latencies reach this; kept so an oversized latency is merely
-    /// slow instead of wrong).
-    overflow: Vec<Inflight>,
+    /// Events scheduled a full lap or more ahead, with their completion
+    /// cycles (none of the modeled latencies reach this; kept so an
+    /// oversized latency is merely slow instead of wrong).
+    overflow: Vec<(u64, Inflight)>,
     /// Live event count, *including* squashed events not yet drained
     /// (diagnostics only — the watchdog report and debug snapshots).
     len: usize,
@@ -73,22 +76,23 @@ impl CompletionWheel {
         self.len
     }
 
-    /// Files an event. `now` is the current cycle; `ev.done_at` must
-    /// be in the future (issue always schedules at least one cycle of
-    /// latency).
+    /// Files an event due at `done_at`. `now` is the current cycle;
+    /// `done_at` must be in the future (issue always schedules at least
+    /// one cycle of latency).
     #[inline]
-    pub fn push(&mut self, now: u64, ev: Inflight) {
-        debug_assert!(ev.done_at > now);
+    pub fn push(&mut self, now: u64, done_at: u64, ev: Inflight) {
+        debug_assert!(done_at > now);
         self.len += 1;
-        if (ev.done_at - now) as usize >= WHEEL_SLOTS {
-            self.overflow.push(ev);
+        if (done_at - now) as usize >= WHEEL_SLOTS {
+            self.overflow.push((done_at, ev));
         } else {
-            self.buckets[(ev.done_at as usize) & (WHEEL_SLOTS - 1)].push(ev);
+            self.buckets[(done_at as usize) & (WHEEL_SLOTS - 1)].push(ev);
         }
     }
 
     /// Drains every event due at `now` into `out` (order unspecified —
-    /// the writeback stage sorts by sequence number). Must be called
+    /// the writeback stage puts them in age order; they usually already
+    /// are). Must be called
     /// for every cycle value exactly once, which the in-order `step()`
     /// loop guarantees.
     pub fn drain_due(&mut self, now: u64, out: &mut Vec<Inflight>) {
@@ -98,8 +102,8 @@ impl CompletionWheel {
         if !self.overflow.is_empty() {
             let mut i = 0;
             while i < self.overflow.len() {
-                if self.overflow[i].done_at <= now {
-                    out.push(self.overflow.swap_remove(i));
+                if self.overflow[i].0 <= now {
+                    out.push(self.overflow.swap_remove(i).1);
                     self.len -= 1;
                 } else {
                     i += 1;
@@ -123,27 +127,33 @@ impl CompletionWheel {
 mod tests {
     use super::*;
 
-    fn ev(seq: u64, done_at: u64) -> Inflight {
-        Inflight { seq, uid: seq, done_at, load_src: None }
+    /// Files an event for ROB slot `slot` due at `done_at`.
+    fn file(w: &mut CompletionWheel, now: u64, slot: u32, done_at: u64) {
+        w.push(now, done_at, Inflight { uid: u64::from(slot), slot, addr: 0, load_src: None });
     }
 
-    fn drain(w: &mut CompletionWheel, now: u64) -> Vec<u64> {
+    fn drain(w: &mut CompletionWheel, now: u64) -> Vec<u32> {
         let mut out = Vec::new();
         w.drain_due(now, &mut out);
-        let mut seqs: Vec<u64> = out.iter().map(|e| e.seq).collect();
-        seqs.sort_unstable();
-        seqs
+        let mut slots: Vec<u32> = out.iter().map(|e| e.slot).collect();
+        slots.sort_unstable();
+        slots
+    }
+
+    #[test]
+    fn inflight_is_24_bytes() {
+        assert_eq!(std::mem::size_of::<Inflight>(), 24);
     }
 
     #[test]
     fn events_fire_exactly_at_their_cycle() {
         let mut w = CompletionWheel::new();
-        w.push(10, ev(1, 11));
-        w.push(10, ev(2, 13));
-        w.push(10, ev(3, 11));
+        file(&mut w, 10, 1, 11);
+        file(&mut w, 10, 2, 13);
+        file(&mut w, 10, 3, 11);
         assert_eq!(w.len(), 3);
         assert_eq!(drain(&mut w, 11), vec![1, 3]);
-        assert_eq!(drain(&mut w, 12), Vec::<u64>::new());
+        assert_eq!(drain(&mut w, 12), Vec::<u32>::new());
         assert_eq!(drain(&mut w, 13), vec![2]);
         assert_eq!(w.len(), 0);
     }
@@ -153,10 +163,10 @@ mod tests {
         let mut w = CompletionWheel::new();
         // Two events one lap apart in wheel position but pushed at
         // times where each lands within its own horizon.
-        w.push(0, ev(1, 5));
+        file(&mut w, 0, 1, 5);
         assert_eq!(drain(&mut w, 5), vec![1]);
         let later = 5 + WHEEL_SLOTS as u64;
-        w.push(later - 3, ev(2, later));
+        file(&mut w, later - 3, 2, later);
         assert_eq!(drain(&mut w, later), vec![2]);
     }
 
@@ -164,10 +174,10 @@ mod tests {
     fn overflow_horizon_still_fires() {
         let mut w = CompletionWheel::new();
         let far = 10 + WHEEL_SLOTS as u64 * 2;
-        w.push(10, ev(7, far));
+        file(&mut w, 10, 7, far);
         assert_eq!(w.len(), 1);
         // Nothing fires while the event is beyond the horizon.
-        assert_eq!(drain(&mut w, far - 1), Vec::<u64>::new());
+        assert_eq!(drain(&mut w, far - 1), Vec::<u32>::new());
         assert_eq!(drain(&mut w, far), vec![7]);
         assert_eq!(w.len(), 0);
     }
@@ -175,10 +185,10 @@ mod tests {
     #[test]
     fn clear_empties_everything() {
         let mut w = CompletionWheel::new();
-        w.push(0, ev(1, 3));
-        w.push(0, ev(2, 1000));
+        file(&mut w, 0, 1, 3);
+        file(&mut w, 0, 2, 1000);
         w.clear();
         assert_eq!(w.len(), 0);
-        assert_eq!(drain(&mut w, 3), Vec::<u64>::new());
+        assert_eq!(drain(&mut w, 3), Vec::<u32>::new());
     }
 }

@@ -17,10 +17,11 @@ pub struct Ras {
 ///
 /// `Default` is the checkpoint of a freshly constructed [`Ras`]
 /// (empty stack), used to pre-fill the data-oriented ROB's checkpoint
-/// column before any entry is dispatched.
+/// column before any entry is dispatched. Eight bytes: every fetched
+/// instruction copies one into its front-end entry and its ROB slot.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct RasCheckpoint {
-    top: usize,
+    top: u32,
     value: u32,
 }
 
@@ -47,13 +48,13 @@ impl Ras {
     /// Takes a checkpoint for later repair.
     #[must_use]
     pub fn checkpoint(&self) -> RasCheckpoint {
-        RasCheckpoint { top: self.top, value: self.stack[self.top] }
+        RasCheckpoint { top: self.top as u32, value: self.stack[self.top] }
     }
 
     /// Restores a checkpoint after a squash.
     pub fn restore(&mut self, cp: RasCheckpoint) {
-        self.top = cp.top;
-        self.stack[cp.top] = cp.value;
+        self.top = cp.top as usize;
+        self.stack[self.top] = cp.value;
     }
 }
 
@@ -66,6 +67,11 @@ impl Default for Ras {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn checkpoint_is_eight_bytes() {
+        assert_eq!(std::mem::size_of::<RasCheckpoint>(), 8);
+    }
 
     #[test]
     fn push_pop_nesting() {
