@@ -12,8 +12,8 @@
 //! 256-byte block that equals the previous checkpoint's copy) and
 //! which bounds the work of a restore ([`Memory::restore_pages`]).
 //!
-//! The fast tiers resolve the width when a block is translated and
-//! call the width-specialized helpers directly, each of which performs
+//! The fast tier resolves the width when a trace is translated and
+//! calls the width-specialized helpers directly, each of which performs
 //! exactly one alignment test and one bounds test. The interpreters
 //! and the core reach the same helpers through [`load`] and [`store`],
 //! which dispatch on [`MemWidth`] at run time. The core also asks
@@ -271,7 +271,7 @@ pub(super) fn load_w(mem: &Memory, addr: u32) -> Result<u32, TrapKind> {
 
 /// Byte store. `width` is the instruction's encoded width (`B` or
 /// `Bu` — same store semantics), reported verbatim in traps so the
-/// fast tiers trap byte-identically to the interpreter.
+/// fast tier traps byte-identically to the interpreter.
 #[inline]
 pub(super) fn store_b(mem: &mut Memory, addr: u32, val: u32, width: MemWidth) -> Result<(), TrapKind> {
     mem.write(addr, [val as u8]).ok_or(TrapKind::WildStore { addr, width })

@@ -29,6 +29,7 @@
 //! emulator and the cycle-accurate core observe the *same* event.
 
 pub mod checkpoint;
+mod fast;
 pub(crate) mod memops;
 mod riscv;
 mod straight;
@@ -48,9 +49,6 @@ use crate::KindCounts;
 use checkpoint::{ArchSnap, DirtyPage};
 use memops::Memory;
 use sys::SysState;
-
-/// Longest translated trace, in architectural instructions.
-const BLOCK_CAP: usize = 256;
 
 /// Why emulation stopped.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -292,43 +290,6 @@ impl<B> EmuCore<B> {
         self.count += 1;
         self.pc = next_pc;
         self.exit_after(halted)
-    }
-
-    /// Retires a whole trace of `n` instructions with one batched
-    /// statistics update.
-    #[inline]
-    fn retire_trace(
-        &mut self,
-        n: u64,
-        next_pc: u32,
-        kinds: &KindCounts,
-        halted: bool,
-    ) -> Option<EmuExit> {
-        self.count += n;
-        self.pc = next_pc;
-        self.stats.kinds += kinds;
-        self.stats.retired += n;
-        self.exit_after(halted)
-    }
-
-    /// Finalizes a mid-trace trap at instruction `done` of a trace
-    /// entered at count `entry` (`meta` holds each instruction's PC
-    /// and category): syncs count, PC and statistics to the completed
-    /// prefix and returns the trap the interpreter would have raised.
-    fn trace_trap(
-        &mut self,
-        meta: &[(u32, InstKind)],
-        entry: u64,
-        done: u64,
-        kind: TrapKind,
-    ) -> Option<EmuExit> {
-        for &(_, category) in &meta[..done as usize] {
-            self.stats.kinds[category] += 1;
-        }
-        self.stats.retired += done;
-        self.count = entry + done;
-        self.pc = meta[done as usize].0;
-        Some(self.trap(kind))
     }
 
     /// A trap at the current PC and instruction index.

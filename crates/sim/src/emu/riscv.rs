@@ -1,24 +1,24 @@
 //! Functional emulator for the RV32IM baseline.
 //!
 //! Same two-tier structure as the STRAIGHT emulator: the interpreter
-//! fetches and decodes every instruction; the fast tier translates
-//! traces of lowered [`FastOp`] micro-ops — one dispatch per op, all
-//! PC-relative values (`AUIPC`, links, branch targets) folded to
-//! constants at translation time, `LUI`/`li` folded to constant
-//! writes, `x0`-target writes redirected to a dead sink slot so the
-//! hot path writes unconditionally, load/store widths specialized,
-//! and unconditional `JAL`s fused *through* (the trace continues into
-//! the static target) — with statistics batched per trace.
+//! fetches and decodes every instruction, and the fast tier is the
+//! shared one of `emu::fast`. This file gives it registers as operands
+//! (`x0` reads 0 from its slot; writes to it go to a dead [`SINK`]
+//! slot so the hot path writes unconditionally), the RV32IM lowering
+//! (`LUI`, `AUIPC` and `li` folded to constant writes, ALU ops on `x0`
+//! dropped, `JAL` fused through with its link as a constant), and the
+//! ops only RV32IM has ([`RiscvOp`]: `JALR`, which clears bit 0 of its
+//! target, and `ECALL`; `EBREAK` lowers to a halting `Nop`).
 
 use std::sync::Arc;
 
 use straight_asm::{Image, STACK_TOP};
-use straight_isa::{AluOp, InstKind, TrapKind};
-use straight_riscv::{decode, MemWidth, Reg, RvInst};
+use straight_isa::{InstKind, TrapKind};
+use straight_riscv::{decode, BranchOp, Reg, RvInst};
 
 use super::checkpoint::{ArchSnap, CheckpointError};
-use super::{memops, EmuCore, EmuExit, EmuIsa, EmuStats, BLOCK_CAP};
-use crate::KindCounts;
+use super::fast::{self, FastIsa, FastOp, Flow, Trace};
+use super::{memops, EmuCore, EmuExit, EmuIsa, EmuStats};
 
 /// Architectural registers are `x0..x31`; slot 32 is the fast tier's
 /// write sink for `x0`-target instructions (never read, excluded from
@@ -28,99 +28,22 @@ use crate::KindCounts;
 /// bounds check on every hot-loop register access.
 const SINK: u8 = 32;
 
-/// A lowered micro-op of the fast tier. Register numbers are raw
-/// indices (writes pre-redirected to [`SINK`] for `x0`), immediates
-/// pre-extended, branch/link values absolute.
-#[derive(Debug, Clone)]
-enum FastOp {
-    /// `x0`-target ALU/`LUI` instructions (architectural no-ops), and
-    /// fused `jal x0` (plain `j`).
-    Nop,
-    /// Constant write: `LUI`, `AUIPC` (PC folded), `li`
-    /// (`OpImm` on `x0`), and fused `JAL` link writes.
-    Li { rd: u8, value: u32 },
-    Add { rd: u8, rs1: u8, rs2: u8 },
-    Sub { rd: u8, rs1: u8, rs2: u8 },
-    Sll { rd: u8, rs1: u8, rs2: u8 },
-    Slt { rd: u8, rs1: u8, rs2: u8 },
-    Sltu { rd: u8, rs1: u8, rs2: u8 },
-    Xor { rd: u8, rs1: u8, rs2: u8 },
-    Srl { rd: u8, rs1: u8, rs2: u8 },
-    Sra { rd: u8, rs1: u8, rs2: u8 },
-    Or { rd: u8, rs1: u8, rs2: u8 },
-    And { rd: u8, rs1: u8, rs2: u8 },
-    Mul { rd: u8, rs1: u8, rs2: u8 },
-    /// Reg-reg ops without a dedicated variant (M-extension
-    /// high/div/rem): second dispatch through [`AluOp::eval`].
-    Alu { op: AluOp, rd: u8, rs1: u8, rs2: u8 },
-    Addi { rd: u8, rs1: u8, imm: u32 },
-    Slli { rd: u8, rs1: u8, imm: u32 },
-    Slti { rd: u8, rs1: u8, imm: u32 },
-    Sltiu { rd: u8, rs1: u8, imm: u32 },
-    Xori { rd: u8, rs1: u8, imm: u32 },
-    Srli { rd: u8, rs1: u8, imm: u32 },
-    Srai { rd: u8, rs1: u8, imm: u32 },
-    Ori { rd: u8, rs1: u8, imm: u32 },
-    Andi { rd: u8, rs1: u8, imm: u32 },
-    /// Unreachable in practice ([`AluImmOp::base`] is covered by the
-    /// dedicated variants above); kept as a safety net.
-    AluImm { op: AluOp, rd: u8, rs1: u8, imm: u32 },
-    LdB { rd: u8, rs1: u8, offset: u32 },
-    LdBu { rd: u8, rs1: u8, offset: u32 },
-    LdH { rd: u8, rs1: u8, offset: u32 },
-    LdHu { rd: u8, rs1: u8, offset: u32 },
-    LdW { rd: u8, rs1: u8, offset: u32 },
-    /// `width` is the encoded width, kept for byte-identical traps.
-    StB { rs2: u8, rs1: u8, offset: u32, width: MemWidth },
-    StH { rs2: u8, rs1: u8, offset: u32, width: MemWidth },
-    StW { rs2: u8, rs1: u8, offset: u32 },
-    Beq { rs1: u8, rs2: u8, target: u32 },
-    Bne { rs1: u8, rs2: u8, target: u32 },
-    Blt { rs1: u8, rs2: u8, target: u32 },
-    Bge { rs1: u8, rs2: u8, target: u32 },
-    Bltu { rs1: u8, rs2: u8, target: u32 },
-    Bgeu { rs1: u8, rs2: u8, target: u32 },
-    Jalr { rd: u8, rs1: u8, offset: u32, link: u32 },
+/// The fast-tier ops only RV32IM has. Register numbers are raw
+/// indices, writes pre-redirected to [`SINK`] for `x0`.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum RiscvOp {
+    /// `offset` is the 12-bit immediate.
+    Jalr { rd: u8, rs1: u8, offset: i16 },
     Ecall,
-    Ebreak,
-}
-
-/// A translated trace: instructions ending at the first conditional
-/// branch, indirect jump, environment call, undecodable word,
-/// code-end, or [`BLOCK_CAP`]. Unconditional `JAL` does not end a
-/// trace — its target is static, so translation continues there.
-#[derive(Debug, Clone)]
-pub(crate) struct Block {
-    /// PC after the last instruction when no terminator redirects
-    /// (follows fused jumps, so not simply `start_pc + 4 * len`).
-    end_pc: u32,
-    ops: Vec<FastOp>,
-    /// Per instruction: its PC and Figure 15 category. Cold paths
-    /// only (mid-trace traps need the interpreter's exact PC and
-    /// per-instruction statistics).
-    meta: Vec<(u32, InstKind)>,
-    /// Precomputed Figure 15 category counts for a full execution.
-    kinds: KindCounts,
-    /// Ends in `EBREAK`.
-    ends_break: bool,
 }
 
 /// RV32IM functional emulator.
 #[derive(Debug, Clone)]
 pub struct RiscvEmu {
-    core: EmuCore<Block>,
+    core: EmuCore<Trace<RiscvEmu>>,
     /// `x0..x31` plus the fast tier's [`SINK`] slot; padded to 64
     /// for mask-based bounds-check elimination (slots 33..64 unused).
     regs: [u32; 64],
-}
-
-/// Write-side register lowering: `x0` writes go to the sink slot.
-fn wreg(rd: Reg) -> u8 {
-    if rd.is_zero() {
-        SINK
-    } else {
-        rd.num()
-    }
 }
 
 impl RiscvEmu {
@@ -149,13 +72,6 @@ impl RiscvEmu {
         if !reg.is_zero() {
             self.regs[reg.num() as usize] = val;
         }
-    }
-
-    /// Fast-tier register read. `& 63` is an identity for every real
-    /// index and lets the compiler elide the bounds check.
-    #[inline(always)]
-    fn rr(&self, r: u8) -> u32 {
-        self.regs[usize::from(r & 63)]
     }
 
     /// Executes one already-decoded instruction at `pc`. Returns the
@@ -214,15 +130,15 @@ impl RiscvEmu {
 }
 
 impl EmuIsa for RiscvEmu {
-    type Block = Block;
+    type Block = Trace<RiscvEmu>;
 
     #[inline]
-    fn core(&self) -> &EmuCore<Block> {
+    fn core(&self) -> &EmuCore<Self::Block> {
         &self.core
     }
 
     #[inline]
-    fn core_mut(&mut self) -> &mut EmuCore<Block> {
+    fn core_mut(&mut self) -> &mut EmuCore<Self::Block> {
         &mut self.core
     }
 
@@ -238,327 +154,20 @@ impl EmuIsa for RiscvEmu {
         Ok(self.core.retire_one(inst.kind(), next_pc, matches!(inst, RvInst::Ebreak)))
     }
 
-    /// Translates the trace starting at `start_pc`. An empty trace
-    /// (first word unfetchable/undecodable) makes the caller fall
-    /// back to the interpreter, which raises the proper trap.
-    fn translate(&self, start_pc: u32) -> Block {
-        let mut ops = Vec::new();
-        let mut meta: Vec<(u32, InstKind)> = Vec::new();
-        let mut kinds = KindCounts::default();
-        let mut ends_break = false;
-        let mut pc = start_pc;
-        while meta.len() < BLOCK_CAP {
-            let Some(word) = self.core.image.fetch(pc) else { break };
-            let Ok(inst) = decode(word) else { break };
-            let kind = inst.kind();
-            kinds[kind] += 1;
-            meta.push((pc, kind));
-            let mut next = pc.wrapping_add(4);
-            let terminator = matches!(
-                inst,
-                RvInst::Jalr { .. } | RvInst::Branch { .. } | RvInst::Ecall | RvInst::Ebreak
-            );
-            match inst {
-                RvInst::Lui { rd, imm } => ops.push(if rd.is_zero() {
-                    FastOp::Nop
-                } else {
-                    FastOp::Li { rd: rd.num(), value: imm }
-                }),
-                RvInst::Auipc { rd, imm } => ops.push(if rd.is_zero() {
-                    FastOp::Nop
-                } else {
-                    // The PC is a translation-time constant here.
-                    FastOp::Li { rd: rd.num(), value: pc.wrapping_add(imm) }
-                }),
-                RvInst::Jal { rd, offset } => {
-                    // Unconditional with a static target: fold the
-                    // link write and keep translating at the target.
-                    ops.push(if rd.is_zero() {
-                        FastOp::Nop
-                    } else {
-                        FastOp::Li { rd: rd.num(), value: pc.wrapping_add(4) }
-                    });
-                    next = pc.wrapping_add(offset as u32);
-                }
-                RvInst::Jalr { rd, rs1, offset } => ops.push(FastOp::Jalr {
-                    rd: wreg(rd),
-                    rs1: rs1.num(),
-                    offset: offset as u32,
-                    link: pc.wrapping_add(4),
-                }),
-                RvInst::Branch { op, rs1, rs2, offset } => {
-                    let (rs1, rs2) = (rs1.num(), rs2.num());
-                    let target = pc.wrapping_add(offset as u32);
-                    use straight_riscv::BranchOp;
-                    ops.push(match op {
-                        BranchOp::Beq => FastOp::Beq { rs1, rs2, target },
-                        BranchOp::Bne => FastOp::Bne { rs1, rs2, target },
-                        BranchOp::Blt => FastOp::Blt { rs1, rs2, target },
-                        BranchOp::Bge => FastOp::Bge { rs1, rs2, target },
-                        BranchOp::Bltu => FastOp::Bltu { rs1, rs2, target },
-                        BranchOp::Bgeu => FastOp::Bgeu { rs1, rs2, target },
-                    });
-                }
-                RvInst::Load { width, rd, rs1, offset } => {
-                    let (rd, rs1, offset) = (wreg(rd), rs1.num(), offset as u32);
-                    ops.push(match width {
-                        MemWidth::B => FastOp::LdB { rd, rs1, offset },
-                        MemWidth::Bu => FastOp::LdBu { rd, rs1, offset },
-                        MemWidth::H => FastOp::LdH { rd, rs1, offset },
-                        MemWidth::Hu => FastOp::LdHu { rd, rs1, offset },
-                        MemWidth::W => FastOp::LdW { rd, rs1, offset },
-                    });
-                }
-                RvInst::Store { width, rs2, rs1, offset } => {
-                    let (rs2, rs1, offset) = (rs2.num(), rs1.num(), offset as u32);
-                    ops.push(match width {
-                        MemWidth::B | MemWidth::Bu => FastOp::StB { rs2, rs1, offset, width },
-                        MemWidth::H | MemWidth::Hu => FastOp::StH { rs2, rs1, offset, width },
-                        MemWidth::W => FastOp::StW { rs2, rs1, offset },
-                    });
-                }
-                RvInst::OpImm { op, rd, rs1, imm } => ops.push(if rd.is_zero() {
-                    FastOp::Nop
-                } else if rs1.is_zero() {
-                    // `li` and friends: fold to a constant write.
-                    FastOp::Li { rd: rd.num(), value: op.eval(0, imm) }
-                } else {
-                    let (rd, rs1, imm) = (rd.num(), rs1.num(), imm as u32);
-                    match op.base() {
-                        AluOp::Add => FastOp::Addi { rd, rs1, imm },
-                        AluOp::Sll => FastOp::Slli { rd, rs1, imm },
-                        AluOp::Slt => FastOp::Slti { rd, rs1, imm },
-                        AluOp::Sltu => FastOp::Sltiu { rd, rs1, imm },
-                        AluOp::Xor => FastOp::Xori { rd, rs1, imm },
-                        AluOp::Srl => FastOp::Srli { rd, rs1, imm },
-                        AluOp::Sra => FastOp::Srai { rd, rs1, imm },
-                        AluOp::Or => FastOp::Ori { rd, rs1, imm },
-                        AluOp::And => FastOp::Andi { rd, rs1, imm },
-                        base => FastOp::AluImm { op: base, rd, rs1, imm },
-                    }
-                }),
-                RvInst::Op { op, rd, rs1, rs2 } => ops.push(if rd.is_zero() {
-                    FastOp::Nop
-                } else {
-                    let (rd, rs1, rs2) = (rd.num(), rs1.num(), rs2.num());
-                    match op {
-                        AluOp::Add => FastOp::Add { rd, rs1, rs2 },
-                        AluOp::Sub => FastOp::Sub { rd, rs1, rs2 },
-                        AluOp::Sll => FastOp::Sll { rd, rs1, rs2 },
-                        AluOp::Slt => FastOp::Slt { rd, rs1, rs2 },
-                        AluOp::Sltu => FastOp::Sltu { rd, rs1, rs2 },
-                        AluOp::Xor => FastOp::Xor { rd, rs1, rs2 },
-                        AluOp::Srl => FastOp::Srl { rd, rs1, rs2 },
-                        AluOp::Sra => FastOp::Sra { rd, rs1, rs2 },
-                        AluOp::Or => FastOp::Or { rd, rs1, rs2 },
-                        AluOp::And => FastOp::And { rd, rs1, rs2 },
-                        AluOp::Mul => FastOp::Mul { rd, rs1, rs2 },
-                        op => FastOp::Alu { op, rd, rs1, rs2 },
-                    }
-                }),
-                RvInst::Ecall => ops.push(FastOp::Ecall),
-                RvInst::Ebreak => {
-                    ends_break = true;
-                    ops.push(FastOp::Ebreak);
-                }
-            }
-            pc = next;
-            if terminator {
-                break;
-            }
-        }
-        Block { end_pc: pc, ops, meta, kinds, ends_break }
-    }
-
-    /// Executes one translated trace; the caller guarantees enough
-    /// step budget for the whole trace.
-    #[inline]
-    fn exec_block(&mut self, b: &Block) -> Option<EmuExit> {
-        let entry = self.core.count;
-        let mut next_pc = b.end_pc;
-        for (idx, op) in (0_u64..).zip(b.ops.iter()) {
-            match *op {
-                FastOp::Nop => {}
-                FastOp::Li { rd, value } => self.regs[usize::from(rd & 63)] = value,
-                FastOp::Add { rd, rs1, rs2 } => {
-                    self.regs[usize::from(rd & 63)] =
-                        self.rr(rs1).wrapping_add(self.rr(rs2));
-                }
-                FastOp::Sub { rd, rs1, rs2 } => {
-                    self.regs[usize::from(rd & 63)] = self.rr(rs1).wrapping_sub(self.rr(rs2));
-                }
-                FastOp::Sll { rd, rs1, rs2 } => {
-                    self.regs[usize::from(rd & 63)] = self.rr(rs1).wrapping_shl(self.rr(rs2) & 31);
-                }
-                FastOp::Slt { rd, rs1, rs2 } => {
-                    self.regs[usize::from(rd & 63)] = u32::from((self.rr(rs1) as i32) < (self.rr(rs2) as i32));
-                }
-                FastOp::Sltu { rd, rs1, rs2 } => {
-                    self.regs[usize::from(rd & 63)] = u32::from(self.rr(rs1) < self.rr(rs2));
-                }
-                FastOp::Xor { rd, rs1, rs2 } => {
-                    self.regs[usize::from(rd & 63)] = self.rr(rs1) ^ self.rr(rs2);
-                }
-                FastOp::Srl { rd, rs1, rs2 } => {
-                    self.regs[usize::from(rd & 63)] = self.rr(rs1).wrapping_shr(self.rr(rs2) & 31);
-                }
-                FastOp::Sra { rd, rs1, rs2 } => {
-                    self.regs[usize::from(rd & 63)] = ((self.rr(rs1) as i32).wrapping_shr(self.rr(rs2) & 31)) as u32;
-                }
-                FastOp::Or { rd, rs1, rs2 } => {
-                    self.regs[usize::from(rd & 63)] = self.rr(rs1) | self.rr(rs2);
-                }
-                FastOp::And { rd, rs1, rs2 } => {
-                    self.regs[usize::from(rd & 63)] = self.rr(rs1) & self.rr(rs2);
-                }
-                FastOp::Mul { rd, rs1, rs2 } => {
-                    self.regs[usize::from(rd & 63)] = self.rr(rs1).wrapping_mul(self.rr(rs2));
-                }
-                FastOp::Alu { op, rd, rs1, rs2 } => {
-                    self.regs[usize::from(rd & 63)] =
-                        op.eval(self.rr(rs1), self.rr(rs2));
-                }
-                FastOp::Addi { rd, rs1, imm } => {
-                    self.regs[usize::from(rd & 63)] = self.rr(rs1).wrapping_add(imm);
-                }
-                FastOp::Slli { rd, rs1, imm } => {
-                    self.regs[usize::from(rd & 63)] = self.rr(rs1).wrapping_shl(imm & 31);
-                }
-                FastOp::Slti { rd, rs1, imm } => {
-                    self.regs[usize::from(rd & 63)] = u32::from((self.rr(rs1) as i32) < (imm as i32));
-                }
-                FastOp::Sltiu { rd, rs1, imm } => {
-                    self.regs[usize::from(rd & 63)] = u32::from(self.rr(rs1) < imm);
-                }
-                FastOp::Xori { rd, rs1, imm } => {
-                    self.regs[usize::from(rd & 63)] = self.rr(rs1) ^ imm;
-                }
-                FastOp::Srli { rd, rs1, imm } => {
-                    self.regs[usize::from(rd & 63)] = self.rr(rs1).wrapping_shr(imm & 31);
-                }
-                FastOp::Srai { rd, rs1, imm } => {
-                    self.regs[usize::from(rd & 63)] = ((self.rr(rs1) as i32).wrapping_shr(imm & 31)) as u32;
-                }
-                FastOp::Ori { rd, rs1, imm } => {
-                    self.regs[usize::from(rd & 63)] = self.rr(rs1) | imm;
-                }
-                FastOp::Andi { rd, rs1, imm } => {
-                    self.regs[usize::from(rd & 63)] = self.rr(rs1) & imm;
-                }
-                FastOp::AluImm { op, rd, rs1, imm } => {
-                    self.regs[usize::from(rd & 63)] = op.eval(self.rr(rs1), imm);
-                }
-                FastOp::LdB { rd, rs1, offset } => {
-                    let a = self.rr(rs1).wrapping_add(offset);
-                    match memops::load_b(&self.core.mem, a) {
-                        Ok(v) => self.regs[usize::from(rd & 63)] = v,
-                        Err(kind) => return self.core.trace_trap(&b.meta, entry, idx, kind),
-                    }
-                }
-                FastOp::LdBu { rd, rs1, offset } => {
-                    let a = self.rr(rs1).wrapping_add(offset);
-                    match memops::load_bu(&self.core.mem, a) {
-                        Ok(v) => self.regs[usize::from(rd & 63)] = v,
-                        Err(kind) => return self.core.trace_trap(&b.meta, entry, idx, kind),
-                    }
-                }
-                FastOp::LdH { rd, rs1, offset } => {
-                    let a = self.rr(rs1).wrapping_add(offset);
-                    match memops::load_h(&self.core.mem, a) {
-                        Ok(v) => self.regs[usize::from(rd & 63)] = v,
-                        Err(kind) => return self.core.trace_trap(&b.meta, entry, idx, kind),
-                    }
-                }
-                FastOp::LdHu { rd, rs1, offset } => {
-                    let a = self.rr(rs1).wrapping_add(offset);
-                    match memops::load_hu(&self.core.mem, a) {
-                        Ok(v) => self.regs[usize::from(rd & 63)] = v,
-                        Err(kind) => return self.core.trace_trap(&b.meta, entry, idx, kind),
-                    }
-                }
-                FastOp::LdW { rd, rs1, offset } => {
-                    let a = self.rr(rs1).wrapping_add(offset);
-                    match memops::load_w(&self.core.mem, a) {
-                        Ok(v) => self.regs[usize::from(rd & 63)] = v,
-                        Err(kind) => return self.core.trace_trap(&b.meta, entry, idx, kind),
-                    }
-                }
-                FastOp::StB { rs2, rs1, offset, width } => {
-                    let a = self.rr(rs1).wrapping_add(offset);
-                    let v = self.rr(rs2);
-                    if let Err(kind) = memops::store_b(&mut self.core.mem, a, v, width) {
-                        return self.core.trace_trap(&b.meta, entry, idx, kind);
-                    }
-                }
-                FastOp::StH { rs2, rs1, offset, width } => {
-                    let a = self.rr(rs1).wrapping_add(offset);
-                    let v = self.rr(rs2);
-                    if let Err(kind) = memops::store_h(&mut self.core.mem, a, v, width) {
-                        return self.core.trace_trap(&b.meta, entry, idx, kind);
-                    }
-                }
-                FastOp::StW { rs2, rs1, offset } => {
-                    let a = self.rr(rs1).wrapping_add(offset);
-                    let v = self.rr(rs2);
-                    if let Err(kind) = memops::store_w(&mut self.core.mem, a, v) {
-                        return self.core.trace_trap(&b.meta, entry, idx, kind);
-                    }
-                }
-                FastOp::Beq { rs1, rs2, target } => {
-                    if self.rr(rs1) == self.rr(rs2) {
-                        next_pc = target;
-                    }
-                }
-                FastOp::Bne { rs1, rs2, target } => {
-                    if self.rr(rs1) != self.rr(rs2) {
-                        next_pc = target;
-                    }
-                }
-                FastOp::Blt { rs1, rs2, target } => {
-                    if (self.rr(rs1) as i32) < (self.rr(rs2) as i32) {
-                        next_pc = target;
-                    }
-                }
-                FastOp::Bge { rs1, rs2, target } => {
-                    if (self.rr(rs1) as i32) >= (self.rr(rs2) as i32) {
-                        next_pc = target;
-                    }
-                }
-                FastOp::Bltu { rs1, rs2, target } => {
-                    if self.rr(rs1) < self.rr(rs2) {
-                        next_pc = target;
-                    }
-                }
-                FastOp::Bgeu { rs1, rs2, target } => {
-                    if self.rr(rs1) >= self.rr(rs2) {
-                        next_pc = target;
-                    }
-                }
-                FastOp::Jalr { rd, rs1, offset, link } => {
-                    // Target before link write: rd may alias rs1.
-                    next_pc = self.rr(rs1).wrapping_add(offset) & !1;
-                    self.regs[usize::from(rd & 63)] = link;
-                }
-                FastOp::Ecall => {
-                    let code = self.rr(Reg::A7.num());
-                    let arg = self.rr(Reg::A0.num());
-                    match self.core.sys.apply(code, arg) {
-                        Some(r) => self.regs[usize::from(Reg::A0.num() & 63)] = r,
-                        None => {
-                            let kind = TrapKind::UnknownSys { code };
-                            return self.core.trace_trap(&b.meta, entry, idx, kind);
-                        }
-                    }
-                }
-                FastOp::Ebreak => {}
-            }
-        }
-        self.core.retire_trace(b.meta.len() as u64, next_pc, &b.kinds, b.ends_break)
+    /// Cold, like the STRAIGHT one: it runs once per trace.
+    #[cold]
+    fn translate(&self, pc: u32) -> Self::Block {
+        fast::translate(self, pc)
     }
 
     #[inline]
-    fn unchecked_len(&self, b: &Block) -> Option<u64> {
-        (!b.meta.is_empty()).then_some(b.meta.len() as u64)
+    fn exec_block(&mut self, t: &Self::Block) -> Option<EmuExit> {
+        fast::exec(self, t)
+    }
+
+    #[inline]
+    fn unchecked_len(&self, t: &Self::Block) -> Option<u64> {
+        (t.len() > 0).then_some(t.len())
     }
 
     fn arch_snap(&self) -> ArchSnap {
@@ -579,12 +188,121 @@ impl EmuIsa for RiscvEmu {
     }
 }
 
+impl FastIsa for RiscvEmu {
+    type Inst = RvInst;
+    type Src = u8;
+    type Dst = u8;
+    type Op = RiscvOp;
+    type Extra = ();
+
+    fn decode(word: u32) -> Option<(RvInst, InstKind)> {
+        decode(word).ok().map(|inst| (inst, inst.kind()))
+    }
+
+    fn lower(inst: RvInst, pc: u32, t: &mut Trace<Self>) -> Flow {
+        // A constant write; an `x0` target makes it a no-op.
+        let konst = |rd: Reg, value| {
+            if rd.is_zero() {
+                FastOp::Nop
+            } else {
+                FastOp::Const { d: rd.num(), value }
+            }
+        };
+        let dst = |rd: Reg| if rd.is_zero() { SINK } else { rd.num() };
+        let (op, flow) = match inst {
+            RvInst::Lui { rd, imm } => (konst(rd, imm), Flow::Next),
+            // The PC is a translation-time constant here.
+            RvInst::Auipc { rd, imm } => (konst(rd, pc.wrapping_add(imm)), Flow::Next),
+            // A static target: fold the link write and translate on there.
+            RvInst::Jal { rd, offset } => {
+                (konst(rd, pc.wrapping_add(4)), Flow::Jump(pc.wrapping_add(offset as u32)))
+            }
+            RvInst::Jalr { rd, rs1, offset } => {
+                let op = RiscvOp::Jalr { rd: dst(rd), rs1: rs1.num(), offset: offset as i16 };
+                (FastOp::Isa(op), Flow::End)
+            }
+            RvInst::Branch { op, rs1, rs2, offset } => {
+                let (s1, s2, target) = (rs1.num(), rs2.num(), pc.wrapping_add(offset as u32));
+                let op = match op {
+                    BranchOp::Beq if rs2.is_zero() => FastOp::Beqz { s: s1, target },
+                    BranchOp::Bne if rs2.is_zero() => FastOp::Bnez { s: s1, target },
+                    BranchOp::Beq => FastOp::Beq { s1, s2, target },
+                    BranchOp::Bne => FastOp::Bne { s1, s2, target },
+                    BranchOp::Blt => FastOp::Blt { s1, s2, target },
+                    BranchOp::Bge => FastOp::Bge { s1, s2, target },
+                    BranchOp::Bltu => FastOp::Bltu { s1, s2, target },
+                    BranchOp::Bgeu => FastOp::Bgeu { s1, s2, target },
+                };
+                (op, Flow::End)
+            }
+            // A load to `x0` still runs: it can trap.
+            RvInst::Load { width, rd, rs1, offset } => {
+                (FastOp::load(width, dst(rd), rs1.num(), offset as u32), Flow::Next)
+            }
+            RvInst::Store { width, rs2, rs1, offset } => {
+                (FastOp::store(width, rs2.num(), rs1.num(), offset as u32), Flow::Next)
+            }
+            RvInst::OpImm { rd, .. } | RvInst::Op { rd, .. } if rd.is_zero() => (FastOp::Nop, Flow::Next),
+            // `li` and friends: fold to a constant write.
+            RvInst::OpImm { op, rd, rs1, imm } if rs1.is_zero() => (konst(rd, op.eval(0, imm)), Flow::Next),
+            RvInst::OpImm { op, rd, rs1, imm } => {
+                (FastOp::alu_imm(op, rd.num(), rs1.num(), imm as u32), Flow::Next)
+            }
+            RvInst::Op { op, rd, rs1, rs2 } => (FastOp::alu(op, rd.num(), rs1.num(), rs2.num()), Flow::Next),
+            RvInst::Ecall => (FastOp::Isa(RiscvOp::Ecall), Flow::End),
+            RvInst::Ebreak => (FastOp::Nop, Flow::Halt),
+        };
+        t.ops.push(op);
+        flow
+    }
+
+    /// `& 63` is an identity for every real index and lets the
+    /// compiler elide the bounds check.
+    #[inline(always)]
+    fn read(&self, r: u8, _n: u64) -> u32 {
+        self.regs[usize::from(r & 63)]
+    }
+
+    #[inline(always)]
+    fn write(&mut self, rd: u8, _n: u64, v: u32) {
+        self.regs[usize::from(rd & 63)] = v;
+    }
+
+    #[inline(always)]
+    fn sink(&mut self, _n: u64, _v: u32) {}
+
+    #[inline(always)]
+    fn exec_op(
+        &mut self,
+        op: RiscvOp,
+        _t: &Trace<Self>,
+        n: u64,
+        next_pc: &mut u32,
+    ) -> Result<u64, TrapKind> {
+        match op {
+            RiscvOp::Jalr { rd, rs1, offset } => {
+                // Target before link write: rd may alias rs1.
+                let target = self.read(rs1, n).wrapping_add(offset as u32) & !1;
+                let link = std::mem::replace(next_pc, target);
+                self.write(rd, n, link);
+            }
+            RiscvOp::Ecall => {
+                let (code, arg) = (self.read(Reg::A7.num(), n), self.read(Reg::A0.num(), n));
+                let r = self.core.sys.apply(code, arg).ok_or(TrapKind::UnknownSys { code })?;
+                self.write(Reg::A0.num(), n, r);
+            }
+        }
+        Ok(1)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::emu::{ExecBackend, TierConfig};
     use straight_asm::{link_riscv, RvFunc, RvItem, RvProgram, RvReloc};
     use straight_isa::AluImmOp;
+    use straight_riscv::MemWidth;
 
     #[test]
     fn returns_value_through_stub() {

@@ -15,135 +15,69 @@
 //!
 //! Two execution tiers implement the same semantics (see
 //! `docs/EXECUTION_TIERS.md`). The interpreter fetches and decodes
-//! every instruction and is the reference. The fast tier pre-translates
-//! traces into lowered [`FastOp`] micro-ops — branch targets resolved
-//! to absolute PCs, `LUI` folded to a constant, immediates pre-extended,
-//! load/store widths specialized, consecutive `RMOV`s fused into one
-//! chain macro-op, and unconditional `J`/`JAL` fused *through* (their
-//! ring results are the constants 0 and the link PC, so a trace
-//! continues into the jump target) — and executes them with unchecked
-//! ring reads (legal once `executed` exceeds the trace's maximum
-//! operand distance; younger traces fall back to the interpreter) and
-//! per-trace batched statistics — the Figure 15 categories and, when
-//! profiling, the Figure 16 distance histogram. Traces that read past
-//! the sanitizer's distance bound single-step, so the interpreter
-//! raises the exact trap. Code is immutable (fetch reads the image,
-//! not memory), so translated traces never need invalidation.
+//! every instruction and is the reference. The fast tier is the shared
+//! one of `emu::fast`; this file gives it the ring as operands (a
+//! source is a distance, every instruction writes the next slot), the
+//! STRAIGHT lowering (`LUI` folded to a constant, the logical
+//! immediates zero-extended, `BEZ`/`BNZ` as the shared one-source
+//! `Beqz`/`Bnez`, `J`/`JAL` fused through as the constants 0 and the
+//! link PC), and the ops only STRAIGHT has ([`StraightOp`]: consecutive
+//! `RMOV`s fused into one chain, `SPADD`, `JR`/`JALR` to the target as
+//! read, `SYS`). Ring reads in a trace are unchecked: a trace runs once
+//! `executed` reaches its deepest operand distance (younger traces
+//! single-step on the interpreter), and one that reads past the
+//! sanitizer's distance bound single-steps so that the interpreter
+//! raises the exact trap. When profiling, a trace adds its precomputed
+//! Figure 16 distance counts in one batch.
 
 use std::sync::Arc;
 
 use straight_asm::{Image, STACK_TOP};
-use straight_isa::{decode, AluImmOp, AluOp, Dist, Inst, InstKind, MemWidth, TrapKind, MAX_DISTANCE};
+use straight_isa::{decode, AluImmOp, Dist, Inst, InstKind, TrapKind, MAX_DISTANCE};
 
 use super::checkpoint::{check_ring, ArchSnap, CheckpointError};
-use super::{memops, EmuCore, EmuExit, EmuIsa, EmuStats, BLOCK_CAP};
-use crate::KindCounts;
+use super::fast::{self, FastIsa, FastOp, Flow, Trace};
+use super::{memops, EmuCore, EmuExit, EmuIsa, EmuStats};
 
 const RING: usize = (MAX_DISTANCE as usize + 1).next_power_of_two();
 const RING_MASK: u64 = RING as u64 - 1;
 
-/// A lowered micro-op of the fast tier — one dispatch per op, with
-/// everything the translator can pre-resolve folded in: distances are
-/// raw `u16`s (zero = "reads the constant 0"), branch targets are
-/// absolute PCs, `AluImm` immediates are pre-extended (STRAIGHT's
-/// logical group zero-extends) to the 32-bit value the base op takes,
-/// and load/store widths are specialized into separate variants. The
-/// common ALU ops get dedicated variants so the hot loop is a single
-/// match dispatch, skipping the inner [`AluOp::eval`] match.
-#[derive(Debug, Clone)]
-enum FastOp {
-    /// `NOP`, and fused unconditional `J` (ring result 0).
-    Nop,
-    /// `LUI` with the shift pre-applied, and fused `JAL` (ring result
-    /// is the link PC, a translation-time constant).
-    Const { value: u32 },
-    Add { s1: u16, s2: u16 },
-    Sub { s1: u16, s2: u16 },
-    Sll { s1: u16, s2: u16 },
-    Slt { s1: u16, s2: u16 },
-    Sltu { s1: u16, s2: u16 },
-    Xor { s1: u16, s2: u16 },
-    Srl { s1: u16, s2: u16 },
-    Sra { s1: u16, s2: u16 },
-    Or { s1: u16, s2: u16 },
-    And { s1: u16, s2: u16 },
-    Mul { s1: u16, s2: u16 },
-    /// Reg-reg ops without a dedicated variant (M-extension
-    /// high/div/rem): second dispatch through [`AluOp::eval`].
-    Alu { op: AluOp, s1: u16, s2: u16 },
-    Addi { s1: u16, imm: u32 },
-    Slli { s1: u16, imm: u32 },
-    Slti { s1: u16, imm: u32 },
-    Sltiu { s1: u16, imm: u32 },
-    Xori { s1: u16, imm: u32 },
-    Srli { s1: u16, imm: u32 },
-    Srai { s1: u16, imm: u32 },
-    Ori { s1: u16, imm: u32 },
-    Andi { s1: u16, imm: u32 },
-    /// Unreachable in practice ([`AluImmOp::base`] is covered by the
-    /// dedicated variants above); kept as a safety net.
-    AluImm { op: AluOp, s1: u16, imm: u32 },
-    LdB { addr: u16, offset: u32 },
-    LdBu { addr: u16, offset: u32 },
-    LdH { addr: u16, offset: u32 },
-    LdHu { addr: u16, offset: u32 },
-    LdW { addr: u16, offset: u32 },
-    /// `width` is the encoded width (`B` or `Bu`), kept for
-    /// byte-identical trap values.
-    StB { val: u16, addr: u16, width: MemWidth },
-    StH { val: u16, addr: u16, width: MemWidth },
-    StW { val: u16, addr: u16 },
-    /// `len` consecutive `RMOV`s; their distances live in the block's
+/// The fast-tier ops only STRAIGHT has. Distances are raw `u16`s.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum StraightOp {
+    /// `len` consecutive `RMOV`s; their distances are the trace's
     /// `chain_dists[first..first + len]`.
-    RmovChain { first: u32, len: u32 },
+    RmovChain { first: u16, len: u16 },
     SpAdd { imm: i16 },
-    Bez { s: u16, target: u32 },
-    Bnz { s: u16, target: u32 },
     Jr { s: u16 },
-    Jalr { s: u16, link: u32 },
+    Jalr { s: u16 },
     Sys { code: u16, s: u16 },
-    Halt,
 }
 
-/// A translated trace: instructions ending at the first *conditional*
-/// or *indirect* control transfer, `HALT`, `SYS`, undecodable word,
-/// code-end, or [`BLOCK_CAP`]. Unconditional `J`/`JAL` do not end a
-/// trace — their targets are static, so translation continues there.
-#[derive(Debug, Clone)]
-pub(crate) struct Block {
-    /// PC after the last instruction when no terminator redirects
-    /// (follows fused jumps, so not simply `start_pc + 4 * len`).
-    end_pc: u32,
-    ops: Vec<FastOp>,
-    /// Fused RMOV-chain distances, indexed by `RmovChain::first`.
+/// What a STRAIGHT trace keeps beyond the shared ones.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct RingTrace {
+    /// Fused `RMOV` distances, indexed by `RmovChain::first`.
     chain_dists: Vec<u16>,
-    /// Per architectural instruction: its PC and Figure 15 category.
-    /// Cold paths only (mid-trace traps need the interpreter's exact
-    /// PC and per-instruction statistics).
-    meta: Vec<(u32, InstKind)>,
-    /// Precomputed Figure 15 category counts for a full execution.
-    kinds: KindCounts,
-    /// Precomputed Figure 16 source-distance counts for a full
-    /// execution, nonzero distances only, ascending.
+    /// Figure 16 source-distance counts for a full execution, nonzero
+    /// distances only, ascending.
     dist_counts: Vec<(u16, u64)>,
-    /// Architectural instructions in the trace (chains expanded).
-    len_insts: u32,
-    /// Largest source distance any instruction uses; executing the
-    /// trace with unchecked ring reads is legal once at least this
-    /// many instructions have retired.
+    /// The largest source distance: running the trace with unchecked
+    /// ring reads is legal once at least this many instructions have
+    /// retired.
     max_dist: u16,
-    /// Ends in `HALT`.
-    ends_halt: bool,
 }
 
 /// STRAIGHT functional emulator.
 #[derive(Debug, Clone)]
 pub struct StraightEmu {
-    core: EmuCore<Block>,
+    core: EmuCore<Trace<StraightEmu>>,
     /// Results of the most recent instructions, indexed by retired
-    /// count masked by `RING - 1` (fixed size so indexing needs no
-    /// bounds check in the fast tier).
-    ring: Box<[u32; RING]>,
+    /// count masked by `RING - 1`: fixed size, so indexing needs no
+    /// bounds check, and inline, so the fast tier reaches it at a fixed
+    /// offset from the emulator instead of through a pointer (about 10%
+    /// of STRAIGHT fast-tier throughput).
+    ring: [u32; RING],
     /// The image's [`distance_reach`]: a checkpoint keeps this many of
     /// the newest results.
     reach: u16,
@@ -162,17 +96,6 @@ pub struct StraightEmu {
     /// Sanitizer: trap with [`TrapKind::SpMisuse`] when `SPADD` moves
     /// the stack pointer out of the stack region.
     pub check_sp: bool,
-}
-
-/// Unchecked ring read: distance zero reads 0, anything else reads the
-/// masked slot. Only legal when `d <= count` is already established.
-#[inline]
-fn src(ring: &[u32; RING], count: u64, d: u16) -> u32 {
-    if d == 0 {
-        0
-    } else {
-        ring[((count - u64::from(d)) & RING_MASK) as usize]
-    }
 }
 
 /// A Figure 16 histogram about to take a count, sized on its first
@@ -206,7 +129,7 @@ impl StraightEmu {
         let reach = distance_reach(&image);
         StraightEmu {
             core: EmuCore::new(image, EmuStats::default()),
-            ring: Box::new([0; RING]),
+            ring: [0; RING],
             reach,
             sp: STACK_TOP,
             stack_floor,
@@ -261,36 +184,18 @@ impl StraightEmu {
             }
         }
     }
-
-    /// Finalizes a mid-trace trap: syncs count/PC/stats to the
-    /// completed prefix and produces the trap exit the interpreter
-    /// would have raised at the same instruction. The trapping
-    /// instruction is categorized as not retired but, when profiling,
-    /// its distances count: the interpreter profiles before executing.
-    fn block_trap(&mut self, b: &Block, entry: u64, count: u64, kind: TrapKind) -> Option<EmuExit> {
-        let done = count - entry;
-        if self.profile_distances {
-            for &(pc, _) in &b.meta[..=done as usize] {
-                // Translation decoded every word of the trace.
-                if let Some(Ok(inst)) = self.core.image.fetch(pc).map(decode) {
-                    self.profile(&inst);
-                }
-            }
-        }
-        self.core.trace_trap(&b.meta, entry, done, kind)
-    }
 }
 
 impl EmuIsa for StraightEmu {
-    type Block = Block;
+    type Block = Trace<StraightEmu>;
 
     #[inline]
-    fn core(&self) -> &EmuCore<Block> {
+    fn core(&self) -> &EmuCore<Self::Block> {
         &self.core
     }
 
     #[inline]
-    fn core_mut(&mut self) -> &mut EmuCore<Block> {
+    fn core_mut(&mut self) -> &mut EmuCore<Self::Block> {
         &mut self.core
     }
 
@@ -373,330 +278,17 @@ impl EmuIsa for StraightEmu {
         Ok(self.core.retire_one(inst.kind(), next_pc, matches!(inst, Inst::Halt)))
     }
 
-    /// Translates the trace starting at `start_pc`. An empty trace
-    /// (first word unfetchable/undecodable) makes the caller fall back
-    /// to the interpreter, which raises the proper trap.
-    fn translate(&self, start_pc: u32) -> Block {
-        let mut ops = Vec::new();
-        let mut chain_dists: Vec<u16> = Vec::new();
-        let mut meta: Vec<(u32, InstKind)> = Vec::new();
-        let mut kinds = KindCounts::default();
-        let mut dists: Vec<u16> = Vec::new();
-        let mut ends_halt = false;
-        let mut pc = start_pc;
-        while meta.len() < BLOCK_CAP {
-            let Some(word) = self.core.image.fetch(pc) else { break };
-            let Ok(inst) = decode(word) else { break };
-            let kind = inst.kind();
-            kinds[kind] += 1;
-            meta.push((pc, kind));
-            dists.extend(
-                inst.sources().into_iter().flatten().filter(|s| !s.is_zero()).map(Dist::get),
-            );
-            let mut next = pc.wrapping_add(4);
-            let terminator = matches!(
-                inst,
-                Inst::Bez { .. }
-                    | Inst::Bnz { .. }
-                    | Inst::Jr { .. }
-                    | Inst::Jalr { .. }
-                    | Inst::Sys { .. }
-                    | Inst::Halt
-            );
-            match inst {
-                Inst::Nop => ops.push(FastOp::Nop),
-                Inst::Alu { op, s1, s2 } => {
-                    let (s1, s2) = (s1.get(), s2.get());
-                    ops.push(match op {
-                        AluOp::Add => FastOp::Add { s1, s2 },
-                        AluOp::Sub => FastOp::Sub { s1, s2 },
-                        AluOp::Sll => FastOp::Sll { s1, s2 },
-                        AluOp::Slt => FastOp::Slt { s1, s2 },
-                        AluOp::Sltu => FastOp::Sltu { s1, s2 },
-                        AluOp::Xor => FastOp::Xor { s1, s2 },
-                        AluOp::Srl => FastOp::Srl { s1, s2 },
-                        AluOp::Sra => FastOp::Sra { s1, s2 },
-                        AluOp::Or => FastOp::Or { s1, s2 },
-                        AluOp::And => FastOp::And { s1, s2 },
-                        AluOp::Mul => FastOp::Mul { s1, s2 },
-                        op => FastOp::Alu { op, s1, s2 },
-                    });
-                }
-                Inst::AluImm { op, s1, imm } => {
-                    // Pre-extend the immediate exactly as
-                    // `AluImmOp::eval_straight` would.
-                    let imm32 = match op {
-                        AluImmOp::Andi | AluImmOp::Ori | AluImmOp::Xori => u32::from(imm as u16),
-                        _ => imm as i32 as u32,
-                    };
-                    let (s1, imm) = (s1.get(), imm32);
-                    ops.push(match op.base() {
-                        AluOp::Add => FastOp::Addi { s1, imm },
-                        AluOp::Sll => FastOp::Slli { s1, imm },
-                        AluOp::Slt => FastOp::Slti { s1, imm },
-                        AluOp::Sltu => FastOp::Sltiu { s1, imm },
-                        AluOp::Xor => FastOp::Xori { s1, imm },
-                        AluOp::Srl => FastOp::Srli { s1, imm },
-                        AluOp::Sra => FastOp::Srai { s1, imm },
-                        AluOp::Or => FastOp::Ori { s1, imm },
-                        AluOp::And => FastOp::Andi { s1, imm },
-                        base => FastOp::AluImm { op: base, s1, imm },
-                    });
-                }
-                Inst::Lui { imm } => ops.push(FastOp::Const { value: u32::from(imm) << 16 }),
-                Inst::Ld { width, addr, offset } => {
-                    let (addr, offset) = (addr.get(), offset as i32 as u32);
-                    ops.push(match width {
-                        MemWidth::B => FastOp::LdB { addr, offset },
-                        MemWidth::Bu => FastOp::LdBu { addr, offset },
-                        MemWidth::H => FastOp::LdH { addr, offset },
-                        MemWidth::Hu => FastOp::LdHu { addr, offset },
-                        MemWidth::W => FastOp::LdW { addr, offset },
-                    });
-                }
-                Inst::St { width, val, addr } => {
-                    let (val, addr) = (val.get(), addr.get());
-                    ops.push(match width {
-                        MemWidth::B | MemWidth::Bu => FastOp::StB { val, addr, width },
-                        MemWidth::H | MemWidth::Hu => FastOp::StH { val, addr, width },
-                        MemWidth::W => FastOp::StW { val, addr },
-                    });
-                }
-                Inst::Rmov { s } => {
-                    // Fuse runs of RMOVs (the compiler's distance-fixing
-                    // pads) into one macro-op.
-                    if let Some(FastOp::RmovChain { len: l, .. }) = ops.last_mut() {
-                        *l += 1;
-                    } else {
-                        ops.push(FastOp::RmovChain { first: chain_dists.len() as u32, len: 1 });
-                    }
-                    chain_dists.push(s.get());
-                }
-                Inst::SpAdd { imm } => ops.push(FastOp::SpAdd { imm }),
-                Inst::Bez { s, offset } => ops.push(FastOp::Bez {
-                    s: s.get(),
-                    target: pc.wrapping_add((offset as i32 as u32).wrapping_mul(4)),
-                }),
-                Inst::Bnz { s, offset } => ops.push(FastOp::Bnz {
-                    s: s.get(),
-                    target: pc.wrapping_add((offset as i32 as u32).wrapping_mul(4)),
-                }),
-                Inst::J { offset } => {
-                    // Unconditional with a static target: the ring
-                    // result is 0, so fuse and keep translating there.
-                    ops.push(FastOp::Nop);
-                    next = pc.wrapping_add((offset as u32).wrapping_mul(4));
-                }
-                Inst::Jal { offset } => {
-                    // Ring result is the link PC, a constant here.
-                    ops.push(FastOp::Const { value: pc.wrapping_add(4) });
-                    next = pc.wrapping_add((offset as u32).wrapping_mul(4));
-                }
-                Inst::Jr { s } => ops.push(FastOp::Jr { s: s.get() }),
-                Inst::Jalr { s } => {
-                    ops.push(FastOp::Jalr { s: s.get(), link: pc.wrapping_add(4) });
-                }
-                Inst::Sys { code, s } => ops.push(FastOp::Sys { code, s: s.get() }),
-                Inst::Halt => {
-                    ends_halt = true;
-                    ops.push(FastOp::Halt);
-                }
-            }
-            pc = next;
-            if terminator {
-                break;
-            }
-        }
-        dists.sort_unstable();
-        let mut dist_counts: Vec<(u16, u64)> = Vec::new();
-        for d in dists {
-            match dist_counts.last_mut() {
-                Some((last, n)) if *last == d => *n += 1,
-                _ => dist_counts.push((d, 1)),
-            }
-        }
-        Block {
-            end_pc: pc,
-            ops,
-            chain_dists,
-            len_insts: meta.len() as u32,
-            meta,
-            kinds,
-            max_dist: dist_counts.last().map_or(0, |&(d, _)| d),
-            dist_counts,
-            ends_halt,
-        }
+    /// Cold: it runs once per trace. Marked so, the trace loop keeps
+    /// its call out of the hot path (about 4% of an `emulate` pass
+    /// in host CPU time).
+    #[cold]
+    fn translate(&self, pc: u32) -> Self::Block {
+        fast::translate(self, pc)
     }
 
-    /// Executes one translated trace. Requires `count >= max_dist`
-    /// (unchecked ring reads) and enough step budget for the whole
-    /// trace — both enforced by the driver via `unchecked_len`.
     #[inline]
-    fn exec_block(&mut self, b: &Block) -> Option<EmuExit> {
-        let entry = self.core.count;
-        let mut count = entry;
-        let mut next_pc = b.end_pc;
-        for op in &b.ops {
-            // Every op but an RMOV chain writes exactly one ring result.
-            let v = match *op {
-                FastOp::Nop | FastOp::Halt => 0,
-                FastOp::Const { value } => value,
-                FastOp::Add { s1, s2 } => {
-                    src(&self.ring, count, s1).wrapping_add(src(&self.ring, count, s2))
-                }
-                FastOp::Sub { s1, s2 } => {
-                    src(&self.ring, count, s1).wrapping_sub(src(&self.ring, count, s2))
-                }
-                FastOp::Sll { s1, s2 } => {
-                    src(&self.ring, count, s1).wrapping_shl(src(&self.ring, count, s2) & 31)
-                }
-                FastOp::Slt { s1, s2 } => {
-                    u32::from((src(&self.ring, count, s1) as i32) < (src(&self.ring, count, s2) as i32))
-                }
-                FastOp::Sltu { s1, s2 } => {
-                    u32::from(src(&self.ring, count, s1) < src(&self.ring, count, s2))
-                }
-                FastOp::Xor { s1, s2 } => src(&self.ring, count, s1) ^ src(&self.ring, count, s2),
-                FastOp::Srl { s1, s2 } => {
-                    src(&self.ring, count, s1).wrapping_shr(src(&self.ring, count, s2) & 31)
-                }
-                FastOp::Sra { s1, s2 } => {
-                    ((src(&self.ring, count, s1) as i32).wrapping_shr(src(&self.ring, count, s2) & 31)) as u32
-                }
-                FastOp::Or { s1, s2 } => src(&self.ring, count, s1) | src(&self.ring, count, s2),
-                FastOp::And { s1, s2 } => src(&self.ring, count, s1) & src(&self.ring, count, s2),
-                FastOp::Mul { s1, s2 } => {
-                    src(&self.ring, count, s1).wrapping_mul(src(&self.ring, count, s2))
-                }
-                FastOp::Alu { op, s1, s2 } => {
-                    op.eval(src(&self.ring, count, s1), src(&self.ring, count, s2))
-                }
-                FastOp::Addi { s1, imm } => src(&self.ring, count, s1).wrapping_add(imm),
-                FastOp::Slli { s1, imm } => src(&self.ring, count, s1).wrapping_shl(imm & 31),
-                FastOp::Slti { s1, imm } => u32::from((src(&self.ring, count, s1) as i32) < (imm as i32)),
-                FastOp::Sltiu { s1, imm } => u32::from(src(&self.ring, count, s1) < imm),
-                FastOp::Xori { s1, imm } => src(&self.ring, count, s1) ^ imm,
-                FastOp::Srli { s1, imm } => src(&self.ring, count, s1).wrapping_shr(imm & 31),
-                FastOp::Srai { s1, imm } => ((src(&self.ring, count, s1) as i32).wrapping_shr(imm & 31)) as u32,
-                FastOp::Ori { s1, imm } => src(&self.ring, count, s1) | imm,
-                FastOp::Andi { s1, imm } => src(&self.ring, count, s1) & imm,
-                FastOp::AluImm { op, s1, imm } => op.eval(src(&self.ring, count, s1), imm),
-                FastOp::LdB { addr, offset } => {
-                    let a = src(&self.ring, count, addr).wrapping_add(offset);
-                    match memops::load_b(&self.core.mem, a) {
-                        Ok(v) => v,
-                        Err(kind) => return self.block_trap(b, entry, count, kind),
-                    }
-                }
-                FastOp::LdBu { addr, offset } => {
-                    let a = src(&self.ring, count, addr).wrapping_add(offset);
-                    match memops::load_bu(&self.core.mem, a) {
-                        Ok(v) => v,
-                        Err(kind) => return self.block_trap(b, entry, count, kind),
-                    }
-                }
-                FastOp::LdH { addr, offset } => {
-                    let a = src(&self.ring, count, addr).wrapping_add(offset);
-                    match memops::load_h(&self.core.mem, a) {
-                        Ok(v) => v,
-                        Err(kind) => return self.block_trap(b, entry, count, kind),
-                    }
-                }
-                FastOp::LdHu { addr, offset } => {
-                    let a = src(&self.ring, count, addr).wrapping_add(offset);
-                    match memops::load_hu(&self.core.mem, a) {
-                        Ok(v) => v,
-                        Err(kind) => return self.block_trap(b, entry, count, kind),
-                    }
-                }
-                FastOp::LdW { addr, offset } => {
-                    let a = src(&self.ring, count, addr).wrapping_add(offset);
-                    match memops::load_w(&self.core.mem, a) {
-                        Ok(v) => v,
-                        Err(kind) => return self.block_trap(b, entry, count, kind),
-                    }
-                }
-                FastOp::StB { val, addr, width } => {
-                    let v = src(&self.ring, count, val);
-                    let a = src(&self.ring, count, addr);
-                    if let Err(kind) = memops::store_b(&mut self.core.mem, a, v, width) {
-                        return self.block_trap(b, entry, count, kind);
-                    }
-                    v
-                }
-                FastOp::StH { val, addr, width } => {
-                    let v = src(&self.ring, count, val);
-                    let a = src(&self.ring, count, addr);
-                    if let Err(kind) = memops::store_h(&mut self.core.mem, a, v, width) {
-                        return self.block_trap(b, entry, count, kind);
-                    }
-                    v
-                }
-                FastOp::StW { val, addr } => {
-                    let v = src(&self.ring, count, val);
-                    let a = src(&self.ring, count, addr);
-                    if let Err(kind) = memops::store_w(&mut self.core.mem, a, v) {
-                        return self.block_trap(b, entry, count, kind);
-                    }
-                    v
-                }
-                FastOp::RmovChain { first, len } => {
-                    for &d in &b.chain_dists[first as usize..(first + len) as usize] {
-                        let v = src(&self.ring, count, d);
-                        self.ring[(count & RING_MASK) as usize] = v;
-                        count += 1;
-                    }
-                    continue;
-                }
-                FastOp::SpAdd { imm } => {
-                    let sp = self.sp.wrapping_add(imm as i32 as u32);
-                    if self.check_sp && !(self.stack_floor..=STACK_TOP).contains(&sp) {
-                        return self.block_trap(b, entry, count, TrapKind::SpMisuse { sp });
-                    }
-                    self.sp = sp;
-                    sp
-                }
-                FastOp::Bez { s, target } => {
-                    if src(&self.ring, count, s) == 0 {
-                        next_pc = target;
-                    }
-                    0
-                }
-                FastOp::Bnz { s, target } => {
-                    if src(&self.ring, count, s) != 0 {
-                        next_pc = target;
-                    }
-                    0
-                }
-                FastOp::Jr { s } => {
-                    next_pc = src(&self.ring, count, s);
-                    next_pc
-                }
-                FastOp::Jalr { s, link } => {
-                    next_pc = src(&self.ring, count, s);
-                    link
-                }
-                FastOp::Sys { code, s } => {
-                    let arg = src(&self.ring, count, s);
-                    let code = u32::from(code);
-                    match self.core.sys.apply(code, arg) {
-                        Some(r) => r,
-                        None => {
-                            return self.block_trap(b, entry, count, TrapKind::UnknownSys { code })
-                        }
-                    }
-                }
-            };
-            self.ring[(count & RING_MASK) as usize] = v;
-            count += 1;
-        }
-        if self.profile_distances && !b.dist_counts.is_empty() {
-            let hist = distance_hist(&mut self.core.stats.dist_hist);
-            for &(d, n) in &b.dist_counts {
-                hist[d as usize] += n;
-            }
-        }
-        self.core.retire_trace(count - entry, next_pc, &b.kinds, b.ends_halt)
+    fn exec_block(&mut self, t: &Self::Block) -> Option<EmuExit> {
+        fast::exec(self, t)
     }
 
     /// Unchecked ring reads are legal once at least the trace's
@@ -704,11 +296,12 @@ impl EmuIsa for StraightEmu {
     /// A trace reading past the sanitizer's distance bound single-steps
     /// so the interpreter raises the exact trap.
     #[inline]
-    fn unchecked_len(&self, b: &Block) -> Option<u64> {
-        let unchecked = b.len_insts > 0
-            && self.core.count >= u64::from(b.max_dist)
-            && self.distance_bound.is_none_or(|bound| b.max_dist <= bound);
-        unchecked.then_some(u64::from(b.len_insts))
+    fn unchecked_len(&self, t: &Self::Block) -> Option<u64> {
+        let max = t.extra.max_dist;
+        let unchecked = t.len() > 0
+            && self.core.count >= u64::from(max)
+            && self.distance_bound.is_none_or(|bound| max <= bound);
+        unchecked.then_some(t.len())
     }
 
     /// The stack pointer and the last `min(reach, executed)` results.
@@ -734,10 +327,166 @@ impl EmuIsa for StraightEmu {
     }
 }
 
+impl FastIsa for StraightEmu {
+    type Inst = Inst;
+    type Src = u16;
+    type Dst = ();
+    type Op = StraightOp;
+    type Extra = RingTrace;
+
+    fn decode(word: u32) -> Option<(Inst, InstKind)> {
+        decode(word).ok().map(|inst| (inst, inst.kind()))
+    }
+
+    fn lower(inst: Inst, pc: u32, t: &mut Trace<Self>) -> Flow {
+        let ring = &mut t.extra;
+        for d in inst.sources().into_iter().flatten().filter(|s| !s.is_zero()).map(Dist::get) {
+            match ring.dist_counts.binary_search_by_key(&d, |&(d, _)| d) {
+                Ok(i) => ring.dist_counts[i].1 += 1,
+                Err(i) => ring.dist_counts.insert(i, (d, 1)),
+            }
+            ring.max_dist = ring.max_dist.max(d);
+        }
+        let at = |offset: i32| pc.wrapping_add((offset as u32).wrapping_mul(4));
+        let (op, flow) = match inst {
+            Inst::Nop => (FastOp::Nop, Flow::Next),
+            Inst::Alu { op, s1, s2 } => (FastOp::alu(op, (), s1.get(), s2.get()), Flow::Next),
+            Inst::AluImm { op, s1, imm } => {
+                // The logical group zero-extends its immediate
+                // (`AluImmOp::eval_straight`).
+                let imm = match op {
+                    AluImmOp::Andi | AluImmOp::Ori | AluImmOp::Xori => u32::from(imm as u16),
+                    _ => imm as i32 as u32,
+                };
+                (FastOp::alu_imm(op, (), s1.get(), imm), Flow::Next)
+            }
+            Inst::Lui { imm } => (FastOp::Const { d: (), value: u32::from(imm) << 16 }, Flow::Next),
+            Inst::Ld { width, addr, offset } => {
+                (FastOp::load(width, (), addr.get(), offset as i32 as u32), Flow::Next)
+            }
+            Inst::St { width, val, addr } => (FastOp::store(width, val.get(), addr.get(), 0), Flow::Next),
+            Inst::Rmov { s } => {
+                // Fuse runs of RMOVs (the compiler's distance-fixing
+                // pads) into one macro-op.
+                if let Some(FastOp::Isa(StraightOp::RmovChain { len, .. })) = t.ops.last_mut() {
+                    *len += 1;
+                } else {
+                    let first = ring.chain_dists.len() as u16;
+                    t.ops.push(FastOp::Isa(StraightOp::RmovChain { first, len: 1 }));
+                }
+                ring.chain_dists.push(s.get());
+                return Flow::Next;
+            }
+            Inst::SpAdd { imm } => (FastOp::Isa(StraightOp::SpAdd { imm }), Flow::Next),
+            Inst::Bez { s, offset } => {
+                (FastOp::Beqz { s: s.get(), target: at(offset.into()) }, Flow::End)
+            }
+            Inst::Bnz { s, offset } => {
+                (FastOp::Bnez { s: s.get(), target: at(offset.into()) }, Flow::End)
+            }
+            // Static targets: the ring results are the constants 0 and
+            // the link PC, so translation continues at the target.
+            Inst::J { offset } => (FastOp::Nop, Flow::Jump(at(offset))),
+            Inst::Jal { offset } => {
+                (FastOp::Const { d: (), value: pc.wrapping_add(4) }, Flow::Jump(at(offset)))
+            }
+            Inst::Jr { s } => (FastOp::Isa(StraightOp::Jr { s: s.get() }), Flow::End),
+            Inst::Jalr { s } => (FastOp::Isa(StraightOp::Jalr { s: s.get() }), Flow::End),
+            Inst::Sys { code, s } => (FastOp::Isa(StraightOp::Sys { code, s: s.get() }), Flow::End),
+            Inst::Halt => (FastOp::Nop, Flow::Halt),
+        };
+        t.ops.push(op);
+        flow
+    }
+
+    /// Unchecked: distance zero reads 0, anything else the masked slot.
+    /// Legal because [`EmuIsa::unchecked_len`] established `d <= n`.
+    #[inline(always)]
+    fn read(&self, d: u16, n: u64) -> u32 {
+        if d == 0 {
+            0
+        } else {
+            self.ring[((n - u64::from(d)) & RING_MASK) as usize]
+        }
+    }
+
+    #[inline(always)]
+    fn write(&mut self, (): (), n: u64, v: u32) {
+        self.ring[(n & RING_MASK) as usize] = v;
+    }
+
+    #[inline(always)]
+    fn sink(&mut self, n: u64, v: u32) {
+        self.ring[(n & RING_MASK) as usize] = v;
+    }
+
+    #[inline(always)]
+    fn exec_op(
+        &mut self,
+        op: StraightOp,
+        t: &Trace<Self>,
+        n: u64,
+        next_pc: &mut u32,
+    ) -> Result<u64, TrapKind> {
+        let v = match op {
+            StraightOp::RmovChain { first, len } => {
+                let dists = &t.extra.chain_dists[usize::from(first)..][..usize::from(len)];
+                for (i, &d) in (n..).zip(dists) {
+                    self.ring[(i & RING_MASK) as usize] = self.read(d, i);
+                }
+                return Ok(u64::from(len));
+            }
+            StraightOp::SpAdd { imm } => {
+                let sp = self.sp.wrapping_add(imm as i32 as u32);
+                if self.check_sp && !(self.stack_floor..=STACK_TOP).contains(&sp) {
+                    return Err(TrapKind::SpMisuse { sp });
+                }
+                self.sp = sp;
+                sp
+            }
+            StraightOp::Jr { s } => {
+                *next_pc = self.read(s, n);
+                *next_pc
+            }
+            StraightOp::Jalr { s } => std::mem::replace(next_pc, self.read(s, n)),
+            StraightOp::Sys { code, s } => {
+                let (code, arg) = (u32::from(code), self.read(s, n));
+                self.core.sys.apply(code, arg).ok_or(TrapKind::UnknownSys { code })?
+            }
+        };
+        self.ring[(n & RING_MASK) as usize] = v;
+        Ok(1)
+    }
+
+    #[inline]
+    fn count_trace(&mut self, t: &Trace<Self>) {
+        if self.profile_distances && !t.extra.dist_counts.is_empty() {
+            let hist = distance_hist(&mut self.core.stats.dist_hist);
+            for &(d, n) in &t.extra.dist_counts {
+                hist[d as usize] += n;
+            }
+        }
+    }
+
+    /// The trapping instruction's distances count too: the interpreter
+    /// profiles before it executes.
+    fn count_prefix(&mut self, t: &Trace<Self>, done: usize) {
+        if self.profile_distances {
+            for &(pc, _) in &t.meta[..=done] {
+                // Translation decoded every word of the trace.
+                if let Some(Ok(inst)) = self.core.image.fetch(pc).map(decode) {
+                    self.profile(&inst);
+                }
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::emu::{EmuResult, ExecBackend, TierConfig};
+    use straight_isa::MemWidth;
     use straight_asm::{link_straight, parse_straight_asm};
 
     fn image_for(src: &str) -> Image {

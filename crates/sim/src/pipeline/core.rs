@@ -695,7 +695,10 @@ impl Core {
                     }
                 }
                 FuncOp::JumpInd { offset, link } => {
-                    let target = s0.wrapping_add(offset as u32) & !1;
+                    // RV32 `jalr` clears bit 0 of its target; STRAIGHT
+                    // `JR`/`JALR` jump to the value as read.
+                    let target = s0.wrapping_add(offset as u32);
+                    let target = if self.cfg.isa == IsaKind::Ss { target & !1 } else { target };
                     actual_next = target;
                     if link {
                         uop.pc.wrapping_add(4)

@@ -57,6 +57,20 @@ fn straight_misaligned_load_same_trap() {
     assert!(matches!(kind, TrapKind::MisalignedLoad { addr: 3, .. }), "{kind}");
 }
 
+/// A STRAIGHT `JR` to an odd address jumps there and faults on fetch:
+/// only RV32 `jalr` clears bit 0 of its target.
+#[test]
+fn straight_odd_jump_target_same_trap() {
+    let image = straight_image(
+        ".text
+         func main:
+            ADDi [1] 1
+            JR [1]",
+    );
+    let out = check_image(&image, "odd JR target");
+    assert_eq!(out.trap, Some((TrapKind::FetchFault, 0x1005, 3)), "{out:?}");
+}
+
 #[test]
 fn straight_wild_store_same_trap() {
     // LUI 64 produces 0x40_0000 = MEM_SIZE: one past the last byte.
